@@ -354,21 +354,10 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
 
 def _letter_values(basis: TangentBasis,
                    f: FunctionalElement) -> Dict[Tuple[int, int], Scalar]:
-    bundle = basis.bundle
-    big = build_presentation("so", basis.N + 2, embedded=True)
-    geom = bundle.geometry
-    M = geom.dim
-    ps = geom.params
-    out: Dict[Tuple[int, int], Scalar] = {}
-    for A in geom.indices():
-        for C in geom.indices():
-            v = eval_functional(f, word_element(
-                big.alphabet, ps, ((A - 1) * M + (C - 1),)))
-            if basis.limit and v:
-                v = limit_r_to_1(v)
-            if v:
-                out[(A, C)] = v
-    return out
+    vals = _letter_values_raw(basis, f)
+    if basis.limit:
+        vals = {key: limit_r_to_1(v) for key, v in vals.items()}
+    return {key: v for key, v in vals.items() if v}
 
 
 def _bracket_on_letters(basis: TangentBasis, f: FunctionalElement,

@@ -68,8 +68,8 @@ class UsageError(Exception):
 class RunConfig:
     """Validated common options shared by the subcommands."""
 
-    __slots__ = ("n", "series", "spec", "degree", "seed", "jobs", "fmt",
-                 "out", "dump")
+    __slots__ = ("n", "series", "spec", "degree", "seed", "fmt", "out",
+                 "dump")
 
     def __init__(self, args):
         self.n = args.n
@@ -81,9 +81,6 @@ class RunConfig:
         if self.degree is not None and self.degree < 1:
             raise UsageError("--degree must be at least 1")
         self.seed = args.seed
-        self.jobs = args.jobs
-        if self.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
         self.fmt = args.format
         self.out = args.out
         self.dump = args.dump
@@ -504,9 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in JSON reports; the suites "
                              "themselves are deterministic (default 0)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker-pool size hint; report order does "
-                             "not depend on it")
     common.add_argument("--format", choices=["text", "json"],
                         default="text", help="output format")
     common.add_argument("--out", default=None,

@@ -35,15 +35,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
+from .itensor import (IndexGeometry, SparseTensor4, _acc, rank6_equal,
                       tensor_equal, triple_compose)
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             project, section, unit_element, word_element)
 from .report import Report
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
-from .scalars import (ParamSpace, Scalar, canonical_q, render_scalar,
-                      scalar_from_json, scalar_invert, scalar_to_json,
-                      specialize, _canon)
+from .scalars import (ParamSpace, Scalar, canonical_q, merge_deformations,
+                      rational_rank, render_scalar, scalar_from_json,
+                      scalar_invert, scalar_to_json, specialize)
 
 Gen = Tuple[int, int, int]            # (sign, A, B); sign +1 for L+, -1 for L-
 FunctionalWord = Tuple[Gen, ...]
@@ -122,8 +122,7 @@ class FunctionalElement:
     def __add__(self, other: "FunctionalElement") -> "FunctionalElement":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            got = out.get(w)
-            out[w] = c if got is None else got + c
+            _acc(out, w, c)
         return FunctionalElement(self.bundle, out)
 
     def __neg__(self) -> "FunctionalElement":
@@ -145,10 +144,7 @@ class FunctionalElement:
         out: Dict[FunctionalWord, Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                got = out.get(w)
-                out[w] = c if got is None else got + c
+                _acc(out, w1 + w2, c1 * c2)
         return FunctionalElement(self.bundle, out)
 
     def degree(self) -> int:
@@ -277,13 +273,7 @@ def _gen_family(bundle: RMatrixBundle, sign: int, k: int):
                         for (c,), tr in tail.items():
                             drow = dst.setdefault(Cvec + (c,), {})
                             for (d,), v2 in tr.items():
-                                kk = Dvec + (d,)
-                                got2 = drow.get(kk)
-                                val = v1 * v2 if got2 is None else got2 + v1 * v2
-                                if val:
-                                    drow[kk] = val
-                                elif kk in drow:
-                                    del drow[kk]
+                                _acc(drow, Dvec + (d,), v1 * v2)
         for pair in list(out):
             mat = out[pair]
             for r in list(mat):
@@ -304,12 +294,7 @@ def _mat_mul(m1, m2):
             if hit is None:
                 continue
             for c, w in hit.items():
-                got = acc.get(c)
-                val = v * w if got is None else got + v * w
-                if val:
-                    acc[c] = val
-                elif c in acc:
-                    del acc[c]
+                _acc(acc, c, v * w)
         if acc:
             out[r] = acc
     return out
@@ -351,12 +336,7 @@ def _element_matrix(e: FunctionalElement, k: int):
         for r, row in _word_matrix(e.bundle, w, k).items():
             dst = out.setdefault(r, {})
             for col, v in row.items():
-                got = dst.get(col)
-                val = c * v if got is None else got + c * v
-                if val:
-                    dst[col] = val
-                elif col in dst:
-                    del dst[col]
+                _acc(dst, col, c * v)
     for r in list(out):
         if not out[r]:
             del out[r]
@@ -392,22 +372,10 @@ def _word_value(bundle: RMatrixBundle, fw: FunctionalWord,
     if not row:
         return None
     for sign, A, B in fw[1:]:
-        mat = _gen_family(bundle, sign, k).get((A, B), {})
-        nxt: Dict[Tuple, Scalar] = {}
-        for mid, v in row.items():
-            hit = mat.get(mid)
-            if hit is None:
-                continue
-            for col, w in hit.items():
-                got = nxt.get(col)
-                val = v * w if got is None else got + v * w
-                if val:
-                    nxt[col] = val
-                elif col in nxt:
-                    del nxt[col]
-        if not nxt:
+        row = _mat_mul({Cvec: row},
+                       _gen_family(bundle, sign, k).get((A, B), {})).get(Cvec)
+        if not row:
             return None
-        row = nxt
     return row.get(Dvec)
 
 
@@ -446,9 +414,7 @@ def antipode_L(e: FunctionalElement) -> FunctionalElement:
         for sign, A, B in reversed(w):
             coeff = coeff * metric.c(pr(A)) * metric.c(B)
             gens.append((sign, pr(B), pr(A)))
-        ww = tuple(gens)
-        got = out.get(ww)
-        out[ww] = coeff if got is None else got + coeff
+        _acc(out, tuple(gens), coeff)
     return FunctionalElement(bundle, out)
 
 
@@ -554,14 +520,7 @@ def _pair_family(bundle: RMatrixBundle, s1: int, s2: int, k: int):
                         for E2, r2 in m2.items():
                             dst = out.setdefault((E1, E2), {})
                             for F2, v2 in r2.items():
-                                cell = dst.setdefault((F1, F2), {})
-                                got2 = cell.get(x)
-                                val = (v1 * v2 if got2 is None
-                                       else got2 + v1 * v2)
-                                if val:
-                                    cell[x] = val
-                                elif x in cell:
-                                    del cell[x]
+                                _acc(dst.setdefault((F1, F2), {}), x, v1 * v2)
     else:
         prev = _pair_family(bundle, s1, s2, k - 1)
         base = _pair_family(bundle, s1, s2, 1)
@@ -575,13 +534,7 @@ def _pair_family(bundle: RMatrixBundle, s1: int, s2: int, k: int):
                     cell = dst_all.setdefault(Bpair, {})
                     for x1, v1 in xmap.items():
                         for x2, v2 in colmap.items():
-                            xx = x1 + x2
-                            got2 = cell.get(xx)
-                            val = v1 * v2 if got2 is None else got2 + v1 * v2
-                            if val:
-                                cell[xx] = val
-                            elif xx in cell:
-                                del cell[xx]
+                            _acc(cell, x1 + x2, v1 * v2)
     for Apair in list(out):
         mids = out[Apair]
         for Bpair in list(mids):
@@ -600,11 +553,17 @@ def _tensor_by_upper(Rt: SparseTensor4):
     return out
 
 
+def _any_generator(A: int, B: int) -> bool:
+    return True
+
+
 def _exchange_residual(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
-                       s1: int, D: int, mask=None):
+                       s1: int, D: int, mask2=_any_generator,
+                       mask1=_any_generator):
     """First witness of Rt_12 L^{s2}_2 L^{s1}_1 != L^{s1}_1 L^{s2}_2 Rt_12
-    on free words of length <= D, or None.  An optional mask(A, B)
-    restricts both functional matrices to a generator support."""
+    on free words of length <= D, or None.  The masks mask2(A, B) and
+    mask1(A, B) restrict the L^{s2} and the L^{s1} matrix to a generator
+    support."""
     by_upper = _tensor_by_upper(Rt)
     for k in range(D + 1):
         H21 = _pair_family(bundle, s2, s1, k)
@@ -617,32 +576,20 @@ def _exchange_residual(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
                 if not mids:
                     continue
                 for (Dd, Cc), xmap in mids.items():
-                    if mask is not None and not (mask(F, Dd) and mask(E, Cc)):
+                    if not (mask2(F, Dd) and mask1(E, Cc)):
                         continue
                     for x, hv in xmap.items():
-                        kk = (A, B, Cc, Dd, x)
-                        got = lhs.get(kk)
-                        val = v * hv if got is None else got + v * hv
-                        if val:
-                            lhs[kk] = val
-                        elif kk in lhs:
-                            del lhs[kk]
+                        _acc(lhs, (A, B, Cc, Dd, x), v * hv)
         for (A, B), mids in H12.items():
             for (E, F), xmap in mids.items():
-                if mask is not None and not (mask(A, E) and mask(B, F)):
+                if not (mask1(A, E) and mask2(B, F)):
                     continue
                 lows = by_upper.get((E, F))
                 if not lows:
                     continue
                 for Cc, Dd, v in lows:
                     for x, hv in xmap.items():
-                        kk = (A, B, Cc, Dd, x)
-                        got = rhs.get(kk)
-                        val = hv * v if got is None else got + hv * v
-                        if val:
-                            rhs[kk] = val
-                        elif kk in rhs:
-                            del rhs[kk]
+                        _acc(rhs, (A, B, Cc, Dd, x), hv * v)
         for kk in sorted(set(lhs) | set(rhs)):
             lv = lhs.get(kk)
             rv = rhs.get(kk)
@@ -700,12 +647,7 @@ def _metric_orthogonality_residual(bundle: RMatrixBundle, sign: int,
                     if not xmap:
                         continue
                     for x, v in xmap.items():
-                        got = acc.get(x)
-                        val = coeff * v if got is None else got + coeff * v
-                        if val:
-                            acc[x] = val
-                        elif x in acc:
-                            del acc[x]
+                        _acc(acc, x, coeff * v)
                 expected = metric.lower(Dd, C)
                 for x in sorted(set(acc)
                                 | ({tuple(zip(v, v))
@@ -879,12 +821,7 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
                         continue
                     cv = lift(v)
                     for x, hv in xmap.items():
-                        got = acc.get(x)
-                        val = cv * hv if got is None else got + cv * hv
-                        if val:
-                            acc[x] = val
-                        elif x in acc:
-                            del acc[x]
+                        _acc(acc, x, cv * hv)
                 if acc and pa_witness is None:
                     x = sorted(acc)[0]
                     pa_witness = ((a, b, x), acc[x])
@@ -995,13 +932,7 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
                                     continue
                                 cv = coeff0 * rv
                                 for x, hv in xmap.items():
-                                    got = acc.get(x)
-                                    val = (cv * hv if got is None
-                                           else got + cv * hv)
-                                    if val:
-                                        acc[x] = val
-                                    elif x in acc:
-                                        del acc[x]
+                                    _acc(acc, x, cv * hv)
                         w3 = _xmap_scaled_equal(lhsx, acc, ps.one)
                         if w3 is not None:
                             w3 = (sign, a, b, d) + w3
@@ -1021,7 +952,7 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     def block_mask(A, B):
         return A == B or (A in inner_set and B in inner_set)
 
-    w = _exchange_residual(bundle, bundle.R, 1, 1, D, mask=block_mask)
+    w = _exchange_residual(bundle, bundle.R, 1, 1, D, block_mask, block_mask)
     rep.add("block-diagonal plus matrix satisfies the exchange relations",
             w is None, "" if w is None else _render_exchange_witness(geom, w))
 
@@ -1035,10 +966,11 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     rep.add("script R matrix satisfies the Yang-Baxter equation", ok,
             "" if ok else "%r" % (yw,))
 
-    w = _exchange_residual(bundle, script, 1, 1, D, mask=block_mask)
+    w = _exchange_residual(bundle, script, 1, 1, D, block_mask, block_mask)
     rep.add("block exchange relations hold with the script R matrix",
             w is None, "" if w is None else _render_exchange_witness(geom, w))
-    w = _mixed_script_residual(bundle, script, D, block_mask)
+    # script_12 Lc+_2 L-_1 = L-_1 Lc+_2 script_12, block mask on the plus slot
+    w = _exchange_residual(bundle, script, 1, -1, D, mask2=block_mask)
     rep.add("mixed block exchange relations hold with the script R matrix",
             w is None, "" if w is None else _render_exchange_witness(geom, w))
 
@@ -1073,79 +1005,8 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     return rep
 
 
-def _mixed_script_residual(bundle: RMatrixBundle, script: SparseTensor4,
-                           D: int, block_mask):
-    """script_12 Lc+_2 L-_1 = L-_1 Lc+_2 script_12 with the block mask on
-    the plus slot only."""
-    by_upper = _tensor_by_upper(script)
-    for k in range(D + 1):
-        Hpm = _pair_family(bundle, 1, -1, k)
-        Hmp = _pair_family(bundle, -1, 1, k)
-        lhs: Dict[Tuple, Scalar] = {}
-        rhs: Dict[Tuple, Scalar] = {}
-        for (A, B), lows in by_upper.items():
-            for E, F, v in lows:
-                mids = Hpm.get((F, E))
-                if not mids:
-                    continue
-                for (Dd, Cc), xmap in mids.items():
-                    if not block_mask(F, Dd):
-                        continue
-                    for x, hv in xmap.items():
-                        kk = (A, B, Cc, Dd, x)
-                        got = lhs.get(kk)
-                        val = v * hv if got is None else got + v * hv
-                        if val:
-                            lhs[kk] = val
-                        elif kk in lhs:
-                            del lhs[kk]
-        for (A, B), mids in Hmp.items():
-            for (E, F), xmap in mids.items():
-                if not block_mask(B, F):
-                    continue
-                lows = by_upper.get((E, F))
-                if not lows:
-                    continue
-                for Cc, Dd, v in lows:
-                    for x, hv in xmap.items():
-                        kk = (A, B, Cc, Dd, x)
-                        got = rhs.get(kk)
-                        val = hv * v if got is None else got + hv * v
-                        if val:
-                            rhs[kk] = val
-                        elif kk in rhs:
-                            del rhs[kk]
-        for kk in sorted(set(lhs) | set(rhs)):
-            lv = lhs.get(kk)
-            rv = rhs.get(kk)
-            if lv != rv:
-                return (kk, lv, rv)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the uniparametric collapse
-
-def _merge_deformations(x: Scalar) -> Scalar:
-    """Substitute every g variable by s^2, the uniparametric point."""
-    ps = x.ps
-
-    def fold(poly):
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        unit = [0] * ps.nvars
-        for m, c in poly.items():
-            e = m[0] + 2 * sum(m[1:])
-            key = tuple([e] + unit[1:])
-            got = out.get(key)
-            tot = c if got is None else got + c
-            if tot:
-                out[key] = tot
-            elif key in out:
-                del out[key]
-        return out
-
-    return _canon(ps, fold(x.num), fold(x.den))
-
 
 def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
     """Matching diagonal plus/minus products versus the counit: the
@@ -1179,7 +1040,7 @@ def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
         for k in range(D + 1):
             for r, row in _element_matrix(diff, k).items():
                 for col, v in row.items():
-                    if _merge_deformations(v):
+                    if merge_deformations(v):
                         bad = (A, tuple(zip(r, col)), v)
                         break
                 if bad:
@@ -1308,105 +1169,19 @@ def _generic_point(ps: ParamSpace) -> Dict[str, Fraction]:
 def independence_rank(ws: Sequence[FunctionalWord], N: int, D: int) -> int:
     """Rank of the evaluation matrix of the given words against all free
     words of length <= D, by exact elimination at a generic rational
-    point."""
+    point.  The evaluation entries are Laurent polynomials, so the
+    specialization has no poles."""
     bundle = build_bundle(IndexGeometry(N + 2, embedded=True))
-    geom = bundle.geometry
-    point = _generic_point(geom.params)
-
-    def num_transfer(sign):
-        out: Dict[Tuple[int, int], Dict[int, Dict[int, Fraction]]] = {}
-        for (C, Dd), m in _transfer(bundle, sign).items():
-            out[(C, Dd)] = {E: {F: specialize(v, point)
-                                for F, v in row.items()}
-                            for E, row in m.items()}
-        return out
-
-    trans = {1: num_transfer(1), -1: num_transfer(-1)}
-    fams: Dict[Tuple[int, int], Dict] = {}
-
-    def fam(sign, k):
-        got = fams.get((sign, k))
-        if got is not None:
-            return got
-        out: Dict[Tuple[int, int], Dict] = {}
-        if k == 0:
-            for A in geom.indices():
-                out[(A, A)] = {(): {(): Fraction(1)}}
-        elif k == 1:
-            for (C, Dd), m in trans[sign].items():
-                for E, row in m.items():
-                    for F, v in row.items():
-                        out.setdefault((E, F), {}).setdefault(
-                            (C,), {})[(Dd,)] = v
-        else:
-            prev = fam(sign, k - 1)
-            base = fam(sign, 1)
-            by_first: Dict[int, List] = {}
-            for (E, B), mat in base.items():
-                by_first.setdefault(E, []).append((B, mat))
-            for (A, E), mat in prev.items():
-                for B, tail in by_first.get(E, ()):
-                    dst = out.setdefault((A, B), {})
-                    for Cvec, row in mat.items():
-                        for Dvec, v1 in row.items():
-                            for (c,), tr in tail.items():
-                                drow = dst.setdefault(Cvec + (c,), {})
-                                for (d,), v2 in tr.items():
-                                    kk = Dvec + (d,)
-                                    drow[kk] = drow.get(kk, Fraction(0)) \
-                                        + v1 * v2
-        fams[(sign, k)] = out
-        return out
-
-    rows: List[Dict[Tuple, Fraction]] = []
+    point = _generic_point(bundle.geometry.params)
+    rows = []
     for w in ws:
-        row: Dict[Tuple, Fraction] = {}
+        row = {}
         for k in range(D + 1):
-            if not w:
-                mat = {vec: {vec: Fraction(1)}
-                       for vec in iproduct(geom.indices(), repeat=k)}
-            else:
-                sign, A, B = w[0]
-                mat = fam(sign, k).get((A, B), {})
-                for sign, A, B in w[1:]:
-                    nxt = {}
-                    m2 = fam(sign, k).get((A, B), {})
-                    for r, rr in mat.items():
-                        acc = {}
-                        for mid, v in rr.items():
-                            for col, u in m2.get(mid, {}).items():
-                                acc[col] = acc.get(col, Fraction(0)) + v * u
-                        acc = {c: v for c, v in acc.items() if v}
-                        if acc:
-                            nxt[r] = acc
-                    mat = nxt
-            for r, rr in mat.items():
-                for col, v in rr.items():
-                    if v:
-                        row[(k, r, col)] = v
+            for r, cols in _word_matrix(bundle, w, k).items():
+                for col, v in cols.items():
+                    row[(k, r, col)] = specialize(v, point)
         rows.append(row)
-
-    pivots: List[Tuple[Tuple, Dict[Tuple, Fraction]]] = []
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        for col, prow in pivots:
-            hit = row.get(col)
-            if hit:
-                for c, v in prow.items():
-                    nv = row.get(c, Fraction(0)) - hit * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-        if not row:
-            continue
-        col = min(row)
-        inv = 1 / row[col]
-        prow = {c: v * inv for c, v in row.items()}
-        pivots.append((col, prow))
-        rank += 1
-    return rank
+    return rational_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1534,7 +1309,5 @@ def functional_from_json(bundle: RMatrixBundle, payload) -> FunctionalElement:
     for rec in payload:
         w = tuple(g for g in (tag_gen(t) for t in rec["word"])
                   if g is not None)
-        c = scalar_from_json(ps, rec["coeff"])
-        got = terms.get(w)
-        terms[w] = c if got is None else got + c
+        _acc(terms, w, scalar_from_json(ps, rec["coeff"]))
     return FunctionalElement(bundle, terms)

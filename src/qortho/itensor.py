@@ -124,17 +124,22 @@ def tensor_scale(X: SparseTensor4, c: Scalar) -> SparseTensor4:
     return SparseTensor4(X.geometry, {k: c * v for k, v in X.items()})
 
 
+def _acc(d: dict, k, v: Scalar) -> None:
+    """d[k] += v, keeping no zero values in d."""
+    w = d.get(k)
+    v = v if w is None else w + v
+    if v:
+        d[k] = v
+    elif k in d:
+        del d[k]
+
+
 def tensor_add(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
     if not X.geometry.same(Y.geometry):
         raise GeometryMismatch("%r vs %r" % (X.geometry, Y.geometry))
     ent = dict(X.entries)
     for k, v in Y.items():
-        w = ent.get(k)
-        v = v if w is None else w + v
-        if v:
-            ent[k] = v
-        elif k in ent:
-            del ent[k]
+        _acc(ent, k, v)
     return SparseTensor4(X.geometry, ent)
 
 
@@ -153,13 +158,7 @@ def tensor_compose(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
     out: Dict[Key4, Scalar] = {}
     for (a, b, e, f), xv in X.items():
         for c, d, yv in by_upper.get((e, f), ()):
-            k = (a, b, c, d)
-            w = out.get(k)
-            v = xv * yv if w is None else w + xv * yv
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            _acc(out, (a, b, c, d), xv * yv)
     return SparseTensor4(X.geometry, out)
 
 
@@ -212,22 +211,14 @@ def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]):
             for c, d, xv in hit:
                 newlo = list(lo)
                 newlo[i], newlo[j] = c, d
-                k = key[:3] + tuple(newlo)
-                w = nxt.get(k)
-                val = v * xv if w is None else w + v * xv
-                if val:
-                    nxt[k] = val
-                elif k in nxt:
-                    del nxt[k]
+                _acc(nxt, key[:3] + tuple(newlo), v * xv)
         cur = nxt
     return cur
 
 
-def map_params(X: SparseTensor4, transform: str = "invert") -> SparseTensor4:
+def map_params(X: SparseTensor4) -> SparseTensor4:
     """Entrywise substitution v -> v^{-1} for every variable (so q -> q^{-1},
     r -> r^{-1}), the only transform the identities need."""
-    if transform != "invert":
-        raise ValueError("unsupported transform %r" % (transform,))
     ps = X.geometry.params
     out: Dict[Key4, Scalar] = {}
     for k, v in X.items():
@@ -251,6 +242,8 @@ def tensor_equal(X: SparseTensor4, Y: SparseTensor4):
 
 def rank6_equal(A: Dict[Tuple[int, ...], Scalar],
                 B: Dict[Tuple[int, ...], Scalar]):
+    """Equality of two sparse dicts keyed by index tuples, with the same
+    (ok, witness) result as tensor_equal."""
     for k in sorted(set(A) | set(B)):
         av, bv = A.get(k), B.get(k)
         if av is None or bv is None or av != bv:
@@ -290,7 +283,7 @@ class MetricVec:
 # --- serialization ---------------------------------------------------------
 
 def tensor_to_json(X: SparseTensor4) -> dict:
-    from .scalars import paramspace_header, scalar_to_json
+    from .scalars import scalar_to_json
     geom = X.geometry
     return {
         "dim": geom.dim,

@@ -24,15 +24,16 @@ itself is special.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
-from .itensor import (GeometryMismatch, IndexGeometry, Key4, MetricVec,
-                      SparseTensor4, identity_tensor, map_params,
-                      rank6_equal, tensor_add, tensor_compose, tensor_equal,
-                      tensor_scale, tensor_sub, triple_compose)
+from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4, _acc,
+                      identity_tensor, map_params, rank6_equal, tensor_add,
+                      tensor_compose, tensor_equal, tensor_scale, tensor_sub,
+                      triple_compose)
 from .report import Report
-from .scalars import ParamSpace, Scalar, canonical_q, scalar_invert, specialize
+from .scalars import (ParamSpace, Scalar, _canon, canonical_q,
+                      merge_deformations, rational_rank, scalar_invert,
+                      specialize)
 
 __all__ = [
     "RMatrixBundle", "build_R", "build_metric", "build_projectors",
@@ -224,7 +225,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
         rhs_d: Dict[Key4, Scalar] = {}
         for (c, f, a, d), v in Y.items():
             rhs_d[(a, c, d, pr(f))] = v * C.c(f)
-        ok, w = _dict_equal(lhs_d, rhs_d)
+        ok, w = rank6_equal(lhs_d, rhs_d)
         rep.add("metric conjugation (left) turns %s into its inverse" % name,
                 ok, _witness(w))
         lhs_d = {}
@@ -233,7 +234,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
         rhs_d = {}
         for (c, a, f, d), v in Y.items():
             rhs_d[(pr(f), c, d, a)] = C.c(pr(f)) * v
-        ok, w = _dict_equal(lhs_d, rhs_d)
+        ok, w = rank6_equal(lhs_d, rhs_d)
         rep.add("metric conjugation (right) turns %s into its inverse" % name,
                 ok, _witness(w))
 
@@ -243,7 +244,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
         if b == pr(a):
             _acc(lhs_c, (c, d), C.c(a) * v)
     rhs_c = {(c, pr(c)): r1N * C.c(c) for c in geom.indices()}
-    ok, w = _dict_equal(lhs_c, rhs_c)
+    ok, w = rank6_equal(lhs_c, rhs_c)
     rep.add("metric row contraction: C_ab Rhat^{ab}_{cd} = r^{1-N} C_cd",
             ok, _witness(w))
     lhs_c = {}
@@ -251,7 +252,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
         if d == pr(c):
             _acc(lhs_c, (a, b), v * C.c(c))
     rhs_c = {(a, pr(a)): r1N * C.c(a) for a in geom.indices()}
-    ok, w = _dict_equal(lhs_c, rhs_c)
+    ok, w = rank6_equal(lhs_c, rhs_c)
     rep.add("metric column contraction: Rhat^{ab}_{cd} C^{cd} = r^{1-N} C^ab",
             ok, _witness(w))
 
@@ -289,23 +290,6 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     return rep
 
 
-def _acc(d: dict, k, v: Scalar) -> None:
-    w = d.get(k)
-    v = v if w is None else w + v
-    if v:
-        d[k] = v
-    elif k in d:
-        del d[k]
-
-
-def _dict_equal(A: dict, B: dict):
-    for k in sorted(set(A) | set(B)):
-        av, bv = A.get(k), B.get(k)
-        if av is None or bv is None or av != bv:
-            return False, (k, av, bv)
-    return True, None
-
-
 def _transpose_params(v: Scalar) -> Scalar:
     # g_ab -> s^4 / g_ab on every variable, leaving s alone; this realizes
     # q_AB -> q_BA on all resolved parameter monomials
@@ -315,61 +299,22 @@ def _transpose_params(v: Scalar) -> Scalar:
         num[(m[0] + 4 * sum(m[1:]),) + tuple(-e for e in m[1:])] = c
     # canonical denominators contain no g variables
     return Scalar(ps, num, v.den) if v.den == ps._one_den else \
-        _retie(ps, num, v.den)
-
-
-def _retie(ps, num, den):
-    from .scalars import _canon
-    return _canon(ps, num, den)
+        _canon(ps, num, v.den)
 
 
 def uniparametric_R(geometry: IndexGeometry) -> SparseTensor4:
     """R with every independent parameter g_ab specialized to r = s^2."""
-    ps = geometry.params
-    R = build_R(geometry)
-    out: Dict[Key4, Scalar] = {}
-    for k, v in R.items():
-        num = {}
-        for m, c in v.num.items():
-            key = (m[0] + 2 * sum(m[1:]),) + (0,) * (ps.nvars - 1)
-            num[key] = num.get(key, 0) + c
-        num = {m: c for m, c in num.items() if c}
-        out[k] = _retie(ps, num, v.den)
-    return SparseTensor4(geometry, out)
+    return SparseTensor4(geometry, {k: merge_deformations(v)
+                                    for k, v in build_R(geometry).items()})
 
 
 def specialized_rank(X: SparseTensor4, assignment: Mapping[str, object]) -> int:
     """Rank of the M^2 x M^2 matrix of X at a rational parameter point,
     by exact fraction Gaussian elimination."""
-    M = X.geometry.dim
-    rows: Dict[int, Dict[int, Fraction]] = {}
+    rows: Dict[Tuple[int, int], Dict] = {}
     for (a, b, c, d), v in X.items():
-        val = specialize(v, assignment)
-        if val:
-            rows.setdefault((a - 1) * M + (b - 1), {})[(c - 1) * M + (d - 1)] = val
-    rank = 0
-    work = [dict(r) for r in rows.values() if r]
-    while work:
-        row = work.pop()
-        if not row:
-            continue
-        piv = min(row)
-        pval = row[piv]
-        rank += 1
-        reduced = []
-        for other in work:
-            if piv in other:
-                f = other[piv] / pval
-                for c, v in row.items():
-                    nv = other.get(c, Fraction(0)) - f * v
-                    if nv:
-                        other[c] = nv
-                    elif c in other:
-                        del other[c]
-            if other:
-                reduced.append(other)
-        work = reduced
-    return rank
+        rows.setdefault((a, b), {})[(c, d)] = specialize(v, assignment)
+    return rational_rank(rows.values())
 
 
 def inner_lift(big_geometry: IndexGeometry):
@@ -426,7 +371,7 @@ def decompose_embedding(N: int) -> Report:
 
     lift = inner_lift(big_geom)
 
-    ok, w = _dict_equal(
+    ok, w = rank6_equal(
         {k: v for k, v in big.items()
          if all(2 <= i <= M - 1 for i in k)},
         {(a + 1, b + 1, c + 1, d + 1): lift(v)
@@ -449,13 +394,13 @@ def decompose_embedding(N: int) -> Report:
             f_cell == f_expect,
             "" if f_cell == f_expect else "%r vs %r" % (f_cell, f_expect))
 
-    ok, w = _dict_equal(
+    ok, w = rank6_equal(
         {(c, d): v for (a, b, c, d), v in big.items()
          if (a, b) == (M, 1) and c in inner and d in inner},
         {(c, prb(c)): corner * lift(small_C.c(c - 1)) for c in inner})
     rep.add("corner row equals -C_cd lambda r^{-rho}", ok, _witness(w))
 
-    ok, w = _dict_equal(
+    ok, w = rank6_equal(
         {(a, b): v for (a, b, c, d), v in big.items()
          if (c, d) == (1, M) and a in inner and b in inner},
         {(a, prb(a)): corner * lift(small_C.c(prb(a) - 1)) for a in inner})

@@ -29,7 +29,7 @@ exact rationals throughout (plain ints where possible, Fraction otherwise).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Mono = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -345,16 +345,6 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
     return Scalar(ps, num2, den2)
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError("unknown op %r" % (op,))
-
-
 def scalar_invert(a: Scalar) -> Scalar:
     if not a.num:
         raise ZeroInverse("cannot invert 0")
@@ -399,6 +389,44 @@ def specialize(a: Scalar, assignment: Mapping[str, Coeff]) -> Fraction:
     if dval == 0:
         raise PoleAtPoint("denominator vanishes at %r" % (dict(assignment),))
     return ev(a.num) / dval
+
+
+def rational_rank(rows: Iterable[Mapping[object, Fraction]]) -> int:
+    """Rank of a matrix given as sparse rows of exact rationals (column
+    keys must be mutually comparable), by Gaussian elimination."""
+    pivots: List[Tuple[object, Dict[object, Fraction]]] = []
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for col, prow in pivots:
+            hit = row.get(col)
+            if hit:
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - hit * v
+                    if nv:
+                        row[c] = nv
+                    elif c in row:
+                        del row[c]
+        if row:
+            col = min(row)
+            inv = 1 / Fraction(row[col])
+            pivots.append((col, {c: v * inv for c, v in row.items()}))
+    return len(pivots)
+
+
+def merge_deformations(a: Scalar) -> Scalar:
+    """Substitute every deformation variable g_ab by r = s^2, the
+    uniparametric point.  Canonical denominators carry no g variables, so
+    only the numerator changes."""
+    ps = a.ps
+    num: Poly = {}
+    for m, c in a.num.items():
+        key = (m[0] + 2 * sum(m[1:]),) + ps.unit_mono[1:]
+        v = num.get(key, 0) + c
+        if v:
+            num[key] = v
+        elif key in num:
+            del num[key]
+    return _canon(ps, num, a.den)
 
 
 def limit_r_to_1(a: Scalar) -> Scalar:

@@ -9,8 +9,10 @@ is checked degree by degree on spanning sets of T words.
 
 import pytest
 
-from qortho.envelope import (EPS_WORD, AnnihilationResult, antipode_L,
-                             eps_functional, eta_monomials, eval_functional,
+from qortho.envelope import (EPS_WORD, AnnihilationResult,
+                             _exchange_residual, _render_exchange_witness,
+                             antipode_L, eps_functional, eta_monomials,
+                             eval_functional,
                              functional_equal, functional_from_json,
                              functional_to_json, gen_tag, independence_rank,
                              iu_annihilates, iu_generators, l_functional,
@@ -138,6 +140,25 @@ def test_eta_monomials_and_rank():
     assert independence_rank(ms, 3, 3) == 20
     assert independence_rank([ms[1], ms[1]], 3, 2) == 1
     assert independence_rank([EPS_WORD], 3, 2) == 1
+
+
+def test_exchange_residual_reports_a_wrong_exchange_matrix():
+    inner = set(GEOM5.inner())
+
+    def block(A, B):
+        return A == B or (A in inner and B in inner)
+
+    for s2, s1, masks in [(1, 1, {"mask2": block, "mask1": block}),
+                          (1, -1, {"mask2": block})]:
+        w = _exchange_residual(BUNDLE5, BUNDLE5.Rinv, s2, s1, 1, **masks)
+        assert w is not None
+        (A, B, C, D, x), lv, rv = w
+        assert lv != rv and len(x) == 1
+        text = _render_exchange_witness(GEOM5, w)
+        assert text.startswith("indices (")
+        assert text.endswith("%s vs %s" % (
+            "0" if lv is None else render_scalar(lv),
+            "0" if rv is None else render_scalar(rv)))
 
 
 def test_functional_json_round_trip():
