@@ -34,8 +34,8 @@ from .presentations import (AlgebraElement, build_presentation, costructure,
                             unit_element, word_element, zero_element)
 from .report import Report
 from .rmatrix import build_bundle, inner_lift
-from .scalars import (DenominatorClass, Scalar, canonical_q, limit_r_to_1,
-                      render_scalar, scalar_invert)
+from .scalars import (DenominatorClass, Scalar, _acc, canonical_q,
+                      limit_r_to_1, render_scalar, scalar_invert)
 
 __all__ = [
     "TangentBasis", "AdjointEntry", "build_f", "build_chi", "tangent_basis",
@@ -590,12 +590,7 @@ def differential(a: AlgebraElement,
                 val = limit_r_to_1(val)
             if not val:
                 continue
-            got = acc[i].get(w1)
-            tot = c * val if got is None else got + c * val
-            if tot:
-                acc[i][w1] = tot
-            elif w1 in acc[i]:
-                del acc[i][w1]
+            _acc(acc[i], w1, c * val)
     out = []
     for i, label in enumerate(basis.labels):
         out.append((reduce(AlgebraElement(p.alphabet, ps, acc[i]), rs),
@@ -611,12 +606,7 @@ def _star(f: FunctionalElement, a: AlgebraElement, p, rs) -> AlgebraElement:
         val = eval_functional(f, section(word_element(p.alphabet, ps, w2), p))
         if not val:
             continue
-        got = acc.get(w1)
-        tot = c * val if got is None else got + c * val
-        if tot:
-            acc[w1] = tot
-        elif w1 in acc:
-            del acc[w1]
+        _acc(acc, w1, c * val)
     return reduce(AlgebraElement(p.alphabet, ps, acc), rs)
 
 

@@ -238,7 +238,7 @@ def _load_element(doc, alphabet, ps):
 
 
 def _load_functional(doc, bundle):
-    from .envelope import functional_from_json, word_key as fword_key
+    from .envelope import functional_from_json
     if not isinstance(doc, list):
         raise SchemaError("", "functional payload must be a list")
     notes: List[str] = []
@@ -257,7 +257,7 @@ def _load_functional(doc, bundle):
                 parsed.append(g)
         _want(rec, "coeff", dict, ptr)
         words.append(tuple(parsed))
-    if words != sorted(words, key=fword_key):
+    if words != sorted(words, key=word_key):
         notes.append("term list was not in canonical order; re-sorted")
     try:
         f = functional_from_json(bundle, doc)

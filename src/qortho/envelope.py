@@ -35,15 +35,16 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .itensor import (IndexGeometry, SparseTensor4, _acc, rank6_equal,
+from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
                       tensor_equal, triple_compose)
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             project, section, unit_element, word_element)
 from .report import Report
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
-from .scalars import (ParamSpace, Scalar, canonical_q, merge_deformations,
-                      rational_rank, render_scalar, scalar_from_json,
-                      scalar_invert, scalar_to_json, specialize)
+from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
+                      canonical_q, merge_deformations, rational_rank,
+                      render_scalar, scalar_from_json, scalar_invert,
+                      scalar_to_json, specialize, word_key)
 
 Gen = Tuple[int, int, int]            # (sign, A, B); sign +1 for L+, -1 for L-
 FunctionalWord = Tuple[Gen, ...]
@@ -90,67 +91,27 @@ def show_functional_word(w: FunctionalWord) -> str:
     return " ".join(gen_tag(g) for g in w)
 
 
-def word_key(w: FunctionalWord) -> Tuple:
-    return (len(w), w)
-
-
-class FunctionalElement:
+class FunctionalElement(LinearCombination):
     """Finite scalar combination of words of L+/L- generators.
 
     The counit is the empty word; eps letters fed in through JSON are
     absorbed on construction, so words never store unit factors.
     """
 
-    __slots__ = ("bundle", "terms")
+    __slots__ = ("bundle",)
 
     def __init__(self, bundle: RMatrixBundle,
                  terms: Dict[FunctionalWord, Scalar]):
         self.bundle = bundle
-        self.terms = {w: c for w, c in terms.items() if c}
+        super().__init__(terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _context(self):
+        return (self.bundle,)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FunctionalElement)
-                and self.bundle is other.bundle
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "FunctionalElement") -> "FunctionalElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc(out, w, c)
-        return FunctionalElement(self.bundle, out)
-
-    def __neg__(self) -> "FunctionalElement":
-        return FunctionalElement(self.bundle,
-                                 {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FunctionalElement") -> "FunctionalElement":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "FunctionalElement":
-        return FunctionalElement(self.bundle,
-                                 {w: v * c for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if not isinstance(other, FunctionalElement):
-            return NotImplemented
-        out: Dict[FunctionalWord, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _acc(out, w1 + w2, c1 * c2)
-        return FunctionalElement(self.bundle, out)
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(len(w) for w in self.terms)
+    def _mismatch(self, other) -> str:
+        if self.bundle is other.bundle:
+            return ""
+        return "functionals over different R matrix bundles"
 
     def __repr__(self):
         if not self.terms:

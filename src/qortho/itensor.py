@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import (ParamSpace, Scalar, canonical_q, mono_inv, _canon)
+from .scalars import (ParamSpace, Scalar, canonical_q, mono_inv, _acc, _canon)
 
 Key4 = Tuple[int, int, int, int]
 
@@ -122,16 +122,6 @@ def identity_tensor(geometry: IndexGeometry) -> SparseTensor4:
 
 def tensor_scale(X: SparseTensor4, c: Scalar) -> SparseTensor4:
     return SparseTensor4(X.geometry, {k: c * v for k, v in X.items()})
-
-
-def _acc(d: dict, k, v: Scalar) -> None:
-    """d[k] += v, keeping no zero values in d."""
-    w = d.get(k)
-    v = v if w is None else w + v
-    if v:
-        d[k] = v
-    elif k in d:
-        del d[k]
 
 
 def tensor_add(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:

@@ -45,11 +45,12 @@ import itertools
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .itensor import IndexGeometry, MetricVec
+from .itensor import IndexGeometry
 from .report import Report
 from .rmatrix import build_bundle, inner_lift
-from .scalars import (ParamSpace, Scalar, canonical_q, scalar_from_json,
-                      scalar_to_json)
+from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
+                      canonical_q, scalar_from_json, scalar_to_json,
+                      stair_insert, word_key)
 
 __all__ = [
     "Alphabet", "Word", "AlgebraElement", "TensorElement", "Presentation",
@@ -77,10 +78,6 @@ class IncompleteRules(PresentationError):
 
 class TopDegreeNotOneDimensional(PresentationError):
     pass
-
-
-def word_key(w: Word) -> Tuple[int, Word]:
-    return (len(w), w)
 
 
 class Alphabet:
@@ -113,69 +110,27 @@ def _same_alphabet(a: Alphabet, b: Alphabet) -> bool:
     return a is b or a.symbols == b.symbols
 
 
-class AlgebraElement:
+class AlgebraElement(LinearCombination):
     """A finite Scalar combination of words in a free algebra."""
 
-    __slots__ = ("alphabet", "ps", "terms")
+    __slots__ = ("alphabet", "ps")
 
     def __init__(self, alphabet: Alphabet, ps: ParamSpace,
                  terms: Mapping[Word, Scalar]):
         self.alphabet = alphabet
         self.ps = ps
-        self.terms: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c}
+        super().__init__(terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _context(self):
+        return (self.alphabet, self.ps)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement)
-                and _same_alphabet(self.alphabet, other.alphabet)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not _same_alphabet(self.alphabet, other.alphabet):
-            raise ValueError("elements over different alphabets")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            got = out.get(w)
-            out[w] = c if got is None else got + c
-        return AlgebraElement(self.alphabet, self.ps, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.alphabet, self.ps,
-                              {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "AlgebraElement":
-        if not c:
-            return AlgebraElement(self.alphabet, self.ps, {})
-        return AlgebraElement(self.alphabet, self.ps,
-                              {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other) -> "AlgebraElement":
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if not _same_alphabet(self.alphabet, other.alphabet):
-            raise ValueError("elements over different alphabets")
-        out: Dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                got = out.get(w)
-                out[w] = c if got is None else got + c
-        return AlgebraElement(self.alphabet, self.ps, out)
+    def _mismatch(self, other) -> str:
+        if _same_alphabet(self.alphabet, other.alphabet):
+            return ""
+        return "elements over different alphabets"
 
     def leading(self) -> Word:
         return max(self.terms, key=word_key)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -208,66 +163,32 @@ def all_words(alphabet: Alphabet, degree: int,
     return itertools.product(pool, repeat=degree)
 
 
-class TensorElement:
-    """A Scalar combination of word tuples (tensor powers of the algebra)."""
+class TensorElement(LinearCombination):
+    """A Scalar combination of word tuples (tensor powers of the algebra);
+    products concatenate slot by slot."""
 
-    __slots__ = ("alphabet", "ps", "arity", "terms")
+    __slots__ = ("alphabet", "ps", "arity")
 
     def __init__(self, alphabet: Alphabet, ps: ParamSpace, arity: int,
                  terms: Mapping[Tuple[Word, ...], Scalar]):
         self.alphabet = alphabet
         self.ps = ps
         self.arity = arity
-        self.terms: Dict[Tuple[Word, ...], Scalar] = {
-            k: c for k, c in terms.items() if c}
+        super().__init__(terms)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _context(self):
+        return (self.alphabet, self.ps, self.arity)
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement)
-                and self.arity == other.arity
-                and _same_alphabet(self.alphabet, other.alphabet)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
+    def _mismatch(self, other) -> str:
         if self.arity != other.arity:
-            raise ValueError("tensor arities differ")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            got = out.get(k)
-            out[k] = c if got is None else got + c
-        return TensorElement(self.alphabet, self.ps, self.arity, out)
+            return "tensor arities differ"
+        if not _same_alphabet(self.alphabet, other.alphabet):
+            return "elements over different alphabets"
+        return ""
 
-    def __neg__(self):
-        return TensorElement(self.alphabet, self.ps, self.arity,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "TensorElement":
-        if not c:
-            return TensorElement(self.alphabet, self.ps, self.arity, {})
-        return TensorElement(self.alphabet, self.ps, self.arity,
-                             {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if self.arity != other.arity:
-            raise ValueError("tensor arities differ")
-        out: Dict[Tuple[Word, ...], Scalar] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                c = c1 * c2
-                got = out.get(k)
-                out[k] = c if got is None else got + c
-        return TensorElement(self.alphabet, self.ps, self.arity, out)
+    @staticmethod
+    def _join(k1: Tuple[Word, ...], k2: Tuple[Word, ...]) -> Tuple[Word, ...]:
+        return tuple(w1 + w2 for w1, w2 in zip(k1, k2))
 
     def as_element(self) -> AlgebraElement:
         if self.arity != 1:
@@ -346,11 +267,6 @@ def build_presentation(kind: str, N: int, embedded: bool = False) -> Presentatio
     return got
 
 
-def _accumulate(terms: Dict[Word, Scalar], w: Word, c: Scalar) -> None:
-    got = terms.get(w)
-    terms[w] = c if got is None else got + c
-
-
 def _build_so(M: int, embedded: bool) -> Presentation:
     geom = IndexGeometry(M, embedded=embedded)
     bundle = build_bundle(geom)
@@ -377,9 +293,9 @@ def _build_so(M: int, embedded: bool) -> Presentation:
                 for D in idx:
                     terms: Dict[Word, Scalar] = {}
                     for (E, F), val in upper:
-                        _accumulate(terms, (t(E, C), t(F, D)), val)
+                        _acc(terms, (t(E, C), t(F, D)), val)
                     for (E, F), val in by_lower.get((C, D), ()):
-                        _accumulate(terms, (t(B, F), t(A, E)), -val)
+                        _acc(terms, (t(B, F), t(A, E)), -val)
                     row = AlgebraElement(alphabet, ps, terms)
                     if row:
                         relations.append(row)
@@ -389,15 +305,15 @@ def _build_so(M: int, embedded: bool) -> Presentation:
         for D in idx:
             terms = {}
             for B in idx:
-                _accumulate(terms, (t(A, B), t(D, pr(B))), metric.c(B))
-            _accumulate(terms, EMPTY, -metric.upper(A, D))
+                _acc(terms, (t(A, B), t(D, pr(B))), metric.c(B))
+            _acc(terms, EMPTY, -metric.upper(A, D))
             relations.append(AlgebraElement(alphabet, ps, terms))
     for B in idx:
         for D in idx:
             terms = {}
             for A in idx:
-                _accumulate(terms, (t(A, B), t(pr(A), D)), metric.c(A))
-            _accumulate(terms, EMPTY, -metric.lower(B, D))
+                _acc(terms, (t(A, B), t(pr(A), D)), metric.c(A))
+            _acc(terms, EMPTY, -metric.lower(B, D))
             relations.append(AlgebraElement(alphabet, ps, terms))
 
     h_symbols: List[str] = []
@@ -460,9 +376,9 @@ def _build_iso(N: int) -> Presentation:
                 for d in inner:
                     terms: Dict[Word, Scalar] = {}
                     for (e, f), val in upper:
-                        _accumulate(terms, (t(e, c), t(f, d)), val)
+                        _acc(terms, (t(e, c), t(f, d)), val)
                     for (e, f), val in by_lower.get((c, d), ()):
-                        _accumulate(terms, (t(b, f), t(a, e)), -val)
+                        _acc(terms, (t(b, f), t(a, e)), -val)
                     row = AlgebraElement(alphabet, bps, terms)
                     if row:
                         swap_rows.append(row)
@@ -470,17 +386,17 @@ def _build_iso(N: int) -> Presentation:
         for d in inner:
             terms = {}
             for b in inner:
-                _accumulate(terms, (t(a, b), t(d, prs(b))), cs[b])
+                _acc(terms, (t(a, b), t(d, prs(b))), cs[b])
             if d == prs(a):
-                _accumulate(terms, EMPTY, -cs[a])
+                _acc(terms, EMPTY, -cs[a])
             swap_rows.append(AlgebraElement(alphabet, bps, terms))
     for b in inner:
         for d in inner:
             terms = {}
             for a in inner:
-                _accumulate(terms, (t(a, b), t(prs(a), d)), cs[a])
+                _acc(terms, (t(a, b), t(prs(a), d)), cs[a])
             if d == prs(b):
-                _accumulate(terms, EMPTY, -cs[b])
+                _acc(terms, EMPTY, -cs[b])
             swap_rows.append(AlgebraElement(alphabet, bps, terms))
 
     plane_rows: List[AlgebraElement] = []
@@ -489,7 +405,7 @@ def _build_iso(N: int) -> Presentation:
             terms = {}
             for (aa, bb, c, d), val in PA.items():
                 if (aa, bb) == (a, b):
-                    _accumulate(terms, (x(c), x(d)), val)
+                    _acc(terms, (x(c), x(d)), val)
             row = AlgebraElement(alphabet, bps, terms)
             if row:
                 plane_rows.append(row)
@@ -502,7 +418,7 @@ def _build_iso(N: int) -> Presentation:
             for a in inner:
                 terms = {(t(b, d), x(a)): bps.one}
                 for (e, f), val in by_upper.get((a, b), ()):
-                    _accumulate(terms, (x(e), t(f, d)), -(coeff_d * val))
+                    _acc(terms, (x(e), t(f, d)), -(coeff_d * val))
                 mixed_rows.append(AlgebraElement(alphabet, bps, terms))
     for b in inner:
         for d in inner:
@@ -557,7 +473,7 @@ def _build_plane(N: int) -> Presentation:
             terms: Dict[Word, Scalar] = {}
             for (aa, bb, c, d), val in bundle.P_A.items():
                 if (aa, bb) == (a, b):
-                    _accumulate(terms, (c - 1, d - 1), val)
+                    _acc(terms, (c - 1, d - 1), val)
             row = AlgebraElement(alphabet, ps, terms)
             if row:
                 rows.append(row)
@@ -579,7 +495,7 @@ def _build_exterior(N: int) -> Presentation:
             terms: Dict[Word, Scalar] = {(a - 1, b - 1): ps.one}
             for (ba, ab, c, d), val in bundle.R.items():
                 if (ba, ab) == (b, a):
-                    _accumulate(terms, (c - 1, d - 1), r * val)
+                    _acc(terms, (c - 1, d - 1), r * val)
             row = AlgebraElement(alphabet, ps, terms)
             if row:
                 rows.append(row)
@@ -628,16 +544,6 @@ _SECTOR_KINDS = {
 }
 
 
-def _stair_insert(stair: Dict[Word, AlgebraElement], row: AlgebraElement) -> None:
-    while row:
-        lw = row.leading()
-        pivot = stair.get(lw)
-        if pivot is None:
-            stair[lw] = row.scale(row.terms[lw].inv())
-            return
-        row = row - pivot.scale(row.terms[lw])
-
-
 def _expected_leading(p: Presentation, sector: str) -> Optional[set]:
     A = p.alphabet
     if sector == "plane":
@@ -676,9 +582,9 @@ def derive_rewrite_rules(p: Presentation, sector: str,
     if p.kind not in kinds:
         raise ValueError("sector %s does not apply to %s" % (sector, p.name))
     rows = p.sectors.get(sector, [])
-    stair: Dict[Word, AlgebraElement] = {}
+    stair: Dict[Word, Tuple[Dict[Word, Scalar], None]] = {}
     for row in sorted(rows, key=lambda e: word_key(e.leading())):
-        _stair_insert(stair, row)
+        stair_insert(stair, dict(row.terms))
     partial = sector == "so-swap"
     expected = _expected_leading(p, sector)
     if expected is not None:
@@ -693,8 +599,8 @@ def derive_rewrite_rules(p: Presentation, sector: str,
                              ", ".join(show(w) for w in missing),
                              ", ".join(show(w) for w in extra)))
     rules: Dict[Word, AlgebraElement] = {}
-    for lw, row in stair.items():
-        tail = {w: -c for w, c in row.terms.items() if w != lw}
+    for lw, (row, _) in stair.items():
+        tail = {w: -c for w, c in row.items() if w != lw}
         rules[lw] = AlgebraElement(p.alphabet, p.params, tail)
     rs = RewriteSystem(p.alphabet, p.params, rules, sector, partial)
     reduced = {lw: reduce(rhs, rs) for lw, rhs in rules.items()}
@@ -752,7 +658,7 @@ def _normal_form(rs: RewriteSystem, w: Word) -> AlgebraElement:
         for w2, c2 in rhs.terms.items():
             sub = _normal_form(rs, w[:i] + w2 + w[i + 2:])
             for w3, c3 in sub.terms.items():
-                _accumulate(acc, w3, c2 * c3)
+                _acc(acc, w3, c2 * c3)
         out = AlgebraElement(rs.alphabet, rs.ps, acc)
     rs._nf[w] = out
     return out
@@ -762,7 +668,7 @@ def reduce(e: AlgebraElement, rs: RewriteSystem) -> AlgebraElement:
     acc: Dict[Word, Scalar] = {}
     for w, c in e.terms.items():
         for w2, c2 in _normal_form(rs, w).terms.items():
-            _accumulate(acc, w2, c * c2)
+            _acc(acc, w2, c * c2)
     return AlgebraElement(e.alphabet, e.ps, acc)
 
 
@@ -786,7 +692,7 @@ def check_confluence(rs: RewriteSystem, p: Presentation) -> Report:
             rhs = rs.rules[w[i:i + 2]]
             stepped: Dict[Word, Scalar] = {}
             for w2, c2 in rhs.terms.items():
-                _accumulate(stepped, w[:i] + w2 + w[i + 2:], c2)
+                _acc(stepped, w[:i] + w2 + w[i + 2:], c2)
             results.append(reduce(
                 AlgebraElement(rs.alphabet, rs.ps, stepped), rs))
         if any(res != results[0] for res in results[1:]):
@@ -908,7 +814,7 @@ def costructure(op: str, e: AlgebraElement, p: Presentation):
             for g in w:
                 prod = prod * table[g]
             for k, ck in prod.terms.items():
-                _accumulate(acc, k, c * ck)
+                _acc(acc, k, c * ck)
         return TensorElement(p.alphabet, ps, 2, acc)
     if op == "counit":
         table = tables["counit"]
@@ -927,7 +833,7 @@ def costructure(op: str, e: AlgebraElement, p: Presentation):
             for g in reversed(w):
                 prod = prod * table[g]
             for w2, c2 in prod.terms.items():
-                _accumulate(out, w2, c * c2)
+                _acc(out, w2, c * c2)
         return AlgebraElement(p.alphabet, ps, out)
     raise ValueError("unknown costructure %r" % (op,))
 
@@ -954,15 +860,15 @@ def tensor_costructure(te: TensorElement, pos: int, op: str,
         if op == "coproduct":
             for (wl, wr), ci in image.terms.items():
                 k = key[:pos] + (wl, wr) + key[pos + 1:]
-                _accumulate(acc, k, c * ci)
+                _acc(acc, k, c * ci)
         elif op == "counit":
             ci = image.terms.get(EMPTY, ps.zero)
             k = key[:pos] + key[pos + 1:]
-            _accumulate(acc, k, c * ci)
+            _acc(acc, k, c * ci)
         else:
             for w, ci in image.terms.items():
                 k = key[:pos] + (w,) + key[pos + 1:]
-                _accumulate(acc, k, c * ci)
+                _acc(acc, k, c * ci)
     return TensorElement(te.alphabet, ps, out_arity, acc)
 
 
@@ -1141,43 +1047,10 @@ def _membership_staircase(p: Presentation, bound: int,
     rows.sort(key=lambda rc: (len(rc[0]), word_key(max(rc[0], key=word_key))))
     stair: Dict[Word, Tuple[Dict[Word, Scalar], Optional[Dict]]] = {}
     for row, combo in rows:
-        _membership_insert(stair, row, combo)
+        stair_insert(stair, row, combo)
     got = (rels, stair)
     p._cache[key] = got
     return got
-
-
-def _membership_insert(stair, row: Dict[Word, Scalar],
-                       combo: Optional[Dict]) -> None:
-    while row:
-        lw = max(row, key=word_key)
-        hit = stair.get(lw)
-        if hit is None:
-            inv = row[lw].inv()
-            row = {w: c * inv for w, c in row.items()}
-            if combo is not None:
-                combo = {k: c * inv for k, c in combo.items()}
-            stair[lw] = (row, combo)
-            return
-        prow, pcombo = hit
-        c = row.pop(lw)
-        for w, v in prow.items():
-            if w == lw:
-                continue
-            nv = row.get(w)
-            nv = -c * v if nv is None else nv - c * v
-            if nv:
-                row[w] = nv
-            elif w in row:
-                del row[w]
-        if combo is not None and pcombo is not None:
-            for k, v in pcombo.items():
-                nv = combo.get(k)
-                nv = -c * v if nv is None else nv - c * v
-                if nv:
-                    combo[k] = nv
-                elif k in combo:
-                    del combo[k]
 
 
 def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,
@@ -1204,23 +1077,13 @@ def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,
             break
         prow, pcombo = stair[cut]
         c = res.pop(cut)
+        m = -c
         for w, v in prow.items():
-            if w == cut:
-                continue
-            nv = res.get(w)
-            nv = -c * v if nv is None else nv - c * v
-            if nv:
-                res[w] = nv
-            elif w in res:
-                del res[w]
+            if w != cut:
+                _acc(res, w, m * v)
         if want_certificate and pcombo is not None:
             for k, v in pcombo.items():
-                nv = combo.get(k)
-                nv = c * v if nv is None else nv + c * v
-                if nv:
-                    combo[k] = nv
-                elif k in combo:
-                    del combo[k]
+                _acc(combo, k, c * v)
     member = not res
     certificate = None
     if member and want_certificate:
@@ -1241,7 +1104,7 @@ def expand_certificate(cert: Sequence[Tuple[Scalar, int, Word, Word]],
     acc: Dict[Word, Scalar] = {}
     for c, ridx, w1, w2 in cert:
         for w, v in _row_terms(rels[ridx], w1, w2).items():
-            _accumulate(acc, w, c * v)
+            _acc(acc, w, c * v)
     return AlgebraElement(p.alphabet, p.params, acc)
 
 
@@ -1271,7 +1134,7 @@ def quantum_determinant(N: int) -> AlgebraElement:
                 % (ext.alphabet.show_word(bs),
                    ext.alphabet.show_word(stray[0])))
         tword = tuple(a * N + bs[a] for a in range(N))
-        _accumulate(acc, tword, nf.terms[vol])
+        _acc(acc, tword, nf.terms[vol])
     return AlgebraElement(sop.alphabet, ps, acc)
 
 
@@ -1290,7 +1153,5 @@ def element_from_json(alphabet: Alphabet, ps: ParamSpace,
     terms: Dict[Word, Scalar] = {}
     for rec in payload:
         w = tuple(alphabet.index[s] for s in rec["word"])
-        c = scalar_from_json(ps, rec["coeff"])
-        got = terms.get(w)
-        terms[w] = c if got is None else got + c
+        _acc(terms, w, scalar_from_json(ps, rec["coeff"]))
     return AlgebraElement(alphabet, ps, terms)

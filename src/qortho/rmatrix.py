@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4, _acc,
+from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4,
                       identity_tensor, map_params, rank6_equal, tensor_add,
                       tensor_compose, tensor_equal, tensor_scale, tensor_sub,
                       triple_compose)
 from .report import Report
-from .scalars import (ParamSpace, Scalar, _canon, canonical_q,
+from .scalars import (ParamSpace, Scalar, _acc, _canon, canonical_q,
                       merge_deformations, rational_rank, scalar_invert,
                       specialize)
 
@@ -118,12 +118,6 @@ class RMatrixBundle:
         self.Rhat = SparseTensor4(
             geometry, {(b, a, c, d): v for (a, b, c, d), v in self.R.items()})
         self.Rinv = map_params(self.R)
-        I = identity_tensor(geometry)
-        ok_left, w = tensor_equal(tensor_compose(self.R, self.Rinv), I)
-        ok_right, _ = tensor_equal(tensor_compose(self.Rinv, self.R), I)
-        if not (ok_left and ok_right):
-            raise ArithmeticError(
-                "parameter-flipped matrix failed the inverse certificate: %r" % (w,))
         # Rhat^{-1} = R^{-1} with the lower pair swapped (hat conjugates by
         # the flip, and the flip squares to the identity)
         self.Rhatinv = SparseTensor4(
@@ -137,27 +131,40 @@ class RMatrixBundle:
             {(a, pr(a), c, pr(c)): self.C.c(a) * self.C.c(c)
              for a in geometry.indices() for c in geometry.indices()})
         self.P_S, self.P_A, self.P_0 = build_projectors(self)
-        self._assert_invariants()
+        self.certificates = self._certify()
+        for name, (ok, detail) in self.certificates.items():
+            if not ok:
+                raise ArithmeticError("R matrix bundle failed its certificate "
+                                      "%r: %s" % (name, detail))
 
-    def _assert_invariants(self) -> None:
-        for (a, b, c, d) in self.R.entries:
-            if a < c or (a == c and b < d):
-                raise ArithmeticError(
-                    "triangularity violated at %r" % ((a, b, c, d),))
-        I = identity_tensor(self.geometry)
+    def _certify(self) -> Dict[str, Tuple[bool, str]]:
+        """The invariants every consumer of the bundle trusts, computed once
+        and kept as check name -> (ok, detail) for verify_rmatrix_suite."""
+        geom = self.geometry
+        bad = [k for k in self.R.entries
+               if k[0] < k[2] or (k[0] == k[2] and k[1] < k[3])]
+        I = identity_tensor(geom)
+        ok1, w1 = tensor_equal(tensor_compose(self.R, self.Rinv), I)
+        ok2, w2 = tensor_equal(tensor_compose(self.Rinv, self.R), I)
         summed = tensor_add(tensor_add(self.P_S, self.P_A), self.P_0)
         ok, w = tensor_equal(summed, I)
-        if not ok:
-            raise ArithmeticError("projectors do not sum to identity: %r" % (w,))
-        projectors = [self.P_S, self.P_A, self.P_0]
-        for i, Pi in enumerate(projectors):
-            for j, Pj in enumerate(projectors):
-                prod = tensor_compose(Pi, Pj)
-                target = Pi if i == j else SparseTensor4(self.geometry, {})
-                ok, w = tensor_equal(prod, target)
-                if not ok:
-                    raise ArithmeticError(
-                        "projector algebra broken at P_%d P_%d: %r" % (i, j, w))
+        projs = [("P_S", self.P_S), ("P_A", self.P_A), ("P_0", self.P_0)]
+        all_ok, first = True, ""
+        for i, (ni, Pi) in enumerate(projs):
+            for j, (nj, Pj) in enumerate(projs):
+                target = Pi if i == j else SparseTensor4(geom, {})
+                okp, wp = tensor_equal(tensor_compose(Pi, Pj), target)
+                if not okp and all_ok:
+                    all_ok, first = False, "%s %s %s" % (ni, nj, _witness(wp))
+        return {
+            "upper triangularity": (
+                not bad,
+                "" if not bad else "entry below the diagonal at %r" % (bad[0],)),
+            "inverse by inverting all parameters": (ok1 and ok2,
+                                                    _witness(w1 or w2)),
+            "projector completeness: P_S + P_A + P_0 = I": (ok, _witness(w)),
+            "projector orthogonality and idempotence": (all_ok, first),
+        }
 
 
 _bundle_cache: Dict[Tuple[int, bool], RMatrixBundle] = {}
@@ -193,15 +200,9 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     rep.add("yang-baxter: R12 R13 R23 = R23 R13 R12", ok,
             "" if ok else "first mismatch at %r" % (w[0],))
 
-    bad = [k for k in R.entries if k[0] < k[2] or (k[0] == k[2] and k[1] < k[3])]
-    rep.add("upper triangularity", not bad,
-            "" if not bad else "entry below the diagonal at %r" % (bad[0],))
-
-    I = identity_tensor(geom)
-    ok1, w1 = tensor_equal(tensor_compose(R, bundle.Rinv), I)
-    ok2, w2 = tensor_equal(tensor_compose(bundle.Rinv, R), I)
-    rep.add("inverse by inverting all parameters", ok1 and ok2,
-            _witness(w1 or w2))
+    certified = bundle.certificates
+    for name in ("upper triangularity", "inverse by inverting all parameters"):
+        rep.add(name, *certified[name])
 
     # transposing both index pairs of R equals transposing the parameter
     # matrix (p_ab = q_ba), realized by the substitution g -> s^4 g^{-1}
@@ -268,18 +269,9 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     rep.add("below-diagonal entries on metric rows sit at d = c'",
             not bad_col, "" if not bad_col else "stray entry at %r" % (bad_col[0],))
 
-    projs = [("P_S", bundle.P_S), ("P_A", bundle.P_A), ("P_0", bundle.P_0)]
-    summed = tensor_add(tensor_add(bundle.P_S, bundle.P_A), bundle.P_0)
-    ok, w = tensor_equal(summed, I)
-    rep.add("projector completeness: P_S + P_A + P_0 = I", ok, _witness(w))
-    all_ok, first = True, ""
-    for i, (ni, Pi) in enumerate(projs):
-        for j, (nj, Pj) in enumerate(projs):
-            target = Pi if i == j else SparseTensor4(geom, {})
-            ok, w = tensor_equal(tensor_compose(Pi, Pj), target)
-            if not ok and all_ok:
-                all_ok, first = False, "%s %s %s" % (ni, nj, _witness(w))
-    rep.add("projector orthogonality and idempotence", all_ok, first)
+    for name in ("projector completeness: P_S + P_A + P_0 = I",
+                 "projector orthogonality and idempotence"):
+        rep.add(name, *certified[name])
     spectral = tensor_add(
         tensor_sub(tensor_scale(bundle.P_S, ps.r),
                    tensor_scale(bundle.P_A, ps.s_pow(-2))),

@@ -24,12 +24,17 @@ Denominators stay inside the restricted class under every operation the
 verification suites perform; a result that would leave the class raises
 DenominatorClass instead of silently enlarging the field.  Coefficients are
 exact rationals throughout (plain ints where possible, Fraction otherwise).
+
+The sparse combinations every layer builds over this field share one core
+here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
+elimination `stair_insert`, and the element base `LinearCombination`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 Mono = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -272,6 +277,12 @@ class Scalar:
     def inv(self) -> "Scalar":
         return scalar_invert(self)
 
+    def __rtruediv__(self, other) -> "Scalar":
+        # x / a for a rational x, so that 1 / a inverts a Scalar as it
+        # inverts a Fraction
+        inv = scalar_invert(self)
+        return inv if other == 1 else self.ps.from_rational(other) * inv
+
     def __repr__(self) -> str:
         return render_scalar(self)
 
@@ -320,12 +331,15 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
             break
     if _uni_degree(h) > 0:
         dser, rem = _uni_divmod(dser, h)
-        assert not rem
+        if rem:
+            raise ScalarError("gcd %r does not divide the denominator" % (h,))
         newrows = {}
         for g, row in rows.items():
             base = shifts[g]
             q, rem = _uni_divmod({e - base: c for e, c in row.items()}, h)
-            assert not rem
+            if rem:
+                raise ScalarError("gcd %r does not divide a numerator row"
+                                  % (h,))
             newrows[g] = (base, q)
         rows = newrows
     else:
@@ -391,26 +405,133 @@ def specialize(a: Scalar, assignment: Mapping[str, Coeff]) -> Fraction:
     return ev(a.num) / dval
 
 
+# --- sparse combinations ----------------------------------------------------
+
+def word_key(w) -> Tuple:
+    """The deglex order on words and word-like keys: length, then lex."""
+    return (len(w), w)
+
+
+def _acc(d: dict, k, v) -> None:
+    """d[k] += v, keeping no zero values in d."""
+    w = d.get(k)
+    v = v if w is None else w + v
+    if v:
+        d[k] = v
+    elif k in d:
+        del d[k]
+
+
+def stair_insert(stair: dict, row: dict, combo: Optional[dict] = None) -> None:
+    """Insert a sparse row into a staircase of normalized pivot rows.
+
+    stair maps the deglex-leading key (word_key) of each pivot row to the
+    pair (row, combo).  The row's leading key is eliminated against the
+    pivot stored for it until no pivot matches; what is left is scaled to
+    leading coefficient one and stored.  combo, when given, is the row's
+    provenance and gets the same row operations.  row and combo are
+    consumed."""
+    while row:
+        lw = max(row, key=word_key)
+        hit = stair.get(lw)
+        if hit is None:
+            inv = 1 / row[lw]
+            if combo is not None:
+                combo = {k: c * inv for k, c in combo.items()}
+            stair[lw] = ({w: c * inv for w, c in row.items()}, combo)
+            return
+        prow, pcombo = hit
+        m = -row.pop(lw)
+        for w, v in prow.items():
+            if w != lw:
+                _acc(row, w, m * v)
+        if combo is not None:
+            for k, v in pcombo.items():
+                _acc(combo, k, m * v)
+
+
+class LinearCombination:
+    """A finite Scalar combination of keys, stored without zeros.
+
+    A subclass supplies its context: the constructor arguments before
+    `terms` (`_context`) and the message for an operand from another
+    context (`_mismatch`, empty when the contexts agree).  It may change
+    how two keys join in a product (`_join`, concatenation by default).
+    """
+
+    __slots__ = ("terms",)
+
+    _join = staticmethod(operator.add)
+
+    def __init__(self, terms: Mapping):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def _context(self) -> tuple:
+        raise NotImplementedError
+
+    def _mismatch(self, other) -> str:
+        raise NotImplementedError
+
+    def _like(self, terms: Mapping):
+        return type(self)(*self._context(), terms)
+
+    def _check(self, other) -> None:
+        msg = self._mismatch(other)
+        if msg:
+            raise ValueError(msg)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and not self._mismatch(other)
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _acc(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: "Scalar"):
+        if not c:
+            return self._like({})
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def degree(self) -> int:
+        return max((len(k) for k in self.terms), default=0)
+
+    def __mul__(self, other):
+        if isinstance(other, Scalar):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        join = self._join
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _acc(out, join(k1, k2), c1 * c2)
+        return self._like(out)
+
+
 def rational_rank(rows: Iterable[Mapping[object, Fraction]]) -> int:
     """Rank of a matrix given as sparse rows of exact rationals (column
-    keys must be mutually comparable), by Gaussian elimination."""
-    pivots: List[Tuple[object, Dict[object, Fraction]]] = []
+    keys must be ordered by word_key), by staircase elimination."""
+    stair: dict = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        for col, prow in pivots:
-            hit = row.get(col)
-            if hit:
-                for c, v in prow.items():
-                    nv = row.get(c, 0) - hit * v
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-        if row:
-            col = min(row)
-            inv = 1 / Fraction(row[col])
-            pivots.append((col, {c: v * inv for c, v in row.items()}))
-    return len(pivots)
+        stair_insert(stair, {c: Fraction(v) for c, v in row.items() if v})
+    return len(stair)
 
 
 def merge_deformations(a: Scalar) -> Scalar:
@@ -420,12 +541,7 @@ def merge_deformations(a: Scalar) -> Scalar:
     ps = a.ps
     num: Poly = {}
     for m, c in a.num.items():
-        key = (m[0] + 2 * sum(m[1:]),) + ps.unit_mono[1:]
-        v = num.get(key, 0) + c
-        if v:
-            num[key] = v
-        elif key in num:
-            del num[key]
+        _acc(num, (m[0] + 2 * sum(m[1:]),) + ps.unit_mono[1:], c)
     return _canon(ps, num, a.den)
 
 
@@ -508,9 +624,7 @@ def _poly_from_json(ps: ParamSpace, records) -> Poly:
         m = tuple(int(e) for e in rec["exponents"])
         if len(m) != ps.nvars:
             raise ValueError("exponent vector %r has wrong length" % (rec,))
-        c = _norm_coeff(Fraction(rec["coeff"]))
-        if c:
-            out[m] = out.get(m, 0) + c
+        _acc(out, m, _norm_coeff(Fraction(rec["coeff"])))
     return out
 
 

@@ -29,6 +29,8 @@ GOLDEN = [
      "d15f77789ca1d31d4a487aa1ea18d0f1da40ee80fe034f13d9e2e2cadd6e0182"),
     (["verify", "--suite", "calculus-projected", "--n", "3"],
      "8c1cf4cb10d6d79a066a1b716e015397c66ef345f3562bd7683a656f9e541693"),
+    (["verify", "--suite", "rmatrix", "--n", "5"],
+     "c2f09c44254d822eeeeb925219ca46402de0fa36c44e0e5312f58a7f44a7913d"),
 ]
 
 

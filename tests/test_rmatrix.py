@@ -13,9 +13,10 @@ import pytest
 
 from qortho.itensor import (IndexGeometry, SparseTensor4, rank6_equal,
                             tensor_equal, triple_compose)
-from qortho.rmatrix import (build_bundle, build_R, decompose_embedding,
-                            inner_lift, specialized_rank, uniparametric_R,
-                            verify_rmatrix_suite)
+from qortho import rmatrix
+from qortho.rmatrix import (RMatrixBundle, build_bundle, build_R,
+                            decompose_embedding, inner_lift, specialized_rank,
+                            uniparametric_R, verify_rmatrix_suite)
 from qortho.scalars import ParamSpace, scalar_invert, specialize
 
 
@@ -127,3 +128,21 @@ def test_inner_lift_variable_map():
 def test_inner_lift_requires_embedding():
     with pytest.raises(ValueError):
         inner_lift(IndexGeometry(6))
+
+
+def test_suite_reports_the_bundle_certificates():
+    g = IndexGeometry(4)
+    certified = build_bundle(g).certificates
+    rep = verify_rmatrix_suite(g)
+    assert len(certified) == 4
+    for name, (ok, detail) in certified.items():
+        check = rep.find(name)
+        assert check is not None and ok and check.status == "pass"
+        assert check.detail == detail
+
+
+def test_failed_certificate_raises_in_the_bundle(monkeypatch):
+    monkeypatch.setattr(rmatrix, "map_params", lambda X: X)
+    with pytest.raises(ArithmeticError,
+                       match="inverse by inverting all parameters"):
+        RMatrixBundle(IndexGeometry(3))

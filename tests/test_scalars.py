@@ -6,13 +6,15 @@ single g-monomial times an s-polynomial, which is the class every
 denominator produced by the constructions stays in.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qortho.scalars as scalar_module
 from qortho.scalars import (DenominatorClass, ParamSpace, PoleAtOne,
-                            PoleAtPoint, ZeroInverse, canonical_q,
+                            PoleAtPoint, ScalarError, ZeroInverse, canonical_q,
                             limit_r_to_1, render_scalar, scalar_from_json,
                             scalar_invert, scalar_to_json, specialize)
 
@@ -162,3 +164,19 @@ def test_limit_is_additive_when_defined(a, b):
 @given(scalars())
 def test_json_respects_equality(a):
     assert scalar_from_json(PS, scalar_to_json(a)) == a
+
+
+def test_canon_raises_when_the_gcd_leaves_a_remainder(monkeypatch):
+    a = PS.s + PS.one
+    inv = scalar_invert(a)
+    real = scalar_module._uni_divmod
+
+    def leaky(num, den):
+        q, rem = real(num, den)
+        if sys._getframe(1).f_code.co_name == "_canon":
+            rem = {0: 1}
+        return q, rem
+
+    monkeypatch.setattr(scalar_module, "_uni_divmod", leaky)
+    with pytest.raises(ScalarError):
+        a * inv
