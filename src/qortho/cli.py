@@ -46,7 +46,8 @@ from .presentations import (build_presentation, check_confluence,
 from .report import Report
 from .rmatrix import build_R, build_bundle, decompose_embedding, \
     verify_rmatrix_suite
-from .scalars import ScalarError, render_scalar, scalar_to_json, specialize
+from .scalars import (ScalarError, occurring_vars, render_scalar,
+                      scalar_to_json, specialize)
 
 __all__ = ["run", "main", "io", "RunConfig", "SchemaError", "UsageError"]
 
@@ -337,10 +338,7 @@ def _cmd_build_r(cfg: RunConfig, args) -> int:
     if cfg.spec:
         occurring = set()
         for v in R.entries.values():
-            for m in list(v.num) + list(v.den):
-                for i, e in enumerate(m):
-                    if e:
-                        occurring.add(geom.params.vars[i])
+            occurring.update(occurring_vars(v))
         unknown = set(cfg.spec) - set(geom.params.vars)
         if unknown:
             raise UsageError("--spec names unknown variables %s"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import (ParamSpace, Scalar, canonical_q, mono_inv, _acc, _canon)
+from .scalars import ParamSpace, Scalar, canonical_q, substitute, _acc
 
 Key4 = Tuple[int, int, int, int]
 
@@ -210,12 +210,9 @@ def map_params(X: SparseTensor4) -> SparseTensor4:
     """Entrywise substitution v -> v^{-1} for every variable (so q -> q^{-1},
     r -> r^{-1}), the only transform the identities need."""
     ps = X.geometry.params
-    out: Dict[Key4, Scalar] = {}
-    for k, v in X.items():
-        num = {mono_inv(m): c for m, c in v.num.items()}
-        den = {mono_inv(m): c for m, c in v.den.items()}
-        out[k] = _canon(ps, num, den)
-    return SparseTensor4(X.geometry, out)
+    images = [ps.mono(s=-1)] + [ps.mono(g={p: -1}) for p in ps.pairs]
+    return SparseTensor4(X.geometry, {k: substitute(v, images)
+                                      for k, v in X.items()})
 
 
 def tensor_equal(X: SparseTensor4, Y: SparseTensor4):

@@ -31,9 +31,9 @@ from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4,
                       tensor_compose, tensor_equal, tensor_scale, tensor_sub,
                       triple_compose)
 from .report import Report
-from .scalars import (ParamSpace, Scalar, _acc, _canon, canonical_q,
+from .scalars import (ParamSpace, Scalar, _acc, canonical_q,
                       merge_deformations, rational_rank, scalar_invert,
-                      specialize)
+                      specialize, substitute)
 
 __all__ = [
     "RMatrixBundle", "build_R", "build_metric", "build_projectors",
@@ -286,12 +286,8 @@ def _transpose_params(v: Scalar) -> Scalar:
     # g_ab -> s^4 / g_ab on every variable, leaving s alone; this realizes
     # q_AB -> q_BA on all resolved parameter monomials
     ps = v.ps
-    num = {}
-    for m, c in v.num.items():
-        num[(m[0] + 4 * sum(m[1:]),) + tuple(-e for e in m[1:])] = c
-    # canonical denominators contain no g variables
-    return Scalar(ps, num, v.den) if v.den == ps._one_den else \
-        _canon(ps, num, v.den)
+    return substitute(v, [ps.mono(s=1)] + [ps.mono(s=4, g={p: -1})
+                                           for p in ps.pairs])
 
 
 def uniparametric_R(geometry: IndexGeometry) -> SparseTensor4:
@@ -321,24 +317,13 @@ def inner_lift(big_geometry: IndexGeometry):
         raise ValueError("inner_lift needs an embedded geometry")
     bps = big_geometry.params
     sps = ParamSpace(big_geometry.dim - 2)
-    slot = {0: 0}
-    for i, (a, b) in enumerate(sps.pairs):
-        slot[1 + i] = 1 + bps.pairs.index((a + 1, b + 1))
+    images = [bps.mono(s=1)] + [bps.mono(g={(a + 1, b + 1): 1})
+                                for a, b in sps.pairs]
 
     def lift(x: Scalar) -> Scalar:
         if x.ps != sps:
             raise ValueError("scalar is not over the inner parameter space")
-
-        def remap(p):
-            out = {}
-            for m, c in p.items():
-                mm = [0] * bps.nvars
-                for i, e in enumerate(m):
-                    if e:
-                        mm[slot[i]] = e
-                out[tuple(mm)] = c
-            return out
-        return Scalar(bps, remap(x.num), remap(x.den))
+        return substitute(x, images, bps)
 
     return lift
 

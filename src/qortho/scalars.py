@@ -25,6 +25,19 @@ verification suites perform; a result that would leave the class raises
 DenominatorClass instead of silently enlarging the field.  Coefficients are
 exact rationals throughout (plain ints where possible, Fraction otherwise).
 
+Inside this module a monomial is one packed int (Monagan and Pearce, "POLY:
+a new polynomial data structure for Maple 17", 2013): variable i owns the
+bit field [i*W, (i+1)*W) with W = _EXP_BITS + 2, s the lowest, and stores
+its exponent e in [-B, B-1] (B = 2^(_EXP_BITS-1)) as e + B in the low
+_EXP_BITS bits, leaving the two guard bits above clear.  Multiplying two
+monomials is one int add with a one-mask overflow test (poly_mul), and
+splitting off the g-part of a monomial is a shift.  An exponent outside
+the field raises ExponentOverflow; nothing ever wraps.  The encoding stays
+inside this module: ParamSpace.mono, monomial, unit_mono, the JSON form,
+render_scalar and specialize speak exponent tuples, ordered as tuples
+(packed order differs once exponents are negative), and the other layers
+change variables through substitute and occurring_vars.
+
 The sparse combinations every layer builds over this field share one core
 here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
 elimination `stair_insert`, and the element base `LinearCombination`.
@@ -34,11 +47,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 Mono = Tuple[int, ...]
 Coeff = Union[int, Fraction]
-Poly = Dict[Mono, Coeff]
+Poly = Dict[int, Coeff]
+
+# value bits of one packed exponent field; two guard bits sit above them
+_EXP_BITS = 13
 
 
 class ScalarError(ArithmeticError):
@@ -61,6 +78,10 @@ class PoleAtOne(ScalarError):
     pass
 
 
+class ExponentOverflow(ScalarError):
+    pass
+
+
 def _norm_coeff(c: Coeff) -> Coeff:
     # keep dict values as plain ints whenever exact; int arithmetic is much
     # cheaper and int/Fraction hash and compare consistently
@@ -69,12 +90,22 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(m1, m2))
+# --- packed monomial kernels -------------------------------------------------
+
+def _overflow(ps: "ParamSpace", what: str, *monos: int) -> ExponentOverflow:
+    return ExponentOverflow(
+        "exponent outside [%d, %d] in the %s of %s"
+        % (-ps._half, ps._half - 1, what,
+           " and ".join(str(ps._unpack(m)) for m in monos)))
 
 
-def mono_inv(m: Mono) -> Mono:
-    return tuple(-x for x in m)
+def mono_inv(ps: "ParamSpace", m: int) -> int:
+    # each field becomes 2B - (e + B) = -e + B, in [1, 2B]; only e = -B
+    # reaches 2B, which sets the low guard bit
+    x = ps._hi - m
+    if x & ps._guard:
+        raise _overflow(ps, "inverse", m)
+    return x
 
 
 def poly_add(p1: Poly, p2: Poly) -> Poly:
@@ -92,13 +123,34 @@ def poly_neg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
 
 
-def poly_mul(p1: Poly, p2: Poly) -> Poly:
+def poly_mul(ps: "ParamSpace", p1: Poly, p2: Poly) -> Poly:
+    # With K = _bias (B in every field), x = m1 + K + m2 holds e1 + e2 + 3B
+    # in each field, in [B, 5B - 2] < 2^W for in-range operands, so no
+    # field carries into the next.  e1 + e2 is in range exactly when the
+    # field lies in [2B, 4B - 1], i.e. when its guard bits read 01: the
+    # monomial product is valid iff x & _guard == _hi, and it is x ^ _hi.
     if len(p1) > len(p2):
         p1, p2 = p2, p1
-    out: Poly = {}
-    for m1, c1 in p1.items():
+    guard, hi = ps._guard, ps._hi
+    if len(p1) == 1:
+        # distinct monomials times one monomial stay distinct and nonzero
+        (m1, c1), = p1.items()
+        m1k = m1 + ps._bias
+        out: Poly = {}
         for m2, c2 in p2.items():
-            m = mono_mul(m1, m2)
+            x = m1k + m2
+            if x & guard != hi:
+                raise _overflow(ps, "product", m1, m2)
+            out[x ^ hi] = c1 * c2
+        return out
+    out = {}
+    for m1, c1 in p1.items():
+        m1k = m1 + ps._bias
+        for m2, c2 in p2.items():
+            x = m1k + m2
+            if x & guard != hi:
+                raise _overflow(ps, "product", m1, m2)
+            m = x ^ hi
             v = out.get(m, 0) + c1 * c2
             if v:
                 out[m] = v
@@ -149,8 +201,9 @@ class ParamSpace:
     """Variable layout for dimension M.
 
     Variables are ordered as [s, g_ab...] with the independent pairs
-    a < b <= M//2 in lexicographic order; monomials are plain integer
-    exponent tuples over that ordering.
+    a < b <= M//2 in lexicographic order; monomials are integer exponent
+    tuples over that ordering at the interface and packed ints inside
+    this module (see the module docstring).
     """
 
     def __init__(self, dim: int):
@@ -166,7 +219,17 @@ class ParamSpace:
         self.nvars = len(self.vars)
         self.unit_mono: Mono = (0,) * self.nvars
         self._pair_slot = {p: 1 + i for i, p in enumerate(self.pairs)}
-        self._one_den: Poly = {self.unit_mono: 1}
+        # packed layout: field width, exponent bias B, and per-field
+        # patterns of B (the unit monomial), of the low guard bit and of
+        # both guard bits
+        self._width = _EXP_BITS + 2
+        self._half = 1 << (_EXP_BITS - 1)
+        self._smask = (1 << self._width) - 1
+        self._bias = sum(self._half << (i * self._width)
+                         for i in range(self.nvars))
+        self._hi = 2 * self._bias
+        self._guard = 6 * self._bias
+        self._one_den: Poly = {self._bias: 1}
         self.zero = Scalar(self, {}, self._one_den)
         self.one = self.monomial(1, self.unit_mono)
         self.s = self.s_pow(1)
@@ -185,7 +248,7 @@ class ParamSpace:
         coeff = _norm_coeff(coeff)
         if not coeff:
             return self.zero
-        return Scalar(self, {mono: coeff}, self._one_den)
+        return Scalar(self, {self._pack(mono): coeff}, self._one_den)
 
     def from_rational(self, x) -> "Scalar":
         return self.monomial(_norm_coeff(Fraction(x)), self.unit_mono)
@@ -198,6 +261,27 @@ class ParamSpace:
 
     def g_pow(self, pair: Tuple[int, int], k: int) -> "Scalar":
         return self.monomial(1, self.mono(g={pair: k}))
+
+    # -- packed monomials ----------------------------------------------------
+
+    def _field(self, e: int, i: int = 0) -> int:
+        # exponent e of variable i, biased and bound-checked, at bit 0
+        if not -self._half <= e < self._half:
+            raise ExponentOverflow(
+                "exponent %d of %s outside [%d, %d]"
+                % (e, self.vars[i], -self._half, self._half - 1))
+        return e + self._half
+
+    def _pack(self, mono: Mono) -> int:
+        m = 0
+        for i, e in enumerate(mono):
+            m |= self._field(e, i) << (i * self._width)
+        return m
+
+    def _unpack(self, m: int) -> Mono:
+        width, mask, half = self._width, self._smask, self._half
+        return tuple(((m >> (i * width)) & mask) - half
+                     for i in range(self.nvars))
 
     def __repr__(self):
         return "ParamSpace(dim=%d, series=%s)" % (self.dim, self.series)
@@ -216,7 +300,10 @@ class Scalar:
     coefficient, leading coefficient 1, and no nonconstant s-factor in
     common with the s-content of num (the gcd of the per-g-monomial rows
     of num, each shifted to honest polynomials).  Equality of Scalars is
-    therefore structural equality of the two dicts.
+    therefore structural equality of the two dicts.  A Laurent polynomial
+    (den = 1) holds the shared dict ps._one_den of its ParamSpace, so the
+    operators recognize one by identity, also for an operand built over
+    an equal ParamSpace instance.
     """
 
     __slots__ = ("ps", "num", "den")
@@ -234,7 +321,7 @@ class Scalar:
         return bool(self.num)
 
     def is_laurent(self) -> bool:
-        return self.den == self.ps._one_den
+        return self.den is self.ps._one_den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
@@ -247,14 +334,16 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        one_den = self.ps._one_den
-        if self.den == one_den and other.den == one_den:
+        ps = self.ps
+        one_den = ps._one_den
+        if self.den is one_den and other.den is other.ps._one_den:
             num = poly_add(self.num, other.num)
-            return Scalar(self.ps, num, one_den) if num else self.ps.zero
+            return Scalar(ps, num, one_den) if num else ps.zero
         if self.den == other.den:
-            return _canon(self.ps, poly_add(self.num, other.num), self.den)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return _canon(self.ps, num, poly_mul(self.den, other.den))
+            return _canon(ps, poly_add(self.num, other.num), self.den)
+        num = poly_add(poly_mul(ps, self.num, other.den),
+                       poly_mul(ps, other.num, self.den))
+        return _canon(ps, num, poly_mul(ps, self.den, other.den))
 
     def __neg__(self) -> "Scalar":
         if not self.num:
@@ -265,14 +354,14 @@ class Scalar:
         return self.__add__(other.__neg__())
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        ps = self.ps
         if not self.num or not other.num:
-            return self.ps.zero
-        one_den = self.ps._one_den
-        if self.den == one_den and other.den == one_den:
-            num = poly_mul(self.num, other.num)
-            return Scalar(self.ps, num, one_den) if num else self.ps.zero
-        return _canon(self.ps, poly_mul(self.num, other.num),
-                      poly_mul(self.den, other.den))
+            return ps.zero
+        one_den = ps._one_den
+        if self.den is one_den and other.den is other.ps._one_den:
+            return Scalar(ps, poly_mul(ps, self.num, other.num), one_den)
+        return _canon(ps, poly_mul(ps, self.num, other.num),
+                      poly_mul(ps, self.den, other.den))
 
     def inv(self) -> "Scalar":
         return scalar_invert(self)
@@ -287,11 +376,13 @@ class Scalar:
         return render_scalar(self)
 
 
-def _poly_rows(num: Poly) -> Dict[Tuple[int, ...], Dict[int, Coeff]]:
-    # split a Laurent polynomial into univariate-in-s rows per g-monomial
-    rows: Dict[Tuple[int, ...], Dict[int, Coeff]] = {}
+def _poly_rows(ps: ParamSpace, num: Poly) -> Dict[int, Dict[int, Coeff]]:
+    # split a Laurent polynomial into univariate-in-s rows keyed by the
+    # packed g-part (the monomial shifted past the s field)
+    width, smask, half = ps._width, ps._smask, ps._half
+    rows: Dict[int, Dict[int, Coeff]] = {}
     for m, c in num.items():
-        rows.setdefault(m[1:], {})[m[0]] = c
+        rows.setdefault(m >> width, {})[(m & smask) - half] = c
     return rows
 
 
@@ -300,28 +391,28 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
         raise ZeroDivisionError("denominator polynomial is zero")
     if not num:
         return ps.zero
-    sshift = 0
     if len(den) == 1:
         # denominator is a single monomial: fold it into the numerator
         (dm, dc), = den.items()
-        if dm != ps.unit_mono or dc != 1:
-            inv = mono_inv(dm)
-            num = {mono_mul(m, inv): _norm_coeff(Fraction(c, 1) / dc)
-                   for m, c in num.items()}
+        if dm != ps._bias:
+            num = poly_mul(ps, num, {mono_inv(ps, dm): 1})
+        if dc != 1:
+            num = {m: _norm_coeff(Fraction(c, 1) / dc) for m, c in num.items()}
         return Scalar(ps, num, ps._one_den)
-    gparts = {m[1:] for m in den}
+    width, smask, half = ps._width, ps._smask, ps._half
+    gparts = {m >> width for m in den}
     if len(gparts) != 1:
         raise DenominatorClass(
-            "denominator is not (g-monomial) x (s-polynomial): %r" % (den,))
+            "denominator is not (g-monomial) x (s-polynomial): %s"
+            % _poly_str(ps, den))
     gpart = gparts.pop()
-    if any(gpart):
-        shift = (0,) + tuple(-e for e in gpart)
-        num = {mono_mul(m, shift): c for m, c in num.items()}
-    dser = {m[0]: c for m, c in den.items()}
+    if gpart != ps._bias >> width:
+        num = poly_mul(ps, num, {mono_inv(ps, gpart << width | half): 1})
+    dser = {(m & smask) - half: c for m, c in den.items()}
     sshift = min(dser)
     if sshift:
         dser = {e - sshift: c for e, c in dser.items()}
-    rows = _poly_rows(num)
+    rows = _poly_rows(ps, num)
     shifts = {g: min(row) for g, row in rows.items()}
     h = dser
     for g, row in rows.items():
@@ -349,39 +440,74 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
         dser = {e: _norm_coeff(Fraction(c, 1) / lc) for e, c in dser.items()}
     num2: Poly = {}
     for g, (base, row) in rows.items():
+        gbits = g << width
         for e, c in row.items():
             if lc != 1:
                 c = _norm_coeff(Fraction(c, 1) / lc)
-            num2[(base + e - sshift,) + g] = c
+            num2[gbits | ps._field(base + e - sshift)] = c
     if dser == {0: 1}:
         return Scalar(ps, num2, ps._one_den)
-    den2 = {(e,) + ps.unit_mono[1:]: c for e, c in dser.items()}
+    gzero = ps._bias - half
+    den2 = {gzero | ps._field(e): c for e, c in dser.items()}
     return Scalar(ps, num2, den2)
 
 
 def scalar_invert(a: Scalar) -> Scalar:
     if not a.num:
         raise ZeroInverse("cannot invert 0")
-    rows = _poly_rows(a.num)
+    ps = a.ps
+    rows = _poly_rows(ps, a.num)
     if len(rows) != 1:
         raise DenominatorClass(
             "numerator is not (g-monomial) x (s-polynomial): %r" % (a,))
     (gpart, row), = rows.items()
     base = min(row)
     # 1/a = den * g^{-gpart} * s^{-base} / (row shifted to a polynomial)
-    shift = (-base,) + tuple(-e for e in gpart)
-    num = {mono_mul(m, shift): c for m, c in a.den.items()}
-    den = {(e - base,) + a.ps.unit_mono[1:]: c for e, c in row.items()}
-    return _canon(a.ps, num, den)
+    shift = mono_inv(ps, gpart << ps._width | ps._field(base))
+    num = poly_mul(ps, a.den, {shift: 1})
+    gzero = ps._bias - ps._half
+    den = {gzero | ps._field(e - base): c for e, c in row.items()}
+    return _canon(ps, num, den)
+
+
+def occurring_vars(a: Scalar) -> List[str]:
+    """The variables with a nonzero exponent somewhere in a, in the
+    ParamSpace order."""
+    ps = a.ps
+    seen = 0
+    for p in (a.num, a.den):
+        for m in p:
+            seen |= m ^ ps._bias
+    return [v for i, v in enumerate(ps.vars)
+            if (seen >> (i * ps._width)) & ps._smask]
+
+
+def substitute(a: Scalar, images: Sequence[Mono],
+               target: Optional[ParamSpace] = None) -> Scalar:
+    """The image of a under the monomial map that sends the i-th variable
+    of a.ps to the Laurent monomial with exponent tuple images[i] over
+    `target` (a.ps by default).  Such a map is a field morphism, so the
+    result is canonicalized again."""
+    ps = a.ps
+    target = ps if target is None else target
+
+    def image(p: Poly) -> Poly:
+        out: Poly = {}
+        for m, c in p.items():
+            exps = [0] * target.nvars
+            for e, img in zip(ps._unpack(m), images):
+                if e:
+                    for j, x in enumerate(img):
+                        exps[j] += e * x
+            _acc(out, target._pack(exps), c)
+        return out
+
+    return _canon(target, image(a.num), image(a.den))
 
 
 def specialize(a: Scalar, assignment: Mapping[str, Coeff]) -> Fraction:
     ps = a.ps
-    occurring = set()
-    for m in list(a.num) + list(a.den):
-        for i, e in enumerate(m):
-            if e:
-                occurring.add(ps.vars[i])
+    occurring = set(occurring_vars(a))
     missing = occurring - set(assignment)
     if missing:
         raise ValueError("assignment misses variables %s" % sorted(missing))
@@ -393,9 +519,9 @@ def specialize(a: Scalar, assignment: Mapping[str, Coeff]) -> Fraction:
         total = Fraction(0)
         for m, c in p.items():
             v = Fraction(c)
-            for i, e in enumerate(m):
+            for name, e in zip(ps.vars, ps._unpack(m)):
                 if e:
-                    v *= point[ps.vars[i]] ** e
+                    v *= point[name] ** e
             total += v
         return total
 
@@ -536,32 +662,26 @@ def rational_rank(rows: Iterable[Mapping[object, Fraction]]) -> int:
 
 def merge_deformations(a: Scalar) -> Scalar:
     """Substitute every deformation variable g_ab by r = s^2, the
-    uniparametric point.  Canonical denominators carry no g variables, so
-    only the numerator changes."""
+    uniparametric point."""
     ps = a.ps
-    num: Poly = {}
-    for m, c in a.num.items():
-        _acc(num, (m[0] + 2 * sum(m[1:]),) + ps.unit_mono[1:], c)
-    return _canon(ps, num, a.den)
+    return substitute(a, [ps.mono(s=1)] + [ps.mono(s=2)] * len(ps.pairs))
 
 
 def limit_r_to_1(a: Scalar) -> Scalar:
     ps = a.ps
-    dval = _uni_eval({m[0]: c for m, c in a.den.items()}, Fraction(1))
+    smask, half = ps._smask, ps._half
+    dval = _uni_eval({(m & smask) - half: c for m, c in a.den.items()},
+                     Fraction(1))
     if dval == 0:
         raise PoleAtOne("pole at r=1: %r" % (a,))
     num: Poly = {}
     for m, c in a.num.items():
-        key = (0,) + m[1:]
-        v = num.get(key, 0) + Fraction(c, 1) / dval
-        v = _norm_coeff(v)
-        if v:
-            num[key] = v
-        elif key in num:
-            del num[key]
+        # s^e -> 1: reset the s field to exponent zero
+        _acc(num, m - (m & smask) + half, Fraction(c, 1) / dval)
     if not num:
         return ps.zero
-    return Scalar(ps, num, ps._one_den)
+    return Scalar(ps, {m: _norm_coeff(c) for m, c in num.items()},
+                  ps._one_den)
 
 
 def canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
@@ -613,9 +733,15 @@ def paramspace_from_header(header: Mapping) -> ParamSpace:
     return ps
 
 
-def _poly_to_json(p: Poly) -> list:
-    return [{"coeff": str(Fraction(p[m])), "exponents": list(m)}
-            for m in sorted(p)]
+def _decoded(ps: ParamSpace, p: Poly) -> Dict[Mono, Coeff]:
+    return {ps._unpack(m): c for m, c in p.items()}
+
+
+def _poly_to_json(ps: ParamSpace, p: Poly) -> list:
+    # ordered by exponent tuple, never by packed key
+    d = _decoded(ps, p)
+    return [{"coeff": str(Fraction(d[m])), "exponents": list(m)}
+            for m in sorted(d)]
 
 
 def _poly_from_json(ps: ParamSpace, records) -> Poly:
@@ -624,12 +750,13 @@ def _poly_from_json(ps: ParamSpace, records) -> Poly:
         m = tuple(int(e) for e in rec["exponents"])
         if len(m) != ps.nvars:
             raise ValueError("exponent vector %r has wrong length" % (rec,))
-        _acc(out, m, _norm_coeff(Fraction(rec["coeff"])))
+        _acc(out, ps._pack(m), _norm_coeff(Fraction(rec["coeff"])))
     return out
 
 
 def scalar_to_json(a: Scalar) -> dict:
-    return {"num": _poly_to_json(a.num), "den": _poly_to_json(a.den)}
+    return {"num": _poly_to_json(a.ps, a.num),
+            "den": _poly_to_json(a.ps, a.den)}
 
 
 def scalar_from_json(ps: ParamSpace, payload: Mapping) -> Scalar:
@@ -638,11 +765,10 @@ def scalar_from_json(ps: ParamSpace, payload: Mapping) -> Scalar:
     return _canon(ps, num, den)
 
 
-def render_scalar(a: Scalar) -> str:
-    """Human-readable form, for reports and failure witnesses."""
+def _poly_str(ps: ParamSpace, p: Poly) -> str:
     def mono_str(m: Mono, c: Coeff) -> str:
         parts = []
-        for name, e in zip(a.ps.vars, m):
+        for name, e in zip(ps.vars, m):
             if e == 1:
                 parts.append(name)
             elif e:
@@ -656,12 +782,15 @@ def render_scalar(a: Scalar) -> str:
             return "-" + body
         return "%s*%s" % (c, body)
 
-    def poly_str(p: Poly) -> str:
-        if not p:
-            return "0"
-        return " + ".join(mono_str(m, p[m]) for m in sorted(p, reverse=True)
-                          ).replace("+ -", "- ")
+    if not p:
+        return "0"
+    d = _decoded(ps, p)
+    return " + ".join(mono_str(m, d[m]) for m in sorted(d, reverse=True)
+                      ).replace("+ -", "- ")
 
+
+def render_scalar(a: Scalar) -> str:
+    """Human-readable form, for reports and failure witnesses."""
     if a.is_laurent():
-        return poly_str(a.num)
-    return "(%s)/(%s)" % (poly_str(a.num), poly_str(a.den))
+        return _poly_str(a.ps, a.num)
+    return "(%s)/(%s)" % (_poly_str(a.ps, a.num), _poly_str(a.ps, a.den))

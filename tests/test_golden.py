@@ -31,6 +31,8 @@ GOLDEN = [
      "8c1cf4cb10d6d79a066a1b716e015397c66ef345f3562bd7683a656f9e541693"),
     (["verify", "--suite", "rmatrix", "--n", "5"],
      "c2f09c44254d822eeeeb925219ca46402de0fa36c44e0e5312f58a7f44a7913d"),
+    (["build-r", "--n", "6"],
+     "1067f1cf07c807c7ae5ceda9cd0f0ce371e7c17874baa7e1dbc6458356b4d950"),
 ]
 
 
