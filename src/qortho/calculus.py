@@ -26,16 +26,17 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
-                       eval_functional, functional_equal, iu_annihilates,
-                       l_functional, show_t_word, _element_matrix, _h_letters)
+                       eval_functional, iu_annihilates, l_functional,
+                       show_t_word, show_witness, _element_matrix,
+                       _first_difference, _h_letters)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
                             unit_element, word_element, zero_element)
 from .report import Report
 from .rmatrix import build_bundle, inner_lift
-from .scalars import (DenominatorClass, Scalar, _acc, canonical_q,
-                      limit_r_to_1, render_scalar, scalar_invert)
+from .scalars import (Scalar, _acc, canonical_q, limit_r_to_1,
+                      scalar_invert, stair_insert, stair_reduce)
 
 __all__ = [
     "TangentBasis", "AdjointEntry", "build_f", "build_chi", "tangent_basis",
@@ -175,36 +176,19 @@ def _limited_matrix(e: FunctionalElement, k: int):
     return out
 
 
-def _limited_equal(f: FunctionalElement, g: FunctionalElement, D: int):
-    """First free word of length <= D where the limits of the two
-    evaluations disagree, or None."""
-    for k in range(D + 1):
-        mf = _limited_matrix(f, k)
-        mg = _limited_matrix(g, k)
-        for r in sorted(set(mf) | set(mg)):
-            rf = mf.get(r, {})
-            rg = mg.get(r, {})
-            for col in sorted(set(rf) | set(rg)):
-                vf = rf.get(col)
-                vg = rg.get(col)
-                if vf != vg:
-                    return (tuple(zip(r, col)), vf, vg)
-    return None
+def _limited(e: FunctionalElement):
+    """e as a relation side whose values are the limits at r = 1."""
+    return lambda k: _limited_matrix(e, k)
 
 
 def _relation_witness(f: FunctionalElement, g: FunctionalElement, D: int,
                       limit: bool):
+    """First (word, value, value) where f and g (or, with limit, the
+    limits of their values) disagree on free words of length <= D."""
     if limit:
-        return _limited_equal(f, g, D)
-    res = functional_equal(f, g, D)
-    return None if res.equal else res.witness
-
-
-def _show_witness(geometry, w) -> str:
-    coords, lv, rv = w
-    return "%s: %s vs %s" % (show_t_word(geometry, coords),
-                             "0" if lv is None else render_scalar(lv),
-                             "0" if rv is None else render_scalar(rv))
+        f, g = _limited(f), _limited(g)
+    w = _first_difference({(): (f, g)}, D)
+    return None if w is None else w[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +210,7 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
         row = {"relation": relation, "indices": list(indices),
                "status": w is None}
         if w is not None:
-            row["witness"] = _show_witness(geom, w)
+            row["witness"] = show_witness(geom, *w)
         rows.append(row)
 
     def q(A, B):
@@ -409,64 +393,26 @@ def _letter_values_raw(basis: TangentBasis, f: FunctionalElement):
     return out
 
 
-def _solve_in_span(columns: List[Dict[Tuple[int, int], Scalar]],
-                   target: Dict[Tuple[int, int], Scalar], ps):
-    """Exact coefficients expressing target as a combination of the given
-    evaluation columns, or None when no combination exists."""
-    keys = sorted(set(target) | {k for c in columns for k in c})
-    rows = [[c.get(k, ps.zero) for c in columns] + [target.get(k, ps.zero)]
-            for k in keys]
-    n = len(columns)
-    pivot_rows: List[int] = []
-    used = set()
-    for col in range(n):
-        pick = None
-        for i, row in enumerate(rows):
-            if i in used or not row[col]:
-                continue
-            try:
-                inv = scalar_invert(row[col])
-            except DenominatorClass:
-                continue
-            pick = (i, inv)
-            break
-        if pick is None:
-            continue
-        i, inv = pick
-        rows[i] = [x * inv for x in rows[i]]
-        for j, other in enumerate(rows):
-            if j != i and other[col]:
-                fac = other[col]
-                rows[j] = [x - fac * y for x, y in zip(other, rows[i])]
-        used.add(i)
-        pivot_rows.append((col, i))
-    for j, row in enumerate(rows):
-        if j not in used and row[n]:
-            return None
-    sol = [ps.zero] * n
-    for col, i in pivot_rows:
-        sol[col] = rows[i][n]
-    return sol
-
-
 def structure_constants(basis: TangentBasis):
     """Constants C_ij^k with [chi_i, chi_j] = C_ij^k chi_k, solved from
-    the adjoint brackets on single letters; raises ValueError if some
-    bracket leaves the span."""
-    ps = basis.bundle.geometry.params
-    columns = [_letter_values(basis, v) for v in basis.vectors]
+    the adjoint brackets on single letters by reducing each bracket on
+    the staircase of the basis columns (a column in the span of earlier
+    ones gets no constant); raises ValueError if some bracket leaves the
+    span."""
+    one = basis.bundle.geometry.params.one
+    stair: dict = {}
+    for k, v in enumerate(basis.vectors):
+        stair_insert(stair, _letter_values(basis, v), {k: one})
     out = []
     for i, vi in enumerate(basis.vectors):
         for j, vj in enumerate(basis.vectors):
-            br = _bracket_on_letters(basis, vi, vj)
-            sol = _solve_in_span(columns, br, ps)
-            if sol is None:
+            res, combo = stair_reduce(stair,
+                                      _bracket_on_letters(basis, vi, vj))
+            if res:
                 raise ValueError(
                     "bracket of %s and %s leaves the tangent span"
                     % (basis.labels[i], basis.labels[j]))
-            for k, c in enumerate(sol):
-                if c:
-                    out.append((i, j, k, c))
+            out += [(i, j, k, combo[k]) for k in sorted(combo)]
     return out
 
 
@@ -528,24 +474,14 @@ def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
                 bad is None, "" if bad is None else "%s on %s" % (
                     bad[0], show_t_word(geom, bad[1])))
         lam_inv = _lambda_inverse(geom.params)
-        bad = None
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                cross = build_f(M, M, a + 1, b + 1, N).scale(lam_inv)
-                for k in range(D + 1):
-                    mat = _limited_matrix(cross, k)
-                    if mat:
-                        r = sorted(mat)[0]
-                        col = sorted(mat[r])[0]
-                        bad = (a, b, tuple(zip(r, col)))
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        zero = FunctionalElement(bundle, {})
+        w = _first_difference(
+            {(a, b): (_limited(build_f(M, M, a + 1, b + 1, N).scale(lam_inv)),
+                      zero)
+             for a in range(1, N + 1) for b in range(1, N + 1)}, D)
         rep.add("cone cross terms vanish entrywise in the limit",
-                bad is None, "" if bad is None else "f at %r on %s" % (
-                    bad[:2], show_t_word(geom, bad[2])))
+                w is None, "" if w is None else "f at %r on %s" % (
+                    w[0], show_t_word(geom, w[1])))
 
     rows = lie_rows(kind, N, D)
     by_rel: Dict[str, List[dict]] = {}

@@ -9,14 +9,21 @@ R matrix of the embedded geometry:
     L+-^A_B (I)    = delta^A_B
 
 extended to longer words through L^A_B(ab) = L^A_G(a) L^G_B(b) and to the
-whole dual by the convolution product (fg)(a) = (f x g)(Delta a).  On a
-free word T^{C1}_{D1} ... T^{Ck}_{Dk} a single generator evaluates as a
-chain of R contractions and a word of m generators as an m-row grid of
-them, so every operation below reduces to sparse transfer-matrix algebra
-over the exact scalar field: per-generator evaluation matrices are cached
-per word length, products of functionals become matrix chains, and whole
-families of exchange relations are checked at once on two-row grid
-tensors.
+whole dual by the convolution product (fg)(a) = (f x g)(Delta a).  A
+functional is known on the free words T^{C1}_{D1} ... T^{Ck}_{Dk} of
+length k by its evaluation matrix, with rows (C1, ..., Ck) and columns
+(D1, ..., Dk), sparse over the exact scalar field.  The tables are the
+per-generator evaluation matrices, cached per word length and grown one
+T letter at a time through the R matrix; the matrix of a product word is
+the matrix product of its letters (cached as well), and a combination of
+words is the combination of their matrices.
+
+Every relation of the envelope suite (exchange, metric orthogonality,
+the counit, bullet-row reduction and twist identities) is a family of
+equalities lhs = rhs between functionals, one per index key, checked by
+comparing the two evaluation matrices at every length k <= D;
+functional_equal states the order in which the first disagreement is
+reported.
 
 L+ is upper triangular and L- lower triangular.  The functionals that
 annihilate the cone ideal (generated by T^a_o, T^*_b, T^*_o) are exactly
@@ -421,98 +428,72 @@ def show_t_word(geometry: IndexGeometry,
                     for c, d in coords)
 
 
+def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
+                 rv: Optional[Scalar]) -> str:
+    """A disagreeing word and the two values on it, a zero shown as 0."""
+    return "%s: %s vs %s" % (show_t_word(geometry, coords),
+                             "0" if lv is None else render_scalar(lv),
+                             "0" if rv is None else render_scalar(rv))
+
+
+def _side_matrix(side, k: int):
+    return side(k) if callable(side) else _element_matrix(side, k)
+
+
+def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
+    """First disagreement of a family of relations lhs = rhs, one per
+    index key, on the free words of length <= D, as (key, coords, lhs
+    value, rhs value) with None for a zero value; None when every
+    relation holds.  A side is a FunctionalElement or a function giving
+    its evaluation matrix (no stored zeros) at a word length.  The order
+    is the one stated in functional_equal."""
+    for k in range(D + 1):
+        for key in sorted(pairs):
+            lhs, rhs = pairs[key]
+            ml, mr = _side_matrix(lhs, k), _side_matrix(rhs, k)
+            if ml == mr:
+                continue
+            diffs = []
+            for r in set(ml) | set(mr):
+                rl, rr = ml.get(r, {}), mr.get(r, {})
+                diffs += [(tuple(zip(r, col)), rl.get(col), rr.get(col))
+                          for col in set(rl) | set(rr)
+                          if rl.get(col) != rr.get(col)]
+            return (key,) + min(diffs, key=lambda d: d[0])
+    return None
+
+
 def functional_equal(f: FunctionalElement, g: FunctionalElement,
                      D: int) -> EqualityResult:
     """Equality of evaluations on every free word of length <= D,
     including the empty word; the witness is the first disagreeing word
-    in (length, index) order with both values."""
+    with both values.
+
+    Every relation family compared through _first_difference (this
+    function, the envelope suite and the q-Lie relation rows) reports
+    its first failure in one order: the smallest word length k, then the
+    smallest index key of the family, then the smallest word, comparing
+    the words T^{C1}_{D1} ... T^{Ck}_{Dk} by their coordinate tuples
+    ((C1, D1), ..., (Ck, Dk))."""
     if f.bundle is not g.bundle:
         raise ValueError("functionals live over different geometries")
-    for k in range(D + 1):
-        mf = _element_matrix(f, k)
-        mg = _element_matrix(g, k)
-        for r in sorted(set(mf) | set(mg)):
-            rf = mf.get(r, {})
-            rg = mg.get(r, {})
-            for col in sorted(set(rf) | set(rg)):
-                vf = rf.get(col)
-                vg = rg.get(col)
-                if (vf or vg) and vf != vg:
-                    coords = tuple(zip(r, col))
-                    return EqualityResult(False, (coords, vf, vg))
-    return EqualityResult(True, None)
+    w = _first_difference({(): (f, g)}, D)
+    return EqualityResult(w is None, None if w is None else w[1:])
+
+
+def _detail(geometry: IndexGeometry, w) -> str:
+    """Report detail of a relation family: empty when it holds."""
+    if w is None:
+        return ""
+    key, coords, lv, rv = w
+    text = show_witness(geometry, coords, lv, rv)
+    if not key:
+        return text
+    return "indices (%s) on %s" % (",".join(map(str, key)), text)
 
 
 # ---------------------------------------------------------------------------
-# two-row grid tensors and the relation suite
-
-def _pair_family(bundle: RMatrixBundle, s1: int, s2: int, k: int):
-    """Joint evaluation of all convolution pairs at word length k:
-
-        H[(A1, A2)][(B1, B2)][coords] = (L^{s1 A1}_{B1} L^{s2 A2}_{B2})(x)
-
-    with coords = ((C1, D1), ..., (Ck, Dk)) naming the test word x; built
-    by appending one grid column at a time."""
-    cache = _cache(bundle)
-    key = ("pair", s1, s2, k)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    out: Dict[Tuple[int, int], Dict[Tuple[int, int], Dict[Tuple, Scalar]]] = {}
-    if k == 0:
-        one = bundle.geometry.params.one
-        for A1 in bundle.geometry.indices():
-            for A2 in bundle.geometry.indices():
-                out[(A1, A2)] = {(A1, A2): {(): one}}
-    elif k == 1:
-        t1 = _transfer(bundle, s1)
-        t2 = _transfer(bundle, s2)
-        t2_by_first: Dict[int, List] = {}
-        for (F, d), m in t2.items():
-            t2_by_first.setdefault(F, []).append((d, m))
-        for (c, f), m1 in t1.items():
-            hits = t2_by_first.get(f)
-            if hits is None:
-                continue
-            for d, m2 in hits:
-                x = ((c, d),)
-                for E1, r1 in m1.items():
-                    for F1, v1 in r1.items():
-                        for E2, r2 in m2.items():
-                            dst = out.setdefault((E1, E2), {})
-                            for F2, v2 in r2.items():
-                                _acc(dst.setdefault((F1, F2), {}), x, v1 * v2)
-    else:
-        prev = _pair_family(bundle, s1, s2, k - 1)
-        base = _pair_family(bundle, s1, s2, 1)
-        for Apair, mids in prev.items():
-            dst_all = out.setdefault(Apair, {})
-            for Epair, xmap in mids.items():
-                tails = base.get(Epair)
-                if not tails:
-                    continue
-                for Bpair, colmap in tails.items():
-                    cell = dst_all.setdefault(Bpair, {})
-                    for x1, v1 in xmap.items():
-                        for x2, v2 in colmap.items():
-                            _acc(cell, x1 + x2, v1 * v2)
-    for Apair in list(out):
-        mids = out[Apair]
-        for Bpair in list(mids):
-            if not mids[Bpair]:
-                del mids[Bpair]
-        if not mids:
-            del out[Apair]
-    cache[key] = out
-    return out
-
-
-def _tensor_by_upper(Rt: SparseTensor4):
-    out: Dict[Tuple[int, int], List] = {}
-    for (A, B, C, D), v in Rt.items():
-        out.setdefault((A, B), []).append((C, D, v))
-    return out
-
+# relation families
 
 def _any_generator(A: int, B: int) -> bool:
     return True
@@ -521,122 +502,66 @@ def _any_generator(A: int, B: int) -> bool:
 def _exchange_residual(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
                        s1: int, D: int, mask2=_any_generator,
                        mask1=_any_generator):
-    """First witness of Rt_12 L^{s2}_2 L^{s1}_1 != L^{s1}_1 L^{s2}_2 Rt_12
-    on free words of length <= D, or None.  The masks mask2(A, B) and
-    mask1(A, B) restrict the L^{s2} and the L^{s1} matrix to a generator
-    support."""
-    by_upper = _tensor_by_upper(Rt)
-    for k in range(D + 1):
-        H21 = _pair_family(bundle, s2, s1, k)
-        H12 = _pair_family(bundle, s1, s2, k)
-        lhs: Dict[Tuple, Scalar] = {}
-        rhs: Dict[Tuple, Scalar] = {}
-        for (A, B), lows in by_upper.items():
-            for E, F, v in lows:
-                mids = H21.get((F, E))
-                if not mids:
-                    continue
-                for (Dd, Cc), xmap in mids.items():
-                    if not (mask2(F, Dd) and mask1(E, Cc)):
-                        continue
-                    for x, hv in xmap.items():
-                        _acc(lhs, (A, B, Cc, Dd, x), v * hv)
-        for (A, B), mids in H12.items():
-            for (E, F), xmap in mids.items():
-                if not (mask1(A, E) and mask2(B, F)):
-                    continue
-                lows = by_upper.get((E, F))
-                if not lows:
-                    continue
-                for Cc, Dd, v in lows:
-                    for x, hv in xmap.items():
-                        _acc(rhs, (A, B, Cc, Dd, x), hv * v)
-        for kk in sorted(set(lhs) | set(rhs)):
-            lv = lhs.get(kk)
-            rv = rhs.get(kk)
-            if lv != rv:
-                return (kk, lv, rv)
-    return None
+    """First witness ((A, B, C, D, coords), lhs value, rhs value) of
+    Rt_12 L^{s2}_2 L^{s1}_1 = L^{s1}_1 L^{s2}_2 Rt_12 on free words of
+    length <= D, or None.  Entry (A, B; C, D) reads
+    sum Rt^{AB}_{EF} L^{s2 F}_D L^{s1 E}_C = sum L^{s1 A}_E L^{s2 B}_F
+    Rt^{EF}_{CD}; the masks mask2(A, B) and mask1(A, B) restrict the
+    L^{s2} and the L^{s1} matrix to a generator support."""
+    idx = list(bundle.geometry.indices())
+    lhs: Dict[Tuple, Dict[FunctionalWord, Scalar]] = {}
+    rhs: Dict[Tuple, Dict[FunctionalWord, Scalar]] = {}
+    for (A, B, E, F), v in Rt.items():
+        for X in idx:
+            for Y in idx:
+                # Rt^{AB}_{EF} L^{s2 F}_Y L^{s1 E}_X, left of (A, B; X, Y)
+                if mask2(F, Y) and mask1(E, X):
+                    _acc(lhs.setdefault((A, B, X, Y), {}),
+                         ((s2, F, Y), (s1, E, X)), v)
+                # L^{s1 X}_A L^{s2 Y}_B Rt^{AB}_{EF}, right of (X, Y; E, F)
+                if mask1(X, A) and mask2(Y, B):
+                    _acc(rhs.setdefault((X, Y, E, F), {}),
+                         ((s1, X, A), (s2, Y, B)), v)
+    w = _first_difference(
+        {key: (FunctionalElement(bundle, lhs.get(key, {})),
+               FunctionalElement(bundle, rhs.get(key, {})))
+         for key in set(lhs) | set(rhs)}, D)
+    return None if w is None else (w[0] + (w[1],), w[2], w[3])
 
 
 def _render_exchange_witness(geometry: IndexGeometry, w) -> str:
     (A, B, C, D, x), lv, rv = w
     lab = geometry.label
-    return ("indices (%s,%s;%s,%s) on %s: %s vs %s"
-            % (lab(A), lab(B), lab(C), lab(D), show_t_word(geometry, x),
-               "0" if lv is None else render_scalar(lv),
-               "0" if rv is None else render_scalar(rv)))
+    return ("indices (%s,%s;%s,%s) on %s"
+            % (lab(A), lab(B), lab(C), lab(D),
+               show_witness(geometry, x, lv, rv)))
 
 
-def _xmap_scaled_equal(xa: Dict[Tuple, Scalar], xb: Dict[Tuple, Scalar],
-                       coeff: Scalar):
-    for x in sorted(set(xa) | set(xb)):
-        va = xa.get(x)
-        vb = xb.get(x)
-        vb = None if vb is None else coeff * vb
-        if va != vb:
-            return (x, va, vb)
-    return None
-
-
-def _metric_orthogonality_residual(bundle: RMatrixBundle, sign: int,
-                                   variant: str, D: int, mask=None):
-    """C^{AB} L^C_B L^D_A = C^{DC} eps (variant "upper") or
-    C_{AB} L^B_C L^A_D = C_{DC} eps (variant "lower")."""
+def _metric_orthogonality(bundle: RMatrixBundle, sign: int, variant: str,
+                          mask=_any_generator):
+    """Relations {(C, D): (lhs, rhs)} of C^{AB} L^C_B L^D_A = C^{DC} eps
+    (variant "upper") or C_{AB} L^B_C L^A_D = C_{DC} eps ("lower"), each
+    factor of a summand restricted to the mask."""
     geom = bundle.geometry
     metric = bundle.C
     pr = geom.prime
-    idx = list(geom.indices())
-    for k in range(D + 1):
-        H = _pair_family(bundle, sign, sign, k)
-        for C in idx:
-            for Dd in idx:
-                acc: Dict[Tuple, Scalar] = {}
-                for A in idx:
-                    if variant == "upper":
-                        # summed pair: L^C_{A'} convolved with L^D_A
-                        row1, row2 = (C, pr(A)), (Dd, A)
-                        coeff = metric.c(A)
-                    else:
-                        # summed pair: L^{B}_C L^{B'}_D with B = A
-                        row1, row2 = (A, C), (pr(A), Dd)
-                        coeff = metric.c(pr(A))
-                    if mask is not None and not (mask(*row1) and mask(*row2)):
-                        continue
-                    xmap = H.get((row1[0], row2[0]), {}).get(
-                        (row1[1], row2[1]))
-                    if not xmap:
-                        continue
-                    for x, v in xmap.items():
-                        _acc(acc, x, coeff * v)
-                expected = metric.lower(Dd, C)
-                for x in sorted(set(acc)
-                                | ({tuple(zip(v, v))
-                                    for v in iproduct(idx, repeat=k)}
-                                   if expected else set())):
-                    want = (expected if all(c == d for c, d in x) and expected
-                            else None)
-                    got = acc.get(x)
-                    if got != want:
-                        return ((C, Dd, x), got, want)
-    return None
-
-
-def _matrix_equal_diag(bundle: RMatrixBundle, mat, diag, k: int):
-    """Compare an evaluation matrix against the diagonal matrix whose
-    (vec, vec) entry is diag(vec); diag returns None for zero."""
-    idx = list(bundle.geometry.indices())
-    rows = set(mat) | set(iproduct(idx, repeat=k))
-    for r in sorted(rows):
-        row = mat.get(r, {})
-        for col in sorted(set(row) | {r}):
-            want = diag(r) if col == r else None
-            got = row.get(col)
-            if not got:
-                got = None
-            if got != want:
-                return ((r, col), got, want)
-    return None
+    eps = eps_functional(bundle)
+    pairs = {}
+    for C in geom.indices():
+        for Dd in geom.indices():
+            terms: Dict[FunctionalWord, Scalar] = {}
+            for A in geom.indices():
+                if variant == "upper":
+                    # summed pair: L^C_{A'} convolved with L^D_A
+                    g1, g2, coeff = (C, pr(A)), (Dd, A), metric.c(A)
+                else:
+                    # summed pair: L^{A}_C L^{A'}_D
+                    g1, g2, coeff = (A, C), (pr(A), Dd), metric.c(pr(A))
+                if mask(*g1) and mask(*g2):
+                    _acc(terms, ((sign,) + g1, (sign,) + g2), coeff)
+            pairs[(C, Dd)] = (FunctionalElement(bundle, terms),
+                              eps.scale(metric.lower(Dd, C)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -704,9 +629,6 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     rep = Report("functional relation suite for iso(%d) at degree %d"
                  % (N, D))
 
-    def lgen(sign, A, B):
-        return ((sign, A, B),)
-
     # triangularity: no evaluation matrix below (above) the L+ (L-) diagonal
     bad = []
     for k in range(1, D + 1):
@@ -733,181 +655,112 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     # metric orthogonality
     for sign, sname in [(1, "plus"), (-1, "minus")]:
         for variant in ("upper", "lower"):
-            w = _metric_orthogonality_residual(bundle, sign, variant, D)
+            w = _first_difference(
+                _metric_orthogonality(bundle, sign, variant), D)
             rep.add("%s metric orthogonality of the %s matrix"
-                    % (variant, sname), w is None,
-                    "" if w is None else "%r" % (w,))
+                    % (variant, sname), w is None, _detail(geom, w))
 
     # ordered diagonal product equals the counit
-    diag_word = tuple((1, A, A) for A in geom.indices())
+    eps = eps_functional(bundle)
     for sign, sname in [(1, "plus"), (-1, "minus")]:
-        word = tuple((sign, A, B) for _, A, B in diag_word)
-        w = None
-        for k in range(D + 1):
-            w = _matrix_equal_diag(bundle, _word_matrix(bundle, word, k),
-                                   lambda r: ps.one, k)
-            if w is not None:
-                break
+        word = tuple((sign, A, A) for A in geom.indices())
+        w = _first_difference({(): (word_functional(bundle, word), eps)}, D)
         rep.add("ordered diagonal product of the %s matrix equals the counit"
-                % sname, w is None, "" if w is None else "%r" % (w,))
+                % sname, w is None, _detail(geom, w))
     if M % 2 == 1:
         mid = (M + 1) // 2
         for sign, sname in [(1, "plus"), (-1, "minus")]:
-            w = None
-            for k in range(D + 1):
-                w = _matrix_equal_diag(
-                    bundle, _word_matrix(bundle, lgen(sign, mid, mid), k),
-                    lambda r: ps.one, k)
-                if w is not None:
-                    break
+            w = _first_difference(
+                {(): (l_functional(bundle, sign, mid, mid), eps)}, D)
             rep.add("middle diagonal %s functional equals the counit"
-                    % sname, w is None, "" if w is None else "%r" % (w,))
+                    % sname, w is None, _detail(geom, w))
 
-    # antisymmetrizer annihilates the translation column (both the
-    # projector form and its inverse-parameter plane reading are the same
-    # contraction)
+    # antisymmetrizer annihilates the translation column: for every (a, b)
+    # sum P_A^{ab}_{cd} L-^{d}_o L-^{c}_o = 0 (both the projector form and
+    # its inverse-parameter plane reading are this contraction)
     small = build_bundle(IndexGeometry(N))
     lift = inner_lift(geom)
-    pa_witness = None
-    for k in range(D + 1):
-        H = _pair_family(bundle, -1, -1, k)
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                acc: Dict[Tuple, Scalar] = {}
-                for (aa, bb, cc, dd), v in small.P_A.items():
-                    if (aa, bb) != (a, b):
-                        continue
-                    xmap = H.get((dd + 1, cc + 1), {}).get((circ, circ))
-                    if not xmap:
-                        continue
-                    cv = lift(v)
-                    for x, hv in xmap.items():
-                        _acc(acc, x, cv * hv)
-                if acc and pa_witness is None:
-                    x = sorted(acc)[0]
-                    pa_witness = ((a, b, x), acc[x])
+    zero = FunctionalElement(bundle, {})
+    terms: Dict[Tuple[int, int], Dict[FunctionalWord, Scalar]] = {}
+    for (a, b, c, d), v in small.P_A.items():
+        _acc(terms.setdefault((a, b), {}),
+             ((-1, d + 1, circ), (-1, c + 1, circ)), lift(v))
+    w = _first_difference({key: (FunctionalElement(bundle, t), zero)
+                           for key, t in terms.items()}, D)
     rep.add("antisymmetrizer annihilates the translation column",
-            pa_witness is None,
-            "" if pa_witness is None else "%r" % (pa_witness,))
+            w is None, _detail(geom, w))
     rep.add("translation column satisfies the inverse-parameter plane "
-            "relations", pa_witness is None,
+            "relations", w is None,
             "same contraction as the antisymmetrizer check")
 
-    # bullet-row reductions
+    # bullet-row reductions: L-^*_c = coeff sum_a c(a) L-^{a'}_c L-^a_o L-^*_*
+    def bullet_reduction(c, coeff):
+        rhs: Dict[FunctionalWord, Scalar] = {}
+        for a in inner:
+            _acc(rhs, ((-1, pr(a), c), (-1, a, circ), (-1, bullet, bullet)),
+                 coeff * metric.c(a))
+        return (l_functional(bundle, -1, bullet, c),
+                FunctionalElement(bundle, rhs))
+
     c_ob = metric.lower(circ, bullet)
     c_bo = metric.lower(bullet, circ)
     coeff1 = -scalar_invert(c_ob)
-    ok_all = True
-    detail = ""
-    for c in inner:
-        lhs = word_functional(bundle, lgen(-1, bullet, c))
-        rhs = FunctionalElement(bundle, {})
-        for a in inner:
-            w = ((-1, pr(a), c), (-1, a, circ), (-1, bullet, bullet))
-            rhs = rhs + word_functional(bundle, w, coeff1 * metric.c(a))
-        res = functional_equal(lhs, rhs, D)
-        if not res.equal:
-            ok_all = False
-            detail = "column %d: %s" % (c, show_t_word(geom, res.witness[0]))
-            break
+    w = _first_difference({(c,): bullet_reduction(c, coeff1) for c in inner},
+                          D)
     rep.add("bullet-row functionals reduce to metric combinations",
-            ok_all, detail)
+            w is None, _detail(geom, w))
     coeff2 = -scalar_invert(ps.s_pow(-4) * c_bo + c_ob)
-    lhs = word_functional(bundle, lgen(-1, bullet, circ))
-    rhs = FunctionalElement(bundle, {})
-    for a in inner:
-        w = ((-1, pr(a), circ), (-1, a, circ), (-1, bullet, bullet))
-        rhs = rhs + word_functional(bundle, w, coeff2 * metric.c(a))
-    res = functional_equal(lhs, rhs, D)
+    w = _first_difference({(): bullet_reduction(circ, coeff2)}, D)
     rep.add("bullet-corner functional reduces to a metric combination",
-            res.equal,
-            "" if res.equal else show_t_word(geom, res.witness[0]))
+            w is None, _detail(geom, w))
+
+    def word2(g1, g2, coeff=None):
+        return word_functional(bundle, (g1, g2), coeff)
 
     # dilatation versus the translation column
-    w1 = None
-    for k in range(D + 1):
-        H = _pair_family(bundle, -1, -1, k)
-        for a in inner:
-            coeff = scalar_invert(canonical_q(ps, circ, a))
-            xa = H.get((circ, a), {}).get((circ, circ), {})
-            xb = H.get((a, circ), {}).get((circ, circ), {})
-            w1 = _xmap_scaled_equal(xa, xb, coeff)
-            if w1 is not None:
-                w1 = (a,) + w1
-                break
-        if w1 is not None:
-            break
+    w = _first_difference(
+        {(a,): (word2((-1, circ, circ), (-1, a, circ)),
+                word2((-1, a, circ), (-1, circ, circ),
+                      scalar_invert(canonical_q(ps, circ, a))))
+         for a in inner}, D)
     rep.add("dilatation exchanges with the translation column",
-            w1 is None, "" if w1 is None else "%r" % (w1,))
+            w is None, _detail(geom, w))
 
     # dilatation versus the rotation block; the printed relation has
     # mismatched free indices, so the form checked here is the one the
     # exchange relations force at indices (circ circ, b d)
-    w2 = None
-    for k in range(D + 1):
-        for sign in (1, -1):
-            Hms = _pair_family(bundle, -1, sign, k)
-            Hsm = _pair_family(bundle, sign, -1, k)
+    w = _first_difference(
+        {(sign, b, d): (word2((-1, circ, circ), (sign, b, d)),
+                        word2((sign, b, d), (-1, circ, circ),
+                              canonical_q(ps, b, circ) * scalar_invert(
+                                  canonical_q(ps, d, circ))))
+         for sign in (1, -1) for b in inner for d in inner}, D)
+    rep.add("dilatation exchanges with the rotation block",
+            w is None, "derived exchange form" if w is None
+            else _detail(geom, w))
+
+    # translation column versus the rotation block through R, for both
+    # signs: L-^a_o L+-^b_d = r/q_{d o} R+-^{ba}_{ef} L+-^e_d L-^f_o
+    rfor = {1: bundle.Rplus, -1: bundle.Rminus}
+    pairs = {}
+    for sign in (1, -1):
+        for a in inner:
             for b in inner:
                 for d in inner:
-                    coeff = canonical_q(ps, b, circ) * scalar_invert(
-                        canonical_q(ps, d, circ))
-                    xa = Hms.get((circ, b), {}).get((circ, d), {})
-                    xb = Hsm.get((b, circ), {}).get((d, circ), {})
-                    w2 = _xmap_scaled_equal(xa, xb, coeff)
-                    if w2 is not None:
-                        w2 = (sign, b, d) + w2
-                        break
-                if w2 is not None:
-                    break
-            if w2 is not None:
-                break
-        if w2 is not None:
-            break
-    rep.add("dilatation exchanges with the rotation block",
-            w2 is None, "derived exchange form"
-            if w2 is None else "%r" % (w2,))
-
-    # translation column versus the rotation block through R
-    w3 = None
-    rfor = {1: bundle.Rplus, -1: bundle.Rminus}
-    for k in range(D + 1):
-        for sign in (1, -1):
-            Hms = _pair_family(bundle, -1, sign, k)
-            Hsm = _pair_family(bundle, sign, -1, k)
-            Rpm = rfor[sign]
-            for a in inner:
-                for b in inner:
-                    for d in inner:
-                        coeff0 = ps.r * scalar_invert(
-                            canonical_q(ps, d, circ))
-                        lhsx = Hms.get((a, b), {}).get((circ, d), {})
-                        acc: Dict[Tuple, Scalar] = {}
-                        for e in inner:
-                            for ff in inner:
-                                rv = Rpm.get((b, a, e, ff))
-                                if not rv:
-                                    continue
-                                xmap = Hsm.get((e, ff), {}).get((d, circ))
-                                if not xmap:
-                                    continue
-                                cv = coeff0 * rv
-                                for x, hv in xmap.items():
-                                    _acc(acc, x, cv * hv)
-                        w3 = _xmap_scaled_equal(lhsx, acc, ps.one)
-                        if w3 is not None:
-                            w3 = (sign, a, b, d) + w3
-                            break
-                    if w3 is not None:
-                        break
-                if w3 is not None:
-                    break
-            if w3 is not None:
-                break
-        if w3 is not None:
-            break
+                    coeff0 = ps.r * scalar_invert(canonical_q(ps, d, circ))
+                    rhs: Dict[FunctionalWord, Scalar] = {}
+                    for e in inner:
+                        for f in inner:
+                            rv = rfor[sign].get((b, a, e, f))
+                            if rv:
+                                _acc(rhs, ((sign, e, d), (-1, f, circ)),
+                                     coeff0 * rv)
+                    pairs[(sign, a, b, d)] = (
+                        word2((-1, a, circ), (sign, b, d)),
+                        FunctionalElement(bundle, rhs))
+    w = _first_difference(pairs, D)
     rep.add("translation column exchanges with the rotation block through R",
-            w3 is None, "" if w3 is None else "%r" % (w3,))
+            w is None, _detail(geom, w))
 
     # block-diagonal plus matrix
     def block_mask(A, B):
@@ -936,33 +789,32 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
             w is None, "" if w is None else _render_exchange_witness(geom, w))
 
     for variant in ("upper", "lower"):
-        w = _metric_orthogonality_residual(bundle, 1, variant, D,
-                                           mask=block_mask)
+        w = _first_difference(
+            _metric_orthogonality(bundle, 1, variant, block_mask), D)
         rep.add("%s metric orthogonality of the block matrix" % variant,
-                w is None, "" if w is None else "%r" % (w,))
+                w is None, _detail(geom, w))
 
-    # matching diagonal products give the fourth twist power
+    # matching diagonal products give the fourth twist power: on the
+    # diagonal word T^{C1}_{C1} ... T^{Ck}_{Ck} the value prod f4(A, Ci),
+    # zero on every other word
     twist = twist_matrix(bundle)
-    w4 = None
-    for A in geom.indices():
-        word = ((1, A, A), (-1, A, A))
-        for k in range(D + 1):
-            mat = _word_matrix(bundle, word, k)
 
-            def f4diag(vec, A=A):
-                out = ps.one
+    def twist_power(A):
+        def matrix(k):
+            out = {}
+            for vec in iproduct(geom.indices(), repeat=k):
+                v = ps.one
                 for C in vec:
-                    out = out * twist.f4(A, C)
-                return out
+                    v = v * twist.f4(A, C)
+                out[vec] = {vec: v}
+            return out
+        return matrix
 
-            w4 = _matrix_equal_diag(bundle, mat, f4diag, k)
-            if w4 is not None:
-                w4 = (A,) + w4
-                break
-        if w4 is not None:
-            break
+    w = _first_difference(
+        {(A,): (word2((1, A, A), (-1, A, A)), twist_power(A))
+         for A in geom.indices()}, D)
     rep.add("matching diagonal products equal the fourth twist power",
-            w4 is None, "" if w4 is None else "%r" % (w4,))
+            w is None, _detail(geom, w))
     return rep
 
 

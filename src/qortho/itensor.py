@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .scalars import ParamSpace, Scalar, canonical_q, substitute, _acc
+from .scalars import ParamSpace, Scalar, substitute, _acc
 
 Key4 = Tuple[int, int, int, int]
 
@@ -77,12 +77,6 @@ class IndexGeometry:
         if not self.embedded:
             raise ValueError("not an embedded geometry")
         return range(2, self.dim)
-
-    def r_rho(self, a: int) -> Scalar:
-        return self.params.s_pow(self.rho2[a])
-
-    def q(self, a: int, b: int) -> Scalar:
-        return canonical_q(self.params, a, b)
 
     def same(self, other: "IndexGeometry") -> bool:
         return self.dim == other.dim and self.embedded == other.embedded

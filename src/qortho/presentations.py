@@ -50,7 +50,7 @@ from .report import Report
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
                       canonical_q, scalar_from_json, scalar_to_json,
-                      stair_insert, word_key)
+                      stair_insert, stair_reduce, word_key)
 
 __all__ = [
     "Alphabet", "Word", "AlgebraElement", "TensorElement", "Presentation",
@@ -190,12 +190,6 @@ class TensorElement(LinearCombination):
     def _join(k1: Tuple[Word, ...], k2: Tuple[Word, ...]) -> Tuple[Word, ...]:
         return tuple(w1 + w2 for w1, w2 in zip(k1, k2))
 
-    def as_element(self) -> AlgebraElement:
-        if self.arity != 1:
-            raise ValueError("arity-%d tensor is not an element" % self.arity)
-        return AlgebraElement(self.alphabet, self.ps,
-                              {k[0]: c for k, c in self.terms.items()})
-
     def __repr__(self):
         return "TensorElement(arity=%d, terms=%d)" % (self.arity,
                                                       len(self.terms))
@@ -234,12 +228,6 @@ class Presentation:
 
     def unit(self) -> AlgebraElement:
         return unit_element(self.alphabet, self.params)
-
-    def t_symbol(self, a: int, b: int) -> str:
-        if self.kind in ("so",):
-            g = self.geometry
-            return "T[%s,%s]" % (g.label(a), g.label(b))
-        return "T[%d,%d]" % (a, b)
 
     def __repr__(self):
         return "Presentation(%s, %d generators, %d relations)" % (
@@ -1065,25 +1053,7 @@ def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,
     extra_key = tuple(extra)
     rels, stair = _membership_staircase(p, bound, extra_key,
                                         want_certificate)
-    res = dict(e.terms)
-    combo: Dict = {}
-    while res:
-        cut = None
-        for w in sorted(res, key=word_key, reverse=True):
-            if w in stair:
-                cut = w
-                break
-        if cut is None:
-            break
-        prow, pcombo = stair[cut]
-        c = res.pop(cut)
-        m = -c
-        for w, v in prow.items():
-            if w != cut:
-                _acc(res, w, m * v)
-        if want_certificate and pcombo is not None:
-            for k, v in pcombo.items():
-                _acc(combo, k, c * v)
+    res, combo = stair_reduce(stair, e.terms)
     member = not res
     certificate = None
     if member and want_certificate:

@@ -256,9 +256,6 @@ class ParamSpace:
     def s_pow(self, k: int) -> "Scalar":
         return self.monomial(1, self.mono(s=k))
 
-    def r_pow(self, k: int) -> "Scalar":
-        return self.s_pow(2 * k)
-
     def g_pow(self, pair: Tuple[int, int], k: int) -> "Scalar":
         return self.monomial(1, self.mono(g={pair: k}))
 
@@ -576,6 +573,27 @@ def stair_insert(stair: dict, row: dict, combo: Optional[dict] = None) -> None:
                 _acc(combo, k, m * v)
 
 
+def stair_reduce(stair: dict, row: Mapping) -> Tuple[dict, dict]:
+    """Reduce a sparse row by a staircase of stair_insert: while some key
+    of the row leads a pivot row, eliminate the largest such key (word_key
+    order).  Returns the residue and the combination of pivot combos that
+    was taken away, so row = residue + sum of combo[k] times the inserted
+    row of provenance k; pivots stored without a combo add nothing."""
+    res = dict(row)
+    combo: dict = {}
+    while True:
+        cut = max((w for w in res if w in stair), key=word_key, default=None)
+        if cut is None:
+            return res, combo
+        prow, pcombo = stair[cut]
+        c = res.pop(cut)
+        for w, v in prow.items():
+            if w != cut:
+                _acc(res, w, -c * v)
+        for k, v in (pcombo or {}).items():
+            _acc(combo, k, c * v)
+
+
 class LinearCombination:
     """A finite Scalar combination of keys, stored without zeros.
 
@@ -717,21 +735,6 @@ def canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
 
 
 # --- serialization ---------------------------------------------------------
-
-def paramspace_header(ps: ParamSpace) -> dict:
-    return {"dim": ps.dim, "series": ps.series, "vars": list(ps.vars)}
-
-
-def paramspace_from_header(header: Mapping) -> ParamSpace:
-    ps = ParamSpace(int(header["dim"]))
-    if header.get("series") != ps.series:
-        raise ValueError("series %r inconsistent with dim %r"
-                         % (header.get("series"), header.get("dim")))
-    if list(header.get("vars", ps.vars)) != ps.vars:
-        raise ValueError("variable ordering %r does not match %r"
-                         % (header.get("vars"), ps.vars))
-    return ps
-
 
 def _decoded(ps: ParamSpace, p: Poly) -> Dict[Mono, Coeff]:
     return {ps._unpack(m): c for m, c in p.items()}

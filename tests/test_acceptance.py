@@ -7,6 +7,7 @@ tolerance.  Runtime budgets are asserted where a construction is
 expected to stay interactive.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from math import comb
 
 from qortho.calculus import (adjoint_coaction_check, adjoint_entries,
                              leibniz_check, tangent_basis, verify_qlie)
+from qortho.cli import _dumps
 from qortho.envelope import (_element_matrix, _h_letters, eta_monomials,
                              independence_rank, iu_annihilates, iu_generators,
                              verify_envelope_suite, verify_pairing_axioms,
@@ -38,6 +40,11 @@ def _rmatrix_suite(M):
         rep = verify_rmatrix_suite(IndexGeometry(M))
         _SUITE_CACHE[M] = (rep, time.monotonic() - t0)
     return _SUITE_CACHE[M]
+
+
+def _report_digest(rep):
+    """SHA-256 of the report as `--format json` prints it."""
+    return hashlib.sha256(_dumps(rep.to_json()).encode()).hexdigest()
 
 
 def _check(rep, name):
@@ -174,6 +181,12 @@ def test_envelope_relation_suites():
             "matching diagonal products equal the fourth twist power",
         ):
             _check(rep, name)
+    # byte pins of the two reports (digests of the same checks as
+    # `verify --suite envelope --n 3` / `--n 4` emit)
+    assert _report_digest(rep3) == ("aba405d334d31098ca93346214225d94"
+                                    "14b33fc6173f9a6f69b01c6c77a45959")
+    assert _report_digest(rep4) == ("cd588f6c2f50d3e0895cfc91656d2543"
+                                    "e51fbd6c761a009b601101b3548475fd")
 
 
 def test_mismatched_parameters_break_the_counit_identity():
@@ -292,6 +305,8 @@ def test_rotation_augmented_relations_after_the_limit():
     _check(rep, "rotations commute with the dilatation")
     _check(rep, "translations shift under the dilatation")
     _check(rep, "mirror tangent vectors are proportional")
+    assert _report_digest(rep) == ("1b208933bc59f2fe5b6bd90c841962ff"
+                                   "ec26efa280328114fee8b30ae5458b5f")
 
 
 def test_leibniz_rule_through_bimodule_commutation():

@@ -10,7 +10,8 @@ is checked degree by degree on spanning sets of T words.
 import pytest
 
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
-                             _exchange_residual, _render_exchange_witness,
+                             _exchange_residual, _first_difference,
+                             _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
                              functional_equal, functional_from_json,
@@ -97,6 +98,20 @@ def test_functional_equal_reports_witness():
     assert functional_equal(f, f + f - f, 2).equal
 
 
+def test_first_difference_order():
+    one = GEOM3.params.one
+    # key (1,) first differs at length 2, on two words whose order by
+    # coordinate tuple is the reverse of their (row, column) order
+    late = {(1, 1): {(5, 5): one}, (1, 2): {(3, 1): one}}
+    pairs = {(1,): (lambda k: late if k == 2 else {}, lambda k: {}),
+             (2,): (lambda k: {(2,): {(1,): one}} if k else {},
+                    lambda k: {})}
+    assert _first_difference(pairs, 2) == ((2,), ((2, 1),), one, None)
+    del pairs[(2,)]
+    assert _first_difference(pairs, 1) is None
+    assert _first_difference(pairs, 2) == ((1,), ((1, 3), (2, 1)), one, None)
+
+
 def test_pairing_values():
     ps = ISO3.params
     assert pairing(l_functional(BUNDLE5, -1, 1, 1), iso_word("u")) == ps.s_pow(-2)
@@ -159,6 +174,41 @@ def test_exchange_residual_reports_a_wrong_exchange_matrix():
         assert text.endswith("%s vs %s" % (
             "0" if lv is None else render_scalar(lv),
             "0" if rv is None else render_scalar(rv)))
+
+
+INNER5 = set(GEOM5.inner())
+
+
+def _block(A, B):
+    return A == B or (A in INNER5 and B in INNER5)
+
+
+# the first witness of a wrong exchange matrix (R^-1 in place of R) on
+# words of length <= 2: the smallest length, then the smallest index key
+# (A, B, C, D), then the smallest word
+WRONG_EXCHANGE_WITNESSES = [
+    ("plus-plus", 1, 1, {},
+     "indices (∘,∘;∘,1) on T[1,∘]: "
+     "s^2 - s^-2 vs -s^6 + 2*s^2 + s^-2*g12^2 - s^-2 - s^-6*g12^2"),
+    ("minus-minus", -1, -1, {},
+     "indices (∘,1;∘,∘) on T[∘,1]: "
+     "-s^-2*g12^2 + s^-6*g12^2 vs -s^-2 + s^-6"),
+    ("mixed", 1, -1, {},
+     "indices (∘,∘;∘,1) on T[1,∘]: s^-2 - s^-6 vs s^-2*g12^2 - s^-6*g12^2"),
+    ("block", 1, 1, {"mask2": _block, "mask1": _block},
+     "indices (∘,1;∘,2) on T[2,1]: s^-2*g12^2 - s^-6*g12^2 vs s^2 - s^-2"),
+    ("mixed-block", 1, -1, {"mask2": _block},
+     "indices (∘,1;∘,2) on T[2,1]: s^-2*g12^2 - s^-6*g12^2 vs s^2 - s^-2"),
+]
+
+
+@pytest.mark.parametrize("s2,s1,masks,text",
+                         [case[1:] for case in WRONG_EXCHANGE_WITNESSES],
+                         ids=[case[0] for case in WRONG_EXCHANGE_WITNESSES])
+def test_exchange_residual_pins_the_wrong_matrix_witness(s2, s1, masks,
+                                                          text):
+    w = _exchange_residual(BUNDLE5, BUNDLE5.Rinv, s2, s1, 2, **masks)
+    assert _render_exchange_witness(GEOM5, w) == text
 
 
 def test_functional_json_round_trip():

@@ -18,3 +18,43 @@ def test_engine_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ENGINE = ROOT / "src" / "qortho"
+SCANNED = ("src", "tests", "perfbench")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_used(stmt: ast.stmt):
+    """Names a top-level statement refers to: loaded or stored names,
+    attributes, imported names and the entries of an __all__ list."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+    if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in stmt.targets):
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+
+def test_every_engine_definition_is_referenced():
+    """A module-level function or class of src/qortho that nothing in
+    src/, tests/ or perfbench/ names, except its own body, is dead code."""
+    defined = []
+    used = set()
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for stmt in tree.body:
+                owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
+                if owner is not None and path.parent == ENGINE:
+                    defined.append("%s.%s" % (path.stem, owner))
+                used.update(n for n in _names_used(stmt) if n != owner)
+    assert [d for d in defined if d.split(".")[1] not in used] == []
