@@ -17,8 +17,12 @@ At the uniparametric point r = 1 the rotation block joins: the limits of
 because the obstruction term (1/lambda) f^*_{* a, b} vanishes entrywise
 in the limit.  Everything at r = 1 is handled by evaluating the
 generic-parameter functionals word by word and taking the exact s -> 1
-limit of each value; the limit is never taken on a functional as a
-symbolic object.
+limit of each value (envelope._mapped); the limit is never taken on a
+functional as a symbolic object.  The cone-ideal check at r = 1 is the
+scan of envelope.iu_annihilates run over those limited values, and like
+every other check here it reports its first failing case, through
+envelope._first_difference for relations between functionals and
+report.first_failure otherwise.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        eval_functional, iu_annihilates, l_functional,
-                       show_t_word, show_witness, _element_matrix,
-                       _first_difference, _h_letters)
+                       show_t_word, show_witness, _cone_cases,
+                       _first_difference, _mapped)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
                             unit_element, word_element, zero_element)
-from .report import Report
+from .report import Report, first_failure
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (Scalar, _acc, canonical_q, limit_r_to_1,
                       scalar_invert, stair_insert, stair_reduce)
@@ -157,38 +161,10 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
         labels.append("Omega[*,*]")
         vectors.append(build_chi(M, M, N))
         basis = TangentBasis(kind, N, labels, vectors, True)
-        for v in vectors:
-            _limited_matrix(v, 1)  # a pole here would break the limit claim
+        for v in vectors:  # a pole here would break the limit claim
+            _mapped(v, limit_r_to_1)(1)
         return basis
     raise ValueError("unknown calculus kind %r" % (kind,))
-
-
-# ---------------------------------------------------------------------------
-# per-word limits
-
-def _limited_matrix(e: FunctionalElement, k: int):
-    out: Dict[Tuple, Dict[Tuple, Scalar]] = {}
-    for r, row in _element_matrix(e, k).items():
-        for col, v in row.items():
-            lv = limit_r_to_1(v)
-            if lv:
-                out.setdefault(r, {})[col] = lv
-    return out
-
-
-def _limited(e: FunctionalElement):
-    """e as a relation side whose values are the limits at r = 1."""
-    return lambda k: _limited_matrix(e, k)
-
-
-def _relation_witness(f: FunctionalElement, g: FunctionalElement, D: int,
-                      limit: bool):
-    """First (word, value, value) where f and g (or, with limit, the
-    limits of their values) disagree on free words of length <= D."""
-    if limit:
-        f, g = _limited(f), _limited(g)
-    w = _first_difference({(): (f, g)}, D)
-    return None if w is None else w[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +182,13 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
     rows: List[dict] = []
 
     def add(relation: str, indices, lhs, rhs, limit):
-        w = _relation_witness(lhs, rhs, D, limit)
+        if limit:  # compare the r = 1 limits of the values
+            lhs, rhs = _mapped(lhs, limit_r_to_1), _mapped(rhs, limit_r_to_1)
+        w = _first_difference({(): (lhs, rhs)}, D)
         row = {"relation": relation, "indices": list(indices),
                "status": w is None}
         if w is not None:
-            row["witness"] = show_witness(geom, *w)
+            row["witness"] = show_witness(geom, *w[1:])
         rows.append(row)
 
     def q(A, B):
@@ -431,70 +409,43 @@ def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
     geom = bundle.geometry
     M = geom.dim
 
+    def cone_witness(v):
+        side = _mapped(v, limit_r_to_1) if basis.limit else v
+        return first_failure(_cone_cases(side, geom, D))
+
+    w = first_failure((label, cone_witness(v), None)
+                      for label, v in zip(basis.labels, basis.vectors))
+    rep.add("tangent vectors annihilate the cone ideal"
+            + (" after the limit" if basis.limit else ""), w is None,
+            "" if w is None else "%s on %s" % (w[0],
+                                               show_t_word(geom, w[1][0])))
     if kind == "projected":
-        bad = None
-        for label, v in zip(basis.labels, basis.vectors):
-            res = iu_annihilates(v, N, D)
-            if not res.ok:
-                bad = (label, res.witness)
-                break
-        rep.add("tangent vectors annihilate the cone ideal", bad is None,
-                "" if bad is None else "%s on %s" % (
-                    bad[0], show_t_word(geom, bad[1][0])))
-        witnesses = []
-        for a in range(1, N + 1):
-            res = iu_annihilates(build_chi(a + 1, M, N), N, D)
-            if res.ok:
-                witnesses = None
-                break
-            witnesses.append(show_t_word(geom, res.witness[0]))
+        results = [iu_annihilates(build_chi(a + 1, M, N), N, D)
+                   for a in range(1, N + 1)]
+        w = first_failure((a, res.ok, False)
+                          for a, res in enumerate(results, start=1))
         rep.add("rotation-row functionals fail on the cone ideal",
-                witnesses is not None,
-                "" if witnesses is None else "witnesses: %s"
-                % "; ".join(witnesses))
+                w is None, "" if w is not None else "witnesses: %s"
+                % "; ".join(show_t_word(geom, res.witness[0])
+                            for res in results))
     else:
-        bad = None
-        hset = _h_letters(geom)
-        for label, v in zip(basis.labels, basis.vectors):
-            for k in range(1, D + 1):
-                mat = _limited_matrix(v, k)
-                for r in sorted(mat):
-                    for col in sorted(mat[r]):
-                        coords = tuple(zip(r, col))
-                        if any(pq in hset for pq in coords):
-                            bad = (label, coords)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        rep.add("tangent vectors annihilate the cone ideal after the limit",
-                bad is None, "" if bad is None else "%s on %s" % (
-                    bad[0], show_t_word(geom, bad[1])))
         lam_inv = _lambda_inverse(geom.params)
         zero = FunctionalElement(bundle, {})
         w = _first_difference(
-            {(a, b): (_limited(build_f(M, M, a + 1, b + 1, N).scale(lam_inv)),
-                      zero)
+            {(a, b): (_mapped(build_f(M, M, a + 1, b + 1, N).scale(lam_inv),
+                              limit_r_to_1), zero)
              for a in range(1, N + 1) for b in range(1, N + 1)}, D)
         rep.add("cone cross terms vanish entrywise in the limit",
                 w is None, "" if w is None else "f at %r on %s" % (
                     w[0], show_t_word(geom, w[1])))
 
-    rows = lie_rows(kind, N, D)
     by_rel: Dict[str, List[dict]] = {}
-    for row in rows:
+    for row in lie_rows(kind, N, D):
         by_rel.setdefault(row["relation"], []).append(row)
     for relation, group in by_rel.items():
-        failing = [row for row in group if not row["status"]]
-        detail = ""
-        if failing:
-            first = failing[0]
-            detail = "indices %r, %s" % (tuple(first["indices"]),
-                                         first.get("witness", ""))
-        rep.add(relation, not failing, detail)
+        w = first_failure((row, row["status"], True) for row in group)
+        rep.add(relation, w is None, "" if w is None else "indices %r, %s" % (
+            tuple(w[0]["indices"]), w[0].get("witness", "")))
 
     try:
         constants = structure_constants(basis)
@@ -572,14 +523,12 @@ def leibniz_check(basis: TangentBasis, a: AlgebraElement,
     da = differential(a, basis)
     db = differential(b, basis)
     fmat = bimodule_commute(basis, b)
-    for j, label in enumerate(basis.labels):
-        composed = a * db[j][0]
-        for i in range(len(basis.vectors)):
-            composed = composed + da[i][0] * fmat[i][j]
-        composed = reduce(composed, rs)
-        if composed != direct[j][0]:
-            return False, (label, direct[j][0], composed)
-    return True, None
+    w = first_failure(
+        (label, direct[j][0],
+         reduce(sum((da[i][0] * fmat[i][j] for i in range(len(da))),
+                    a * db[j][0]), rs))
+        for j, label in enumerate(basis.labels))
+    return w is None, w
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +632,9 @@ def adjoint_coaction_check(N: int) -> Report:
     rep = Report("adjoint coaction entries of the projected calculus "
                  "for iso(%d)" % N)
     for name, cells in groups:
-        bad = None
-        for cell in cells:
-            want = reduce(expected[cell], rs)
-            if got[cell] != want:
-                bad = cell
-                break
-        rep.add(name, bad is None,
-                "" if bad is None else "entry (%s,%s)" % (
-                    geom.label(bad[0]), geom.label(bad[1])))
+        w = first_failure((cell, got[cell], reduce(expected[cell], rs))
+                          for cell in cells)
+        rep.add(name, w is None,
+                "" if w is None else "entry (%s,%s)" % (
+                    geom.label(w[0][0]), geom.label(w[0][1])))
     return rep

@@ -43,7 +43,7 @@ from .presentations import (build_presentation, check_confluence,
                             hilbert_dimension, iso_normal_system,
                             merge_rewrite_systems, quantum_determinant,
                             reduce, word_element, word_key)
-from .report import Report
+from .report import Report, first_failure
 from .rmatrix import build_R, build_bundle, decompose_embedding, \
     verify_rmatrix_suite
 from .scalars import (ScalarError, occurring_vars, render_scalar,
@@ -287,13 +287,10 @@ def _suite_presentation(cfg: RunConfig) -> List[Report]:
     rep.extend(check_confluence(rs, p))
     dmax = cfg.degree if cfg.degree is not None else 4
     xs = ["x%d" % a for a in range(1, n + 1)]
-    bad = None
-    for d in range(dmax + 1):
-        if hilbert_dimension(p, rs, d, letters=xs) != comb(n + d - 1, d):
-            bad = d
-            break
+    w = first_failure((d, hilbert_dimension(p, rs, d, letters=xs),
+                       comb(n + d - 1, d)) for d in range(dmax + 1))
     rep.add("coordinate monomial counts match the commutative table",
-            bad is None, "" if bad is None else "degree %d" % bad)
+            w is None, "" if w is None else "degree %d" % w[0])
     rep.extend(check_hopf_ideal(n))
     return [rep]
 

@@ -23,7 +23,12 @@ the counit, bullet-row reduction and twist identities) is a family of
 equalities lhs = rhs between functionals, one per index key, checked by
 comparing the two evaluation matrices at every length k <= D;
 functional_equal states the order in which the first disagreement is
-reported.
+reported.  A side may also carry the image of every value under a
+scalar morphism (_mapped), which is how the uniparametric collapse
+compares values at g_ab = r and the calculi compare limits at r = 1.
+The remaining checks (the Hopf pairing axioms and the cone-ideal scan
+of iu_annihilates) are ordered families of (key, lhs, rhs) cases that
+report their first failure through report.first_failure.
 
 L+ is upper triangular and L- lower triangular.  The functionals that
 annihilate the cone ideal (generated by T^a_o, T^*_b, T^*_o) are exactly
@@ -39,14 +44,14 @@ L-^*_* = (L-^o_o)^{-1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
                       tensor_equal, triple_compose)
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             project, section, unit_element, word_element)
-from .report import Report
+from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
                       canonical_q, merge_deformations, rational_rank,
@@ -438,6 +443,21 @@ def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
 
 def _side_matrix(side, k: int):
     return side(k) if callable(side) else _element_matrix(side, k)
+
+
+def _mapped(side, fn):
+    """A relation side whose values are fn of the values of side, zeros
+    dropped; fn is a ring morphism of the scalars such as limit_r_to_1
+    or merge_deformations."""
+    def matrix(k: int):
+        out: Dict[Tuple, Dict[Tuple, Scalar]] = {}
+        for r, row in _side_matrix(side, k).items():
+            for col, v in row.items():
+                fv = fn(v)
+                if fv:
+                    out.setdefault(r, {})[col] = fv
+        return out
+    return matrix
 
 
 def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
@@ -846,25 +866,13 @@ def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
                      geom.label(coords[0][0]), render_scalar(qv)))
     rep.add("a mismatched deformation parameter breaks the counit identity",
             not res.equal, detail)
-    bad = None
-    for A in geom.indices():
-        diff = (word_functional(bundle, ((1, A, A), (-1, A, A)))
-                - eps_functional(bundle))
-        for k in range(D + 1):
-            for r, row in _element_matrix(diff, k).items():
-                for col, v in row.items():
-                    if merge_deformations(v):
-                        bad = (A, tuple(zip(r, col)), v)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    merged_eps = _mapped(eps_functional(bundle), merge_deformations)
+    w = _first_difference(
+        {(A,): (_mapped(word_functional(bundle, ((1, A, A), (-1, A, A))),
+                        merge_deformations), merged_eps)
+         for A in geom.indices()}, D)
     rep.add("every matching diagonal product collapses to the counit at "
-            "the uniparametric point", bad is None,
-            "" if bad is None else "%r" % (bad,))
+            "the uniparametric point", w is None, _detail(geom, w))
     return rep
 
 
@@ -884,6 +892,22 @@ def _h_letters(geometry: IndexGeometry):
     return hs
 
 
+def _cone_cases(side, geometry: IndexGeometry, D: int):
+    """The nonzero values of a relation side on the free words of length
+    1..D with a factor from the cone ideal, as cases (coords, value,
+    None) against the zero the annihilation claims; words come by length,
+    then row (C1, ..., Ck), then column (D1, ..., Dk)."""
+    hset = _h_letters(geometry)
+    for k in range(1, D + 1):
+        mat = _side_matrix(side, k)
+        for r in sorted(mat):
+            row = mat[r]
+            for col in sorted(row):
+                coords = tuple(zip(r, col))
+                if any(p in hset for p in coords):
+                    yield coords, row[col], None
+
+
 def iu_annihilates(f: FunctionalElement, N: int,
                    D: int = 2) -> AnnihilationResult:
     """Does f kill every free word of length <= D containing a factor
@@ -892,16 +916,8 @@ def iu_annihilates(f: FunctionalElement, N: int,
     if not (geom.embedded and geom.dim == N + 2):
         raise ValueError("functional is not over the embedded geometry "
                          "of iso(%d)" % N)
-    hset = _h_letters(geom)
-    for k in range(1, D + 1):
-        mat = _element_matrix(f, k)
-        for r in sorted(mat):
-            row = mat[r]
-            for col in sorted(row):
-                coords = tuple(zip(r, col))
-                if any(p in hset for p in coords):
-                    return AnnihilationResult(False, (coords, row[col]))
-    return AnnihilationResult(True, None)
+    w = first_failure(_cone_cases(f, geom, D))
+    return AnnihilationResult(w is None, None if w is None else w[:2])
 
 
 def iu_generators(bundle: RMatrixBundle) -> List[FunctionalElement]:
@@ -1002,106 +1018,67 @@ def independence_rank(ws: Sequence[FunctionalWord], N: int, D: int) -> int:
 
 def verify_pairing_axioms(N: int) -> Report:
     """Compatibility of the duality bracket with products, coproducts,
-    antipodes and units on every generator pair."""
+    antipodes and units on every generator pair.  Each axiom is an
+    ordered family of cases; the costructures of a quotient letter are
+    built once, and so is each bracket on a coproduct factor."""
     p = build_presentation("iso", N)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
     ps = p.params
+    sym = p.alphabet.symbols
     rep = Report("duality bracket axioms for iso(%d)" % N)
     fgens = iu_generators(bundle)
     agens = [p.element({(i,): ps.one}) for i in range(len(p.alphabet))]
 
-    ok = True
-    detail = ""
-    for f in fgens:
-        for g in fgens:
-            fg = f * g
-            for i, a in enumerate(agens):
-                lhs = pairing(fg, a)
-                cop = costructure("coproduct", a, p)
-                rhs = ps.zero
-                for (w1, w2), c in cop.terms.items():
-                    v1 = pairing(f, word_element(p.alphabet, ps, w1))
-                    if not v1:
-                        continue
-                    v2 = pairing(g, word_element(p.alphabet, ps, w2))
-                    if not v2:
-                        continue
-                    rhs = rhs + c * v1 * v2
-                if lhs != rhs:
-                    ok = False
-                    detail = ("products vs coproduct at %r, %r on %s"
-                              % (f, g, p.alphabet.symbols[i]))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("product pairing follows the quotient coproduct", ok, detail)
+    def product_cases():
+        cops = [costructure("coproduct", a, p).terms.items() for a in agens]
+        words = {w for cop in cops for pair, _ in cop for w in pair}
+        val = {(i, w): pairing(f, word_element(p.alphabet, ps, w))
+               for i, f in enumerate(fgens) for w in words}
+        for i, f in enumerate(fgens):
+            for j, g in enumerate(fgens):
+                fg = f * g
+                for x, a in enumerate(agens):
+                    yield (("products vs coproduct at %r, %r on %s",
+                            (f, g, sym[x])), pairing(fg, a),
+                           sum((c * val[i, w1] * val[j, w2]
+                                for (w1, w2), c in cops[x]), ps.zero))
 
-    ok = True
-    detail = ""
-    for f in fgens:
-        cop = coproduct_functional(f)
-        for i, a in enumerate(agens):
-            for j, b in enumerate(agens):
-                ab = a * b
-                lhs = pairing(f, ab)
-                rhs = ps.zero
-                for c, wl, wr in cop:
-                    v1 = pairing(word_functional(bundle, wl, c), a)
-                    if not v1:
-                        continue
-                    v2 = pairing(word_functional(bundle, wr), b)
-                    if not v2:
-                        continue
-                    rhs = rhs + v1 * v2
-                if lhs != rhs:
-                    ok = False
-                    detail = ("functional coproduct vs product at %r on "
-                              "%s, %s" % (f, p.alphabet.symbols[i],
-                                          p.alphabet.symbols[j]))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("functional coproduct follows the quotient product", ok, detail)
+    def coproduct_cases():
+        cops = [coproduct_functional(f) for f in fgens]
+        words = {w for cop in cops for _, wl, wr in cop for w in (wl, wr)}
+        val = {(w, x): pairing(word_functional(bundle, w), a)
+               for w in words for x, a in enumerate(agens)}
+        for f, cop in zip(fgens, cops):
+            for x, a in enumerate(agens):
+                for y, b in enumerate(agens):
+                    yield (("functional coproduct vs product at %r on %s, %s",
+                            (f, sym[x], sym[y])), pairing(f, a * b),
+                           sum((c * val[wl, x] * val[wr, y]
+                                for c, wl, wr in cop), ps.zero))
 
-    ok = True
-    detail = ""
-    for f in fgens:
-        kf = antipode_L(f)
-        for i, a in enumerate(agens):
-            lhs = pairing(kf, a)
-            rhs = pairing(f, costructure("antipode", a, p))
-            if lhs != rhs:
-                ok = False
-                detail = ("antipodes disagree at %r on %s"
-                          % (f, p.alphabet.symbols[i]))
-                break
-        if not ok:
-            break
-    rep.add("antipodes are adjoint under the bracket", ok, detail)
-
-    ok = True
-    detail = ""
-    for i, a in enumerate(agens):
-        lhs = pairing(eps_functional(bundle), a)
-        cou = costructure("counit", a, p)
-        rhs = cou.terms.get((), ps.zero)
-        if lhs != rhs:
-            ok = False
-            detail = "counit mismatch on %s" % p.alphabet.symbols[i]
-            break
-    if ok:
-        unit = unit_element(p.alphabet, ps)
-        for f in fgens:
-            if pairing(f, unit) != counit_functional(f):
-                ok = False
-                detail = "unit mismatch at %r" % (f,)
-                break
-    rep.add("units pair with counits", ok, detail)
+    antipodes = [costructure("antipode", a, p) for a in agens]
+    unit = unit_element(p.alphabet, ps)
+    eps = eps_functional(bundle)
+    # each case key is (detail template, its arguments)
+    for name, cases in [
+            ("product pairing follows the quotient coproduct",
+             product_cases()),
+            ("functional coproduct follows the quotient product",
+             coproduct_cases()),
+            ("antipodes are adjoint under the bracket",
+             ((("antipodes disagree at %r on %s", (f, sym[x])),
+               pairing(kf, a), pairing(f, antipodes[x]))
+              for f in fgens for kf in [antipode_L(f)]
+              for x, a in enumerate(agens))),
+            ("units pair with counits", chain(
+                ((("counit mismatch on %s", (sym[x],)), pairing(eps, a),
+                  costructure("counit", a, p).terms.get((), ps.zero))
+                 for x, a in enumerate(agens)),
+                ((("unit mismatch at %r", (f,)), pairing(f, unit),
+                  counit_functional(f)) for f in fgens)))]:
+        w = first_failure(cases)
+        rep.add(name, w is None, "" if w is None else w[0][0] % w[0][1])
     return rep
 
 

@@ -497,7 +497,7 @@ def _build_exterior(N: int) -> Presentation:
 # --- rewrite systems --------------------------------------------------------
 
 class RewriteSystem:
-    __slots__ = ("alphabet", "ps", "rules", "order", "sector", "partial",
+    __slots__ = ("alphabet", "ps", "rules", "sector", "partial",
                  "letters", "_nf")
 
     def __init__(self, alphabet: Alphabet, ps: ParamSpace,
@@ -506,7 +506,6 @@ class RewriteSystem:
         self.alphabet = alphabet
         self.ps = ps
         self.rules = rules
-        self.order = "deglex"
         self.sector = sector
         self.partial = partial
         seen = set()
@@ -560,10 +559,7 @@ def _expected_leading(p: Presentation, sector: str) -> Optional[set]:
     return None
 
 
-def derive_rewrite_rules(p: Presentation, sector: str,
-                         order: str = "deglex") -> RewriteSystem:
-    if order != "deglex":
-        raise ValueError("unsupported term order %r" % (order,))
+def derive_rewrite_rules(p: Presentation, sector: str) -> RewriteSystem:
     kinds = _SECTOR_KINDS.get(sector)
     if kinds is None:
         raise ValueError("unknown sector %r" % (sector,))

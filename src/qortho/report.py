@@ -7,7 +7,23 @@ reported without being asserted and never affect the overall verdict.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
+
+
+def first_failure(cases: Iterable[tuple]) -> Optional[tuple]:
+    """The first case (key, lhs, rhs) whose two sides differ, or None
+    when every case holds.
+
+    Every check that reports a single witness states its cases as an
+    ordered, lazily generated family and reports the first failing one in
+    that order; the family is consumed only up to that case, so a failing
+    check stops early and a passing one evaluates every case.  Relations
+    between functionals order their cases through
+    envelope._first_difference instead (see envelope.functional_equal)."""
+    for case in cases:
+        if case[1] != case[2]:
+            return case
+    return None
 
 
 class Check:

@@ -30,7 +30,7 @@ from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4,
                       identity_tensor, map_params, rank6_equal, tensor_add,
                       tensor_compose, tensor_equal, tensor_scale, tensor_sub,
                       triple_compose)
-from .report import Report
+from .report import Report, first_failure
 from .scalars import (ParamSpace, Scalar, _acc, canonical_q,
                       merge_deformations, rational_rank, scalar_invert,
                       specialize, substitute)
@@ -149,13 +149,12 @@ class RMatrixBundle:
         summed = tensor_add(tensor_add(self.P_S, self.P_A), self.P_0)
         ok, w = tensor_equal(summed, I)
         projs = [("P_S", self.P_S), ("P_A", self.P_A), ("P_0", self.P_0)]
-        all_ok, first = True, ""
-        for i, (ni, Pi) in enumerate(projs):
-            for j, (nj, Pj) in enumerate(projs):
-                target = Pi if i == j else SparseTensor4(geom, {})
-                okp, wp = tensor_equal(tensor_compose(Pi, Pj), target)
-                if not okp and all_ok:
-                    all_ok, first = False, "%s %s %s" % (ni, nj, _witness(wp))
+        zero = SparseTensor4(geom, {})
+        # case ((Pi, Pj), first mismatch of Pi Pj against its target, None)
+        pw = first_failure(
+            ((ni, nj), tensor_equal(tensor_compose(Pi, Pj),
+                                    Pi if ni == nj else zero)[1], None)
+            for ni, Pi in projs for nj, Pj in projs)
         return {
             "upper triangularity": (
                 not bad,
@@ -163,7 +162,9 @@ class RMatrixBundle:
             "inverse by inverting all parameters": (ok1 and ok2,
                                                     _witness(w1 or w2)),
             "projector completeness: P_S + P_A + P_0 = I": (ok, _witness(w)),
-            "projector orthogonality and idempotence": (all_ok, first),
+            "projector orthogonality and idempotence": (
+                pw is None,
+                "" if pw is None else "%s %s %s" % (*pw[0], _witness(pw[1]))),
         }
 
 
@@ -173,7 +174,7 @@ _bundle_cache: Dict[Tuple[int, bool], RMatrixBundle] = {}
 def build_bundle(geometry: IndexGeometry) -> RMatrixBundle:
     key = (geometry.dim, geometry.embedded)
     got = _bundle_cache.get(key)
-    if got is None or got.geometry is not geometry and not got.geometry.same(geometry):
+    if got is None:
         got = RMatrixBundle(geometry)
         _bundle_cache[key] = got
     return got
@@ -321,7 +322,7 @@ def inner_lift(big_geometry: IndexGeometry):
                                 for a, b in sps.pairs]
 
     def lift(x: Scalar) -> Scalar:
-        if x.ps != sps:
+        if x.ps is not sps:
             raise ValueError("scalar is not over the inner parameter space")
         return substitute(x, images, bps)
 
@@ -383,14 +384,13 @@ def decompose_embedding(N: int) -> Report:
         {(a, prb(a)): corner * lift(small_C.c(prb(a) - 1)) for a in inner})
     rep.add("corner column equals -C^{ba} lambda r^{-rho}", ok, _witness(w))
 
-    diag_ok, diag_w = True, ""
-    for b in inner:
+    w = first_failure(
+        (key, big.get(key), r * scalar_invert(canonical_q(bps, *q)))
+        for b in inner
         for key, q in (((1, b, 1, b), (1, b)), ((b, 1, b, 1), (b, 1)),
-                       ((M, b, M, b), (M, b)), ((b, M, b, M), (b, M))):
-            want = r * scalar_invert(canonical_q(bps, *q))
-            if big.get(key) != want and diag_ok:
-                diag_ok, diag_w = False, "at %r" % (key,)
-    rep.add("mixed diagonal blocks are r/q entries", diag_ok, diag_w)
+                       ((M, b, M, b), (M, b)), ((b, M, b, M), (b, M))))
+    rep.add("mixed diagonal blocks are r/q entries", w is None,
+            "" if w is None else "at %r" % (w[0],))
 
     swap_ok = all(big.get((b, 1, 1, b)) == lam and big.get((M, b, b, M)) == lam
                   for b in inner)

@@ -204,9 +204,22 @@ class ParamSpace:
     a < b <= M//2 in lexicographic order; monomials are integer exponent
     tuples over that ordering at the interface and packed ints inside
     this module (see the module docstring).
+
+    Each layout is built once per (dim, field width): ParamSpace(M) is
+    ParamSpace(M), so scalars over the same variables share one instance
+    and the operators compare spaces by identity.
     """
 
-    def __init__(self, dim: int):
+    def __new__(cls, dim: int):
+        key = (dim, _EXP_BITS)
+        got = _SPACES.get(key)
+        if got is None:
+            got = super().__new__(cls)
+            got._build(dim)
+            _SPACES[key] = got
+        return got
+
+    def _build(self, dim: int):
         if dim < 3:
             raise ValueError("parameter space needs dim >= 3")
         self.dim = dim
@@ -283,11 +296,8 @@ class ParamSpace:
     def __repr__(self):
         return "ParamSpace(dim=%d, series=%s)" % (self.dim, self.series)
 
-    def __eq__(self, other):
-        return isinstance(other, ParamSpace) and other.dim == self.dim
 
-    def __hash__(self):
-        return hash(("ParamSpace", self.dim))
+_SPACES: Dict[Tuple[int, int], ParamSpace] = {}
 
 
 class Scalar:
@@ -299,8 +309,8 @@ class Scalar:
     of num, each shifted to honest polynomials).  Equality of Scalars is
     therefore structural equality of the two dicts.  A Laurent polynomial
     (den = 1) holds the shared dict ps._one_den of its ParamSpace, so the
-    operators recognize one by identity, also for an operand built over
-    an equal ParamSpace instance.
+    operators recognize one by identity.  Both operands of + and * must
+    live over the same ParamSpace; ValueError otherwise.
     """
 
     __slots__ = ("ps", "num", "den")
@@ -333,9 +343,10 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         ps = self.ps
         one_den = ps._one_den
-        if self.den is one_den and other.den is other.ps._one_den:
+        if self.den is one_den and other.den is one_den:
             num = poly_add(self.num, other.num)
             return Scalar(ps, num, one_den) if num else ps.zero
+        _same_space(ps, other)
         if self.den == other.den:
             return _canon(ps, poly_add(self.num, other.num), self.den)
         num = poly_add(poly_mul(ps, self.num, other.den),
@@ -355,8 +366,9 @@ class Scalar:
         if not self.num or not other.num:
             return ps.zero
         one_den = ps._one_den
-        if self.den is one_den and other.den is other.ps._one_den:
+        if self.den is one_den and other.den is one_den:
             return Scalar(ps, poly_mul(ps, self.num, other.num), one_den)
+        _same_space(ps, other)
         return _canon(ps, poly_mul(ps, self.num, other.num),
                       poly_mul(ps, self.den, other.den))
 
@@ -371,6 +383,12 @@ class Scalar:
 
     def __repr__(self) -> str:
         return render_scalar(self)
+
+
+def _same_space(ps: ParamSpace, other: Scalar) -> None:
+    if other.ps is not ps:
+        raise ValueError("scalars over different parameter spaces: %r and %r"
+                         % (ps, other.ps))
 
 
 def _poly_rows(ps: ParamSpace, num: Poly) -> Dict[int, Dict[int, Coeff]]:

@@ -199,6 +199,10 @@ def test_mismatched_parameters_break_the_counit_identity():
     collapsed = rep.find("every matching diagonal product collapses to the "
                          "counit at the uniparametric point")
     assert collapsed is not None and collapsed.status == "pass"
+    # the report bytes (digest taken before the collapse check became a
+    # relation family)
+    assert _report_digest(rep) == ("f35d3a2cb183f70cde79d09181bb79f8"
+                                   "6c7493fd8a4f873b438eee9d3c30aa2c")
 
 
 def test_annihilator_generators_and_excluded_functionals():
@@ -270,6 +274,10 @@ def test_random_ideal_words_are_invisible_to_the_annihilator():
 
     axioms = verify_pairing_axioms(3)
     assert axioms.ok, [c.name for c in axioms.failures()]
+    # the report bytes (digest taken before the axioms became case
+    # families)
+    assert _report_digest(axioms) == ("e11124261336d5a3a25a6919506b667d"
+                                      "f9124c1c28a543174f18ad1c46ef82ae")
 
 
 def test_functional_monomials_are_independent():

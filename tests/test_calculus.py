@@ -10,11 +10,13 @@ all of its identities are checked through per-word limits.
 
 import pytest
 
-from qortho.calculus import (adjoint_coaction_check, adjoint_entries,
-                             bimodule_commute, build_chi, differential,
-                             leibniz_check, structure_constants,
-                             tangent_basis, verify_qlie)
-from qortho.envelope import iu_annihilates
+from qortho import calculus
+from qortho.calculus import (TangentBasis, adjoint_coaction_check,
+                             adjoint_entries, bimodule_commute, build_chi,
+                             differential, leibniz_check,
+                             structure_constants, tangent_basis, verify_qlie)
+from qortho.envelope import iu_annihilates, word_functional
+from qortho.scalars import scalar_invert
 from qortho.presentations import (build_presentation, costructure,
                                   iso_normal_system, reduce, unit_element,
                                   word_element, zero_element)
@@ -152,3 +154,37 @@ def test_adjoint_report():
     assert names[0] == "circle-circle entry equals v squared"
     assert "bullet-circle entry gives the metric square of translations" in names
     assert names[-1] == "bullet-bullet entry equals the unit"
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("projected", "tangent vectors annihilate the cone ideal"),
+    ("r1", "tangent vectors annihilate the cone ideal after the limit")])
+def test_cone_check_names_the_first_failing_vector(monkeypatch, kind, name):
+    # (1/lambda) L+^o_1 is 1 on T[1,o], before and after the r = 1 limit
+    orig = tangent_basis
+
+    def with_bad(kind, N):
+        basis = orig(kind, N)
+        ps = basis.bundle.geometry.params
+        bad = word_functional(basis.bundle, ((1, 1, 2),),
+                              scalar_invert(ps.s_pow(2) - ps.s_pow(-2)))
+        return TangentBasis(kind, N, basis.labels + ["bad"],
+                            basis.vectors + [bad], basis.limit)
+
+    monkeypatch.setattr(calculus, "tangent_basis", with_bad)
+    got = verify_qlie(kind, 3, 1).find(name)
+    assert got.status == "fail" and got.detail == "bad on T[1,∘]"
+
+
+def test_adjoint_check_names_the_first_wrong_entry(monkeypatch):
+    orig = adjoint_entries
+
+    def doubled(N):
+        return [e._replace(value=e.value + e.value) if e.indices == (2, 3)
+                else e for e in orig(N)]
+
+    monkeypatch.setattr(calculus, "adjoint_entries", doubled)
+    rep = adjoint_coaction_check(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("rotation-rotation entries give antipoded rotation letters",
+         "entry (1,2)")]

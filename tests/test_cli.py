@@ -125,6 +125,17 @@ def test_failing_suite_exits_one(monkeypatch, capsys):
     assert "[FAIL] always fails" in out
 
 
+def test_presentation_suite_names_the_first_wrong_degree(monkeypatch,
+                                                          capsys):
+    orig = cli.hilbert_dimension
+    monkeypatch.setattr(cli, "hilbert_dimension",
+                        lambda p, rs, d, letters=None:
+                        orig(p, rs, d, letters=letters) + (d >= 2))
+    assert run(["verify", "--suite", "presentation", "--n", "3"]) == 1
+    assert ("[FAIL] coordinate monomial counts match the commutative table "
+            "-- degree 2") in capsys.readouterr().out
+
+
 def test_scalar_domain_error_exits_three(monkeypatch, capsys):
     def poleful(cfg):
         raise PoleAtOne("denominator vanishes at r = 1")

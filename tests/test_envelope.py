@@ -9,8 +9,10 @@ is checked degree by degree on spanning sets of T words.
 
 import pytest
 
+from qortho import envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
-                             _exchange_residual, _first_difference,
+                             _cone_cases, _exchange_residual,
+                             _first_difference, _mapped,
                              _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
@@ -23,8 +25,9 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              NotInIU)
 from qortho.itensor import IndexGeometry
 from qortho.presentations import build_presentation, word_element
+from qortho.report import first_failure
 from qortho.rmatrix import build_bundle
-from qortho.scalars import render_scalar
+from qortho.scalars import limit_r_to_1, render_scalar, scalar_invert
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -253,6 +256,79 @@ def test_pairing_axiom_report():
         "antipodes are adjoint under the bracket",
         "units pair with counits",
     ]
+
+
+def _swap_quotient_coproduct(monkeypatch):
+    orig = envelope.costructure
+
+    def swapped(op, a, p):
+        out = orig(op, a, p)
+        if op == "coproduct":
+            out = type(out)(out.alphabet, out.ps, 2,
+                            {(w2, w1): c for (w1, w2), c in out.terms.items()})
+        return out
+    monkeypatch.setattr(envelope, "costructure", swapped)
+
+
+def _swap_functional_coproduct(monkeypatch):
+    orig = envelope.coproduct_functional
+    monkeypatch.setattr(envelope, "coproduct_functional",
+                        lambda e: [(c, r, l) for c, l, r in orig(e)])
+
+
+# one broken costructure per axiom and the detail of the first case it
+# fails, which names the functionals and letters of that case
+PAIRING_WITNESSES = [
+    ("product pairing follows the quotient coproduct",
+     _swap_quotient_coproduct,
+     "products vs coproduct at FunctionalElement((1)*L-[1,1]), "
+     "FunctionalElement((1)*L-[2,1]) on x3"),
+    ("functional coproduct follows the quotient product",
+     _swap_functional_coproduct,
+     "functional coproduct vs product at FunctionalElement((1)*L-[2,1]) "
+     "on u, x3"),
+    ("antipodes are adjoint under the bracket",
+     lambda mp: mp.setattr(envelope, "antipode_L", lambda e: e),
+     "antipodes disagree at FunctionalElement((1)*L-[1,1]) on u"),
+    ("units pair with counits",
+     lambda mp: mp.setattr(envelope, "counit_functional",
+                           lambda e: e.bundle.geometry.params.zero),
+     "unit mismatch at FunctionalElement((1)*L-[1,1])"),
+]
+
+
+@pytest.mark.parametrize("name,breaker,detail", PAIRING_WITNESSES,
+                         ids=["product", "coproduct", "antipode", "unit"])
+def test_pairing_axioms_name_the_first_failing_case(monkeypatch, name,
+                                                    breaker, detail):
+    breaker(monkeypatch)
+    rep = verify_pairing_axioms(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [(name, detail)]
+
+
+def test_parameter_collapse_reports_a_relation_witness(monkeypatch):
+    monkeypatch.setattr(envelope, "merge_deformations", lambda v: v)
+    rep = verify_parameter_collapse(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("every matching diagonal product collapses to the counit at the "
+         "uniparametric point", "indices (1) on T[1,1]: s^-4*g12^2 vs 1")]
+
+
+def test_cone_scan_is_shared_by_limited_sides():
+    ps = GEOM5.params
+    lam_inv = scalar_invert(ps.s_pow(2) - ps.s_pow(-2))
+    # (1/lambda) L+^o_1 is 1 on T[1,o] before and after the limit
+    f = word_functional(BUNDLE5, ((1, 1, 2),), lam_inv)
+    res = iu_annihilates(f, N, D=2)
+    assert show_t_word(GEOM5, res.witness[0]) == "T[1,∘]"
+    assert first_failure(_cone_cases(f, GEOM5, 2)) == res.witness + (None,)
+    assert first_failure(_cone_cases(_mapped(f, limit_r_to_1), GEOM5, 2)) \
+        == res.witness + (None,)
+    # (1/lambda) L+^o_* is 1 - s^-6 on T[*,o], which vanishes at r = 1
+    g = word_functional(BUNDLE5, ((1, 1, 5),), lam_inv)
+    assert render_scalar(iu_annihilates(g, N, D=2).witness[1]) == "1 - s^-6"
+    assert first_failure(_cone_cases(_mapped(g, limit_r_to_1), GEOM5, 2)) \
+        is None
 
 
 def test_pairing_is_linear():

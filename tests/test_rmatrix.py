@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from qortho.itensor import (IndexGeometry, SparseTensor4, rank6_equal,
-                            tensor_equal, triple_compose)
+from qortho.itensor import (IndexGeometry, SparseTensor4, identity_tensor,
+                            rank6_equal, tensor_add, tensor_equal, tensor_sub,
+                            triple_compose)
 from qortho import rmatrix
 from qortho.rmatrix import (RMatrixBundle, build_bundle, build_R,
                             decompose_embedding, inner_lift, specialized_rank,
@@ -146,3 +147,38 @@ def test_failed_certificate_raises_in_the_bundle(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match="inverse by inverting all parameters"):
         RMatrixBundle(IndexGeometry(3))
+
+
+def test_projector_certificate_names_the_first_bad_product(monkeypatch):
+    # moving the identity from P_A to P_S keeps completeness and breaks
+    # idempotence of P_S first
+    orig = rmatrix.build_projectors
+
+    def shifted(bundle):
+        PS, PA, P0 = orig(bundle)
+        I = identity_tensor(bundle.geometry)
+        return tensor_add(PS, I), tensor_sub(PA, I), P0
+
+    monkeypatch.setattr(rmatrix, "build_projectors", shifted)
+    with pytest.raises(ArithmeticError) as exc:
+        RMatrixBundle(IndexGeometry(3))
+    assert str(exc.value) == (
+        "R matrix bundle failed its certificate 'projector orthogonality "
+        "and idempotence': P_S P_S at (1, 1, 1, 1): 4 vs 2")
+
+
+def test_embedding_names_the_first_wrong_diagonal_cell(monkeypatch):
+    orig = rmatrix.build_R
+
+    def doubled(geom):
+        R = orig(geom)
+        if not geom.embedded:
+            return R
+        ent = dict(R.entries)
+        ent[(1, 3, 1, 3)] = ent[(1, 3, 1, 3)] + ent[(1, 3, 1, 3)]
+        return SparseTensor4(geom, ent)
+
+    monkeypatch.setattr(rmatrix, "build_R", doubled)
+    rep = decompose_embedding(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("mixed diagonal blocks are r/q entries", "at (1, 3, 1, 3)")]

@@ -233,6 +233,23 @@ def test_cli_reports_an_exponent_overflow_with_exit_3(monkeypatch, capsys):
     assert "exponent outside [-4, 3]" in capsys.readouterr().err
 
 
+def test_scalars_over_different_parameter_spaces_do_not_mix(monkeypatch):
+    assert ParamSpace(5) is ParamSpace(5)
+    assert IndexGeometry(5).params is IndexGeometry(5, embedded=True).params
+    small, big = ParamSpace(3), ParamSpace(5)
+    fraction = scalar_invert(small.one + small.r)
+    for x, y in [(small.s, big.s), (big.s, small.s), (fraction, big.s),
+                 (big.s, fraction)]:
+        with pytest.raises(ValueError, match="different parameter spaces"):
+            x + y
+        with pytest.raises(ValueError, match="different parameter spaces"):
+            x * y
+    # each field width gets its own layout
+    monkeypatch.setattr(scalar_module, "_EXP_BITS", 3)
+    narrow = ParamSpace(5)
+    assert narrow is not big and narrow._half == 4 and big._half == 4096
+
+
 def test_laurent_scalars_share_the_unit_denominator():
     ps = ParamSpace(5)
     one_den = ps._one_den
