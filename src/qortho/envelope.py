@@ -13,10 +13,11 @@ whole dual by the convolution product (fg)(a) = (f x g)(Delta a).  A
 functional is known on the free words T^{C1}_{D1} ... T^{Ck}_{Dk} of
 length k by its evaluation matrix, with rows (C1, ..., Ck) and columns
 (D1, ..., Dk), sparse over the exact scalar field.  The tables are the
-per-generator evaluation matrices, cached per word length and grown one
-T letter at a time through the R matrix; the matrix of a product word is
-the matrix product of its letters (cached as well), and a combination of
-words is the combination of their matrices.
+per-generator evaluation matrices, grown one T letter at a time through
+the R matrix; the matrix of a product word is the matrix product of its
+letters, and a combination of words is the combination of their
+matrices.  Like all derived data of the engine, each table is built on
+first use and kept by functools.cache, here per bundle and word length.
 
 Every relation of the envelope suite (exchange, metric orthogonality,
 the counit, bullet-row reduction and twist identities) is a family of
@@ -43,6 +44,7 @@ L-^*_* = (L-^o_o)^{-1}.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import chain, product as iproduct
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -64,14 +66,14 @@ EPS_WORD: FunctionalWord = ()
 
 __all__ = [
     "FunctionalElement", "FunctionalWord", "Gen", "EPS_WORD", "NotInIU",
-    "EqualityResult", "AnnihilationResult", "TwistMatrix",
+    "EqualityResult", "AnnihilationResult",
     "eps_functional", "l_functional", "word_functional",
     "gen_tag", "tag_gen", "show_functional_word",
     "eval_functional", "antipode_L", "coproduct_functional",
     "counit_functional", "functional_equal", "verify_envelope_suite",
     "verify_parameter_collapse", "verify_pairing_axioms",
     "iu_annihilates", "iu_generators", "pairing", "independence_rank",
-    "eta_monomials", "script_r_matrix", "twist_matrix",
+    "eta_monomials", "script_r_matrix",
     "functional_to_json", "functional_from_json",
 ]
 
@@ -158,68 +160,22 @@ def word_functional(bundle: RMatrixBundle, w: FunctionalWord,
                  else bundle.geometry.params.one})
 
 
-class TwistMatrix:
-    """Diagonal values of the fourth power of the twisting element:
-    f4(A, C) = (q_AC / r)^2, a Laurent monomial, equal to one on the
-    diagonal because q_AA = r."""
-
-    def __init__(self, bundle: RMatrixBundle):
-        self.bundle = bundle
-        ps = bundle.geometry.params
-        rinv = ps.s_pow(-2)
-        self.values: Dict[Tuple[int, int], Scalar] = {}
-        for A in bundle.geometry.indices():
-            for C in bundle.geometry.indices():
-                root = canonical_q(ps, A, C) * rinv
-                self.values[(A, C)] = root * root
-
-    def f4(self, A: int, C: int) -> Scalar:
-        return self.values[(A, C)]
-
-
-def twist_matrix(bundle: RMatrixBundle) -> TwistMatrix:
-    cache = _cache(bundle)
-    got = cache.get("twist")
-    if got is None:
-        got = TwistMatrix(bundle)
-        cache["twist"] = got
-    return got
-
-
 # ---------------------------------------------------------------------------
 # evaluation engine
 
-def _cache(bundle: RMatrixBundle) -> dict:
-    got = getattr(bundle, "_functional_cache", None)
-    if got is None:
-        got = {}
-        bundle._functional_cache = got
-    return got
-
-
 def _transfer(bundle: RMatrixBundle, sign: int):
     """Per T-letter transfer: trans[(C, D)][E][F] = R+-^{EC}_{FD}."""
-    cache = _cache(bundle)
-    key = ("transfer", sign)
-    got = cache.get(key)
-    if got is not None:
-        return got
     tensor = bundle.Rplus if sign > 0 else bundle.Rminus
     out: Dict[Tuple[int, int], Dict[int, Dict[int, Scalar]]] = {}
     for (E, C, F, D), v in tensor.items():
         out.setdefault((C, D), {}).setdefault(E, {})[F] = v
-    cache[key] = out
     return out
 
 
+@functools.cache
 def _gen_family(bundle: RMatrixBundle, sign: int, k: int):
     """Evaluation matrices at word length k for every generator of one
     sign: fam[(A, B)][Cvec][Dvec] = L^A_B(T^{C1}_{D1}...T^{Ck}_{Dk})."""
-    cache = _cache(bundle)
-    key = ("fam", sign, k)
-    got = cache.get(key)
-    if got is not None:
-        return got
     out: Dict[Tuple[int, int], Dict[Tuple, Dict[Tuple, Scalar]]] = {}
     if k == 0:
         for A in bundle.geometry.indices():
@@ -254,7 +210,6 @@ def _gen_family(bundle: RMatrixBundle, sign: int, k: int):
                     del mat[r]
             if not mat:
                 del out[pair]
-    cache[key] = out
     return out
 
 
@@ -273,33 +228,17 @@ def _mat_mul(m1, m2):
     return out
 
 
-def _identity_matrix(bundle: RMatrixBundle, k: int):
-    cache = _cache(bundle)
-    key = ("idmat", k)
-    got = cache.get(key)
-    if got is None:
-        one = bundle.geometry.params.one
-        got = {vec: {vec: one}
-               for vec in iproduct(bundle.geometry.indices(), repeat=k)}
-        cache[key] = got
-    return got
-
-
+@functools.cache
 def _word_matrix(bundle: RMatrixBundle, w: FunctionalWord, k: int):
     """Evaluation matrix of a product word at T-word length k."""
-    cache = _cache(bundle)
-    key = ("wmat", w, k)
-    got = cache.get(key)
-    if got is not None:
-        return got
     if not w:
-        got = _identity_matrix(bundle, k)
-    else:
-        sign, A, B = w[0]
-        got = _gen_family(bundle, sign, k).get((A, B), {})
-        for sign, A, B in w[1:]:
-            got = _mat_mul(got, _gen_family(bundle, sign, k).get((A, B), {}))
-    cache[key] = got
+        one = bundle.geometry.params.one
+        return {vec: {vec: one}
+                for vec in iproduct(bundle.geometry.indices(), repeat=k)}
+    sign, A, B = w[0]
+    got = _gen_family(bundle, sign, k).get((A, B), {})
+    for sign, A, B in w[1:]:
+        got = _mat_mul(got, _gen_family(bundle, sign, k).get((A, B), {}))
     return got
 
 
@@ -316,12 +255,8 @@ def _element_matrix(e: FunctionalElement, k: int):
     return out
 
 
+@functools.cache
 def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
-    cache = _cache(bundle)
-    key = ("letters", id(alphabet))
-    got = cache.get(key)
-    if got is not None:
-        return got[1]
     geom = bundle.geometry
     labmap = {geom.label(A): A for A in geom.indices()}
     pairs: List[Tuple[int, int]] = []
@@ -331,25 +266,7 @@ def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
                              "alphabet; got symbol %r" % (sym,))
         a, b = sym[2:-1].split(",")
         pairs.append((labmap[a], labmap[b]))
-    cache[key] = (alphabet, pairs)
     return pairs
-
-
-def _word_value(bundle: RMatrixBundle, fw: FunctionalWord,
-                Cvec: Tuple, Dvec: Tuple) -> Optional[Scalar]:
-    k = len(Cvec)
-    if not fw:
-        return bundle.geometry.params.one if Cvec == Dvec else None
-    sign, A, B = fw[0]
-    row = _gen_family(bundle, sign, k).get((A, B), {}).get(Cvec)
-    if not row:
-        return None
-    for sign, A, B in fw[1:]:
-        row = _mat_mul({Cvec: row},
-                       _gen_family(bundle, sign, k).get((A, B), {})).get(Cvec)
-        if not row:
-            return None
-    return row.get(Dvec)
 
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
@@ -364,7 +281,7 @@ def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
         Cvec = tuple(c for c, _ in coords)
         Dvec = tuple(d for _, d in coords)
         for fw, fc in f.terms.items():
-            v = _word_value(bundle, fw, Cvec, Dvec)
+            v = _word_matrix(bundle, fw, len(Cvec)).get(Cvec, {}).get(Dvec)
             if v is not None and v:
                 total = total + fc * xc * v
     return total
@@ -817,15 +734,18 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     # matching diagonal products give the fourth twist power: on the
     # diagonal word T^{C1}_{C1} ... T^{Ck}_{Ck} the value prod f4(A, Ci),
     # zero on every other word
-    twist = twist_matrix(bundle)
-
     def twist_power(A):
+        # f4(A, C) = (q_AC / r)^2, one on the diagonal because q_AA = r
+        roots = {C: canonical_q(ps, A, C) * ps.s_pow(-2)
+                 for C in geom.indices()}
+        f4 = {C: x * x for C, x in roots.items()}
+
         def matrix(k):
             out = {}
             for vec in iproduct(geom.indices(), repeat=k):
                 v = ps.one
                 for C in vec:
-                    v = v * twist.f4(A, C)
+                    v = v * f4[C]
                 out[vec] = {vec: v}
             return out
         return matrix

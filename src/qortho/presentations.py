@@ -41,6 +41,7 @@ never by rewriting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -206,7 +207,7 @@ class Presentation:
 
     __slots__ = ("kind", "name", "N", "geometry", "params", "alphabet",
                  "relations", "sectors", "derived", "h_symbols",
-                 "small_geometry", "_cache")
+                 "small_geometry")
 
     def __init__(self, kind, name, N, geometry, params, alphabet, relations,
                  sectors, derived, h_symbols, small_geometry):
@@ -221,7 +222,6 @@ class Presentation:
         self.derived = derived
         self.h_symbols = h_symbols
         self.small_geometry = small_geometry
-        self._cache: Dict = {}
 
     def element(self, terms: Mapping[Word, Scalar]) -> AlgebraElement:
         return AlgebraElement(self.alphabet, self.params, terms)
@@ -234,25 +234,21 @@ class Presentation:
             self.name, len(self.alphabet), len(self.relations))
 
 
-_presentation_cache: Dict[Tuple[str, int, bool], Presentation] = {}
-
-
 def build_presentation(kind: str, N: int, embedded: bool = False) -> Presentation:
-    key = (kind, N, embedded)
-    got = _presentation_cache.get(key)
-    if got is None:
-        if kind == "so":
-            got = _build_so(N, embedded)
-        elif kind == "iso":
-            got = _build_iso(N)
-        elif kind == "plane":
-            got = _build_plane(N)
-        elif kind == "exterior":
-            got = _build_exterior(N)
-        else:
-            raise ValueError("unknown presentation kind %r" % (kind,))
-        _presentation_cache[key] = got
-    return got
+    return _presentation(kind, N, bool(embedded))
+
+
+@functools.cache
+def _presentation(kind: str, N: int, embedded: bool) -> Presentation:
+    if kind == "so":
+        return _build_so(N, embedded)
+    if kind == "iso":
+        return _build_iso(N)
+    if kind == "plane":
+        return _build_plane(N)
+    if kind == "exterior":
+        return _build_exterior(N)
+    raise ValueError("unknown presentation kind %r" % (kind,))
 
 
 def _build_so(M: int, embedded: bool) -> Presentation:
@@ -514,6 +510,8 @@ class RewriteSystem:
             for w in rhs.terms:
                 seen.update(w)
         self.letters = tuple(sorted(seen))
+        # normal forms live as long as their system: a global cache would
+        # keep alive the throwaway systems derive_rewrite_rules builds
         self._nf: Dict[Word, AlgebraElement] = {}
 
     def __repr__(self):
@@ -614,14 +612,14 @@ def iso_normal_system(p: Presentation) -> RewriteSystem:
     """The combined x/u/v normal-form rules of an iso presentation."""
     if p.kind != "iso":
         raise ValueError("iso_normal_system needs an iso presentation")
-    got = p._cache.get("normal")
-    if got is None:
-        got = merge_rewrite_systems(
-            derive_rewrite_rules(p, "plane"),
-            derive_rewrite_rules(p, "dilatation"),
-            derive_rewrite_rules(p, "iso-mixed"))
-        p._cache["normal"] = got
-    return got
+    return _normal_system(p)
+
+
+@functools.cache
+def _normal_system(p: Presentation) -> RewriteSystem:
+    return merge_rewrite_systems(derive_rewrite_rules(p, "plane"),
+                                 derive_rewrite_rules(p, "dilatation"),
+                                 derive_rewrite_rules(p, "iso-mixed"))
 
 
 def _normal_form(rs: RewriteSystem, w: Word) -> AlgebraElement:
@@ -711,9 +709,6 @@ def hilbert_dimension(p: Presentation, rs: RewriteSystem, d: int,
 # --- costructures -----------------------------------------------------------
 
 def _so_letter_costructure(p: Presentation) -> Dict[str, list]:
-    got = p._cache.get("costructure")
-    if got is not None:
-        return got
     geom = p.geometry
     ps = p.params
     M = geom.dim
@@ -731,17 +726,12 @@ def _so_letter_costructure(p: Presentation) -> Dict[str, list]:
             coeff = metric.c(A) * metric.c(pr(B))
             anti.append(AlgebraElement(p.alphabet, ps, {
                 ((pr(B) - 1) * M + (pr(A) - 1),): coeff}))
-    got = {"coproduct": cop, "counit": cou, "antipode": anti}
-    p._cache["costructure"] = got
-    return got
+    return {"coproduct": cop, "counit": cou, "antipode": anti}
 
 
 def _iso_letter_costructure(p: Presentation) -> Dict[str, list]:
-    got = p._cache.get("costructure")
-    if got is not None:
-        return got
     big = build_presentation("so", p.N + 2, embedded=True)
-    tables = _so_letter_costructure(big)
+    tables = _letter_costructure(big)
     lifted = _section_letters(p, big)
     proj = _projection_letters(p, big)
     cop: List[TensorElement] = []
@@ -767,11 +757,10 @@ def _iso_letter_costructure(p: Presentation) -> Dict[str, list]:
         for w, c in big_anti.terms.items():
             out = out + _project_word(w, proj, p).scale(c)
         anti.append(out)
-    got = {"coproduct": cop, "counit": cou, "antipode": anti}
-    p._cache["costructure"] = got
-    return got
+    return {"coproduct": cop, "counit": cou, "antipode": anti}
 
 
+@functools.cache
 def _letter_costructure(p: Presentation) -> Dict[str, list]:
     if p.kind == "so":
         return _so_letter_costructure(p)
@@ -858,11 +847,9 @@ def tensor_costructure(te: TensorElement, pos: int, op: str,
 
 # --- the cone projection ----------------------------------------------------
 
+@functools.cache
 def _section_letters(p: Presentation, big: Presentation) -> List[int]:
     """iso letter id -> embedded so letter id (the linear section of P)."""
-    got = p._cache.get("section")
-    if got is not None:
-        return got
     geom = big.geometry
     M = geom.dim
     out: List[int] = []
@@ -877,15 +864,12 @@ def _section_letters(p: Presentation, big: Presentation) -> List[int]:
             a, b = sym[2:-1].split(",")
             A, B = int(a) + 1, int(b) + 1
         out.append((A - 1) * M + (B - 1))
-    p._cache["section"] = out
     return out
 
 
+@functools.cache
 def _projection_letters(p: Presentation, big: Presentation) -> List[AlgebraElement]:
     """embedded so letter id -> its image under P as an iso element."""
-    got = p._cache.get("projection")
-    if got is not None:
-        return got
     geom = big.geometry
     M = geom.dim
     zero = zero_element(p.alphabet, p.params)
@@ -913,7 +897,6 @@ def _projection_letters(p: Presentation, big: Presentation) -> List[AlgebraEleme
                 img = p.element({(p.alphabet.index["T[%d,%d]" % (A - 1, B - 1)],):
                                  p.params.one})
             out.append(img)
-    p._cache["projection"] = out
     return out
 
 
@@ -1004,12 +987,9 @@ def _row_terms(rel: AlgebraElement, w1: Word, w2: Word) -> Dict[Word, Scalar]:
     return {w1 + w + w2: c for w, c in rel.terms.items()}
 
 
+@functools.cache
 def _membership_staircase(p: Presentation, bound: int,
                           extra: Tuple[AlgebraElement, ...], track: bool):
-    key = ("membership", bound, extra, track)
-    got = p._cache.get(key)
-    if got is not None:
-        return got
     rels = list(p.relations) + list(extra)
     nlet = len(p.alphabet.symbols)
     rows: List[Tuple[Dict[Word, Scalar], Optional[Dict]]] = []
@@ -1032,9 +1012,7 @@ def _membership_staircase(p: Presentation, bound: int,
     stair: Dict[Word, Tuple[Dict[Word, Scalar], Optional[Dict]]] = {}
     for row, combo in rows:
         stair_insert(stair, row, combo)
-    got = (rels, stair)
-    p._cache[key] = got
-    return got
+    return rels, stair
 
 
 def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,

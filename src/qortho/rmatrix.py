@@ -24,6 +24,7 @@ itself is special.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Mapping, Tuple
 
 from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4,
@@ -105,10 +106,14 @@ def build_projectors(bundle) -> Tuple[SparseTensor4, SparseTensor4, SparseTensor
 class RMatrixBundle:
     """R and everything derived from it for one index geometry.
 
-    Rinv is built by inverting every deformation variable and then certified
-    by multiplication against R; Rhat^{ab}_{cd} = R^{ba}_{cd}; the
-    functional-representation kernels are R+^{AC}_{BD} = R^{CA}_{DB} and
-    R-^{AC}_{BD} = (R^{-1})^{AC}_{BD}.
+    Rinv is built by inverting every deformation variable; Rhat^{ab}_{cd} =
+    R^{ba}_{cd}; the functional-representation kernels are R+^{AC}_{BD} =
+    R^{CA}_{DB} and R-^{AC}_{BD} = (R^{-1})^{AC}_{BD}.  The constructor
+    certifies upper triangularity and Rinv by multiplication against R,
+    since every consumer reads L- = R^{-1}.  The projectors P_S, P_A, P_0
+    are built on the first read of any of them, and their completeness,
+    orthogonality and idempotence are certified at that moment.  A failed
+    certificate raises ArithmeticError naming it.
     """
 
     def __init__(self, geometry: IndexGeometry):
@@ -130,54 +135,69 @@ class RMatrixBundle:
             geometry,
             {(a, pr(a), c, pr(c)): self.C.c(a) * self.C.c(c)
              for a in geometry.indices() for c in geometry.indices()})
-        self.P_S, self.P_A, self.P_0 = build_projectors(self)
-        self.certificates = self._certify()
-        for name, (ok, detail) in self.certificates.items():
-            if not ok:
-                raise ArithmeticError("R matrix bundle failed its certificate "
-                                      "%r: %s" % (name, detail))
+        self._inverse_certificates = _required(self._certify_inverse())
 
-    def _certify(self) -> Dict[str, Tuple[bool, str]]:
-        """The invariants every consumer of the bundle trusts, computed once
-        and kept as check name -> (ok, detail) for verify_rmatrix_suite."""
-        geom = self.geometry
+    P_S = property(lambda self: self._projected[0][0])
+    P_A = property(lambda self: self._projected[0][1])
+    P_0 = property(lambda self: self._projected[0][2])
+
+    @property
+    def certificates(self) -> Dict[str, Tuple[bool, str]]:
+        """The invariants every consumer of the bundle trusts, as check
+        name -> (ok, detail) for verify_rmatrix_suite."""
+        return {**self._inverse_certificates, **self._projected[1]}
+
+    def _certify_inverse(self) -> Dict[str, Tuple[bool, str]]:
         bad = [k for k in self.R.entries
                if k[0] < k[2] or (k[0] == k[2] and k[1] < k[3])]
-        I = identity_tensor(geom)
+        I = identity_tensor(self.geometry)
         ok1, w1 = tensor_equal(tensor_compose(self.R, self.Rinv), I)
         ok2, w2 = tensor_equal(tensor_compose(self.Rinv, self.R), I)
-        summed = tensor_add(tensor_add(self.P_S, self.P_A), self.P_0)
-        ok, w = tensor_equal(summed, I)
-        projs = [("P_S", self.P_S), ("P_A", self.P_A), ("P_0", self.P_0)]
-        zero = SparseTensor4(geom, {})
-        # case ((Pi, Pj), first mismatch of Pi Pj against its target, None)
-        pw = first_failure(
-            ((ni, nj), tensor_equal(tensor_compose(Pi, Pj),
-                                    Pi if ni == nj else zero)[1], None)
-            for ni, Pi in projs for nj, Pj in projs)
         return {
             "upper triangularity": (
                 not bad,
                 "" if not bad else "entry below the diagonal at %r" % (bad[0],)),
             "inverse by inverting all parameters": (ok1 and ok2,
                                                     _witness(w1 or w2)),
+        }
+
+    @functools.cached_property
+    def _projected(self):
+        """(P_S, P_A, P_0) and their two certificates."""
+        geom = self.geometry
+        projs = P_S, P_A, P_0 = build_projectors(self)
+        ok, w = tensor_equal(tensor_add(tensor_add(P_S, P_A), P_0),
+                             identity_tensor(geom))
+        named = [("P_S", P_S), ("P_A", P_A), ("P_0", P_0)]
+        zero = SparseTensor4(geom, {})
+        # case ((Pi, Pj), first mismatch of Pi Pj against its target, None)
+        pw = first_failure(
+            ((ni, nj), tensor_equal(tensor_compose(Pi, Pj),
+                                    Pi if ni == nj else zero)[1], None)
+            for ni, Pi in named for nj, Pj in named)
+        return projs, _required({
             "projector completeness: P_S + P_A + P_0 = I": (ok, _witness(w)),
             "projector orthogonality and idempotence": (
                 pw is None,
                 "" if pw is None else "%s %s %s" % (*pw[0], _witness(pw[1]))),
-        }
+        })
 
 
-_bundle_cache: Dict[Tuple[int, bool], RMatrixBundle] = {}
+def _required(certificates: Dict[str, Tuple[bool, str]]):
+    for name, (ok, detail) in certificates.items():
+        if not ok:
+            raise ArithmeticError("R matrix bundle failed its certificate "
+                                  "%r: %s" % (name, detail))
+    return certificates
 
 
 def build_bundle(geometry: IndexGeometry) -> RMatrixBundle:
-    key = (geometry.dim, geometry.embedded)
-    got = _bundle_cache.get(key)
-    if got is None:
-        got = RMatrixBundle(geometry)
-        _bundle_cache[key] = got
-    return got
+    return _bundle(geometry.dim, geometry.embedded)
+
+
+@functools.cache
+def _bundle(dim: int, embedded: bool) -> RMatrixBundle:
+    return RMatrixBundle(IndexGeometry(dim, embedded=embedded))
 
 
 def _witness(w) -> str:

@@ -45,6 +45,7 @@ elimination `stair_insert`, and the element base `LinearCombination`.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
@@ -211,6 +212,7 @@ class ParamSpace:
     """
 
     def __new__(cls, dim: int):
+        # interned in the constructor itself, so ParamSpace(d) is ParamSpace(d)
         key = (dim, _EXP_BITS)
         got = _SPACES.get(key)
         if got is None:
@@ -248,7 +250,6 @@ class ParamSpace:
         self.s = self.s_pow(1)
         self.r = self.s_pow(2)
         self.lam = self.s_pow(2) - self.s_pow(-2)
-        self._q_cache: Dict[Tuple[int, int], Scalar] = {}
 
     def mono(self, s: int = 0, g: Mapping[Tuple[int, int], int] = ()) -> Mono:
         exps = [0] * self.nvars
@@ -364,6 +365,7 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         ps = self.ps
         if not self.num or not other.num:
+            _same_space(ps, other)
             return ps.zero
         one_den = ps._one_den
         if self.den is one_den and other.den is one_den:
@@ -724,9 +726,11 @@ def canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
     """The parameter q_AB, resolved to a Laurent monomial in {s, g_ab}."""
     if not (1 <= A <= ps.dim and 1 <= B <= ps.dim):
         raise ValueError("index out of range: q_%d,%d" % (A, B))
-    cached = ps._q_cache.get((A, B))
-    if cached is not None:
-        return cached
+    return _canonical_q(ps, A, B)
+
+
+@functools.cache
+def _canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
     M = ps.dim
     half = M // 2
     n2 = (M + 1) // 2 if ps.series == "B" else None
@@ -747,9 +751,7 @@ def canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
         return (4 - se, None if g is None else (g[0], -g[1]))
 
     se, g = resolve(A, B)
-    out = ps.monomial(1, ps.mono(s=se, g={} if g is None else {g[0]: g[1]}))
-    ps._q_cache[(A, B)] = out
-    return out
+    return ps.monomial(1, ps.mono(s=se, g={} if g is None else {g[0]: g[1]}))
 
 
 # --- serialization ---------------------------------------------------------

@@ -7,6 +7,7 @@ identities (Yang-Baxter, triangularity, metric conjugation, embedding
 block decomposition) run through the suite drivers.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from qortho.itensor import (IndexGeometry, SparseTensor4, identity_tensor,
                             rank6_equal, tensor_add, tensor_equal, tensor_sub,
                             triple_compose)
-from qortho import rmatrix
+from qortho import cli, rmatrix
+from qortho.envelope import verify_envelope_suite
 from qortho.rmatrix import (RMatrixBundle, build_bundle, build_R,
                             decompose_embedding, inner_lift, specialized_rank,
                             uniparametric_R, verify_rmatrix_suite)
@@ -160,11 +162,48 @@ def test_projector_certificate_names_the_first_bad_product(monkeypatch):
         return tensor_add(PS, I), tensor_sub(PA, I), P0
 
     monkeypatch.setattr(rmatrix, "build_projectors", shifted)
+    bundle = RMatrixBundle(IndexGeometry(3))
     with pytest.raises(ArithmeticError) as exc:
-        RMatrixBundle(IndexGeometry(3))
+        bundle.P_A
     assert str(exc.value) == (
         "R matrix bundle failed its certificate 'projector orthogonality "
         "and idempotence': P_S P_S at (1, 1, 1, 1): 4 vs 2")
+
+
+def _record_projector_builds(monkeypatch):
+    built = []
+    orig = rmatrix.build_projectors
+
+    def recording(bundle):
+        built.append((bundle.geometry.dim, bundle.geometry.embedded))
+        return orig(bundle)
+
+    monkeypatch.setattr(rmatrix, "build_projectors", recording)
+    return built
+
+
+def test_projectors_are_built_once_on_first_read(monkeypatch):
+    built = _record_projector_builds(monkeypatch)
+    bundle = RMatrixBundle(IndexGeometry(3))
+    assert built == []
+    assert bundle.P_A is bundle.P_A
+    assert built == [(3, False)]
+    assert list(bundle.certificates) == [
+        "upper triangularity", "inverse by inverting all parameters",
+        "projector completeness: P_S + P_A + P_0 = I",
+        "projector orthogonality and idempotence"]
+    assert built == [(3, False)]
+
+
+def test_embedded_bundles_build_no_projectors(monkeypatch):
+    built = _record_projector_builds(monkeypatch)
+    # fresh bundles, so that every projector read in here is recorded
+    monkeypatch.setattr(rmatrix, "_bundle",
+                        functools.cache(rmatrix._bundle.__wrapped__))
+    assert cli.run(["pair", "--n", "3", "--functional", "L+[1,1] L-[2,2]",
+                    "--word", "u u v", "--format", "json"]) == 0
+    assert verify_envelope_suite(3, 1).ok
+    assert built == [(3, False)]
 
 
 def test_embedding_names_the_first_wrong_diagonal_cell(monkeypatch):

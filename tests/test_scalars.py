@@ -239,7 +239,7 @@ def test_scalars_over_different_parameter_spaces_do_not_mix(monkeypatch):
     small, big = ParamSpace(3), ParamSpace(5)
     fraction = scalar_invert(small.one + small.r)
     for x, y in [(small.s, big.s), (big.s, small.s), (fraction, big.s),
-                 (big.s, fraction)]:
+                 (big.s, fraction), (small.zero, big.s), (big.s, small.zero)]:
         with pytest.raises(ValueError, match="different parameter spaces"):
             x + y
         with pytest.raises(ValueError, match="different parameter spaces"):

@@ -58,3 +58,33 @@ def test_every_engine_definition_is_referenced():
                     defined.append("%s.%s" % (path.stem, owner))
                 used.update(n for n in _names_used(stmt) if n != owner)
     assert [d for d in defined if d.split(".")[1] not in used] == []
+
+
+def _identifiers(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, DEFINITIONS):
+            yield node.lineno, node.name
+
+
+def test_derived_data_is_kept_by_functools_only():
+    """Derived data is built on first use and kept by functools.cache (on a
+    private builder, since the tracer wraps public functions only) or
+    functools.cached_property; a name ending in _cache marks a
+    hand-rolled memo."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _identifiers(tree)
+                  if name.endswith("_cache")]
+        found += ["%s:%d public %s" % (path.name, node.lineno, node.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")
+                  and any(ast.unparse(d) == "functools.cache"
+                          for d in node.decorator_list)]
+    assert found == []
