@@ -38,6 +38,18 @@ render_scalar and specialize speak exponent tuples, ordered as tuples
 (packed order differs once exponents are negative), and the other layers
 change variables through substitute and occurring_vars.
 
+Common factors of a numerator and its denominator are found without a
+gcd on the engine's traffic.  Its coefficients are ratios of q-numbers
+[n]_r = (r^n - r^-n)/(r - r^-1), so every denominator is a product of
+cyclotomic polynomials Phi_m(s), because s^n - 1 is the product of Phi_d
+over d | n (Jantzen, "Lectures on Quantum Groups", 1996, ch. 0).  Each
+distinct denominator is factored once into Phi_m powers and a leftover
+(_den_factors), and _canon divides the numerator by each Phi_m exactly,
+as often as it divides.  Phi_m is monic with integer coefficients, so
+integer numerators stay integers.  Only a leftover of positive degree,
+which no suite produces, goes through Euclid's algorithm over Q
+(_uni_gcd).
+
 The sparse combinations every layer builds over this field share one core
 here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
 elimination `stair_insert`, and the element base `LinearCombination`.
@@ -198,6 +210,113 @@ def _uni_eval(p: Dict[int, Coeff], x: Fraction) -> Fraction:
     return sum((Fraction(c) * x ** e for e, c in p.items()), Fraction(0))
 
 
+# --- cyclotomic factors, over dense coefficient lists (index = degree) ------
+
+def _dense(p: Dict[int, Coeff], base: int) -> List[Coeff]:
+    out: List[Coeff] = [0] * (max(p) - base + 1)
+    for e, c in p.items():
+        out[e - base] = c
+    return out
+
+
+def _sparse(p: Sequence[Coeff]) -> Dict[int, Coeff]:
+    return {e: c for e, c in enumerate(p) if c}
+
+
+def _dense_mul(p: Sequence[Coeff], q: Sequence[Coeff]) -> List[Coeff]:
+    out: List[Coeff] = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _div_monic(p: Sequence[Coeff], d: Sequence[Coeff]) -> Optional[List[Coeff]]:
+    """p / d when d divides p exactly, else None.  d is taken to be monic:
+    its leading coefficient is never read, so an int p gives an int
+    quotient."""
+    k = len(d) - 1
+    top = len(p) - 1 - k
+    if top < 0:
+        return None
+    low = [(j, c) for j, c in enumerate(d[:k]) if c]
+    r = list(p)
+    for i in range(top, -1, -1):
+        c = r[i + k]
+        if c:
+            for j, dj in low:
+                r[i + j] -= c * dj
+    if any(r[:k]):
+        return None
+    # r[i + k] is final once step i has read it: it is the quotient's
+    # coefficient of s^i
+    return r[k:]
+
+
+@functools.cache
+def _cyclotomic(m: int) -> Tuple[int, ...]:
+    """Phi_m(s): s^m - 1 divided exactly by Phi_d for every proper divisor
+    d of m (s^m - 1 is the product of Phi_d over all d | m)."""
+    p: Optional[List[Coeff]] = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            p = _div_monic(p, _cyclotomic(d))
+    return tuple(p)
+
+
+@functools.cache
+def _cyclotomic_orders(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(m, phi(m)) for every m with phi(m) <= n, m ascending.  Since
+    phi(m) >= sqrt(m/2), every such m is at most 2 n^2."""
+    top = 2 * n * n
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple((m, phi[m]) for m in range(1, top + 1) if phi[m] <= n)
+
+
+@functools.cache
+def _cyclotomic_product(factors: Tuple[Tuple[int, int], ...]
+                        ) -> Tuple[int, ...]:
+    out: Sequence[Coeff] = (1,)
+    for m, e in factors:
+        for _ in range(e):
+            out = _dense_mul(out, _cyclotomic(m))
+    return tuple(out)
+
+
+@functools.cache
+def _den_factors(dser: Tuple[Coeff, ...]):
+    """Split a polynomial in s with nonzero constant term, given as dense
+    coefficients, into ((m, e_m), ...) with m ascending and a leftover
+    with no cyclotomic factor: dser = leftover * prod Phi_m^e_m.  Each
+    Phi_m with phi(m) <= the remaining degree is tried, as often as it
+    divides."""
+    rest: List[Coeff] = list(dser)
+    factors = []
+    for m, phi in _cyclotomic_orders(len(rest) - 1):
+        if phi >= len(rest):
+            continue
+        e = 0
+        while True:
+            q = _div_monic(rest, _cyclotomic(m))
+            if q is None:
+                break
+            rest, e = q, e + 1
+        if e:
+            factors.append((m, e))
+        if len(rest) == 1:
+            break
+    factors = tuple(factors)
+    if tuple(_dense_mul(_cyclotomic_product(factors), rest)) != dser:
+        raise ScalarError("cyclotomic factors %r times %r do not give %r"
+                          % (factors, rest, dser))
+    return factors, tuple(rest)
+
+
 class ParamSpace:
     """Variable layout for dimension M.
 
@@ -307,8 +426,10 @@ class Scalar:
     Canonical form: den is a polynomial in s only, with nonzero constant
     coefficient, leading coefficient 1, and no nonconstant s-factor in
     common with the s-content of num (the gcd of the per-g-monomial rows
-    of num, each shifted to honest polynomials).  Equality of Scalars is
-    therefore structural equality of the two dicts.  A Laurent polynomial
+    of num, each shifted to honest polynomials).  _canon reaches that form
+    by stripping the cyclotomic factors of den first and running Euclid
+    only on what is left (see the module docstring).  Equality of Scalars
+    is therefore structural equality of the two dicts.  A Laurent polynomial
     (den = 1) holds the shared dict ps._one_den of its ParamSpace, so the
     operators recognize one by identity.  Both operands of + and * must
     live over the same ParamSpace; ValueError otherwise.
@@ -403,6 +524,18 @@ def _poly_rows(ps: ParamSpace, num: Poly) -> Dict[int, Dict[int, Coeff]]:
     return rows
 
 
+def _div_rows(rows, phi):
+    # every (shift, dense row) with its row divided by phi, or None when
+    # phi does not divide some row
+    out = {}
+    for g, (base, row) in rows.items():
+        q = _div_monic(row, phi)
+        if q is None:
+            return None
+        out[g] = (base, q)
+    return out
+
+
 def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
     if not den:
         raise ZeroDivisionError("denominator polynomial is zero")
@@ -427,45 +560,60 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
         num = poly_mul(ps, num, {mono_inv(ps, gpart << width | half): 1})
     dser = {(m & smask) - half: c for m, c in den.items()}
     sshift = min(dser)
-    if sshift:
-        dser = {e - sshift: c for e, c in dser.items()}
-    rows = _poly_rows(ps, num)
-    shifts = {g: min(row) for g, row in rows.items()}
-    h = dser
-    for g, row in rows.items():
-        base = shifts[g]
-        h = _uni_gcd(h, {e - base: c for e, c in row.items()})
-        if _uni_degree(h) == 0:
-            break
-    if _uni_degree(h) > 0:
-        dser, rem = _uni_divmod(dser, h)
-        if rem:
-            raise ScalarError("gcd %r does not divide the denominator" % (h,))
-        newrows = {}
-        for g, row in rows.items():
-            base = shifts[g]
-            q, rem = _uni_divmod({e - base: c for e, c in row.items()}, h)
+    factors, rest = _den_factors(tuple(_dense(dser, sshift)))
+    # each numerator row, shifted to an honest polynomial: (shift, dense)
+    rows = {}
+    for g, row in _poly_rows(ps, num).items():
+        base = min(row)
+        rows[g] = (base, _dense(row, base))
+    # cancel Phi_m from every row while all rows divide, at most e times
+    kept = []
+    for m, e in factors:
+        phi = _cyclotomic(m)
+        while e:
+            divided = _div_rows(rows, phi)
+            if divided is None:
+                break
+            rows, e = divided, e - 1
+        if e:
+            kept.append((m, e))
+    if len(rest) > 1:
+        # a non-cyclotomic leftover: Euclid over Q finds what it shares
+        h = rest = _sparse(rest)
+        for base, row in rows.values():
+            h = _uni_gcd(h, _sparse(row))
+            if _uni_degree(h) == 0:
+                break
+        if _uni_degree(h) > 0:
+            rest, rem = _uni_divmod(rest, h)
             if rem:
-                raise ScalarError("gcd %r does not divide a numerator row"
+                raise ScalarError("gcd %r does not divide the denominator"
                                   % (h,))
-            newrows[g] = (base, q)
-        rows = newrows
-    else:
-        rows = {g: (0, row) for g, row in rows.items()}
-    lc = dser[_uni_degree(dser)]
+            newrows = {}
+            for g, (base, row) in rows.items():
+                q, rem = _uni_divmod(_sparse(row), h)
+                if rem:
+                    raise ScalarError("gcd %r does not divide a numerator row"
+                                      % (h,))
+                newrows[g] = (base, _dense(q, 0))
+            rows = newrows
+        rest = _dense(rest, 0)
+    dser = _dense_mul(_cyclotomic_product(tuple(kept)), rest)
+    lc = dser[-1]
     if lc != 1:
-        dser = {e: _norm_coeff(Fraction(c, 1) / lc) for e, c in dser.items()}
+        dser = [_norm_coeff(Fraction(c, 1) / lc) for c in dser]
     num2: Poly = {}
     for g, (base, row) in rows.items():
         gbits = g << width
-        for e, c in row.items():
-            if lc != 1:
-                c = _norm_coeff(Fraction(c, 1) / lc)
-            num2[gbits | ps._field(base + e - sshift)] = c
-    if dser == {0: 1}:
+        for e, c in enumerate(row):
+            if c:
+                if lc != 1:
+                    c = Fraction(c, 1) / lc
+                num2[gbits | ps._field(base + e - sshift)] = _norm_coeff(c)
+    if len(dser) == 1:
         return Scalar(ps, num2, ps._one_den)
     gzero = ps._bias - half
-    den2 = {gzero | ps._field(e): c for e, c in dser.items()}
+    den2 = {gzero | ps._field(e): c for e, c in enumerate(dser) if c}
     return Scalar(ps, num2, den2)
 
 

@@ -6,6 +6,7 @@ single g-monomial times an s-polynomial, which is the class every
 denominator produced by the constructions stays in.
 """
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -172,7 +173,7 @@ def test_json_respects_equality(a):
 
 
 def test_canon_raises_when_the_gcd_leaves_a_remainder(monkeypatch):
-    a = PS.s + PS.one
+    a = PS.monomial(2, PS.mono(1)) + PS.one
     inv = scalar_invert(a)
     real = scalar_module._uni_divmod
 
@@ -402,3 +403,138 @@ def test_canon_and_invert_match_tuple_reference(data):
     assert ref_mul(decoded(ps, inv.num), den) == decoded(ps, inv.den)
     if c:
         assert c * scalar_invert(d) * d == c
+
+
+# --- cyclotomic cancellation against a Euclid-only reference ------------------
+
+# Phi_m(s) for m <= 12, lowest degree first
+PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1,) * 5,
+       6: (1, -1, 1), 7: (1,) * 7, 8: (1, 0, 0, 0, 1),
+       9: (1, 0, 0, 1, 0, 0, 1), 10: (1, -1, 1, -1, 1), 11: (1,) * 11,
+       12: (1, 0, -1, 0, 1)}
+
+
+def ref_canon(ps, num, den):
+    """_canon as it was before the cyclotomic strip: one Fraction Euclid of
+    the denominator against every numerator row."""
+    S = scalar_module
+    if not num:
+        return ps.zero
+    width, smask, half = ps._width, ps._smask, ps._half
+    gparts = {m >> width for m in den}
+    assert len(gparts) == 1
+    gpart = gparts.pop()
+    if gpart != ps._bias >> width:
+        num = S.poly_mul(ps, num, {S.mono_inv(ps, gpart << width | half): 1})
+    dser = {(m & smask) - half: c for m, c in den.items()}
+    sshift = min(dser)
+    dser = {e - sshift: c for e, c in dser.items()}
+    rows = {g: (min(row), {e - min(row): c for e, c in row.items()})
+            for g, row in S._poly_rows(ps, num).items()}
+    h = dser
+    for base, row in rows.values():
+        h = S._uni_gcd(h, row)
+    if max(h) > 0:
+        dser, rem = S._uni_divmod(dser, h)
+        assert not rem
+        for g, (base, row) in rows.items():
+            q, rem = S._uni_divmod(row, h)
+            assert not rem
+            rows[g] = (base, q)
+    lc = dser[max(dser)]
+    dser = {e: Fraction(c, 1) / lc for e, c in dser.items()}
+    out = {}
+    for g, (base, row) in rows.items():
+        for e, c in row.items():
+            out[g << width | ps._field(base + e - sshift)] = Fraction(c) / lc
+    if dser == {0: 1}:
+        return Scalar(ps, out, ps._one_den)
+    gzero = ps._bias - half
+    return Scalar(ps, out, {gzero | ps._field(e): c for e, c in dser.items()})
+
+
+def test_cyclotomic_polynomials():
+    for m, phi in PHI.items():
+        assert scalar_module._cyclotomic(m) == phi
+    # s^n - 1 is the product of Phi_d over the divisors d of n
+    for n in range(1, 41):
+        prod = (1,)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = scalar_module._dense_mul(prod,
+                                                scalar_module._cyclotomic(d))
+        assert list(prod) == [-1] + [0] * (n - 1) + [1]
+
+
+def cyclotomic_product(ps, factors):
+    out = {ps.unit_mono: 1}
+    for m, e in factors.items():
+        phi = {(i,) + (0,) * (ps.nvars - 1): c
+               for i, c in enumerate(PHI[m]) if c}
+        for _ in range(e):
+            out = ref_mul(out, phi)
+    return out
+
+
+@st.composite
+def cyclotomic_fractions(draw):
+    # den = c x g-monomial x s^k x prod Phi_m^e (m <= 12, e <= 2); num =
+    # a random polynomial times Phi_m powers, most of them from den's
+    ps = draw(st.sampled_from(SPACES))
+    factors = st.dictionaries(st.integers(1, 12), st.integers(1, 2),
+                              max_size=3)
+    den_f = draw(factors)
+    num_f = {m: draw(st.integers(0, 2)) for m in den_f}
+    for m, e in draw(factors).items():
+        num_f[m] = num_f.get(m, 0) + e
+    c = draw(st.sampled_from([1, -1, 2, Fraction(-3, 2)]))
+    shift = ((draw(st.integers(-3, 3)),)
+             + draw(st.tuples(*[st.integers(-2, 2)] * (ps.nvars - 1))))
+    den = ref_mul(cyclotomic_product(ps, den_f), {shift: c})
+    num = ref_mul(cyclotomic_product(ps, num_f),
+                  draw(tuple_polys(ps, max_size=3)))
+    return ps, num, den
+
+
+@settings(max_examples=120, deadline=None)
+@given(cyclotomic_fractions())
+def test_canon_matches_euclid_reference_on_cyclotomic_denominators(data):
+    ps, num, den = data
+    got = _canon(ps, packed(ps, num), packed(ps, den))
+    want = ref_canon(ps, packed(ps, num), packed(ps, den))
+    assert got.num == want.num and got.den == want.den
+    assert got.is_laurent() == want.is_laurent()
+    assert render_scalar(got) == render_scalar(want)
+
+
+def test_a_factorization_that_does_not_re_expand_raises(monkeypatch):
+    # 1 + 2s agrees with Phi_2 = 1 + s below the leading coefficient, which
+    # trial division never reads (every Phi_m is monic); so s + 1 "divides"
+    # by it, and only multiplying the factors back out shows the error
+    real = scalar_module._cyclotomic.__wrapped__
+    for name in ("_den_factors", "_cyclotomic_product"):
+        fresh = functools.cache(getattr(scalar_module, name).__wrapped__)
+        monkeypatch.setattr(scalar_module, name, fresh)
+    monkeypatch.setattr(scalar_module, "_cyclotomic", functools.cache(
+        lambda m: (1, 2) if m == 2 else real(m)))
+    with pytest.raises(ScalarError, match="do not give"):
+        scalar_invert(PS.s + PS.one)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "rmatrix", "--n", "4"],
+    ["verify", "--suite", "all", "--n", "3", "--degree", "1"]])
+def test_engine_traffic_never_reaches_euclid(monkeypatch, capsys, argv):
+    # every denominator the suites build is a product of cyclotomic
+    # polynomials, which _canon cancels without a gcd
+    calls = {"_uni_gcd": 0, "_canon": 0}
+    for name in calls:
+        real = getattr(scalar_module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(scalar_module, name, counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert calls["_canon"] > 0 and calls["_uni_gcd"] == 0
