@@ -31,8 +31,8 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        eval_functional, iu_annihilates, l_functional,
-                       show_t_word, show_witness, _cone_cases,
-                       _first_difference, _mapped)
+                       show_t_word, show_witness, _cone_witness,
+                       _first_difference, _mapped, _walk, _witnesses)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
@@ -161,8 +161,10 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
         labels.append("Omega[*,*]")
         vectors.append(build_chi(M, M, N))
         basis = TangentBasis(kind, N, labels, vectors, True)
-        for v in vectors:  # a pole here would break the limit claim
-            _mapped(v, limit_r_to_1)(1)
+        # a pole here would break the limit claim
+        for _ in _walk([{i: _mapped(v, limit_r_to_1)
+                         for i, v in enumerate(vectors)}], 1):
+            pass
         return basis
     raise ValueError("unknown calculus kind %r" % (kind,))
 
@@ -172,7 +174,8 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
 
 def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
     """Every q-Lie relation instance of the chosen calculus as a row
-    {relation, indices, status, witness?}."""
+    {relation, indices, status, witness?}; all rows are checked in one
+    walk, each reporting its own first witness."""
     bundle = _bundle(N)
     geom = bundle.geometry
     ps = geom.params
@@ -180,16 +183,21 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
     lam = ps.s_pow(2) - ps.s_pow(-2)
     zero = FunctionalElement(bundle, {})
     rows: List[dict] = []
+    pairs: Dict[Tuple[int], Tuple] = {}
 
     def add(relation: str, indices, lhs, rhs, limit):
         if limit:  # compare the r = 1 limits of the values
             lhs, rhs = _mapped(lhs, limit_r_to_1), _mapped(rhs, limit_r_to_1)
-        w = _first_difference({(): (lhs, rhs)}, D)
-        row = {"relation": relation, "indices": list(indices),
-               "status": w is None}
-        if w is not None:
-            row["witness"] = show_witness(geom, *w[1:])
-        rows.append(row)
+        pairs[(len(rows),)] = (lhs, rhs)
+        rows.append({"relation": relation, "indices": list(indices)})
+
+    def checked():
+        found = _witnesses(pairs, D)
+        for i, row in enumerate(rows):
+            row["status"] = (i,) not in found
+            if (i,) in found:
+                row["witness"] = show_witness(geom, *found[(i,)])
+        return rows
 
     def q(A, B):
         return canonical_q(ps, A, B)
@@ -232,7 +240,7 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
                 coeff0 * scalar_invert(q(d + 1, M)) * lift(smetric.c(d)))
         add("circle vector reduces to a metric square of translations", (),
             chi_o + (chi_o * chi_s).scale(lam), rhs, False)
-        return rows
+        return checked()
 
     if kind == "r1":
         chi_in = {(a, b): _chi_inner(a, b, N)
@@ -306,7 +314,7 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
                 add("mirror tangent vectors are proportional",
                     (A, B), _chi_capital_r1(geom.prime(B), geom.prime(A), N),
                     _chi_capital_r1(A, B, N).scale(-q(A, B)), True)
-        return rows
+        return checked()
 
     raise ValueError("unknown calculus kind %r" % (kind,))
 
@@ -411,7 +419,7 @@ def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
 
     def cone_witness(v):
         side = _mapped(v, limit_r_to_1) if basis.limit else v
-        return first_failure(_cone_cases(side, geom, D))
+        return _cone_witness(side, geom, D)
 
     w = first_failure((label, cone_witness(v), None)
                       for label, v in zip(basis.labels, basis.vectors))

@@ -9,27 +9,32 @@ R matrix of the embedded geometry:
     L+-^A_B (I)    = delta^A_B
 
 extended to longer words through L^A_B(ab) = L^A_G(a) L^G_B(b) and to the
-whole dual by the convolution product (fg)(a) = (f x g)(Delta a).  A
-functional is known on the free words T^{C1}_{D1} ... T^{Ck}_{Dk} of
-length k by its evaluation matrix, with rows (C1, ..., Ck) and columns
-(D1, ..., Dk), sparse over the exact scalar field.  The tables are the
-per-generator evaluation matrices, grown one T letter at a time through
-the R matrix; the matrix of a product word is the matrix product of its
-letters, and a combination of words is the combination of their
-matrices.  Like all derived data of the engine, each table is built on
-first use and kept by functools.cache, here per bundle and word length.
+whole dual by the convolution product (fg)(a) = (f x g)(Delta a).  Since
+Delta(L) = L x L (Faddeev, Reshetikhin and Takhtajan 1990), the value of
+a word L^{A1}_{B1} ... L^{Am}_{Bm} on the free word T^{C1}_{D1} ...
+T^{Ck}_{Dk} is the entry [A][B] of a product Theta^{C1}_{D1} ...
+Theta^{Ck}_{Dk} of transfer matrices acting on m-tuples of generator
+indices, one family per sign pattern of the word (_Pattern), built from
+the R matrix.  Functionals are evaluated by a depth-first walk of the
+trie of T-words (_walk): a fixed combination of words enters as start
+rows with its coefficients folded in (_as_side), each node multiplies
+its parent's rows by one transfer matrix, and only the rows along the
+current word are held.  The transfer matrices of the one- and two-letter
+patterns are derived data, built on first use and kept by
+functools.cache per bundle and sign pattern; nothing keyed by a word or
+a word length is kept.
 
 Every relation of the envelope suite (exchange, metric orthogonality,
 the counit, bullet-row reduction and twist identities) is a family of
-equalities lhs = rhs between functionals, one per index key, checked by
-comparing the two evaluation matrices at every length k <= D;
-functional_equal states the order in which the first disagreement is
-reported.  A side may also carry the image of every value under a
-scalar morphism (_mapped), which is how the uniparametric collapse
-compares values at g_ab = r and the calculi compare limits at r = 1.
-The remaining checks (the Hopf pairing axioms and the cone-ideal scan
-of iu_annihilates) are ordered families of (key, lhs, rhs) cases that
-report their first failure through report.first_failure.
+equalities lhs = rhs between functionals, one per index key, checked on
+every free word of length k <= D in one walk; functional_equal states
+the order in which the first disagreement is reported.  A side may also
+carry the image of every value under a scalar morphism (_mapped), which
+is how the uniparametric collapse compares values at g_ab = r and the
+calculi compare limits at r = 1.  The Hopf pairing axioms are ordered
+families of (key, lhs, rhs) cases that report their first failure
+through report.first_failure; the cone-ideal scan of iu_annihilates
+reports the first nonzero value in the order stated in _cone_witness.
 
 L+ is upper triangular and L- lower triangular.  The functionals that
 annihilate the cone ideal (generated by T^a_o, T^*_b, T^*_o) are exactly
@@ -47,7 +52,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import chain, product as iproduct
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
                       tensor_equal, triple_compose)
@@ -56,7 +62,8 @@ from .presentations import (AlgebraElement, build_presentation, costructure,
 from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
-                      canonical_q, merge_deformations, rational_rank,
+                      canonical_q, denominator, merge_deformations,
+                      rational_rank,
                       render_scalar, scalar_from_json, scalar_invert,
                       scalar_to_json, specialize, word_key)
 
@@ -163,96 +170,338 @@ def word_functional(bundle: RMatrixBundle, w: FunctionalWord,
 # ---------------------------------------------------------------------------
 # evaluation engine
 
-def _transfer(bundle: RMatrixBundle, sign: int):
-    """Per T-letter transfer: trans[(C, D)][E][F] = R+-^{EC}_{FD}."""
-    tensor = bundle.Rplus if sign > 0 else bundle.Rminus
-    out: Dict[Tuple[int, int], Dict[int, Dict[int, Scalar]]] = {}
-    for (E, C, F, D), v in tensor.items():
-        out.setdefault((C, D), {}).setdefault(E, {})[F] = v
-    return out
+State = Tuple[int, ...]          # one generator index per letter of a word
+Row = Dict[State, Scalar]
+Letter = Tuple[int, int]         # the T letter T^C_D as (C, D)
 
 
 @functools.cache
-def _gen_family(bundle: RMatrixBundle, sign: int, k: int):
-    """Evaluation matrices at word length k for every generator of one
-    sign: fam[(A, B)][Cvec][Dvec] = L^A_B(T^{C1}_{D1}...T^{Ck}_{Dk})."""
-    out: Dict[Tuple[int, int], Dict[Tuple, Dict[Tuple, Scalar]]] = {}
-    if k == 0:
-        for A in bundle.geometry.indices():
-            out[(A, A)] = {(): {(): bundle.geometry.params.one}}
-    elif k == 1:
-        for (C, D), m in _transfer(bundle, sign).items():
-            for E, row in m.items():
-                for F, v in row.items():
-                    out.setdefault((E, F), {}).setdefault((C,), {})[(D,)] = v
+def _transfer(bundle: RMatrixBundle, signs: Tuple[int, ...]):
+    """The transfer matrices of a sign pattern of one or two letters,
+    indexed for stepping: trans[(C, a)] lists the (D, b, v) with
+    Theta^C_D[a][b] = v nonzero (see _Pattern); for one letter
+    Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) = R+-^{EC}_{FD}."""
+    if len(signs) == 1:
+        tensor = bundle.Rplus if signs[0] > 0 else bundle.Rminus
+        out: Dict[Tuple, List[Tuple[int, State, Scalar]]] = {}
+        for (E, C, F, D), v in tensor.items():
+            out.setdefault((C, (E,)), []).append((D, (F,), v))
+        return out
+    # Theta^C_D[a1 a2][b1 b2] = sum_G tau^C_G[a1][b1] tau^G_D[a2][b2]
+    second: Dict[int, List] = {}
+    for (G, a2), tail in _transfer(bundle, signs[1:]).items():
+        second.setdefault(G, []).append((a2, tail))
+    acc: Dict[Tuple, Dict[Tuple, Scalar]] = {}
+    for (C, a1), hits in _transfer(bundle, signs[:1]).items():
+        for G, b1, v in hits:
+            for a2, tail in second.get(G, ()):
+                dst = acc.setdefault((C, a1 + a2), {})
+                for D, b2, t in tail:
+                    _acc(dst, (D, b1 + b2), v * t)
+    return {key: [k + (v,) for k, v in row.items()]
+            for key, row in acc.items() if row}
+
+
+@functools.cache
+def _preimages(bundle: RMatrixBundle, sign: int) -> Dict[int, set]:
+    """pre[F]: the E with L^E_F nonzero on some T letter."""
+    pre: Dict[int, set] = {}
+    for (_, (E,)), hits in _transfer(bundle, (sign,)).items():
+        for _, (F,), _ in hits:
+            pre.setdefault(F, set()).add(E)
+    return pre
+
+
+class _Pattern:
+    """The source of the words with one sign pattern (s1, ..., sm).  A
+    state is a tuple (E1, ..., Em) of generator indices, and the T letter
+    (C, D) acts on states by the transfer matrix
+    Theta^C_D = sum_G tau_{s1}^C_{G1} x tau_{s2}^{G1}_{G2} x ... x
+    tau_{sm}^{G_{m-1}}_D, tau_s^C_D[E][F] = L_s^E_F(T^C_D), so that the
+    word L^{A1}_{B1} ... L^{Am}_{Bm} takes the value
+    (Theta^{C1}_{D1} ... Theta^{Ck}_{Dk})[A][B] on T^{C1}_{D1} ...
+    T^{Ck}_{Dk}; the empty pattern is the counit.  Equal patterns over
+    one bundle are one source, so their streams are shared."""
+
+    __slots__ = ("bundle", "signs")
+
+    def __init__(self, bundle: RMatrixBundle, signs: Tuple[int, ...]):
+        self.bundle = bundle
+        self.signs = signs
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is _Pattern and self.bundle is other.bundle
+                and self.signs == other.signs)
+
+    def __hash__(self):
+        return hash(self.signs)
+
+    def viable(self, ends, r: int):
+        """A filter for step: per pair of positions, the index pairs
+        from which some state of ends is reachable position by position
+        within r more letters.  A state it drops cannot reach ends, so
+        no value read there changes."""
+        sets = []
+        for i, sign in enumerate(self.signs):
+            ok = {e[i] for e in ends}
+            pre = _preimages(self.bundle, sign)
+            for _ in range(r):
+                ok = ok.union(*(pre.get(F, ()) for F in ok))
+            sets.append(ok)
+        return tuple(set(iproduct(*sets[p:p + 2]))
+                     for p in range(0, len(sets), 2))
+
+    def step(self, row: Row, letter: Optional[Letter] = None,
+             keep=None) -> Dict[Letter, Row]:
+        """The nonzero products row Theta^C_D for every letter, or for
+        the one letter given, without the states a filter of viable
+        drops.  The pattern is applied two letters at a time (the
+        transfer matrices of longer patterns are not stored), each
+        partial product keyed by (C, G, state) with G the running index
+        of the sum over the chain."""
+        idx = (self.bundle.geometry.indices() if letter is None
+               else (letter[0],))
+        cur = {(C, C) + a: v for C in idx for a, v in row.items()}
+        signs, one = self.signs, self.bundle.geometry.params.one
+        for p in range(0, len(signs), 2):
+            trans = _transfer(self.bundle, signs[p:p + 2])
+            q = min(p + 2, len(signs))
+            ok = None if keep is None else keep[p // 2]
+            D = letter[1] if q == len(signs) and letter is not None else None
+            nxt: Dict[Tuple[int, ...], Scalar] = {}
+            for key, v in cur.items():
+                C, head, tail = key[0], key[2:2 + p], key[2 + q:]
+                for H, b, t in trans.get((key[1], key[2 + p:2 + q]), ()):
+                    if D is not None and H != D or (
+                            ok is not None and b not in ok):
+                        continue
+                    k2 = (C, H) + head + b + tail
+                    x = t if v is one else v * t
+                    old = nxt.get(k2)
+                    nxt[k2] = x if old is None else old + x
+            cur = {k: v for k, v in nxt.items() if v}
+        if letter is not None:
+            got = {k[2:]: v for k, v in cur.items() if k[1] == letter[1]}
+            return {letter: got} if got else {}
+        out: Dict[Letter, Row] = {}
+        for key, v in cur.items():
+            out.setdefault(key[:2], {})[key[2:]] = v
+        return out
+
+
+class _Diagonal:
+    """A one-state source that lives on the diagonal words
+    T^{C1}_{C1} ... T^{Ck}_{Ck} only, scaling by factors[C] per letter."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Dict[int, Scalar]):
+        self.factors = factors
+
+    def viable(self, ends, r: int):
+        return None
+
+    def step(self, row: Row, letter: Optional[Letter] = None,
+             keep=None) -> Dict[Letter, Row]:
+        return {(C, C): {a: v * f for a, v in row.items()}
+                for C, f in self.factors.items() if letter in (None, (C, C))}
+
+
+class _Side:
+    """A relation side as the walk evaluates it.  On a T-word its value
+    is fn of the sum, over the terms (source, row, column), of the start
+    row carried along the word by the source and dotted with the column
+    (a column entry None stands for 1); fn None is the identity.
+
+    A source carries sparse rows {state: Scalar} one T letter at a time:
+    source.step(row, letter=None, keep=None) gives the nonzero rows after
+    every next letter (or the one letter given), and
+    source.viable(ends, r) a filter for keep that may drop the states
+    from which no state of ends is reached within r letters, or None."""
+
+    __slots__ = ("terms", "fn")
+
+    def __init__(self, terms: Tuple[Tuple[object, Row, Dict], ...],
+                 fn: Optional[Callable[[Scalar], Scalar]] = None):
+        self.terms = terms
+        self.fn = fn
+
+
+def _as_side(side) -> _Side:
+    """A FunctionalElement as a walk side.  Coefficients with a
+    denominator are first brought to Laurent polynomials by a common
+    factor that the side's map takes back out once per value.  The words
+    of one sign pattern are then grouped by start state (a unit row per
+    start, the coefficients in the column) or, when that gives fewer
+    rows, by end state (the coefficients folded into one start row per
+    end)."""
+    if isinstance(side, _Side):
+        return side
+    ps = side.bundle.geometry.params
+    common = ps.one
+    for c in side.terms.values():
+        if not c.is_laurent():
+            x = c * common
+            if not x.is_laurent():
+                common = common * denominator(x)
+    groups: Dict[Tuple, Tuple[Dict, Dict]] = {}
+    for w, c in side.terms.items():
+        if common is not ps.one:
+            c = c * common
+        signs, a, b = zip(*w) if w else ((), (), ())
+        by_start, by_end = groups.setdefault(signs, ({}, {}))
+        by_start.setdefault(a, {})[b] = c
+        by_end.setdefault(b, {})[a] = c
+    terms = []
+    for signs in sorted(groups):
+        src = _Pattern(side.bundle, signs)
+        starts, ends = groups[signs]
+        if len(starts) <= len(ends):
+            terms += [(src, {a: ps.one}, {b: None if c == ps.one else c
+                                          for b, c in col.items()})
+                      for a, col in sorted(starts.items())]
+        else:
+            terms += [(src, row, {b: None})
+                      for b, row in sorted(ends.items())]
+    if common is ps.one:
+        return _Side(tuple(terms))
+    inverse = scalar_invert(common)
+    return _Side(tuple(terms), lambda v: v * inverse)
+
+
+def _mapped(side, fn) -> _Side:
+    """A relation side whose values are fn of the values of side, zeros
+    dropped; fn is a ring morphism of the scalars such as limit_r_to_1
+    or merge_deformations."""
+    s = _as_side(side)
+    inner = s.fn
+    return _Side(s.terms, fn if inner is None else lambda v: fn(inner(v)))
+
+
+def _compile(families: Sequence[Dict]):
+    """The distinct streams (source, start row) of a list of side
+    families {key: side}, and where each stream is read:
+    reads[i][b] lists (family number, key, column entry) for end state
+    b; fns[n] holds the maps of family n's mapped sides."""
+    index: Dict[Tuple, int] = {}
+    streams: List[Tuple[object, Row]] = []
+    reads: List[Dict[State, List]] = []
+    fns: List[Dict] = []
+    for n, family in enumerate(families):
+        fns.append({})
+        for key, side in family.items():
+            s = _as_side(side)
+            if s.fn is not None:
+                fns[n][key] = s.fn
+            for src, row, col in s.terms:
+                ident = (type(src), src, frozenset(row.items()))
+                i = index.get(ident)
+                if i is None:
+                    i = index[ident] = len(streams)
+                    streams.append((src, row))
+                    reads.append({})
+                for b, c in col.items():
+                    reads[i].setdefault(b, []).append((n, key, c))
+    return streams, reads, fns
+
+
+def _add(got: Dict, key, x: Scalar) -> None:
+    """got[key] += x for a nonzero x, keeping no zeros: products of
+    nonzero scalars are nonzero, so only a sum can cancel."""
+    old = got.get(key)
+    if old is None:
+        got[key] = x
     else:
-        prev = _gen_family(bundle, sign, k - 1)
-        base = _gen_family(bundle, sign, 1)
-        by_first: Dict[int, List] = {}
-        for (E, B), mat in base.items():
-            by_first.setdefault(E, []).append((B, mat))
-        for (A, E), mat in prev.items():
-            hits = by_first.get(E)
-            if hits is None:
-                continue
-            for B, tail in hits:
-                dst = out.setdefault((A, B), {})
-                for Cvec, row in mat.items():
-                    for Dvec, v1 in row.items():
-                        for (c,), tr in tail.items():
-                            drow = dst.setdefault(Cvec + (c,), {})
-                            for (d,), v2 in tr.items():
-                                _acc(drow, Dvec + (d,), v1 * v2)
-        for pair in list(out):
-            mat = out[pair]
-            for r in list(mat):
-                if not mat[r]:
-                    del mat[r]
-            if not mat:
-                del out[pair]
-    return out
+        x = old + x
+        if x:
+            got[key] = x
+        else:
+            del got[key]
 
 
-def _mat_mul(m1, m2):
-    out = {}
-    for r, row in m1.items():
-        acc = {}
-        for mid, v in row.items():
-            hit = m2.get(mid)
-            if hit is None:
-                continue
-            for c, w in hit.items():
-                _acc(acc, c, v * w)
+def _finish(vals: List[Dict], fns) -> List[Dict]:
+    """Apply the maps of mapped sides, dropping the zeros they give."""
+    for got, fn in zip(vals, fns):
+        for key in [key for key in got if key in fn] if fn else ():
+            v = fn[key](got[key])
+            if v:
+                got[key] = v
+            else:
+                del got[key]
+    return vals
+
+
+def _read(live: Dict[int, Row], reads, fns) -> List[Dict]:
+    """Values by family and key of the live stream rows at one word."""
+    vals: List[Dict] = [{} for _ in fns]
+    for i, row in live.items():
+        at = reads[i]
+        for b, v in row.items():
+            for n, key, c in at.get(b, ()):
+                _add(vals[n], key, v if c is None else v * c)
+    return _finish(vals, fns)
+
+
+def _through(src, a: State, at: Dict, one: Scalar) -> Dict[Letter, List]:
+    """The reads of a stream from state a through one more letter:
+    {letter: [(family, key, coefficient)]}, the coefficient summing
+    Theta^letter[a][b] times the column entry over the read states b."""
+    out: Dict[Letter, List] = {}
+    for letter, r in src.step({a: one}, None, src.viable(at, 0)).items():
+        acc: Dict[Tuple, Scalar] = {}
+        for b, t in r.items():
+            for n, key, c in at.get(b, ()):
+                _acc(acc, (n, key), t if c is None else t * c)
         if acc:
-            out[r] = acc
+            out[letter] = [nk + (c,) for nk, c in acc.items()]
     return out
 
 
-@functools.cache
-def _word_matrix(bundle: RMatrixBundle, w: FunctionalWord, k: int):
-    """Evaluation matrix of a product word at T-word length k."""
-    if not w:
-        one = bundle.geometry.params.one
-        return {vec: {vec: one}
-                for vec in iproduct(bundle.geometry.indices(), repeat=k)}
-    sign, A, B = w[0]
-    got = _gen_family(bundle, sign, k).get((A, B), {})
-    for sign, A, B in w[1:]:
-        got = _mat_mul(got, _gen_family(bundle, sign, k).get((A, B), {}))
-    return got
-
-
-def _element_matrix(e: FunctionalElement, k: int):
-    out: Dict[Tuple, Dict[Tuple, Scalar]] = {}
-    for w, c in e.terms.items():
-        for r, row in _word_matrix(e.bundle, w, k).items():
-            dst = out.setdefault(r, {})
-            for col, v in row.items():
-                _acc(dst, col, c * v)
-    for r in list(out):
-        if not out[r]:
-            del out[r]
-    return out
+def _walk(families: Sequence[Dict], D: int):
+    """Depth-first walk of the free T-words of length <= D in the order
+    of their coordinate tuples ((C1, D1), ..., (Ck, Dk)): yields
+    (coords, values), values[n] the nonzero values of the n-th family by
+    key.  Only the stream rows of the current word and of its parents'
+    unvisited siblings are held, without the states from which no read
+    state is reachable in the letters left; a word on which every stream
+    vanishes is skipped with all its extensions, because every side is
+    zero there.  The words of length D are read straight from their
+    parent's rows: what one letter does to the reads of a stream state
+    is worked out once per walk."""
+    streams, reads, fns = _compile(families)
+    ahead: List[Dict[State, Dict]] = [{} for _ in streams]
+    keeps: Dict[Tuple[int, int], object] = {}
+    stack = [((), {i: row for i, (_, row) in enumerate(streams)})]
+    while stack:
+        coords, live = stack.pop()
+        yield coords, _read(live, reads, fns)
+        if len(coords) == D - 1:
+            leaves: Dict[Letter, List[Dict]] = {}
+            for i, row in live.items():
+                known = ahead[i]
+                for a, v in row.items():
+                    if a not in known:
+                        known[a] = _through(streams[i][0], a, reads[i],
+                                            v.ps.one)
+                    for letter, hits in known[a].items():
+                        vals = leaves.get(letter)
+                        if vals is None:
+                            vals = leaves[letter] = [{} for _ in fns]
+                        for n, key, c in hits:
+                            _add(vals[n], key, v * c)
+            for letter in sorted(leaves):
+                yield coords + (letter,), _finish(leaves[letter], fns)
+        elif len(coords) < D:
+            r = D - len(coords) - 1
+            kids: Dict[Letter, Dict[int, Row]] = {}
+            for i, row in live.items():
+                if (i, r) not in keeps:
+                    keeps[i, r] = streams[i][0].viable(reads[i], r)
+                for letter, got in streams[i][0].step(row, None,
+                                                      keeps[i, r]).items():
+                    kids.setdefault(letter, {})[i] = got
+            stack += [(coords + (letter,), kids[letter])
+                      for letter in sorted(kids, reverse=True)]
 
 
 @functools.cache
@@ -271,19 +520,26 @@ def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
     """Value of a functional on an element of the free matrix-entry
-    algebra of the same embedded geometry."""
+    algebra of the same embedded geometry, walking only the path of each
+    of its T-words."""
     bundle = f.bundle
-    ps = bundle.geometry.params
+    one = bundle.geometry.params.one
     pairs = _letter_pairs(bundle, a.alphabet)
-    total = ps.zero
-    for xw, xc in a.terms.items():
-        coords = [pairs[g] for g in xw]
-        Cvec = tuple(c for c, _ in coords)
-        Dvec = tuple(d for _, d in coords)
-        for fw, fc in f.terms.items():
-            v = _word_matrix(bundle, fw, len(Cvec)).get(Cvec, {}).get(Dvec)
-            if v is not None and v:
-                total = total + fc * xc * v
+    paths = [([pairs[g] for g in xw], xc) for xw, xc in a.terms.items()]
+    total = bundle.geometry.params.zero
+    for w, c in f.terms.items():
+        signs, start, end = zip(*w) if w else ((), (), ())
+        src = _Pattern(bundle, signs)
+        for path, xc in paths:
+            row: Optional[Row] = {start: one}
+            for letter in path:
+                row = src.step(row, letter).get(letter)
+                if row is None:
+                    break
+            else:
+                v = row.get(end)
+                if v is not None:
+                    total = total + c * xc * v
     return total
 
 
@@ -358,46 +614,35 @@ def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
                              "0" if rv is None else render_scalar(rv))
 
 
-def _side_matrix(side, k: int):
-    return side(k) if callable(side) else _element_matrix(side, k)
-
-
-def _mapped(side, fn):
-    """A relation side whose values are fn of the values of side, zeros
-    dropped; fn is a ring morphism of the scalars such as limit_r_to_1
-    or merge_deformations."""
-    def matrix(k: int):
-        out: Dict[Tuple, Dict[Tuple, Scalar]] = {}
-        for r, row in _side_matrix(side, k).items():
-            for col, v in row.items():
-                fv = fn(v)
-                if fv:
-                    out.setdefault(r, {})[col] = fv
-        return out
-    return matrix
+def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
+    """The first disagreement of each relation lhs = rhs of a family, one
+    per index key, on the free words of length <= D, in one walk:
+    {key: (coords, lhs value, rhs value)} with None for a zero value,
+    keys whose relation holds left out.  A side is a FunctionalElement or
+    a _Side; a key's first word is its shortest, then the smallest by
+    coordinate tuple."""
+    found: Dict[Tuple, Tuple] = {}
+    for coords, (lv, rv) in _walk([{k: p[0] for k, p in pairs.items()},
+                                   {k: p[1] for k, p in pairs.items()}], D):
+        if lv == rv:
+            continue
+        for key in lv.keys() | rv.keys():
+            a, b = lv.get(key), rv.get(key)
+            if a != b and (key not in found
+                           or len(found[key][0]) > len(coords)):
+                found[key] = (coords, a, b)
+    return found
 
 
 def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
-    """First disagreement of a family of relations lhs = rhs, one per
-    index key, on the free words of length <= D, as (key, coords, lhs
-    value, rhs value) with None for a zero value; None when every
-    relation holds.  A side is a FunctionalElement or a function giving
-    its evaluation matrix (no stored zeros) at a word length.  The order
-    is the one stated in functional_equal."""
-    for k in range(D + 1):
-        for key in sorted(pairs):
-            lhs, rhs = pairs[key]
-            ml, mr = _side_matrix(lhs, k), _side_matrix(rhs, k)
-            if ml == mr:
-                continue
-            diffs = []
-            for r in set(ml) | set(mr):
-                rl, rr = ml.get(r, {}), mr.get(r, {})
-                diffs += [(tuple(zip(r, col)), rl.get(col), rr.get(col))
-                          for col in set(rl) | set(rr)
-                          if rl.get(col) != rr.get(col)]
-            return (key,) + min(diffs, key=lambda d: d[0])
-    return None
+    """First disagreement of a family of relations lhs = rhs, as (key,
+    coords, lhs value, rhs value), or None when every relation holds; the
+    order is the one stated in functional_equal."""
+    found = _witnesses(pairs, D)
+    if not found:
+        return None
+    key = min(found, key=lambda k: (len(found[k][0]), k))
+    return (key,) + found[key]
 
 
 def functional_equal(f: FunctionalElement, g: FunctionalElement,
@@ -566,17 +811,14 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     rep = Report("functional relation suite for iso(%d) at degree %d"
                  % (N, D))
 
-    # triangularity: no evaluation matrix below (above) the L+ (L-) diagonal
-    bad = []
-    for k in range(1, D + 1):
-        famp = _gen_family(bundle, 1, k)
-        famm = _gen_family(bundle, -1, k)
-        for A in geom.indices():
-            for B in geom.indices():
-                if A > B and famp.get((A, B)):
-                    bad.append(("L+", A, B, k))
-                if A < B and famm.get((A, B)):
-                    bad.append(("L-", A, B, k))
+    # triangularity: no value below (above) the L+ (L-) diagonal
+    below = {(sign, A, B): l_functional(bundle, sign, A, B)
+             for sign in (1, -1) for A in geom.indices()
+             for B in geom.indices() if sign * (A - B) > 0}
+    hits = set()
+    for coords, (vals,) in _walk([below], D):
+        hits |= {(len(coords), A, B, -sign) for sign, A, B in vals}
+    bad = [("L+" if s < 0 else "L-", A, B, k) for k, A, B, s in sorted(hits)]
     rep.add("triangularity of the functional matrices", not bad,
             "" if not bad else "nonzero at %r" % (bad[:3],))
 
@@ -738,17 +980,8 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
         # f4(A, C) = (q_AC / r)^2, one on the diagonal because q_AA = r
         roots = {C: canonical_q(ps, A, C) * ps.s_pow(-2)
                  for C in geom.indices()}
-        f4 = {C: x * x for C, x in roots.items()}
-
-        def matrix(k):
-            out = {}
-            for vec in iproduct(geom.indices(), repeat=k):
-                v = ps.one
-                for C in vec:
-                    v = v * f4[C]
-                out[vec] = {vec: v}
-            return out
-        return matrix
+        src = _Diagonal({C: x * x for C, x in roots.items()})
+        return _Side(((src, {(): ps.one}, {(): None}),))
 
     w = _first_difference(
         {(A,): (word2((1, A, A), (-1, A, A)), twist_power(A))
@@ -812,20 +1045,20 @@ def _h_letters(geometry: IndexGeometry):
     return hs
 
 
-def _cone_cases(side, geometry: IndexGeometry, D: int):
-    """The nonzero values of a relation side on the free words of length
-    1..D with a factor from the cone ideal, as cases (coords, value,
-    None) against the zero the annihilation claims; words come by length,
-    then row (C1, ..., Ck), then column (D1, ..., Dk)."""
+def _cone_witness(side, geometry: IndexGeometry, D: int):
+    """The first nonzero value of a relation side on the free words of
+    length 1..D with a factor from the cone ideal, as (coords, value), or
+    None; words come by length, then row (C1, ..., Ck), then column
+    (D1, ..., Dk)."""
     hset = _h_letters(geometry)
-    for k in range(1, D + 1):
-        mat = _side_matrix(side, k)
-        for r in sorted(mat):
-            row = mat[r]
-            for col in sorted(row):
-                coords = tuple(zip(r, col))
-                if any(p in hset for p in coords):
-                    yield coords, row[col], None
+    best = None
+    for coords, (vals,) in _walk([{(): side}], D):
+        v = vals.get(())
+        if v is not None and any(p in hset for p in coords):
+            order = (len(coords), tuple(zip(*coords)))
+            if best is None or order < best[0]:
+                best = (order, coords, v)
+    return None if best is None else best[1:]
 
 
 def iu_annihilates(f: FunctionalElement, N: int,
@@ -836,8 +1069,8 @@ def iu_annihilates(f: FunctionalElement, N: int,
     if not (geom.embedded and geom.dim == N + 2):
         raise ValueError("functional is not over the embedded geometry "
                          "of iso(%d)" % N)
-    w = first_failure(_cone_cases(f, geom, D))
-    return AnnihilationResult(w is None, None if w is None else w[:2])
+    w = _cone_witness(f, geom, D)
+    return AnnihilationResult(w is None, w)
 
 
 def iu_generators(bundle: RMatrixBundle) -> List[FunctionalElement]:
@@ -922,14 +1155,11 @@ def independence_rank(ws: Sequence[FunctionalWord], N: int, D: int) -> int:
     specialization has no poles."""
     bundle = build_bundle(IndexGeometry(N + 2, embedded=True))
     point = _generic_point(bundle.geometry.params)
-    rows = []
-    for w in ws:
-        row = {}
-        for k in range(D + 1):
-            for r, cols in _word_matrix(bundle, w, k).items():
-                for col, v in cols.items():
-                    row[(k, r, col)] = specialize(v, point)
-        rows.append(row)
+    rows: List[Dict] = [{} for _ in ws]
+    words = {i: word_functional(bundle, w) for i, w in enumerate(ws)}
+    for coords, (vals,) in _walk([words], D):
+        for i, v in vals.items():
+            rows[i][coords] = specialize(v, point)
     return rational_rank(rows)
 
 

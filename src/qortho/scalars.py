@@ -635,6 +635,12 @@ def scalar_invert(a: Scalar) -> Scalar:
     return _canon(ps, num, den)
 
 
+def denominator(a: Scalar) -> Scalar:
+    """The denominator of a as a Laurent polynomial, so that a times it
+    is a Laurent polynomial."""
+    return Scalar(a.ps, a.den, a.ps._one_den)
+
+
 def occurring_vars(a: Scalar) -> List[str]:
     """The variables with a nonzero exponent somewhere in a, in the
     ParamSpace order."""

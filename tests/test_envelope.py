@@ -7,12 +7,17 @@ Functional words evaluate through matrix products, so every identity
 is checked degree by degree on spanning sets of T words.
 """
 
+import functools
+from itertools import product as iproduct
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qortho import envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
-                             _cone_cases, _exchange_residual,
-                             _first_difference, _mapped,
+                             _cone_witness, _exchange_residual,
+                             _Side, _first_difference, _mapped, _walk,
                              _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
@@ -25,9 +30,9 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              NotInIU)
 from qortho.itensor import IndexGeometry
 from qortho.presentations import build_presentation, word_element
-from qortho.report import first_failure
 from qortho.rmatrix import build_bundle
-from qortho.scalars import limit_r_to_1, render_scalar, scalar_invert
+from qortho.scalars import (_acc, limit_r_to_1, render_scalar,
+                            scalar_invert)
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -101,14 +106,31 @@ def test_functional_equal_reports_witness():
     assert functional_equal(f, f + f - f, 2).equal
 
 
+class _Spell(NamedTuple):
+    """A test source whose state is the word read so far."""
+    letters: tuple
+
+    def viable(self, ends, r):
+        return None
+
+    def step(self, row, letter=None, keep=None):
+        return {x: {a + (x,): v for a, v in row.items()}
+                for x in self.letters if letter in (None, x)}
+
+
+def on_words(*words):
+    """A side that is 1 on the given words and 0 on every other word."""
+    src = _Spell(tuple(iproduct(range(1, 6), repeat=2)))
+    return _Side(((src, {(): GEOM3.params.one}, {w: None for w in words}),))
+
+
 def test_first_difference_order():
     one = GEOM3.params.one
     # key (1,) first differs at length 2, on two words whose order by
     # coordinate tuple is the reverse of their (row, column) order
-    late = {(1, 1): {(5, 5): one}, (1, 2): {(3, 1): one}}
-    pairs = {(1,): (lambda k: late if k == 2 else {}, lambda k: {}),
-             (2,): (lambda k: {(2,): {(1,): one}} if k else {},
-                    lambda k: {})}
+    pairs = {(1,): (on_words(((1, 5), (1, 5)), ((1, 3), (2, 1))),
+                    on_words()),
+             (2,): (on_words(((2, 1),)), on_words())}
     assert _first_difference(pairs, 2) == ((2,), ((2, 1),), one, None)
     del pairs[(2,)]
     assert _first_difference(pairs, 1) is None
@@ -321,14 +343,12 @@ def test_cone_scan_is_shared_by_limited_sides():
     f = word_functional(BUNDLE5, ((1, 1, 2),), lam_inv)
     res = iu_annihilates(f, N, D=2)
     assert show_t_word(GEOM5, res.witness[0]) == "T[1,∘]"
-    assert first_failure(_cone_cases(f, GEOM5, 2)) == res.witness + (None,)
-    assert first_failure(_cone_cases(_mapped(f, limit_r_to_1), GEOM5, 2)) \
-        == res.witness + (None,)
+    assert _cone_witness(f, GEOM5, 2) == res.witness
+    assert _cone_witness(_mapped(f, limit_r_to_1), GEOM5, 2) == res.witness
     # (1/lambda) L+^o_* is 1 - s^-6 on T[*,o], which vanishes at r = 1
     g = word_functional(BUNDLE5, ((1, 1, 5),), lam_inv)
     assert render_scalar(iu_annihilates(g, N, D=2).witness[1]) == "1 - s^-6"
-    assert first_failure(_cone_cases(_mapped(g, limit_r_to_1), GEOM5, 2)) \
-        is None
+    assert _cone_witness(_mapped(g, limit_r_to_1), GEOM5, 2) is None
 
 
 def test_pairing_is_linear():
@@ -338,3 +358,162 @@ def test_pairing_is_linear():
     b = iso_word("x2", "x3")
     left = pairing(f, a + b)
     assert left == pairing(f, a) + pairing(f, b)
+
+
+# --- the trie walk against the table evaluator it replaced --------------------
+
+def ref_element_matrix(e, k):
+    """The evaluation matrix of a functional at T-word length k, rows
+    (C1, ..., Ck) and columns (D1, ..., Dk), by the per-length tables the
+    engine kept before it walked the word trie: the generator tables grow
+    one letter at a time through the R matrix, a product word multiplies
+    its letters' tables, and a combination combines its words' tables."""
+    bundle = e.bundle
+    one = bundle.geometry.params.one
+
+    def mat_mul(m1, m2):
+        out = {}
+        for r, row in m1.items():
+            acc = {}
+            for mid, v in row.items():
+                for c, w in m2.get(mid, {}).items():
+                    _acc(acc, c, v * w)
+            if acc:
+                out[r] = acc
+        return out
+
+    @functools.cache
+    def gen_family(sign, k):
+        out = {}
+        if k == 0:
+            for A in bundle.geometry.indices():
+                out[(A, A)] = {(): {(): one}}
+        elif k == 1:
+            tensor = bundle.Rplus if sign > 0 else bundle.Rminus
+            for (E, C, F, D), v in tensor.items():
+                out.setdefault((E, F), {}).setdefault((C,), {})[(D,)] = v
+        else:
+            prev = gen_family(sign, k - 1)
+            by_first = {}
+            for (E, B), mat in gen_family(sign, 1).items():
+                by_first.setdefault(E, []).append((B, mat))
+            for (A, E), mat in prev.items():
+                for B, tail in by_first.get(E, ()):
+                    dst = out.setdefault((A, B), {})
+                    for Cvec, row in mat.items():
+                        for Dvec, v1 in row.items():
+                            for (c,), tr in tail.items():
+                                drow = dst.setdefault(Cvec + (c,), {})
+                                for (d,), v2 in tr.items():
+                                    _acc(drow, Dvec + (d,), v1 * v2)
+            for pair in list(out):
+                mat = out[pair]
+                for r in list(mat):
+                    if not mat[r]:
+                        del mat[r]
+                if not mat:
+                    del out[pair]
+        return out
+
+    def word_matrix(w):
+        if not w:
+            return {vec: {vec: one}
+                    for vec in iproduct(bundle.geometry.indices(), repeat=k)}
+        got = gen_family(w[0][0], k).get(w[0][1:], {})
+        for sign, A, B in w[1:]:
+            got = mat_mul(got, gen_family(sign, k).get((A, B), {}))
+        return got
+
+    out = {}
+    for w, c in e.terms.items():
+        for r, row in word_matrix(w).items():
+            dst = out.setdefault(r, {})
+            for col, v in row.items():
+                _acc(dst, col, c * v)
+    return {r: row for r, row in out.items() if row}
+
+
+def ref_first_difference(pairs, D):
+    """_first_difference as the table engine computed it."""
+    for k in range(D + 1):
+        for key in sorted(pairs):
+            ml, mr = (ref_element_matrix(side, k) for side in pairs[key])
+            diffs = [(tuple(zip(r, col)), ml.get(r, {}).get(col),
+                      mr.get(r, {}).get(col))
+                     for r in set(ml) | set(mr)
+                     for col in set(ml.get(r, {})) | set(mr.get(r, {}))]
+            diffs = [d for d in diffs if d[1] != d[2]]
+            if diffs:
+                return (key,) + min(diffs, key=lambda d: d[0])
+    return None
+
+
+@st.composite
+def functionals(draw, bundle):
+    """Combinations of up to four words of at most three L+ / L- letters,
+    with Laurent and non-Laurent coefficients."""
+    ps = bundle.geometry.params
+    M = bundle.geometry.dim
+    coeffs = [ps.one, -ps.one, ps.s_pow(2), ps.s_pow(-1) * ps.from_rational(3),
+              scalar_invert(ps.s_pow(2) - ps.s_pow(-2))]
+    gens = st.tuples(st.sampled_from([1, -1]), st.integers(1, M),
+                     st.integers(1, M))
+    words = draw(st.lists(st.lists(gens, max_size=3), min_size=1,
+                          max_size=4))
+    terms = {}
+    for w in words:
+        _acc(terms, tuple(w), draw(st.sampled_from(coeffs)))
+    return envelope.FunctionalElement(bundle, terms)
+
+
+def walk_matrices(f, D):
+    """The values of f on every T-word of length <= D, by length, in the
+    table layout."""
+    out = {k: {} for k in range(D + 1)}
+    for coords, (vals,) in _walk([{(): f}], D):
+        if () in vals:
+            r, col = tuple(zip(*coords)) if coords else ((), ())
+            out[len(coords)].setdefault(r, {})[col] = vals[()]
+    return out
+
+
+@pytest.mark.parametrize("bundle", [BUNDLE3, BUNDLE5], ids=["so3", "so5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_walk_matches_the_table_evaluator(bundle, data):
+    f = data.draw(functionals(bundle))
+    D = data.draw(st.integers(0, 2))
+    got = walk_matrices(f, D)
+    for k in range(D + 1):
+        assert got[k] == ref_element_matrix(f, k)
+
+
+@pytest.mark.parametrize("bundle", [BUNDLE3, BUNDLE5], ids=["so3", "so5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_first_difference_matches_the_table_engine(bundle, data):
+    # g = f + h with h often vanishing on short words, so that the first
+    # difference also falls at positive lengths
+    D = data.draw(st.integers(0, 2))
+    pairs = {}
+    for key in range(data.draw(st.integers(1, 3))):
+        f = data.draw(functionals(bundle))
+        h = data.draw(st.sampled_from(
+            [f - f, f, l_functional(bundle, 1, 1, bundle.geometry.dim),
+             word_functional(bundle, ((-1, 2, 1), (1, 1, 2)))]))
+        pairs[(key,)] = (f, f + h)
+    assert _first_difference(pairs, D) == ref_first_difference(pairs, D)
+
+
+def test_engine_caches_do_not_grow_with_the_degree():
+    # every cache of the engine is keyed by a bundle, a sign or a sign
+    # pattern; none grows with the words or the degree bound
+    caches = {name: fn for name, fn in vars(envelope).items()
+              if hasattr(fn, "cache_info")}
+    assert caches
+    verify_envelope_suite(3, 1)
+    sizes = {name: fn.cache_info().currsize for name, fn in caches.items()}
+    verify_envelope_suite(3, 2)
+    independence_rank(eta_monomials(3, 1), 3, 2)
+    assert {name: fn.cache_info().currsize
+            for name, fn in caches.items()} == sizes

@@ -25,6 +25,8 @@ GOLDEN = [
      "d9df7a37826851f39cae4dbeff7756d729567a679705fd41b44009538906d493"),
     (["lie", "--n", "3", "--kind", "projected"],
      "3a518e80048814884ee077be693eabbbe0583fa62c9a7fd143fe26ed8114a356"),
+    (["lie", "--n", "3", "--kind", "r1"],
+     "7a7b3aee9eb6d23244e914d0ac101690963a1c62c4e899aa947fe115358a5509"),
     (["verify", "--suite", "presentation", "--n", "4"],
      "d15f77789ca1d31d4a487aa1ea18d0f1da40ee80fe034f13d9e2e2cadd6e0182"),
     (["verify", "--suite", "calculus-projected", "--n", "3"],
