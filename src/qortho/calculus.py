@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
-                       eval_functional, iu_annihilates, l_functional,
-                       show_t_word, show_witness, _cone_witness,
+                       iu_annihilates, l_functional, show_t_word,
+                       show_witness, _brackets, _cone_witness,
                        _first_difference, _mapped, _walk, _witnesses)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
@@ -322,60 +322,42 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
 # ---------------------------------------------------------------------------
 # deformed brackets and structure constants
 
-def _letter_values(basis: TangentBasis,
-                   f: FunctionalElement) -> Dict[Tuple[int, int], Scalar]:
-    vals = _letter_values_raw(basis, f)
-    if basis.limit:
-        vals = {key: limit_r_to_1(v) for key, v in vals.items()}
-    return {key: v for key, v in vals.items() if v}
+def _letter(big, A: int, B: int) -> AlgebraElement:
+    """The letter T^A_B of the free algebra of the embedded group."""
+    M = big.geometry.dim
+    return word_element(big.alphabet, big.params, ((A - 1) * M + (B - 1),))
 
 
-def _bracket_on_letters(basis: TangentBasis, f: FunctionalElement,
-                        g: FunctionalElement) -> Dict[Tuple[int, int], Scalar]:
-    """[f, g](T^A_C) through the adjoint coaction of the embedded group:
-    sum over B, D of f(T^B_D) g(k(T^A_B) T^D_C)."""
-    bundle = basis.bundle
+def _letter_values(f: FunctionalElement,
+                   limit: bool = False) -> Dict[Tuple[int, int], Scalar]:
+    """The nonzero letter values {(A, C): f(T^A_C)}, at r = 1 with
+    limit."""
+    side = _mapped(f, limit_r_to_1) if limit else f
+    return {coords[0]: vals[()] for coords, (vals,) in _walk([{(): side}], 1)
+            if coords and () in vals}
+
+
+def _brackets_on_letters(basis: TangentBasis, f: FunctionalElement
+                         ) -> List[Dict[Tuple[int, int], Scalar]]:
+    """[f, g](T^A_C) for every basis vector g, through the adjoint
+    coaction of the embedded group: g on the sum over B, D of f(T^B_D)
+    k(T^A_B) T^D_C, all read from one walk.  The limit r = 1 is taken of
+    the whole value, so that paired poles may cancel first."""
     big = build_presentation("so", basis.N + 2, embedded=True)
-    geom = bundle.geometry
-    ps = geom.params
-    M = geom.dim
-    fvals = _letter_values_raw(basis, f)
-    out: Dict[Tuple[int, int], Scalar] = {}
-    for A in geom.indices():
-        for C in geom.indices():
-            total = ps.zero
-            for (B, D), fv in fvals.items():
-                kappa = costructure(
-                    "antipode",
-                    word_element(big.alphabet, ps, ((A - 1) * M + (B - 1),)),
-                    big)
-                elem = kappa * word_element(
-                    big.alphabet, ps, ((D - 1) * M + (C - 1),))
-                gv = eval_functional(g, elem)
-                if gv:
-                    total = total + fv * gv
-            if basis.limit and total:
-                total = limit_r_to_1(total)
-            if total:
-                out[(A, C)] = total
-    return out
-
-
-def _letter_values_raw(basis: TangentBasis, f: FunctionalElement):
-    """Letter values without limits; the limit is applied to the whole
-    bracket sum so that paired poles may cancel first."""
-    bundle = basis.bundle
-    big = build_presentation("so", basis.N + 2, embedded=True)
-    geom = bundle.geometry
-    M = geom.dim
-    ps = geom.params
-    out: Dict[Tuple[int, int], Scalar] = {}
-    for A in geom.indices():
-        for C in geom.indices():
-            v = eval_functional(f, word_element(
-                big.alphabet, ps, ((A - 1) * M + (C - 1),)))
-            if v:
-                out[(A, C)] = v
+    idx = list(big.geometry.indices())
+    fvals = _letter_values(f)
+    kappa = {(A, B): costructure("antipode", _letter(big, A, B), big)
+             for A in idx for B in {B for B, _ in fvals}}
+    vals = _brackets(dict(enumerate(basis.vectors)), {
+        (A, C): sum(((kappa[A, B] * _letter(big, D, C)).scale(fv)
+                     for (B, D), fv in fvals.items()),
+                    zero_element(big.alphabet, big.params))
+        for A in idx for C in idx})
+    out: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in basis.vectors]
+    for j, AC in sorted(vals):
+        v = limit_r_to_1(vals[j, AC]) if basis.limit else vals[j, AC]
+        if v:
+            out[j][AC] = v
     return out
 
 
@@ -388,12 +370,11 @@ def structure_constants(basis: TangentBasis):
     one = basis.bundle.geometry.params.one
     stair: dict = {}
     for k, v in enumerate(basis.vectors):
-        stair_insert(stair, _letter_values(basis, v), {k: one})
+        stair_insert(stair, _letter_values(v, basis.limit), {k: one})
     out = []
     for i, vi in enumerate(basis.vectors):
-        for j, vj in enumerate(basis.vectors):
-            res, combo = stair_reduce(stair,
-                                      _bracket_on_letters(basis, vi, vj))
+        for j, bracket in enumerate(_brackets_on_letters(basis, vi)):
+            res, combo = stair_reduce(stair, bracket)
             if res:
                 raise ValueError(
                     "bracket of %s and %s leaves the tangent span"
@@ -468,41 +449,33 @@ def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
 # ---------------------------------------------------------------------------
 # differential, bimodule rule, Leibniz
 
+def _star(fs: Dict, a: AlgebraElement, p,
+          limit: bool = False) -> Dict[object, AlgebraElement]:
+    """f * a = (id x f) Delta(a) for every functional f of fs, by key, in
+    iso normal form; with limit, each bracket is taken at r = 1."""
+    ps = p.params
+    cop = costructure("coproduct", a, p).terms
+    vals = _brackets(fs, {w2: section(word_element(p.alphabet, ps, w2), p)
+                          for _, w2 in cop})
+    if limit:
+        vals = {k: limit_r_to_1(v) for k, v in vals.items()}
+    acc: Dict[object, Dict] = {key: {} for key in fs}
+    for (w1, w2), c in cop.items():
+        for key in fs:
+            if (key, w2) in vals:
+                _acc(acc[key], w1, c * vals[key, w2])
+    rs = iso_normal_system(p)
+    return {key: reduce(AlgebraElement(p.alphabet, ps, t), rs)
+            for key, t in acc.items()}
+
+
 def differential(a: AlgebraElement,
                  basis: TangentBasis) -> List[Tuple[AlgebraElement, str]]:
     """da = (chi_i * a) omega^i with chi_i * a = (id x chi_i) Delta(a);
     coefficients come back in iso normal form, one per basis label."""
     p = build_presentation("iso", basis.N)
-    rs = iso_normal_system(p)
-    ps = p.params
-    cop = costructure("coproduct", a, p)
-    acc: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in basis.vectors]
-    for (w1, w2), c in cop.terms.items():
-        lifted = section(word_element(p.alphabet, ps, w2), p)
-        for i, chi in enumerate(basis.vectors):
-            val = eval_functional(chi, lifted)
-            if basis.limit and val:
-                val = limit_r_to_1(val)
-            if not val:
-                continue
-            _acc(acc[i], w1, c * val)
-    out = []
-    for i, label in enumerate(basis.labels):
-        out.append((reduce(AlgebraElement(p.alphabet, ps, acc[i]), rs),
-                    label))
-    return out
-
-
-def _star(f: FunctionalElement, a: AlgebraElement, p, rs) -> AlgebraElement:
-    ps = p.params
-    cop = costructure("coproduct", a, p)
-    acc: Dict[Tuple[int, ...], Scalar] = {}
-    for (w1, w2), c in cop.terms.items():
-        val = eval_functional(f, section(word_element(p.alphabet, ps, w2), p))
-        if not val:
-            continue
-        _acc(acc, w1, c * val)
-    return reduce(AlgebraElement(p.alphabet, ps, acc), rs)
+    stars = _star(dict(enumerate(basis.vectors)), a, p, basis.limit)
+    return [(stars[i], label) for i, label in enumerate(basis.labels)]
 
 
 def bimodule_commute(basis: TangentBasis,
@@ -514,11 +487,10 @@ def bimodule_commute(basis: TangentBasis,
                          "its bimodule matrix is not materialized")
     N = basis.N
     M = N + 2
-    p = build_presentation("iso", N)
-    rs = iso_normal_system(p)
     idx = [b + 1 for b in range(1, N + 1)] + [1, M]
-    return [[_star(build_f(M, I, M, J, N), a, p, rs) for J in idx]
-            for I in idx]
+    stars = _star({(I, J): build_f(M, I, M, J, N) for I in idx for J in idx},
+                  a, build_presentation("iso", N))
+    return [[stars[I, J] for J in idx] for I in idx]
 
 
 def leibniz_check(basis: TangentBasis, a: AlgebraElement,
@@ -554,16 +526,11 @@ def adjoint_entries(N: int) -> List[AdjointEntry]:
     big = build_presentation("so", N + 2, embedded=True)
     rs = iso_normal_system(p)
     geom = big.geometry
-    ps = geom.params
-    M = geom.dim
-    top = word_element(big.alphabet, ps, ((M - 1) * M + (M - 1),))
+    top = _letter(big, geom.dim, geom.dim)
     out = []
     for B in geom.indices():
         for D in geom.indices():
-            kappa = costructure(
-                "antipode",
-                word_element(big.alphabet, ps, ((D - 1) * M + (B - 1),)),
-                big)
+            kappa = costructure("antipode", _letter(big, D, B), big)
             out.append(AdjointEntry(
                 (B, D), reduce(project(top * kappa, p), rs)))
     return out

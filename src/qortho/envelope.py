@@ -19,8 +19,10 @@ the R matrix.  Functionals are evaluated by a depth-first walk of the
 trie of T-words (_walk): a fixed combination of words enters as start
 rows with its coefficients folded in (_as_side), each node multiplies
 its parent's rows by one transfer matrix, and only the rows along the
-current word are held.  The transfer matrices of the one- and two-letter
-patterns are derived data, built on first use and kept by
+current word are held.  A bracket <f, a> comes from the same walk
+restricted to the prefixes of the T-words of a (_brackets), one walk per
+batch of functionals and elements.  The transfer matrices of the one-
+and two-letter patterns are derived data, built on first use and kept by
 functools.cache per bundle and sign pattern; nothing keyed by a word or
 a word length is kept.
 
@@ -33,8 +35,9 @@ carry the image of every value under a scalar morphism (_mapped), which
 is how the uniparametric collapse compares values at g_ab = r and the
 calculi compare limits at r = 1.  The Hopf pairing axioms are ordered
 families of (key, lhs, rhs) cases that report their first failure
-through report.first_failure; the cone-ideal scan of iu_annihilates
-reports the first nonzero value in the order stated in _cone_witness.
+through report.first_failure, their sides reading brackets from
+batched restricted walks; the cone-ideal scan of iu_annihilates reports
+the first nonzero value in the order stated in _cone_witness.
 
 L+ is upper triangular and L- lower triangular.  The functionals that
 annihilate the cone ideal (generated by T^a_o, T^*_b, T^*_o) are exactly
@@ -50,8 +53,9 @@ L-^*_* = (L-^o_o)^{-1}.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
-from itertools import chain, product as iproduct
+from itertools import product as iproduct
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -100,9 +104,9 @@ def gen_tag(g: Optional[Gen]) -> str:
 def tag_gen(tag: str) -> Optional[Gen]:
     if tag == "eps":
         return None
-    if tag.startswith("L+[") or tag.startswith("L-["):
-        a, b = tag[3:-1].split(",")
-        return (1 if tag[1] == "+" else -1, int(a), int(b))
+    m = re.fullmatch(r"L([+-])\[([0-9]+),([0-9]+)\]", tag)
+    if m is not None:
+        return (1 if m[1] == "+" else -1, int(m[2]), int(m[3]))
     raise ValueError("unknown functional generator tag %r" % (tag,))
 
 
@@ -457,25 +461,32 @@ def _through(src, a: State, at: Dict, one: Scalar) -> Dict[Letter, List]:
     return out
 
 
-def _walk(families: Sequence[Dict], D: int):
+def _walk(families: Sequence[Dict], D: int, words=None):
     """Depth-first walk of the free T-words of length <= D in the order
     of their coordinate tuples ((C1, D1), ..., (Ck, Dk)): yields
     (coords, values), values[n] the nonzero values of the n-th family by
-    key.  Only the stream rows of the current word and of its parents'
-    unvisited siblings are held, without the states from which no read
-    state is reachable in the letters left; a word on which every stream
-    vanishes is skipped with all its extensions, because every side is
-    zero there.  The words of length D are read straight from their
-    parent's rows: what one letter does to the reads of a stream state
-    is worked out once per walk."""
+    key; given a set of words, only those are read and only the letters
+    that extend one of them are stepped.  Only the stream rows of the
+    current word and of its parents' unvisited siblings are held, without
+    the states from which no read state is reachable in the letters left;
+    a word on which every stream vanishes is skipped with all its
+    extensions, because every side is zero there.  Walking every word,
+    the words of length D are read straight from their parent's rows:
+    what one letter does to the reads of a stream state is worked out
+    once per walk."""
     streams, reads, fns = _compile(families)
+    nexts: Dict[Tuple, set] = {}
+    for w in words or ():
+        for k in range(len(w)):
+            nexts.setdefault(w[:k], set()).add(w[k])
     ahead: List[Dict[State, Dict]] = [{} for _ in streams]
     keeps: Dict[Tuple[int, int], object] = {}
     stack = [((), {i: row for i, (_, row) in enumerate(streams)})]
     while stack:
         coords, live = stack.pop()
-        yield coords, _read(live, reads, fns)
-        if len(coords) == D - 1:
+        if words is None or coords in words:
+            yield coords, _read(live, reads, fns)
+        if words is None and len(coords) == D - 1:
             leaves: Dict[Letter, List[Dict]] = {}
             for i, row in live.items():
                 known = ahead[i]
@@ -493,13 +504,15 @@ def _walk(families: Sequence[Dict], D: int):
                 yield coords + (letter,), _finish(leaves[letter], fns)
         elif len(coords) < D:
             r = D - len(coords) - 1
+            letters = [None] if words is None else nexts.get(coords, ())
             kids: Dict[Letter, Dict[int, Row]] = {}
             for i, row in live.items():
                 if (i, r) not in keeps:
                     keeps[i, r] = streams[i][0].viable(reads[i], r)
-                for letter, got in streams[i][0].step(row, None,
-                                                      keeps[i, r]).items():
-                    kids.setdefault(letter, {})[i] = got
+                for x in letters:
+                    for letter, got in streams[i][0].step(
+                            row, x, keeps[i, r]).items():
+                        kids.setdefault(letter, {})[i] = got
             stack += [(coords + (letter,), kids[letter])
                       for letter in sorted(kids, reverse=True)]
 
@@ -518,29 +531,35 @@ def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
     return pairs
 
 
+def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
+    """The brackets <f, a> of every functional of fs with every element
+    of the free matrix-entry algebra in elems, keyed (key of f, key of
+    a), zeros left out, from one walk restricted to the elements'
+    T-words."""
+    if not fs:
+        return {}
+    bundle = next(iter(fs.values())).bundle
+    terms = {}
+    for ekey, a in elems.items():
+        pairs = _letter_pairs(bundle, a.alphabet)
+        terms[ekey] = [(tuple(pairs[g] for g in w), c)
+                       for w, c in a.terms.items()]
+    words = {w for ts in terms.values() for w, _ in ts}
+    vals = {w: v for w, (v,) in _walk([fs], max(map(len, words), default=0),
+                                      words)}
+    out: Dict[Tuple, Scalar] = {}
+    for ekey, ts in terms.items():
+        for w, c in ts:
+            for fkey, v in vals.get(w, {}).items():
+                _add(out, (fkey, ekey), c * v)
+    return out
+
+
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
     """Value of a functional on an element of the free matrix-entry
-    algebra of the same embedded geometry, walking only the path of each
-    of its T-words."""
-    bundle = f.bundle
-    one = bundle.geometry.params.one
-    pairs = _letter_pairs(bundle, a.alphabet)
-    paths = [([pairs[g] for g in xw], xc) for xw, xc in a.terms.items()]
-    total = bundle.geometry.params.zero
-    for w, c in f.terms.items():
-        signs, start, end = zip(*w) if w else ((), (), ())
-        src = _Pattern(bundle, signs)
-        for path, xc in paths:
-            row: Optional[Row] = {start: one}
-            for letter in path:
-                row = src.step(row, letter).get(letter)
-                if row is None:
-                    break
-            else:
-                v = row.get(end)
-                if v is not None:
-                    total = total + c * xc * v
-    return total
+    algebra of the same embedded geometry."""
+    return _brackets({(): f}, {(): a}).get(((), ()),
+                                           f.bundle.geometry.params.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -759,24 +778,16 @@ def script_r_matrix(N: int) -> SparseTensor4:
     geom = bundle.geometry
     M = geom.dim
     inner = set(geom.inner())
-    entries: Dict[Tuple[int, int, int, int], Scalar] = {}
-    for A in geom.indices():
-        for C in geom.indices():
-            t_entry = project(
-                word_element(big.alphabet, geom.params,
-                             ((A - 1) * M + (C - 1),)), p)
-            if not t_entry:
-                continue
-            lifted = section(t_entry, p)
-            for B in geom.indices():
-                for Dd in geom.indices():
-                    if B != Dd and not (B in inner and Dd in inner):
-                        continue
-                    val = eval_functional(l_functional(bundle, 1, B, Dd),
-                                          lifted)
-                    if val:
-                        entries[(A, B, C, Dd)] = val
-    return SparseTensor4(geom, entries)
+    lifted = {(A, C): section(project(word_element(
+                  big.alphabet, geom.params, ((A - 1) * M + (C - 1),)), p), p)
+              for A in geom.indices() for C in geom.indices()}
+    plus = {(B, Dd): l_functional(bundle, 1, B, Dd)
+            for B in geom.indices() for Dd in geom.indices()
+            if B == Dd or (B in inner and Dd in inner)}
+    vals = _brackets(plus, lifted)
+    return SparseTensor4(geom, {(A, B, C, Dd): vals[(B, Dd), (A, C)]
+                                for A, C in lifted for B, Dd in plus
+                                if ((B, Dd), (A, C)) in vals})
 
 
 def _script_r_expected(bundle: RMatrixBundle) -> SparseTensor4:
@@ -1108,7 +1119,8 @@ def pairing(f: FunctionalElement, pa: AlgebraElement, *,
             coords, val = res.witness
             raise NotInIU("functional fails on %s with value %s"
                           % (show_t_word(geom, coords), render_scalar(val)))
-    return eval_functional(f, section(pa, p))
+    return _brackets({(): f}, {(): section(pa, p)}).get(((), ()),
+                                                        geom.params.zero)
 
 
 def eta_monomials(N: int, max_degree: int) -> List[FunctionalWord]:
@@ -1169,64 +1181,81 @@ def independence_rank(ws: Sequence[FunctionalWord], N: int, D: int) -> int:
 def verify_pairing_axioms(N: int) -> Report:
     """Compatibility of the duality bracket with products, coproducts,
     antipodes and units on every generator pair.  Each axiom is an
-    ordered family of cases; the costructures of a quotient letter are
-    built once, and so is each bracket on a coproduct factor."""
+    ordered family of cases whose sides read their brackets from batched
+    walks; the costructures of a quotient letter are built once."""
     p = build_presentation("iso", N)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
     ps = p.params
     sym = p.alphabet.symbols
     rep = Report("duality bracket axioms for iso(%d)" % N)
-    fgens = iu_generators(bundle)
-    agens = [p.element({(i,): ps.one}) for i in range(len(p.alphabet))]
+    fgens = dict(enumerate(iu_generators(bundle)))
+    agens = {x: p.element({(x,): ps.one}) for x in range(len(sym))}
+
+    def brackets(fs: Dict, elems: Dict):
+        # <f, a> on the section of each quotient element, by (f key, a key)
+        got = _brackets(fs, {k: section(a, p) for k, a in elems.items()})
+        return lambda fk, ak: got.get((fk, ak), ps.zero)
 
     def product_cases():
-        cops = [costructure("coproduct", a, p).terms.items() for a in agens]
-        words = {w for cop in cops for pair, _ in cop for w in pair}
-        val = {(i, w): pairing(f, word_element(p.alphabet, ps, w))
-               for i, f in enumerate(fgens) for w in words}
-        for i, f in enumerate(fgens):
-            for j, g in enumerate(fgens):
-                fg = f * g
-                for x, a in enumerate(agens):
+        cops = {x: costructure("coproduct", a, p).terms.items()
+                for x, a in agens.items()}
+        val = brackets(fgens, {w: word_element(p.alphabet, ps, w)
+                               for cop in cops.values() for pair, _ in cop
+                               for w in pair})
+        for i, f in fgens.items():
+            # one walk per left factor: one walk over every product
+            # would hold len(fgens)^2 families and their values at once
+            fg = brackets({j: f * g for j, g in fgens.items()}, agens)
+            for j, g in fgens.items():
+                for x in agens:
                     yield (("products vs coproduct at %r, %r on %s",
-                            (f, g, sym[x])), pairing(fg, a),
-                           sum((c * val[i, w1] * val[j, w2]
+                            (f, g, sym[x])), fg(j, x),
+                           sum((c * val(i, w1) * val(j, w2)
                                 for (w1, w2), c in cops[x]), ps.zero))
 
     def coproduct_cases():
-        cops = [coproduct_functional(f) for f in fgens]
-        words = {w for cop in cops for _, wl, wr in cop for w in (wl, wr)}
-        val = {(w, x): pairing(word_functional(bundle, w), a)
-               for w in words for x, a in enumerate(agens)}
-        for f, cop in zip(fgens, cops):
-            for x, a in enumerate(agens):
-                for y, b in enumerate(agens):
+        cops = {i: coproduct_functional(f) for i, f in fgens.items()}
+        val = brackets({w: word_functional(bundle, w)
+                        for cop in cops.values() for _, wl, wr in cop
+                        for w in (wl, wr)}, agens)
+        fab = brackets(fgens, {(x, y): a * b for x, a in agens.items()
+                               for y, b in agens.items()})
+        for i, f in fgens.items():
+            for x in agens:
+                for y in agens:
                     yield (("functional coproduct vs product at %r on %s, %s",
-                            (f, sym[x], sym[y])), pairing(f, a * b),
-                           sum((c * val[wl, x] * val[wr, y]
-                                for c, wl, wr in cop), ps.zero))
+                            (f, sym[x], sym[y])), fab(i, (x, y)),
+                           sum((c * val(wl, x) * val(wr, y)
+                                for c, wl, wr in cops[i]), ps.zero))
 
-    antipodes = [costructure("antipode", a, p) for a in agens]
-    unit = unit_element(p.alphabet, ps)
-    eps = eps_functional(bundle)
+    def antipode_cases():
+        kf = brackets({i: antipode_L(f) for i, f in fgens.items()}, agens)
+        fk = brackets(fgens, {x: costructure("antipode", a, p)
+                              for x, a in agens.items()})
+        for i, f in fgens.items():
+            for x in agens:
+                yield (("antipodes disagree at %r on %s", (f, sym[x])),
+                       kf(i, x), fk(i, x))
+
+    def unit_cases():
+        eps = brackets({(): eps_functional(bundle)}, agens)
+        unit = brackets(fgens, {(): unit_element(p.alphabet, ps)})
+        for x, a in agens.items():
+            yield (("counit mismatch on %s", (sym[x],)), eps((), x),
+                   costructure("counit", a, p).terms.get((), ps.zero))
+        for i, f in fgens.items():
+            yield (("unit mismatch at %r", (f,)), unit(i, ()),
+                   counit_functional(f))
+
     # each case key is (detail template, its arguments)
     for name, cases in [
             ("product pairing follows the quotient coproduct",
              product_cases()),
             ("functional coproduct follows the quotient product",
              coproduct_cases()),
-            ("antipodes are adjoint under the bracket",
-             ((("antipodes disagree at %r on %s", (f, sym[x])),
-               pairing(kf, a), pairing(f, antipodes[x]))
-              for f in fgens for kf in [antipode_L(f)]
-              for x, a in enumerate(agens))),
-            ("units pair with counits", chain(
-                ((("counit mismatch on %s", (sym[x],)), pairing(eps, a),
-                  costructure("counit", a, p).terms.get((), ps.zero))
-                 for x, a in enumerate(agens)),
-                ((("unit mismatch at %r", (f,)), pairing(f, unit),
-                  counit_functional(f)) for f in fgens)))]:
+            ("antipodes are adjoint under the bracket", antipode_cases()),
+            ("units pair with counits", unit_cases())]:
         w = first_failure(cases)
         rep.add(name, w is None, "" if w is None else w[0][0] % w[0][1])
     return rep

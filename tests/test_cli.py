@@ -110,6 +110,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(["build-r", "--n", "3", "--spec", "g99=1"]) == 2
     assert run(["pair", "--n", "3", "--functional", "L+[9,1]",
                 "--word", "u"]) == 2
+    for tag in ["L+[1,1)", "L+[1,1,1]", "L+[a,1]"]:
+        assert run(["pair", "--n", "3", "--functional", tag,
+                    "--word", "u"]) == 2
+        assert "unknown functional generator tag" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -29,7 +29,8 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              verify_parameter_collapse, word_functional,
                              NotInIU)
 from qortho.itensor import IndexGeometry
-from qortho.presentations import build_presentation, word_element
+from qortho.presentations import (AlgebraElement, build_presentation,
+                                  word_element)
 from qortho.rmatrix import build_bundle
 from qortho.scalars import (_acc, limit_r_to_1, render_scalar,
                             scalar_invert)
@@ -42,6 +43,7 @@ N = 3
 GEOM5 = IndexGeometry(N + 2, embedded=True)
 BUNDLE5 = build_bundle(GEOM5)
 ISO3 = build_presentation("iso", N)
+BIG5 = build_presentation("so", N + 2, embedded=True)
 
 
 def t_word(pres, *pairs):
@@ -59,6 +61,15 @@ def test_generator_tags():
     assert gen_tag((-1, 1, 2)) == "L-[1,2]"
     assert tag_gen("L+[2,3]") == (1, 2, 3)
     assert tag_gen("eps") is None
+    for bad in ["L+[1,1)", "L+[1,1,1]", "L+[a,1]", "L+[1,1]x", "L*[1,1]",
+                "L-[,1]", "L-[1, 1]"]:
+        with pytest.raises(ValueError, match="unknown functional generator"):
+            tag_gen(bad)
+    with pytest.raises(ValueError, match="unknown functional generator"):
+        functional_from_json(BUNDLE5, [{"word": ["L+[1,1)"],
+                                        "coeff": functional_to_json(
+                                            eps_functional(BUNDLE5))[0]
+                                        ["coeff"]}])
 
 
 def test_show_t_word():
@@ -486,6 +497,60 @@ def test_walk_matches_the_table_evaluator(bundle, data):
     got = walk_matrices(f, D)
     for k in range(D + 1):
         assert got[k] == ref_element_matrix(f, k)
+
+
+@st.composite
+def t_elements(draw, pres):
+    """Up to four elements of the free matrix-entry algebra on words of at
+    most three letters; each word after the first continues a prefix of
+    an earlier one, so the words share prefixes in the walk."""
+    ps = pres.params
+    coeffs = [ps.one, -ps.one, ps.s_pow(3),
+              scalar_invert(ps.s_pow(2) - ps.s_pow(-2))]
+    letters = st.integers(0, len(pres.alphabet) - 1)
+    words = [tuple(draw(st.lists(letters, max_size=3)))]
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.sampled_from(words))
+        head = base[:draw(st.integers(0, len(base)))]
+        words.append(head + tuple(draw(st.lists(letters,
+                                                max_size=3 - len(head)))))
+    elems = {}
+    for key in range(draw(st.integers(1, 4))):
+        terms = {}
+        for w in draw(st.lists(st.sampled_from(words), min_size=1,
+                               max_size=3)):
+            _acc(terms, w, draw(st.sampled_from(coeffs)))
+        elems[key] = AlgebraElement(pres.alphabet, ps, terms)
+    return elems
+
+
+@pytest.mark.parametrize("bundle,pres", [(BUNDLE3, SO3), (BUNDLE5, BIG5)],
+                         ids=["so3", "so5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_restricted_walk_matches_the_table_evaluator(bundle, pres, data):
+    # letter g of the free alphabet is T^A_C with g = (A - 1) M + (C - 1)
+    M = bundle.geometry.dim
+    fs = {key: data.draw(functionals(bundle))
+          for key in range(data.draw(st.integers(1, 2)))}
+    elems = data.draw(t_elements(pres))
+    got = envelope._brackets(fs, elems)
+    tables = {}
+    for fkey, f in fs.items():
+        for ekey, a in elems.items():
+            want = bundle.geometry.params.zero
+            for w, c in a.terms.items():
+                if (fkey, len(w)) not in tables:
+                    tables[fkey, len(w)] = ref_element_matrix(f, len(w))
+                rows, cols = (tuple(zip(*(divmod(g, M) for g in w)))
+                              if w else ((), ()))
+                v = tables[fkey, len(w)].get(
+                    tuple(A + 1 for A in rows), {}).get(
+                        tuple(C + 1 for C in cols))
+                if v is not None:
+                    want = want + c * v
+            assert got.get((fkey, ekey), want.ps.zero) == want
+            assert (fkey, ekey) not in got or got[fkey, ekey]
 
 
 @pytest.mark.parametrize("bundle", [BUNDLE3, BUNDLE5], ids=["so3", "so5"])

@@ -35,6 +35,8 @@ GOLDEN = [
      "c2f09c44254d822eeeeb925219ca46402de0fa36c44e0e5312f58a7f44a7913d"),
     (["build-r", "--n", "6"],
      "1067f1cf07c807c7ae5ceda9cd0f0ce371e7c17874baa7e1dbc6458356b4d950"),
+    (["verify", "--suite", "envelope", "--n", "4", "--degree", "1"],
+     "a4cd185f49dc2c4d7b9270c9aa032ddfd622be2605933fbd6425767fbd60185a"),
 ]
 
 

@@ -88,3 +88,19 @@ def test_derived_data_is_kept_by_functools_only():
                   and any(ast.unparse(d) == "functools.cache"
                           for d in node.decorator_list)]
     assert found == []
+
+
+def test_engine_reads_brackets_in_batches():
+    """Only the command line asks for one bracket at a time: inside the
+    engine a loop of eval_functional or pairing calls would walk each
+    word once per functional, where envelope._brackets walks a batch."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                  in ("eval_functional", "pairing")]
+    assert found == []
