@@ -36,7 +36,8 @@ from .envelope import (FunctionalElement, antipode_L, eps_functional,
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
-                            unit_element, word_element, zero_element)
+                            t_letter, unit_element, word_element,
+                            zero_element)
 from .report import Report, first_failure
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (Scalar, _acc, canonical_q, limit_r_to_1,
@@ -324,8 +325,8 @@ def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
 
 def _letter(big, A: int, B: int) -> AlgebraElement:
     """The letter T^A_B of the free algebra of the embedded group."""
-    M = big.geometry.dim
-    return word_element(big.alphabet, big.params, ((A - 1) * M + (B - 1),))
+    return word_element(big.alphabet, big.params,
+                        (t_letter(big.geometry.dim, A, B),))
 
 
 def _letter_values(f: FunctionalElement,

@@ -69,15 +69,12 @@ class UsageError(Exception):
 class RunConfig:
     """Validated common options shared by the subcommands."""
 
-    __slots__ = ("n", "series", "spec", "degree", "seed", "fmt", "out",
-                 "dump")
+    __slots__ = ("n", "degree", "seed", "fmt", "out", "dump")
 
     def __init__(self, args):
         self.n = args.n
         if self.n is None or self.n < 3:
             raise UsageError("--n must be at least 3")
-        self.series = args.series
-        self.spec = _parse_spec(args.spec) if args.spec else {}
         self.degree = args.degree
         if self.degree is not None and self.degree < 1:
             raise UsageError("--degree must be at least 1")
@@ -327,28 +324,29 @@ _SUITES = [
 # subcommand handlers
 
 def _cmd_build_r(cfg: RunConfig, args) -> int:
+    spec = _parse_spec(args.spec) if args.spec else {}
     geom = IndexGeometry(cfg.n)
-    if cfg.series != "auto" and cfg.series != geom.series:
+    if args.series != "auto" and args.series != geom.series:
         raise UsageError("dimension %d belongs to series %s"
                          % (cfg.n, geom.series))
     R = build_R(geom)
-    if cfg.spec:
+    if spec:
         occurring = set()
         for v in R.entries.values():
             occurring.update(occurring_vars(v))
-        unknown = set(cfg.spec) - set(geom.params.vars)
+        unknown = set(spec) - set(geom.params.vars)
         if unknown:
             raise UsageError("--spec names unknown variables %s"
                              % sorted(unknown))
-        missing = occurring - set(cfg.spec)
+        missing = occurring - set(spec)
         if missing:
             raise UsageError("--spec misses variables %s" % sorted(missing))
         payload = {
             "dim": geom.dim,
             "series": geom.series,
-            "spec": {k: str(v) for k, v in cfg.spec.items()},
+            "spec": {k: str(v) for k, v in spec.items()},
             "entries": [{"idx": list(k), "value": str(specialize(
-                R.entries[k], cfg.spec))} for k in sorted(R.entries)],
+                R.entries[k], spec))} for k in sorted(R.entries)],
         }
     else:
         payload = tensor_to_json(R)
@@ -484,13 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dimension: the matrix size for build-r and "
                              "the rmatrix suite, the coordinate count "
                              "elsewhere (at least 3)")
-    common.add_argument("--series", choices=["auto", "B", "D"],
-                        default="auto",
-                        help="odd/even series selector; auto derives it "
-                             "from --n")
-    common.add_argument("--spec", default=None,
-                        help="parameter assignment k=v,... with nonzero "
-                             "rational values")
     common.add_argument("--degree", type=int, default=None,
                         help="word-length bound for evaluation checks")
     common.add_argument("--seed", type=int, default=0,
@@ -512,6 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build-r", parents=[common],
                         help="emit the R matrix as canonical JSON")
+    sp.add_argument("--series", choices=["auto", "B", "D"], default="auto",
+                    help="odd/even series selector; auto derives it from "
+                         "--n")
+    sp.add_argument("--spec", default=None,
+                    help="parameter assignment k=v,... with nonzero "
+                         "rational values")
     sp.set_defaults(handler=_cmd_build_r)
 
     sp = sub.add_parser("verify", parents=[common],

@@ -62,7 +62,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
                       tensor_equal, triple_compose)
 from .presentations import (AlgebraElement, build_presentation, costructure,
-                            project, section, unit_element, word_element)
+                            project, section, t_letter, unit_element,
+                            word_element)
 from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
@@ -519,16 +520,19 @@ def _walk(families: Sequence[Dict], D: int, words=None):
 
 @functools.cache
 def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
+    """letter id -> (A, B) of its T^A_B, for the free matrix-entry
+    alphabet of the bundle's geometry, and for no other."""
     geom = bundle.geometry
-    labmap = {geom.label(A): A for A in geom.indices()}
-    pairs: List[Tuple[int, int]] = []
-    for sym in alphabet.symbols:
-        if not (sym.startswith("T[") and sym.endswith("]")):
-            raise ValueError("functionals evaluate on the free matrix-entry "
-                             "alphabet; got symbol %r" % (sym,))
-        a, b = sym[2:-1].split(",")
-        pairs.append((labmap[a], labmap[b]))
-    return pairs
+    M = geom.dim
+    own = build_presentation("so", M, geom.embedded).alphabet.symbols
+    if alphabet.symbols != own:
+        raise ValueError("functionals on %r evaluate on the alphabet "
+                         "%s ... %s; got %s ... %s" % (
+                             geom, own[0], own[-1], alphabet.symbols[0],
+                             alphabet.symbols[-1]))
+    pairs = {t_letter(M, A, B): (A, B)
+             for A in geom.indices() for B in geom.indices()}
+    return [pairs[g] for g in range(len(own))]
 
 
 def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
@@ -779,7 +783,7 @@ def script_r_matrix(N: int) -> SparseTensor4:
     M = geom.dim
     inner = set(geom.inner())
     lifted = {(A, C): section(project(word_element(
-                  big.alphabet, geom.params, ((A - 1) * M + (C - 1),)), p), p)
+                  big.alphabet, geom.params, (t_letter(M, A, C),)), p), p)
               for A in geom.indices() for C in geom.indices()}
     plus = {(B, Dd): l_functional(bundle, 1, B, Dd)
             for B in geom.indices() for Dd in geom.indices()

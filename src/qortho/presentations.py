@@ -26,9 +26,14 @@ expressions
     z   = -(r^{-N/2} + r^{N/2-2})^{-1} x^b C_{ba} x^a u
 
 (the projections of T^o_b and T^o_*) as named elements, not generators.
+Its inner and plane sectors are the so(N) and plane(N) relations
+themselves: every letter is shifted past the letters before it, and every
+coefficient is lifted by rmatrix.inner_lift into the parameters of the
+embedded dimension-(N+2) geometry.
 
 Words are compared degree first, then lexicographically in the generator
-order u < v < x^1 < ... < x^N < T[1,1] < T[1,2] < ... (row-major), so
+order u < v < x^1 < ... < x^N < T[1,1] < T[1,2] < ... (row-major, the
+numbering t_letter gives the so(M) alphabet), so
 normal words carry dilatations leftmost, then translations in
 nondecreasing order, then matrix entries.  Rewrite rules come from
 Gaussian elimination of a sector's degree-two relation span; every
@@ -61,7 +66,7 @@ __all__ = [
     "iso_normal_system", "reduce", "check_confluence", "hilbert_dimension",
     "costructure", "tensor_costructure", "project", "section",
     "ideal_membership", "expand_certificate", "check_hopf_ideal",
-    "quantum_determinant", "all_words", "element_to_json",
+    "quantum_determinant", "all_words", "t_letter", "element_to_json",
     "element_from_json",
 ]
 
@@ -206,11 +211,10 @@ class Presentation:
     """
 
     __slots__ = ("kind", "name", "N", "geometry", "params", "alphabet",
-                 "relations", "sectors", "derived", "h_symbols",
-                 "small_geometry")
+                 "relations", "sectors", "derived", "h_symbols")
 
     def __init__(self, kind, name, N, geometry, params, alphabet, relations,
-                 sectors, derived, h_symbols, small_geometry):
+                 sectors, derived, h_symbols):
         self.kind = kind
         self.name = name
         self.N = N
@@ -221,13 +225,9 @@ class Presentation:
         self.sectors = sectors
         self.derived = derived
         self.h_symbols = h_symbols
-        self.small_geometry = small_geometry
 
     def element(self, terms: Mapping[Word, Scalar]) -> AlgebraElement:
         return AlgebraElement(self.alphabet, self.params, terms)
-
-    def unit(self) -> AlgebraElement:
-        return unit_element(self.alphabet, self.params)
 
     def __repr__(self):
         return "Presentation(%s, %d generators, %d relations)" % (
@@ -251,6 +251,20 @@ def _presentation(kind: str, N: int, embedded: bool) -> Presentation:
     raise ValueError("unknown presentation kind %r" % (kind,))
 
 
+def t_letter(M: int, A: int, B: int) -> int:
+    """The letter id of T^A_B in the so(M) alphabet: row-major, from 0."""
+    return (A - 1) * M + (B - 1)
+
+
+def _by_upper(X) -> Dict[Tuple[int, int], List]:
+    """The entries X^{AB}_{CD} of a four-index tensor as
+    {(A, B): [((C, D), value), ...]}, in the tensor's own order."""
+    out: Dict[Tuple[int, int], List] = {}
+    for (A, B, C, D), val in X.items():
+        out.setdefault((A, B), []).append(((C, D), val))
+    return out
+
+
 def _build_so(M: int, embedded: bool) -> Presentation:
     geom = IndexGeometry(M, embedded=embedded)
     bundle = build_bundle(geom)
@@ -260,13 +274,10 @@ def _build_so(M: int, embedded: bool) -> Presentation:
             for A in idx for B in idx]
     alphabet = Alphabet(syms)
 
-    def t(A: int, B: int) -> int:
-        return (A - 1) * M + (B - 1)
-
-    by_upper: Dict[Tuple[int, int], List] = {}
+    t = functools.partial(t_letter, M)
+    by_upper = _by_upper(bundle.R)
     by_lower: Dict[Tuple[int, int], List] = {}
     for (A, B, C, D), val in bundle.R.items():
-        by_upper.setdefault((A, B), []).append(((C, D), val))
         by_lower.setdefault((C, D), []).append(((A, B), val))
 
     relations: List[AlgebraElement] = []
@@ -312,7 +323,7 @@ def _build_so(M: int, embedded: bool) -> Presentation:
         kind="so", name="so(%d)" % M, N=M, geometry=geom, params=ps,
         alphabet=alphabet, relations=relations,
         sectors={"so-swap": list(relations)},
-        derived={}, h_symbols=h_symbols, small_geometry=None)
+        derived={}, h_symbols=h_symbols)
 
 
 def _build_iso(N: int) -> Presentation:
@@ -323,7 +334,8 @@ def _build_iso(N: int) -> Presentation:
     M = big.dim
     small = IndexGeometry(N)
     sbundle = build_bundle(small)
-    lift = inner_lift(big)
+    # the relations repeat few distinct coefficients: lift each once
+    lift = functools.cache(inner_lift(big))
     prs = small.prime
 
     syms = ["u", "v"] + ["x%d" % a for a in range(1, N + 1)]
@@ -336,64 +348,22 @@ def _build_iso(N: int) -> Presentation:
         return 1 + a
 
     def t(a: int, b: int) -> int:
-        return 2 + N + (a - 1) * N + (b - 1)
+        return 2 + N + t_letter(N, a, b)
+
+    def shifted(rows: List[AlgebraElement], offset: int) -> List[AlgebraElement]:
+        return [AlgebraElement(alphabet, bps, {
+                    tuple(g + offset for g in w): lift(c)
+                    for w, c in row.terms.items()}) for row in rows]
 
     def q_bullet(a: int) -> Scalar:
         return canonical_q(bps, a + 1, M)
 
-    Rs = {k: lift(v) for k, v in sbundle.R.items()}
-    PA = {k: lift(v) for k, v in sbundle.P_A.items()}
     cs = {a: lift(sbundle.C.c(a)) for a in small.indices()}
     inner = list(range(1, N + 1))
+    swap_rows = shifted(build_presentation("so", N).relations, t(1, 1))
+    plane_rows = shifted(build_presentation("plane", N).relations, x(1))
 
-    by_upper: Dict[Tuple[int, int], List] = {}
-    by_lower: Dict[Tuple[int, int], List] = {}
-    for (a, b, c, d), val in Rs.items():
-        by_upper.setdefault((a, b), []).append(((c, d), val))
-        by_lower.setdefault((c, d), []).append(((a, b), val))
-
-    swap_rows: List[AlgebraElement] = []
-    for a in inner:
-        for b in inner:
-            upper = by_upper.get((a, b), ())
-            for c in inner:
-                for d in inner:
-                    terms: Dict[Word, Scalar] = {}
-                    for (e, f), val in upper:
-                        _acc(terms, (t(e, c), t(f, d)), val)
-                    for (e, f), val in by_lower.get((c, d), ()):
-                        _acc(terms, (t(b, f), t(a, e)), -val)
-                    row = AlgebraElement(alphabet, bps, terms)
-                    if row:
-                        swap_rows.append(row)
-    for a in inner:
-        for d in inner:
-            terms = {}
-            for b in inner:
-                _acc(terms, (t(a, b), t(d, prs(b))), cs[b])
-            if d == prs(a):
-                _acc(terms, EMPTY, -cs[a])
-            swap_rows.append(AlgebraElement(alphabet, bps, terms))
-    for b in inner:
-        for d in inner:
-            terms = {}
-            for a in inner:
-                _acc(terms, (t(a, b), t(prs(a), d)), cs[a])
-            if d == prs(b):
-                _acc(terms, EMPTY, -cs[b])
-            swap_rows.append(AlgebraElement(alphabet, bps, terms))
-
-    plane_rows: List[AlgebraElement] = []
-    for a in inner:
-        for b in inner:
-            terms = {}
-            for (aa, bb, c, d), val in PA.items():
-                if (aa, bb) == (a, b):
-                    _acc(terms, (x(c), x(d)), val)
-            row = AlgebraElement(alphabet, bps, terms)
-            if row:
-                plane_rows.append(row)
-
+    by_upper = _by_upper(sbundle.R)
     mixed_rows: List[AlgebraElement] = []
     r = bps.r
     for b in inner:
@@ -402,7 +372,7 @@ def _build_iso(N: int) -> Presentation:
             for a in inner:
                 terms = {(t(b, d), x(a)): bps.one}
                 for (e, f), val in by_upper.get((a, b), ()):
-                    _acc(terms, (x(e), t(f, d)), -(coeff_d * val))
+                    _acc(terms, (x(e), t(f, d)), -(coeff_d * lift(val)))
                 mixed_rows.append(AlgebraElement(alphabet, bps, terms))
     for b in inner:
         for d in inner:
@@ -443,7 +413,7 @@ def _build_iso(N: int) -> Presentation:
     return Presentation(
         kind="iso", name="iso(%d)" % N, N=N, geometry=big, params=bps,
         alphabet=alphabet, relations=relations, sectors=sectors,
-        derived=derived, h_symbols=[], small_geometry=small)
+        derived=derived, h_symbols=[])
 
 
 def _build_plane(N: int) -> Presentation:
@@ -451,20 +421,20 @@ def _build_plane(N: int) -> Presentation:
     bundle = build_bundle(geom)
     ps = geom.params
     alphabet = Alphabet(["x%d" % a for a in range(1, N + 1)])
+    by_upper = _by_upper(bundle.P_A)
     rows: List[AlgebraElement] = []
     for a in geom.indices():
         for b in geom.indices():
             terms: Dict[Word, Scalar] = {}
-            for (aa, bb, c, d), val in bundle.P_A.items():
-                if (aa, bb) == (a, b):
-                    _acc(terms, (c - 1, d - 1), val)
+            for (c, d), val in by_upper.get((a, b), ()):
+                _acc(terms, (c - 1, d - 1), val)
             row = AlgebraElement(alphabet, ps, terms)
             if row:
                 rows.append(row)
     return Presentation(
         kind="plane", name="plane(%d)" % N, N=N, geometry=geom, params=ps,
         alphabet=alphabet, relations=rows, sectors={"plane": list(rows)},
-        derived={}, h_symbols=[], small_geometry=None)
+        derived={}, h_symbols=[])
 
 
 def _build_exterior(N: int) -> Presentation:
@@ -472,22 +442,21 @@ def _build_exterior(N: int) -> Presentation:
     bundle = build_bundle(geom)
     ps = geom.params
     alphabet = Alphabet(["dx%d" % a for a in range(1, N + 1)])
+    by_upper = _by_upper(bundle.R)
     rows: List[AlgebraElement] = []
     r = ps.r
     for a in geom.indices():
         for b in geom.indices():
             terms: Dict[Word, Scalar] = {(a - 1, b - 1): ps.one}
-            for (ba, ab, c, d), val in bundle.R.items():
-                if (ba, ab) == (b, a):
-                    _acc(terms, (c - 1, d - 1), r * val)
+            for (c, d), val in by_upper.get((b, a), ()):
+                _acc(terms, (c - 1, d - 1), r * val)
             row = AlgebraElement(alphabet, ps, terms)
             if row:
                 rows.append(row)
     return Presentation(
         kind="exterior", name="exterior(%d)" % N, N=N, geometry=geom,
         params=ps, alphabet=alphabet, relations=rows,
-        sectors={"exterior": list(rows)}, derived={}, h_symbols=[],
-        small_geometry=None)
+        sectors={"exterior": list(rows)}, derived={}, h_symbols=[])
 
 
 # --- rewrite systems --------------------------------------------------------
@@ -719,44 +688,33 @@ def _so_letter_costructure(p: Presentation) -> Dict[str, list]:
     anti: List[AlgebraElement] = []
     for A in geom.indices():
         for B in geom.indices():
-            terms = {(((A - 1) * M + (C - 1),), ((C - 1) * M + (B - 1),)):
-                     ps.one for C in geom.indices()}
+            terms = {((t_letter(M, A, C),), (t_letter(M, C, B),)): ps.one
+                     for C in geom.indices()}
             cop.append(TensorElement(p.alphabet, ps, 2, terms))
             cou.append(ps.one if A == B else ps.zero)
             coeff = metric.c(A) * metric.c(pr(B))
             anti.append(AlgebraElement(p.alphabet, ps, {
-                ((pr(B) - 1) * M + (pr(A) - 1),): coeff}))
+                (t_letter(M, pr(B), pr(A)),): coeff}))
     return {"coproduct": cop, "counit": cou, "antipode": anti}
 
 
 def _iso_letter_costructure(p: Presentation) -> Dict[str, list]:
     big = build_presentation("so", p.N + 2, embedded=True)
     tables = _letter_costructure(big)
-    lifted = _section_letters(p, big)
     proj = _projection_letters(p, big)
     cop: List[TensorElement] = []
     cou: List[Scalar] = []
     anti: List[AlgebraElement] = []
-    for g in range(len(p.alphabet.symbols)):
-        G = lifted[g]
+    for G in _section_letters(p, big):
         cou.append(tables["counit"][G])
-        big_cop = tables["coproduct"][G]
-        acc = TensorElement(p.alphabet, p.params, 2, {})
-        for (wl, wr), c in big_cop.terms.items():
-            left = _project_word(wl, proj, p)
+        terms: Dict[Tuple[Word, Word], Scalar] = {}
+        for (wl, wr), c in tables["coproduct"][G].terms.items():
             right = _project_word(wr, proj, p)
-            if not left or not right:
-                continue
-            for w1, c1 in left.terms.items():
+            for w1, c1 in _project_word(wl, proj, p).terms.items():
                 for w2, c2 in right.terms.items():
-                    acc = acc + TensorElement(
-                        p.alphabet, p.params, 2, {(w1, w2): c * c1 * c2})
-        cop.append(acc)
-        big_anti = tables["antipode"][G]
-        out = zero_element(p.alphabet, p.params)
-        for w, c in big_anti.terms.items():
-            out = out + _project_word(w, proj, p).scale(c)
-        anti.append(out)
+                    _acc(terms, (w1, w2), c * c1 * c2)
+        cop.append(TensorElement(p.alphabet, p.params, 2, terms))
+        anti.append(project(tables["antipode"][G], p))
     return {"coproduct": cop, "counit": cou, "antipode": anti}
 
 
@@ -849,22 +807,15 @@ def tensor_costructure(te: TensorElement, pos: int, op: str,
 
 @functools.cache
 def _section_letters(p: Presentation, big: Presentation) -> List[int]:
-    """iso letter id -> embedded so letter id (the linear section of P)."""
+    """iso letter id -> embedded so letter id (the linear section of P),
+    in the iso alphabet's order u, v, x^a, T^a_b: u, v and x^a lift to
+    T^o_o, T^*_* and T^a_*, and T^a_b to the inner entry."""
     geom = big.geometry
-    M = geom.dim
-    out: List[int] = []
-    for sym in p.alphabet.symbols:
-        if sym == "u":
-            A, B = geom.circ, geom.circ
-        elif sym == "v":
-            A, B = geom.bullet, geom.bullet
-        elif sym.startswith("x"):
-            A, B = int(sym[1:]) + 1, geom.bullet
-        else:
-            a, b = sym[2:-1].split(",")
-            A, B = int(a) + 1, int(b) + 1
-        out.append((A - 1) * M + (B - 1))
-    return out
+    inner = geom.inner()
+    pairs = [(geom.circ, geom.circ), (geom.bullet, geom.bullet)]
+    pairs += [(A, geom.bullet) for A in inner]
+    pairs += [(A, B) for A in inner for B in inner]
+    return [t_letter(geom.dim, A, B) for A, B in pairs]
 
 
 @functools.cache
@@ -1077,7 +1028,7 @@ def quantum_determinant(N: int) -> AlgebraElement:
                 "normal form of %s leaves the volume line: %s"
                 % (ext.alphabet.show_word(bs),
                    ext.alphabet.show_word(stray[0])))
-        tword = tuple(a * N + bs[a] for a in range(N))
+        tword = tuple(t_letter(N, a + 1, b + 1) for a, b in enumerate(bs))
         _acc(acc, tword, nf.terms[vol])
     return AlgebraElement(sop.alphabet, ps, acc)
 

@@ -108,6 +108,9 @@ def test_usage_errors_exit_two(capsys):
                 "--word", "u x1"]) == 2
     assert run(["build-r", "--n", "3", "--series", "D"]) == 2
     assert run(["build-r", "--n", "3", "--spec", "g99=1"]) == 2
+    assert run(["verify", "--suite", "embedding", "--n", "3",
+                "--series", "D", "--spec", "s=2"]) == 2
+    assert run(["det", "--n", "3", "--spec", "zz=1"]) == 2
     assert run(["pair", "--n", "3", "--functional", "L+[9,1]",
                 "--word", "u"]) == 2
     for tag in ["L+[1,1)", "L+[1,1,1]", "L+[a,1]"]:

@@ -156,6 +156,17 @@ def test_pairing_values():
     assert pairing(eps_functional(BUNDLE5), iso_word("x1")) == ps.zero
 
 
+def test_functionals_reject_a_foreign_alphabet():
+    """An element over any alphabet but the bundle's own matrix entries
+    is refused by name, not by a missing symbol."""
+    f = l_functional(BUNDLE5, 1, 2, 2)
+    so5 = build_presentation("so", 5)
+    for elem in (t_word(so5, (1, 1)), iso_word("T[1,1]")):
+        with pytest.raises(ValueError, match=r"alphabet T\[∘,∘\] \.\.\. "
+                                             r"T\[•,•\]; got"):
+            eval_functional(f, elem)
+
+
 def test_iu_generator_count():
     gens = iu_generators(BUNDLE5)
     assert len(gens) == 37

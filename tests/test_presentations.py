@@ -7,6 +7,8 @@ then rotation letters; the inner rotation sector is deliberately kept
 out of the combined system.
 """
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -20,8 +22,9 @@ from qortho.presentations import (AlgebraElement, TensorElement,
                                   hilbert_dimension, ideal_membership,
                                   iso_normal_system, merge_rewrite_systems,
                                   project, quantum_determinant, reduce,
-                                  section, tensor_costructure, unit_element,
-                                  word_element, word_key, zero_element)
+                                  section, t_letter, tensor_costructure,
+                                  unit_element, word_element, word_key,
+                                  zero_element)
 from qortho.scalars import specialize
 from fractions import Fraction
 
@@ -244,3 +247,37 @@ def test_element_json_round_trip():
     words = [rec["word"] for rec in payload]
     assert words == sorted(words, key=lambda w: (len(w), [A3.index[n] for n in w]))
     assert element_from_json(A3, PS3, payload) == e
+
+
+@pytest.mark.parametrize("args, count, digest", [
+    (("iso", 3), 155,
+     "12b5ef2c4f332525bd87cc5bd3b892d5e090ef1ebc142d8b636895938453b4dc"),
+    (("iso", 4), 390,
+     "4145cfe7d9ef1094d5a0e7e47a743c4fcd7b5444edb08b87c5cf79a8e45255a5"),
+    (("so", 5, True), 659,
+     "2d53430660525d37e25114e9454dc1017e655110569e620a81b5d4330e3b48df"),
+])
+def test_relation_lists_are_pinned(args, count, digest):
+    """Every relation and every sector, iso's inner sector included,
+    byte for byte as JSON."""
+    p = build_presentation(*args)
+    doc = {"relations": [element_to_json(r) for r in p.relations],
+           "sectors": {k: [element_to_json(r) for r in v]
+                       for k, v in sorted(p.sectors.items())}}
+    got = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert (len(p.relations), got) == (count, digest)
+
+
+def test_letter_numbering():
+    """T^A_B is letter t_letter(M, A, B) of so(M), and iso(N) keeps the
+    same order for its T^a_b after u, v and the x^a."""
+    for M, embedded in ((3, False), (5, True)):
+        geom = build_presentation("so", M, embedded).geometry
+        symbols = build_presentation("so", M, embedded).alphabet.symbols
+        assert [symbols[t_letter(M, A, B)] for A in geom.indices()
+                for B in geom.indices()] == symbols
+    assert [A3.symbols[2 + 3 + t_letter(3, a, b)] for a in (1, 2, 3)
+            for b in (1, 2, 3)] == A3.symbols[5:]
+    assert section(wel(["u", "v", "x2", "T[3,1]"]), P3).terms == {
+        tuple(t_letter(5, A, B) for A, B in ((1, 1), (5, 5), (3, 5), (4, 2))):
+        PS3.one}

@@ -4,6 +4,7 @@ src/qortho would turn a broken invariant into a silently wrong result.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import qortho
@@ -103,4 +104,19 @@ def test_engine_reads_brackets_in_batches():
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "id", getattr(node.func, "attr", ""))
                   in ("eval_functional", "pairing")]
+    assert found == []
+
+
+def test_letter_numbering_lives_in_presentations():
+    """presentations.t_letter alone decides which letter id is T^A_B:
+    no other module writes the formula out or reads indices back out of
+    a symbol string."""
+    formula = re.compile(r"\(\w+ - 1\) \* \w+ \+")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "presentations.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if formula.search(line) or "[2:-1]" in line:
+                found.append("%s:%d" % (path.name, lineno))
     assert found == []
