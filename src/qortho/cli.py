@@ -75,7 +75,8 @@ class RunConfig:
         self.n = args.n
         if self.n is None or self.n < 3:
             raise UsageError("--n must be at least 3")
-        self.degree = args.degree
+        # only verify and lie take --degree
+        self.degree = getattr(args, "degree", None)
         if self.degree is not None and self.degree < 1:
             raise UsageError("--degree must be at least 1")
         self.seed = args.seed
@@ -293,10 +294,8 @@ def _suite_presentation(cfg: RunConfig) -> List[Report]:
 
 
 def _suite_envelope(cfg: RunConfig) -> List[Report]:
-    D = cfg.degree if cfg.degree is not None \
-        else (3 if cfg.n == 3 else 2)
-    return [verify_envelope_suite(cfg.n, D),
-            verify_parameter_collapse(cfg.n),
+    return [verify_envelope_suite(cfg.n, cfg.degree),
+            verify_parameter_collapse(cfg.n, cfg.degree),
             verify_pairing_axioms(cfg.n)]
 
 
@@ -482,8 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dimension: the matrix size for build-r and "
                              "the rmatrix suite, the coordinate count "
                              "elsewhere (at least 3)")
-    common.add_argument("--degree", type=int, default=None,
-                        help="word-length bound for evaluation checks")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in JSON reports; the suites "
                              "themselves are deterministic (default 0)")
@@ -515,6 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run a verification suite")
     sp.add_argument("--suite", required=True,
                     choices=[name for name, _ in _SUITES] + ["all"])
+    sp.add_argument("--degree", type=int, default=None,
+                    help="word-length bound for evaluation checks")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("reduce", parents=[common],
@@ -541,6 +540,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dump q-Lie relations and structure constants")
     sp.add_argument("--kind", choices=["projected", "r1"],
                     default="projected")
+    sp.add_argument("--degree", type=int, default=None,
+                    help="word-length bound for the relation rows")
     sp.set_defaults(handler=_cmd_lie)
     return parser
 

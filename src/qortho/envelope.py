@@ -808,11 +808,16 @@ def _script_r_expected(bundle: RMatrixBundle) -> SparseTensor4:
 # ---------------------------------------------------------------------------
 # relation suite
 
+def _degree(N: int, D: Optional[int]) -> int:
+    """The word-length bound of the relation suite and the collapse
+    check: D when given, else 3 at N = 3 and 2 above."""
+    return (3 if N == 3 else 2) if D is None else D
+
+
 def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     """Exchange, orthogonality, reduction and twist identities of the
     functional matrices, checked on all free words of length <= D."""
-    if D is None:
-        D = 3 if N == 3 else 2
+    D = _degree(N, D)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
     geom = bundle.geometry
@@ -1013,8 +1018,7 @@ def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
     """Matching diagonal plus/minus products versus the counit: the
     multiparametric functionals detect the deformation mismatch, and the
     identification g_ab = s^2 restores the counit identity."""
-    if D is None:
-        D = 3 if N == 3 else 2
+    D = _degree(N, D)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
     geom = bundle.geometry
@@ -1052,20 +1056,12 @@ class AnnihilationResult(NamedTuple):
     witness: Optional[Tuple[Tuple[Tuple[int, int], ...], Scalar]]
 
 
-def _h_letters(geometry: IndexGeometry):
-    inner = list(geometry.inner())
-    hs = {(a, geometry.circ) for a in inner}
-    hs |= {(geometry.bullet, b) for b in inner}
-    hs.add((geometry.bullet, geometry.circ))
-    return hs
-
-
 def _cone_witness(side, geometry: IndexGeometry, D: int):
     """The first nonzero value of a relation side on the free words of
     length 1..D with a factor from the cone ideal, as (coords, value), or
     None; words come by length, then row (C1, ..., Ck), then column
     (D1, ..., Dk)."""
-    hset = _h_letters(geometry)
+    hset = set(geometry.cone_ideal())
     best = None
     for coords, (vals,) in _walk([{(): side}], D):
         v = vals.get(())

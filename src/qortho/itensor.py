@@ -78,6 +78,15 @@ class IndexGeometry:
             raise ValueError("not an embedded geometry")
         return range(2, self.dim)
 
+    def cone_ideal(self) -> List[Tuple[int, int]]:
+        """The index pairs (A, B) of the entries T^A_B that generate the
+        cone ideal H of an embedded geometry, 2N+1 of them at dimension
+        N+2: T^a_∘, then T^•_b for inner a and b, then T^•_∘."""
+        inner = self.inner()
+        return ([(a, self.circ) for a in inner]
+                + [(self.bullet, b) for b in inner]
+                + [(self.bullet, self.circ)])
+
     def same(self, other: "IndexGeometry") -> bool:
         return self.dim == other.dim and self.embedded == other.embedded
 

@@ -31,6 +31,10 @@ themselves: every letter is shifted past the letters before it, and every
 coefficient is lifted by rmatrix.inner_lift into the parameters of the
 embedded dimension-(N+2) geometry.
 
+The coproduct, counit and antipode, and the cone projection P onto
+iso(N), extend letter tables over words through one fold.  P inverts the
+section and sends the generators of H (IndexGeometry.cone_ideal) to 0.
+
 Words are compared degree first, then lexicographically in the generator
 order u < v < x^1 < ... < x^N < T[1,1] < T[1,2] < ... (row-major, the
 numbering t_letter gives the so(M) alphabet), so
@@ -55,8 +59,8 @@ from .itensor import IndexGeometry
 from .report import Report
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
-                      canonical_q, scalar_from_json, scalar_to_json,
-                      stair_insert, stair_reduce, word_key)
+                      canonical_q, scalar_from_json, scalar_invert,
+                      scalar_to_json, stair_insert, stair_reduce, word_key)
 
 __all__ = [
     "Alphabet", "Word", "AlgebraElement", "TensorElement", "Presentation",
@@ -206,15 +210,16 @@ class Presentation:
 
     kind is one of so / iso / plane / exterior.  For so the headline size
     is the matrix dimension M; for the others it is the number N of
-    translation-like generators.  Embedded so presentations additionally
-    know their cone labels and the 2N+1 generators of the ideal H.
+    translation-like generators.  Embedded so presentations carry their
+    cone labels; IndexGeometry.cone_ideal names the 2N+1 generators of
+    the ideal H.
     """
 
     __slots__ = ("kind", "name", "N", "geometry", "params", "alphabet",
-                 "relations", "sectors", "derived", "h_symbols")
+                 "relations", "sectors", "derived")
 
     def __init__(self, kind, name, N, geometry, params, alphabet, relations,
-                 sectors, derived, h_symbols):
+                 sectors, derived):
         self.kind = kind
         self.name = name
         self.N = N
@@ -224,7 +229,6 @@ class Presentation:
         self.relations = relations
         self.sectors = sectors
         self.derived = derived
-        self.h_symbols = h_symbols
 
     def element(self, terms: Mapping[Word, Scalar]) -> AlgebraElement:
         return AlgebraElement(self.alphabet, self.params, terms)
@@ -311,19 +315,11 @@ def _build_so(M: int, embedded: bool) -> Presentation:
             _acc(terms, EMPTY, -metric.lower(B, D))
             relations.append(AlgebraElement(alphabet, ps, terms))
 
-    h_symbols: List[str] = []
-    if embedded:
-        for a in geom.inner():
-            h_symbols.append(syms[t(a, geom.circ)])
-        for b in geom.inner():
-            h_symbols.append(syms[t(geom.bullet, b)])
-        h_symbols.append(syms[t(geom.bullet, geom.circ)])
-
     return Presentation(
         kind="so", name="so(%d)" % M, N=M, geometry=geom, params=ps,
         alphabet=alphabet, relations=relations,
         sectors={"so-swap": list(relations)},
-        derived={}, h_symbols=h_symbols)
+        derived={})
 
 
 def _build_iso(N: int) -> Presentation:
@@ -368,7 +364,7 @@ def _build_iso(N: int) -> Presentation:
     r = bps.r
     for b in inner:
         for d in inner:
-            coeff_d = r * q_bullet(d).inv()
+            coeff_d = r * scalar_invert(q_bullet(d))
             for a in inner:
                 terms = {(t(b, d), x(a)): bps.one}
                 for (e, f), val in by_upper.get((a, b), ()):
@@ -376,7 +372,7 @@ def _build_iso(N: int) -> Presentation:
                 mixed_rows.append(AlgebraElement(alphabet, bps, terms))
     for b in inner:
         for d in inner:
-            ratio = q_bullet(b) * q_bullet(d).inv()
+            ratio = q_bullet(b) * scalar_invert(q_bullet(d))
             mixed_rows.append(AlgebraElement(alphabet, bps, {
                 (t(b, d), iv): bps.one, (iv, t(b, d)): -ratio}))
             mixed_rows.append(AlgebraElement(alphabet, bps, {
@@ -404,7 +400,7 @@ def _build_iso(N: int) -> Presentation:
         for a in inner:
             terms[(t(a, b), x(prs(a)), iu)] = minus_r_rho * cs[a]
         derived["y%d" % b] = AlgebraElement(alphabet, bps, terms)
-    zc = -(bps.s_pow(-N) + bps.s_pow(N - 4)).inv()
+    zc = -scalar_invert(bps.s_pow(-N) + bps.s_pow(N - 4))
     terms = {}
     for b in inner:
         terms[(x(b), x(prs(b)), iu)] = zc * cs[b]
@@ -413,7 +409,7 @@ def _build_iso(N: int) -> Presentation:
     return Presentation(
         kind="iso", name="iso(%d)" % N, N=N, geometry=big, params=bps,
         alphabet=alphabet, relations=relations, sectors=sectors,
-        derived=derived, h_symbols=[])
+        derived=derived)
 
 
 def _build_plane(N: int) -> Presentation:
@@ -434,7 +430,7 @@ def _build_plane(N: int) -> Presentation:
     return Presentation(
         kind="plane", name="plane(%d)" % N, N=N, geometry=geom, params=ps,
         alphabet=alphabet, relations=rows, sectors={"plane": list(rows)},
-        derived={}, h_symbols=[])
+        derived={})
 
 
 def _build_exterior(N: int) -> Presentation:
@@ -456,7 +452,7 @@ def _build_exterior(N: int) -> Presentation:
     return Presentation(
         kind="exterior", name="exterior(%d)" % N, N=N, geometry=geom,
         params=ps, alphabet=alphabet, relations=rows,
-        sectors={"exterior": list(rows)}, derived={}, h_symbols=[])
+        sectors={"exterior": list(rows)}, derived={})
 
 
 # --- rewrite systems --------------------------------------------------------
@@ -677,45 +673,61 @@ def hilbert_dimension(p: Presentation, rs: RewriteSystem, d: int,
 
 # --- costructures -----------------------------------------------------------
 
+def _extend(table: Sequence[LinearCombination], e: AlgebraElement,
+            unit: LinearCombination, reverse: bool = False):
+    """The sum, over the terms c w of e, of c times the product of
+    table[g] over the letters g of w, taken in reverse order when reverse
+    is set: the multiplicative (antimultiplicative) extension of a letter
+    table, with unit as the empty product."""
+    acc: dict = {}
+    for w, c in e.terms.items():
+        prod = unit
+        for g in (reversed(w) if reverse else w):
+            prod = prod * table[g]
+        for k, ck in prod.terms.items():
+            _acc(acc, k, c * ck)
+    return unit._like(acc)
+
+
 def _so_letter_costructure(p: Presentation) -> Dict[str, list]:
     geom = p.geometry
     ps = p.params
     M = geom.dim
     metric = build_bundle(geom).C
     pr = geom.prime
-    cop: List[TensorElement] = []
-    cou: List[Scalar] = []
-    anti: List[AlgebraElement] = []
-    for A in geom.indices():
-        for B in geom.indices():
-            terms = {((t_letter(M, A, C),), (t_letter(M, C, B),)): ps.one
-                     for C in geom.indices()}
-            cop.append(TensorElement(p.alphabet, ps, 2, terms))
-            cou.append(ps.one if A == B else ps.zero)
-            coeff = metric.c(A) * metric.c(pr(B))
-            anti.append(AlgebraElement(p.alphabet, ps, {
-                (t_letter(M, pr(B), pr(A)),): coeff}))
-    return {"coproduct": cop, "counit": cou, "antipode": anti}
+    idx = geom.indices()
+    pairs = [(A, B) for A in idx for B in idx]
+    unit, zero = unit_element(p.alphabet, ps), zero_element(p.alphabet, ps)
+    return {
+        "coproduct": [TensorElement(p.alphabet, ps, 2, {
+            ((t_letter(M, A, C),), (t_letter(M, C, B),)): ps.one
+            for C in idx}) for A, B in pairs],
+        "counit": [unit if A == B else zero for A, B in pairs],
+        "antipode": [p.element({(t_letter(M, pr(B), pr(A)),):
+                                metric.c(A) * metric.c(pr(B))})
+                     for A, B in pairs]}
 
 
 def _iso_letter_costructure(p: Presentation) -> Dict[str, list]:
     big = build_presentation("so", p.N + 2, embedded=True)
     tables = _letter_costructure(big)
-    proj = _projection_letters(p, big)
+
+    def down(w: Word):
+        return project(big.element({w: big.params.one}), p).terms.items()
+
+    lifted = _section_letters(p, big)
     cop: List[TensorElement] = []
-    cou: List[Scalar] = []
-    anti: List[AlgebraElement] = []
-    for G in _section_letters(p, big):
-        cou.append(tables["counit"][G])
+    for G in lifted:
         terms: Dict[Tuple[Word, Word], Scalar] = {}
         for (wl, wr), c in tables["coproduct"][G].terms.items():
-            right = _project_word(wr, proj, p)
-            for w1, c1 in _project_word(wl, proj, p).terms.items():
-                for w2, c2 in right.terms.items():
+            right = down(wr)
+            for w1, c1 in down(wl):
+                for w2, c2 in right:
                     _acc(terms, (w1, w2), c * c1 * c2)
         cop.append(TensorElement(p.alphabet, p.params, 2, terms))
-        anti.append(project(tables["antipode"][G], p))
-    return {"coproduct": cop, "counit": cou, "antipode": anti}
+    return {"coproduct": cop,
+            "counit": [project(tables["counit"][G], p) for G in lifted],
+            "antipode": [project(tables["antipode"][G], p) for G in lifted]}
 
 
 @functools.cache
@@ -727,6 +739,16 @@ def _letter_costructure(p: Presentation) -> Dict[str, list]:
     raise ValueError("no costructure on %s" % p.name)
 
 
+# the number of tensor slots that each map's image of a word fills
+_WIDTH = {"coproduct": 2, "counit": 0, "antipode": 1}
+
+
+def _width(op: str) -> int:
+    if op not in _WIDTH:
+        raise ValueError("unknown costructure %r" % (op,))
+    return _WIDTH[op]
+
+
 def costructure(op: str, e: AlgebraElement, p: Presentation):
     """Apply a costructure map to a free-algebra element.
 
@@ -735,72 +757,31 @@ def costructure(op: str, e: AlgebraElement, p: Presentation):
     The coproduct and counit extend multiplicatively, the antipode
     antimultiplicatively.
     """
-    tables = _letter_costructure(p)
     ps = p.params
-    if op == "coproduct":
-        table = tables["coproduct"]
-        acc: Dict[Tuple[Word, Word], Scalar] = {}
-        for w, c in e.terms.items():
-            prod = TensorElement(p.alphabet, ps, 2, {(EMPTY, EMPTY): ps.one})
-            for g in w:
-                prod = prod * table[g]
-            for k, ck in prod.terms.items():
-                _acc(acc, k, c * ck)
-        return TensorElement(p.alphabet, ps, 2, acc)
-    if op == "counit":
-        table = tables["counit"]
-        total = ps.zero
-        for w, c in e.terms.items():
-            val = c
-            for g in w:
-                val = val * table[g]
-            total = total + val
-        return AlgebraElement(p.alphabet, ps, {EMPTY: total})
-    if op == "antipode":
-        table = tables["antipode"]
-        out: Dict[Word, Scalar] = {}
-        for w, c in e.terms.items():
-            prod = unit_element(p.alphabet, ps)
-            for g in reversed(w):
-                prod = prod * table[g]
-            for w2, c2 in prod.terms.items():
-                _acc(out, w2, c * c2)
-        return AlgebraElement(p.alphabet, ps, out)
-    raise ValueError("unknown costructure %r" % (op,))
+    if _width(op) == 2:
+        unit = TensorElement(p.alphabet, ps, 2, {(EMPTY, EMPTY): ps.one})
+    else:
+        unit = unit_element(p.alphabet, ps)
+    return _extend(_letter_costructure(p)[op], e, unit,
+                   reverse=op == "antipode")
 
 
 def tensor_costructure(te: TensorElement, pos: int, op: str,
                        p: Presentation) -> TensorElement:
-    """Apply a costructure map to one tensor factor.
-
-    coproduct raises the arity by one, counit lowers it by one (the
-    scalar folds into the coefficient), antipode keeps it."""
+    """Apply a costructure map to one tensor factor: the image of its
+    word fills the slots (w1, w2), (w,) or () for the coproduct,
+    antipode and counit, so the arity rises by one, stays, or falls."""
+    width = _width(op)
     if not 0 <= pos < te.arity:
         raise ValueError("factor position out of range")
     ps = te.ps
-    if op == "coproduct":
-        out_arity = te.arity + 1
-    elif op == "counit":
-        out_arity = te.arity - 1
-    else:
-        out_arity = te.arity
     acc: Dict[Tuple[Word, ...], Scalar] = {}
     for key, c in te.terms.items():
         factor = AlgebraElement(te.alphabet, ps, {key[pos]: ps.one})
-        image = costructure(op, factor, p)
-        if op == "coproduct":
-            for (wl, wr), ci in image.terms.items():
-                k = key[:pos] + (wl, wr) + key[pos + 1:]
-                _acc(acc, k, c * ci)
-        elif op == "counit":
-            ci = image.terms.get(EMPTY, ps.zero)
-            k = key[:pos] + key[pos + 1:]
-            _acc(acc, k, c * ci)
-        else:
-            for w, ci in image.terms.items():
-                k = key[:pos] + (w,) + key[pos + 1:]
-                _acc(acc, k, c * ci)
-    return TensorElement(te.alphabet, ps, out_arity, acc)
+        for k, ci in costructure(op, factor, p).terms.items():
+            slots = (k,) if width == 1 else k
+            _acc(acc, key[:pos] + slots + key[pos + 1:], c * ci)
+    return TensorElement(te.alphabet, ps, te.arity - 1 + width, acc)
 
 
 # --- the cone projection ----------------------------------------------------
@@ -820,45 +801,16 @@ def _section_letters(p: Presentation, big: Presentation) -> List[int]:
 
 @functools.cache
 def _projection_letters(p: Presentation, big: Presentation) -> List[AlgebraElement]:
-    """embedded so letter id -> its image under P as an iso element."""
+    """embedded so letter id -> its image under P as an iso element: the
+    section letters go back, T^o_b and T^o_* go to y_b and z, and the
+    generators of H stay at zero."""
     geom = big.geometry
-    M = geom.dim
-    zero = zero_element(p.alphabet, p.params)
-    out: List[AlgebraElement] = []
-    for A in geom.indices():
-        for B in geom.indices():
-            a_inner = 2 <= A <= M - 1
-            b_inner = 2 <= B <= M - 1
-            if A == geom.circ:
-                if B == geom.circ:
-                    img = p.element({(p.alphabet.index["u"],): p.params.one})
-                elif B == geom.bullet:
-                    img = p.derived["z"]
-                else:
-                    img = p.derived["y%d" % (B - 1)]
-            elif A == geom.bullet:
-                img = (p.element({(p.alphabet.index["v"],): p.params.one})
-                       if B == geom.bullet else zero)
-            elif a_inner and B == geom.circ:
-                img = zero
-            elif a_inner and B == geom.bullet:
-                img = p.element({(p.alphabet.index["x%d" % (A - 1)],):
-                                 p.params.one})
-            else:
-                img = p.element({(p.alphabet.index["T[%d,%d]" % (A - 1, B - 1)],):
-                                 p.params.one})
-            out.append(img)
-    return out
-
-
-def _project_word(w: Word, proj: List[AlgebraElement],
-                  p: Presentation) -> AlgebraElement:
-    out = unit_element(p.alphabet, p.params)
-    for g in w:
-        img = proj[g]
-        if not img:
-            return zero_element(p.alphabet, p.params)
-        out = out * img
+    out = [zero_element(p.alphabet, p.params)] * len(big.alphabet)
+    for g, G in enumerate(_section_letters(p, big)):
+        out[G] = word_element(p.alphabet, p.params, (g,))
+    for b in geom.inner():
+        out[t_letter(geom.dim, geom.circ, b)] = p.derived["y%d" % (b - 1)]
+    out[t_letter(geom.dim, geom.circ, geom.bullet)] = p.derived["z"]
     return out
 
 
@@ -869,11 +821,8 @@ def project(e: AlgebraElement, target: Presentation) -> AlgebraElement:
     big = build_presentation("so", target.N + 2, embedded=True)
     if not _same_alphabet(e.alphabet, big.alphabet):
         raise ValueError("element is not over the embedded so alphabet")
-    proj = _projection_letters(target, big)
-    out = zero_element(target.alphabet, target.params)
-    for w, c in e.terms.items():
-        out = out + _project_word(w, proj, target).scale(c)
-    return out
+    return _extend(_projection_letters(target, big), e,
+                   unit_element(target.alphabet, target.params))
 
 
 def section(e: AlgebraElement, source: Presentation) -> AlgebraElement:
@@ -894,11 +843,13 @@ def check_hopf_ideal(N: int) -> Report:
     on all 2N+1 generators of the embedded so(N+2) presentation."""
     p = build_presentation("so", N + 2, embedded=True)
     rep = Report("H is a Hopf ideal inside %s" % p.name)
-    hset = {p.alphabet.index[s] for s in p.h_symbols}
-    rep.add("H has 2N+1 generators", len(p.h_symbols) == 2 * N + 1,
-            ", ".join(p.h_symbols))
-    for sym in p.h_symbols:
-        g = p.alphabet.index[sym]
+    geom = p.geometry
+    gens = [t_letter(geom.dim, A, B) for A, B in geom.cone_ideal()]
+    hset = set(gens)
+    rep.add("H has 2N+1 generators", len(gens) == 2 * N + 1,
+            ", ".join(p.alphabet.symbols[g] for g in gens))
+    for g in gens:
+        sym = p.alphabet.symbols[g]
         h = p.element({(g,): p.params.one})
         cop = costructure("coproduct", h, p)
         sides = []

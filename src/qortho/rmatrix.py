@@ -37,7 +37,7 @@ from .scalars import (ParamSpace, Scalar, _acc, canonical_q,
                       specialize, substitute)
 
 __all__ = [
-    "RMatrixBundle", "build_R", "build_metric", "build_projectors",
+    "RMatrixBundle", "build_R", "build_projectors",
     "build_bundle", "verify_rmatrix_suite", "decompose_embedding",
     "inner_lift", "uniparametric_R", "specialized_rank",
 ]
@@ -71,10 +71,6 @@ def build_R(geometry: IndexGeometry) -> SparseTensor4:
                 ent[(a, pr(a), b, pr(b))] = \
                     ps.monomial(-1, ps.mono(s=rho2[a] - rho2[b])) * lam
     return SparseTensor4(geometry, ent)
-
-
-def build_metric(geometry: IndexGeometry) -> MetricVec:
-    return MetricVec(geometry)
 
 
 def build_projectors(bundle) -> Tuple[SparseTensor4, SparseTensor4, SparseTensor4]:
@@ -119,7 +115,7 @@ class RMatrixBundle:
     def __init__(self, geometry: IndexGeometry):
         self.geometry = geometry
         self.R = build_R(geometry)
-        self.C = build_metric(geometry)
+        self.C = MetricVec(geometry)
         self.Rhat = SparseTensor4(
             geometry, {(b, a, c, d): v for (a, b, c, d), v in self.R.items()})
         self.Rinv = map_params(self.R)
@@ -361,7 +357,7 @@ def decompose_embedding(N: int) -> Report:
     small_geom = IndexGeometry(N)
     big = build_R(big_geom)
     small = build_R(small_geom)
-    small_C = build_metric(small_geom)
+    small_C = MetricVec(small_geom)
     bps, sps = big_geom.params, small_geom.params
     M = big_geom.dim
     prb = big_geom.prime
@@ -433,7 +429,7 @@ def decompose_embedding(N: int) -> Report:
     rep.add("no entries outside the block template", not stray,
             "" if not stray else "stray entry at %r" % (stray[0],))
 
-    big_C = build_metric(big_geom)
+    big_C = MetricVec(big_geom)
     metric_ok = (big_C.c(M) == bps.s_pow(N) and big_C.c(1) == bps.s_pow(-N)
                  and all(big_C.c(c) == lift(small_C.c(c - 1)) for c in inner))
     rep.add("cone metric components are r^{+-rho}, inner ones restrict",

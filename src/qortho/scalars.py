@@ -495,9 +495,6 @@ class Scalar:
         return _canon(ps, poly_mul(ps, self.num, other.num),
                       poly_mul(ps, self.den, other.den))
 
-    def inv(self) -> "Scalar":
-        return scalar_invert(self)
-
     def __rtruediv__(self, other) -> "Scalar":
         # x / a for a rational x, so that 1 / a inverts a Scalar as it
         # inverts a Fraction

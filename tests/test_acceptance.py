@@ -16,8 +16,8 @@ from math import comb
 from qortho.calculus import (adjoint_coaction_check, adjoint_entries,
                              leibniz_check, tangent_basis, verify_qlie)
 from qortho.cli import _dumps
-from qortho.envelope import (_h_letters, _walk, eta_monomials,
-                             independence_rank, iu_annihilates, iu_generators,
+from qortho.envelope import (_walk, eta_monomials, independence_rank,
+                             iu_annihilates, iu_generators,
                              verify_envelope_suite, verify_pairing_axioms,
                              verify_parameter_collapse, word_functional)
 from qortho.itensor import (IndexGeometry, rank6_equal, triple_compose,
@@ -228,7 +228,7 @@ def test_random_ideal_words_are_invisible_to_the_annihilator():
     geom = IndexGeometry(N + 2, embedded=True)
     bundle = build_bundle(geom)
     gens = iu_generators(bundle)
-    h_letters = sorted(_h_letters(geom))
+    h_letters = sorted(geom.cone_ideal())
     all_pairs = [(a, b) for a in geom.indices() for b in geom.indices()]
 
     rng = random.Random(0)

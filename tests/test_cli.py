@@ -111,6 +111,12 @@ def test_usage_errors_exit_two(capsys):
     assert run(["verify", "--suite", "embedding", "--n", "3",
                 "--series", "D", "--spec", "s=2"]) == 2
     assert run(["det", "--n", "3", "--spec", "zz=1"]) == 2
+    # only verify and lie take --degree
+    assert run(["det", "--n", "3", "--degree", "5"]) == 2
+    assert run(["build-r", "--n", "3", "--degree", "7"]) == 2
+    assert run(["reduce", "--n", "3", "--word", "u", "--degree", "9"]) == 2
+    assert run(["pair", "--n", "3", "--functional", "L-[1,1]",
+                "--word", "u", "--degree", "4"]) == 2
     assert run(["pair", "--n", "3", "--functional", "L+[9,1]",
                 "--word", "u"]) == 2
     for tag in ["L+[1,1)", "L+[1,1,1]", "L+[a,1]"]:
@@ -118,6 +124,24 @@ def test_usage_errors_exit_two(capsys):
                     "--word", "u"]) == 2
         assert "unknown functional generator tag" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_envelope_suite_passes_degree_to_every_bounded_report(monkeypatch):
+    seen = []
+
+    def recorder(name):
+        def report(N, D=None):
+            seen.append((name, N, D))
+            return Report("stub " + name)
+        return report
+
+    monkeypatch.setattr(cli, "verify_envelope_suite", recorder("relations"))
+    monkeypatch.setattr(cli, "verify_parameter_collapse", recorder("collapse"))
+    monkeypatch.setattr(cli, "verify_pairing_axioms",
+                        lambda N: Report("stub pairing"))
+    assert run(["verify", "--suite", "envelope", "--n", "4",
+                "--degree", "1"]) == 0
+    assert seen == [("relations", 4, 1), ("collapse", 4, 1)]
 
 
 def test_failing_suite_exits_one(monkeypatch, capsys):

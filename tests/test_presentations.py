@@ -14,6 +14,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, TensorElement,
                                   build_presentation, check_confluence,
                                   check_hopf_ideal, costructure,
@@ -187,6 +188,33 @@ def test_antipode_law_on_coordinate_letters():
         assert reduce(acc, RS3) == reduce(costructure("counit", a, P3), RS3)
 
 
+def test_antipode_on_the_first_tensor_factor():
+    """m (S (x) id) Delta a = eps(a), with S applied to the first factor
+    of Delta a by tensor_costructure."""
+    for name in ("u", "v", "x1", "x2", "x3"):
+        a = wel([name])
+        left = tensor_costructure(costructure("coproduct", a, P3), 0,
+                                  "antipode", P3)
+        assert left.arity == 2
+        product = zero_element(A3, PS3)
+        for (w1, w2), c in left.terms.items():
+            product = product + word_element(A3, PS3, w1 + w2, c)
+        assert reduce(product, RS3) == \
+            reduce(costructure("counit", a, P3), RS3)
+
+
+def test_costructure_rejects_unknown_maps_and_positions():
+    a = wel(["x1"])
+    cop = costructure("coproduct", a, P3)
+    with pytest.raises(ValueError, match="unknown costructure"):
+        costructure("frobnicate", a, P3)
+    with pytest.raises(ValueError, match="unknown costructure"):
+        tensor_costructure(cop, 0, "frobnicate", P3)
+    for pos in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            tensor_costructure(cop, pos, "counit", P3)
+
+
 def test_hopf_ideal_report():
     rep = check_hopf_ideal(3)
     assert rep.ok and len(rep.checks) == 22
@@ -213,6 +241,18 @@ def test_projection_of_cone_rows():
     assert project(big_letter("T[1,∘]"), P3) == zero_element(A3, PS3)
     assert project(big_letter("T[∘,∘]"), P3) == wel(["u"])
     assert project(big_letter("T[1,2]"), P3) == wel(["T[1,2]"])
+
+
+def test_projection_kills_exactly_the_cone_ideal():
+    """H is generated by T^a_o, T^*_b and T^*_o, in that order, and P
+    sends those so(5) letters, and no others, to zero."""
+    geom = IndexGeometry(5, embedded=True)
+    assert geom.cone_ideal() == [(2, 1), (3, 1), (4, 1),
+                                 (5, 2), (5, 3), (5, 4), (5, 1)]
+    killed = {(A, B) for A in geom.indices() for B in geom.indices()
+              if not project(word_element(B5, BIG5.params,
+                                          (t_letter(5, A, B),)), P3)}
+    assert killed == set(geom.cone_ideal())
 
 
 def test_section_splits_projection():

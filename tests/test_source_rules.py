@@ -120,3 +120,17 @@ def test_letter_numbering_lives_in_presentations():
             if formula.search(line) or "[2:-1]" in line:
                 found.append("%s:%d" % (path.name, lineno))
     assert found == []
+
+
+def test_cone_ideal_lives_in_itensor():
+    """IndexGeometry.cone_ideal alone lists the generators of the cone
+    ideal H: no other module pairs the bullet index with the circ index."""
+    pair = re.compile(r"\(\w+\.bullet, \w+\.circ\)")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "itensor.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if pair.search(line):
+                found.append("%s:%d" % (path.name, lineno))
+    assert found == []
