@@ -27,7 +27,7 @@ report.first_failure otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        iu_annihilates, l_functional, show_t_word,
@@ -63,10 +63,6 @@ def build_f(A1: int, A2: int, B1: int, B2: int, N: int) -> FunctionalElement:
         * l_functional(bundle, -1, A2, B2)
 
 
-def _lambda_inverse(ps) -> Scalar:
-    return scalar_invert(ps.s_pow(2) - ps.s_pow(-2))
-
-
 def build_chi(A: int, B: int, N: int) -> FunctionalElement:
     """chi^A_B = (1/lambda)[sum_C f^C_{C A, B} - delta^A_B eps].
 
@@ -82,7 +78,7 @@ def build_chi(A: int, B: int, N: int) -> FunctionalElement:
         acc = acc + build_f(C, C, A, B, N)
     if A == B:
         acc = acc - eps_functional(bundle)
-    return acc.scale(_lambda_inverse(ps))
+    return acc.scale(scalar_invert(ps.lam))
 
 
 def _chi_inner(a: int, b: int, N: int) -> FunctionalElement:
@@ -98,7 +94,7 @@ def _chi_inner(a: int, b: int, N: int) -> FunctionalElement:
         acc = acc + build_f(c, c, a + 1, b + 1, N)
     if a == b:
         acc = acc - eps_functional(bundle)
-    return acc.scale(_lambda_inverse(ps))
+    return acc.scale(scalar_invert(ps.lam))
 
 
 def _chi_capital_r1(A: int, B: int, N: int) -> FunctionalElement:
@@ -116,7 +112,7 @@ def _chi_capital_r1(A: int, B: int, N: int) -> FunctionalElement:
         e = build_f(A, A, A, B, N)
     else:
         e = build_f(B, B, A, B, N)
-    return e.scale(_lambda_inverse(ps))
+    return e.scale(scalar_invert(ps.lam))
 
 
 class TangentBasis:
@@ -173,15 +169,21 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
 # ---------------------------------------------------------------------------
 # relation tables
 
-def lie_rows(kind: str, N: int, D: int = 2) -> List[dict]:
+def _degree(D: Optional[int]) -> int:
+    """The word-length bound of the q-Lie checks: D when given, else 2."""
+    return 2 if D is None else D
+
+
+def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
     """Every q-Lie relation instance of the chosen calculus as a row
     {relation, indices, status, witness?}; all rows are checked in one
     walk, each reporting its own first witness."""
+    D = _degree(D)
     bundle = _bundle(N)
     geom = bundle.geometry
     ps = geom.params
     M = geom.dim
-    lam = ps.s_pow(2) - ps.s_pow(-2)
+    lam = ps.lam
     zero = FunctionalElement(bundle, {})
     rows: List[dict] = []
     pairs: Dict[Tuple[int], Tuple] = {}
@@ -387,10 +389,11 @@ def structure_constants(basis: TangentBasis):
 # ---------------------------------------------------------------------------
 # relation suite
 
-def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
+def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
     """The q-Lie relations of the chosen calculus, the cone-ideal
     annihilation of its tangent vectors, and degree-one closure of the
     deformed brackets."""
+    D = _degree(D)
     rep = Report("%s tangent-vector relations for iso(%d) at degree %d"
                  % ("projected" if kind == "projected" else "r = 1",
                     N, D))
@@ -419,7 +422,7 @@ def verify_qlie(kind: str, N: int, D: int = 2) -> Report:
                 % "; ".join(show_t_word(geom, res.witness[0])
                             for res in results))
     else:
-        lam_inv = _lambda_inverse(geom.params)
+        lam_inv = scalar_invert(geom.params.lam)
         zero = FunctionalElement(bundle, {})
         w = _first_difference(
             {(a, b): (_mapped(build_f(M, M, a + 1, b + 1, N).scale(lam_inv),

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import comb
 from typing import List, Optional, Tuple
 
-from .calculus import (adjoint_coaction_check, lie_rows, structure_constants,
-                       tangent_basis, verify_qlie)
+from .calculus import (_degree, adjoint_coaction_check, lie_rows,
+                       structure_constants, tangent_basis, verify_qlie)
 from .envelope import (EPS_WORD, pairing, tag_gen, word_functional,
                        verify_envelope_suite, verify_parameter_collapse,
                        verify_pairing_axioms)
@@ -300,13 +300,12 @@ def _suite_envelope(cfg: RunConfig) -> List[Report]:
 
 
 def _suite_calculus_projected(cfg: RunConfig) -> List[Report]:
-    D = cfg.degree if cfg.degree is not None else 2
-    return [verify_qlie("projected", cfg.n, D), adjoint_coaction_check(cfg.n)]
+    return [verify_qlie("projected", cfg.n, cfg.degree),
+            adjoint_coaction_check(cfg.n)]
 
 
 def _suite_calculus_r1(cfg: RunConfig) -> List[Report]:
-    D = cfg.degree if cfg.degree is not None else 2
-    return [verify_qlie("r1", cfg.n, D)]
+    return [verify_qlie("r1", cfg.n, cfg.degree)]
 
 
 _SUITES = [
@@ -331,7 +330,7 @@ def _cmd_build_r(cfg: RunConfig, args) -> int:
     R = build_R(geom)
     if spec:
         occurring = set()
-        for v in R.entries.values():
+        for v in R.terms.values():
             occurring.update(occurring_vars(v))
         unknown = set(spec) - set(geom.params.vars)
         if unknown:
@@ -345,7 +344,7 @@ def _cmd_build_r(cfg: RunConfig, args) -> int:
             "series": geom.series,
             "spec": {k: str(v) for k, v in spec.items()},
             "entries": [{"idx": list(k), "value": str(specialize(
-                R.entries[k], spec))} for k in sorted(R.entries)],
+                R.terms[k], spec))} for k in sorted(R.terms)],
         }
     else:
         payload = tensor_to_json(R)
@@ -443,7 +442,7 @@ def _cmd_det(cfg: RunConfig, args) -> int:
 
 
 def _cmd_lie(cfg: RunConfig, args) -> int:
-    D = cfg.degree if cfg.degree is not None else 2
+    D = _degree(cfg.degree)
     basis = tangent_basis(args.kind, cfg.n)
     rows = lie_rows(args.kind, cfg.n, D)
     try:

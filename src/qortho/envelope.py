@@ -59,8 +59,8 @@ from itertools import product as iproduct
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .itensor import (IndexGeometry, SparseTensor4, rank6_equal,
-                      tensor_equal, triple_compose)
+from .itensor import (IndexGeometry, SparseTensor4, _by_upper, tensor_equal,
+                      triple_compose)
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             project, section, t_letter, unit_element,
                             word_element)
@@ -880,12 +880,11 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     small = build_bundle(IndexGeometry(N))
     lift = inner_lift(geom)
     zero = FunctionalElement(bundle, {})
-    terms: Dict[Tuple[int, int], Dict[FunctionalWord, Scalar]] = {}
-    for (a, b, c, d), v in small.P_A.items():
-        _acc(terms.setdefault((a, b), {}),
-             ((-1, d + 1, circ), (-1, c + 1, circ)), lift(v))
-    w = _first_difference({key: (FunctionalElement(bundle, t), zero)
-                           for key, t in terms.items()}, D)
+    w = _first_difference(
+        {key: (FunctionalElement(bundle, {
+            ((-1, d + 1, circ), (-1, c + 1, circ)): lift(v)
+            for (c, d), v in row}), zero)
+         for key, row in _by_upper(small.P_A).items()}, D)
     rep.add("antisymmetrizer annihilates the translation column",
             w is None, _detail(geom, w))
     rep.add("translation column satisfies the inverse-parameter plane "
@@ -975,7 +974,7 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
             "" if ok else "%r" % (tw,))
     lhs6 = triple_compose([(script, 12), (script, 13), (script, 23)])
     rhs6 = triple_compose([(script, 23), (script, 13), (script, 12)])
-    ok, yw = rank6_equal(lhs6, rhs6)
+    ok, yw = tensor_equal(lhs6, rhs6)
     rep.add("script R matrix satisfies the Yang-Baxter equation", ok,
             "" if ok else "%r" % (yw,))
 

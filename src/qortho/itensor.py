@@ -12,24 +12,26 @@ cone coordinates (circ, bullet): index 1 prints as "o", index N+2 prints
 as "*", and the inner block 2..N+1 prints as 1..N, matching the split of
 an index A into (o, a, *).
 
-A rank-4 tensor X^{ab}_{cd} is a dict keyed by (a, b, c, d) with Scalar
-values and no stored zeros; composition contracts the lower pair of the
-left factor against the upper pair of the right factor.  Rank-6 objects
-(for the Yang-Baxter check) are never densified: they stay dicts keyed by
-6-tuples and are built by chaining sparse factor actions.
+A tensor X^{ab}_{cd} is a SparseTensor4: a scalars.LinearCombination of
+index tuples (a, b, c, d) over one geometry, so it adds, subtracts and
+scales like every other sparse combination of the engine and refuses an
+operand from another geometry.  Composition contracts the lower pair of
+the left factor against the upper pair of the right factor.  Rank-6
+products (for the Yang-Baxter check) are SparseTensor4s keyed by 6-tuples,
+never densified: triple_compose builds them by applying sparse factors to
+the rank-6 identity.  tensor_equal compares two tensors of either rank
+through report.first_failure.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import itertools
+from typing import Dict, Iterable, List, Tuple
 
-from .scalars import ParamSpace, Scalar, substitute, _acc
+from .report import first_failure
+from .scalars import LinearCombination, ParamSpace, Scalar, substitute, _acc
 
 Key4 = Tuple[int, int, int, int]
-
-
-class GeometryMismatch(Exception):
-    pass
 
 
 class IndexGeometry:
@@ -95,25 +97,40 @@ class IndexGeometry:
         return "IndexGeometry(%sdim=%d, series=%s)" % (kind, self.dim, self.series)
 
 
-class SparseTensor4:
-    __slots__ = ("geometry", "entries")
+class SparseTensor4(LinearCombination):
+    """Scalar entries over one index geometry, keyed by index tuples:
+    (a, b, c, d) for X^{ab}_{cd}, six indices for a triple product."""
+
+    __slots__ = ("geometry",)
 
     def __init__(self, geometry: IndexGeometry, entries: Dict[Key4, Scalar]):
         self.geometry = geometry
-        self.entries = {k: v for k, v in entries.items() if v}
+        super().__init__(entries)
+
+    def _context(self):
+        return (self.geometry,)
+
+    def _mismatch(self, other) -> str:
+        if self.geometry.same(other.geometry):
+            return ""
+        return "%r vs %r" % (self.geometry, other.geometry)
+
+    @property
+    def entries(self) -> Dict[Key4, Scalar]:
+        return self.terms
 
     def get(self, key: Key4) -> Scalar:
-        return self.entries.get(key, self.geometry.params.zero)
+        return self.terms.get(key, self.geometry.params.zero)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.terms)
 
     def items(self):
-        return self.entries.items()
+        return self.terms.items()
 
     def __repr__(self):
         return "SparseTensor4(dim=%d, nnz=%d)" % (self.geometry.dim,
-                                                  len(self.entries))
+                                                  len(self.terms))
 
 
 def identity_tensor(geometry: IndexGeometry) -> SparseTensor4:
@@ -123,36 +140,24 @@ def identity_tensor(geometry: IndexGeometry) -> SparseTensor4:
     return SparseTensor4(geometry, ent)
 
 
-def tensor_scale(X: SparseTensor4, c: Scalar) -> SparseTensor4:
-    return SparseTensor4(X.geometry, {k: c * v for k, v in X.items()})
-
-
-def tensor_add(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
-    if not X.geometry.same(Y.geometry):
-        raise GeometryMismatch("%r vs %r" % (X.geometry, Y.geometry))
-    ent = dict(X.entries)
-    for k, v in Y.items():
-        _acc(ent, k, v)
-    return SparseTensor4(X.geometry, ent)
-
-
-def tensor_sub(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
-    minus_one = Y.geometry.params.from_rational(-1)
-    return tensor_add(X, tensor_scale(Y, minus_one))
+def _by_upper(X: SparseTensor4) -> Dict[Tuple[int, int], List]:
+    """The entries X^{AB}_{CD} of a four-index tensor as
+    {(A, B): [((C, D), value), ...]}, in the tensor's own order."""
+    out: Dict[Tuple[int, int], List] = {}
+    for (A, B, C, D), val in X.items():
+        out.setdefault((A, B), []).append(((C, D), val))
+    return out
 
 
 def tensor_compose(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
     """(X.Y)^{ab}_{cd} = sum_ef X^{ab}_{ef} Y^{ef}_{cd}."""
-    if not X.geometry.same(Y.geometry):
-        raise GeometryMismatch("%r vs %r" % (X.geometry, Y.geometry))
-    by_upper: Dict[Tuple[int, int], List[Tuple[int, int, Scalar]]] = {}
-    for (e, f, c, d), v in Y.items():
-        by_upper.setdefault((e, f), []).append((c, d, v))
+    X._check(Y)
+    by_upper = _by_upper(Y)
     out: Dict[Key4, Scalar] = {}
     for (a, b, e, f), xv in X.items():
-        for c, d, yv in by_upper.get((e, f), ()):
+        for (c, d), yv in by_upper.get((e, f), ()):
             _acc(out, (a, b, c, d), xv * yv)
-    return SparseTensor4(X.geometry, out)
+    return X._like(out)
 
 
 def _lift_positions(pos: int) -> Tuple[int, int]:
@@ -163,50 +168,35 @@ def _lift_positions(pos: int) -> Tuple[int, int]:
         raise ValueError("position must be one of 12, 23, 13; got %r" % (pos,))
 
 
-def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]):
-    """Product of operators lifted to V x V x V, as a sparse rank-6 dict.
-
-    Each factor (X, pos) acts on the tensor slots named by pos, identity on
-    the third; position 13 is realized by the same chaining as 12 and 23,
-    skipping the middle slot in the index bookkeeping.  Returns a dict
+def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]) -> SparseTensor4:
+    """Product of operators lifted to V x V x V, as a rank-6 SparseTensor4
     keyed by (a,b,c,d,e,f) for the entry X^{abc}_{def}.
+
+    Starting from the identity on V x V x V, each factor (X, pos) acts on
+    the lower slots named by pos, identity on the third; position 13 is
+    realized by the same chaining as 12 and 23, skipping the middle slot
+    in the index bookkeeping.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    geom = factors[0][0].geometry
-    cur: Optional[Dict[Tuple[int, ...], Scalar]] = None
+    first = factors[0][0]
+    one = first.geometry.params.one
+    cur = {k + k: one
+           for k in itertools.product(first.geometry.indices(), repeat=3)}
     for X, pos in factors:
-        if not X.geometry.same(geom):
-            raise GeometryMismatch("%r vs %r" % (X.geometry, geom))
+        first._check(X)
         i, j = _lift_positions(pos)
-        by_upper: Dict[Tuple[int, int], List[Tuple[int, int, Scalar]]] = {}
-        for (a, b, c, d), v in X.items():
-            by_upper.setdefault((a, b), []).append((c, d, v))
-        if cur is None:
-            cur = {}
-            rng = list(geom.indices())
-            for (a, b), lows in by_upper.items():
-                for c, d, v in lows:
-                    for free in rng:
-                        up = [free, free, free]
-                        lo = [free, free, free]
-                        up[i], up[j] = a, b
-                        lo[i], lo[j] = c, d
-                        cur[tuple(up) + tuple(lo)] = v
-            continue
+        by_upper = _by_upper(X)
         nxt: Dict[Tuple[int, ...], Scalar] = {}
         for key, v in cur.items():
             lo = key[3:]
-            hit = by_upper.get((lo[i], lo[j]))
-            if hit is None:
-                continue
-            for c, d, xv in hit:
+            for (c, d), xv in by_upper.get((lo[i], lo[j]), ()):
                 newlo = list(lo)
                 newlo[i], newlo[j] = c, d
                 _acc(nxt, key[:3] + tuple(newlo), v * xv)
         cur = nxt
-    return cur
+    return first._like(cur)
 
 
 def map_params(X: SparseTensor4) -> SparseTensor4:
@@ -214,31 +204,17 @@ def map_params(X: SparseTensor4) -> SparseTensor4:
     r -> r^{-1}), the only transform the identities need."""
     ps = X.geometry.params
     images = [ps.mono(s=-1)] + [ps.mono(g={p: -1}) for p in ps.pairs]
-    return SparseTensor4(X.geometry, {k: substitute(v, images)
-                                      for k, v in X.items()})
+    return X._like({k: substitute(v, images) for k, v in X.items()})
 
 
 def tensor_equal(X: SparseTensor4, Y: SparseTensor4):
-    """Entrywise equality; returns (ok, witness) where witness is None or
-    (index tuple, X value, Y value) at the first mismatch in index order."""
-    if not X.geometry.same(Y.geometry):
-        raise GeometryMismatch("%r vs %r" % (X.geometry, Y.geometry))
-    for k in sorted(set(X.entries) | set(Y.entries)):
-        xv, yv = X.get(k), Y.get(k)
-        if xv != yv:
-            return False, (k, xv, yv)
-    return True, None
-
-
-def rank6_equal(A: Dict[Tuple[int, ...], Scalar],
-                B: Dict[Tuple[int, ...], Scalar]):
-    """Equality of two sparse dicts keyed by index tuples, with the same
-    (ok, witness) result as tensor_equal."""
-    for k in sorted(set(A) | set(B)):
-        av, bv = A.get(k), B.get(k)
-        if av is None or bv is None or av != bv:
-            return False, (k, av, bv)
-    return True, None
+    """Entrywise equality of two tensors of the same rank; returns (ok,
+    witness) where witness is None or (index tuple, X value, Y value) at
+    the first mismatch in index order, a missing entry read as zero."""
+    X._check(Y)
+    w = first_failure((k, X.get(k), Y.get(k))
+                      for k in sorted(X.terms.keys() | Y.terms.keys()))
+    return w is None, w
 
 
 class MetricVec:
@@ -281,8 +257,8 @@ def tensor_to_json(X: SparseTensor4) -> dict:
         "vars": list(geom.params.vars),
         "embedded": geom.embedded,
         "entries": [
-            {"idx": list(k), "value": scalar_to_json(X.entries[k])}
-            for k in sorted(X.entries)
+            {"idx": list(k), "value": scalar_to_json(X.terms[k])}
+            for k in sorted(X.terms)
         ],
     }
 

@@ -55,7 +55,7 @@ import itertools
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .itensor import IndexGeometry
+from .itensor import IndexGeometry, _by_upper
 from .report import Report
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
@@ -258,15 +258,6 @@ def _presentation(kind: str, N: int, embedded: bool) -> Presentation:
 def t_letter(M: int, A: int, B: int) -> int:
     """The letter id of T^A_B in the so(M) alphabet: row-major, from 0."""
     return (A - 1) * M + (B - 1)
-
-
-def _by_upper(X) -> Dict[Tuple[int, int], List]:
-    """The entries X^{AB}_{CD} of a four-index tensor as
-    {(A, B): [((C, D), value), ...]}, in the tensor's own order."""
-    out: Dict[Tuple[int, int], List] = {}
-    for (A, B, C, D), val in X.items():
-        out.setdefault((A, B), []).append(((C, D), val))
-    return out
 
 
 def _build_so(M: int, embedded: bool) -> Presentation:
@@ -757,8 +748,11 @@ def costructure(op: str, e: AlgebraElement, p: Presentation):
     The coproduct and counit extend multiplicatively, the antipode
     antimultiplicatively.
     """
+    width = _width(op)
+    if not _same_alphabet(e.alphabet, p.alphabet):
+        raise ValueError("element is not over the %s alphabet" % p.name)
     ps = p.params
-    if _width(op) == 2:
+    if width == 2:
         unit = TensorElement(p.alphabet, ps, 2, {(EMPTY, EMPTY): ps.one})
     else:
         unit = unit_element(p.alphabet, ps)
@@ -890,12 +884,10 @@ def _row_terms(rel: AlgebraElement, w1: Word, w2: Word) -> Dict[Word, Scalar]:
 
 
 @functools.cache
-def _membership_staircase(p: Presentation, bound: int,
-                          extra: Tuple[AlgebraElement, ...], track: bool):
-    rels = list(p.relations) + list(extra)
+def _membership_staircase(p: Presentation, bound: int):
     nlet = len(p.alphabet.symbols)
-    rows: List[Tuple[Dict[Word, Scalar], Optional[Dict]]] = []
-    for ridx, rel in enumerate(rels):
+    rows: List[Tuple[Dict[Word, Scalar], Dict]] = []
+    for ridx, rel in enumerate(p.relations):
         if not rel:
             continue
         free = bound - rel.degree()
@@ -906,33 +898,28 @@ def _membership_staircase(p: Presentation, bound: int,
                 for l2 in range(free - l1 + 1):
                     for w2 in itertools.product(range(nlet), repeat=l2):
                         row = _row_terms(rel, w1, w2)
-                        combo = {(ridx, w1, w2): p.params.one} if track else None
-                        rows.append((row, combo))
+                        rows.append((row, {(ridx, w1, w2): p.params.one}))
     # sparse rows first: single-word rows only normalize and make every
     # later reduction against their pivot a plain deletion
     rows.sort(key=lambda rc: (len(rc[0]), word_key(max(rc[0], key=word_key))))
-    stair: Dict[Word, Tuple[Dict[Word, Scalar], Optional[Dict]]] = {}
+    stair: Dict[Word, Tuple[Dict[Word, Scalar], Dict]] = {}
     for row, combo in rows:
         stair_insert(stair, row, combo)
-    return rels, stair
+    return stair
 
 
-def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,
-                     extra: Sequence[AlgebraElement] = (),
-                     want_certificate: bool = True) -> MembershipResult:
+def ideal_membership(e: AlgebraElement, p: Presentation,
+                     bound: int = 3) -> MembershipResult:
     """Decide whether e lies in the two-sided ideal span at the given
     total degree bound.  A negative answer means only that no witness
     exists within the bound."""
     if e.degree() > bound:
         raise ValueError("element degree %d exceeds bound %d"
                          % (e.degree(), bound))
-    extra_key = tuple(extra)
-    rels, stair = _membership_staircase(p, bound, extra_key,
-                                        want_certificate)
-    res, combo = stair_reduce(stair, e.terms)
+    res, combo = stair_reduce(_membership_staircase(p, bound), e.terms)
     member = not res
     certificate = None
-    if member and want_certificate:
+    if member:
         certificate = [(c, ridx, w1, w2)
                        for (ridx, w1, w2), c in sorted(
                            combo.items(),
@@ -943,13 +930,11 @@ def ideal_membership(e: AlgebraElement, p: Presentation, bound: int = 3,
 
 
 def expand_certificate(cert: Sequence[Tuple[Scalar, int, Word, Word]],
-                       p: Presentation,
-                       extra: Sequence[AlgebraElement] = ()) -> AlgebraElement:
+                       p: Presentation) -> AlgebraElement:
     """Rebuild the combination named by a membership certificate."""
-    rels = list(p.relations) + list(extra)
     acc: Dict[Word, Scalar] = {}
     for c, ridx, w1, w2 in cert:
-        for w, v in _row_terms(rels[ridx], w1, w2).items():
+        for w, v in _row_terms(p.relations[ridx], w1, w2).items():
             _acc(acc, w, c * v)
     return AlgebraElement(p.alphabet, p.params, acc)
 

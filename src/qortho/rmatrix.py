@@ -28,11 +28,10 @@ import functools
 from typing import Dict, Mapping, Tuple
 
 from .itensor import (IndexGeometry, Key4, MetricVec, SparseTensor4,
-                      identity_tensor, map_params, rank6_equal, tensor_add,
-                      tensor_compose, tensor_equal, tensor_scale, tensor_sub,
-                      triple_compose)
+                      _by_upper, identity_tensor, map_params, tensor_compose,
+                      tensor_equal, triple_compose)
 from .report import Report, first_failure
-from .scalars import (ParamSpace, Scalar, _acc, canonical_q,
+from .scalars import (ParamSpace, Scalar, canonical_q,
                       merge_deformations, rational_rank, scalar_invert,
                       specialize, substitute)
 
@@ -86,16 +85,10 @@ def build_projectors(bundle) -> Tuple[SparseTensor4, SparseTensor4, SparseTensor
     r = ps.r
     rinv = ps.s_pow(-2)
     r1N = ps.s_pow(2 * (1 - geom.dim))
-    P0 = tensor_scale(bundle.K, scalar_invert(bundle.C.trace_norm()))
+    P0 = bundle.K.scale(scalar_invert(bundle.C.trace_norm()))
     coef = scalar_invert(r + rinv)
-    PS = tensor_scale(
-        tensor_add(tensor_add(bundle.Rhat, tensor_scale(I, rinv)),
-                   tensor_scale(P0, -(rinv + r1N))),
-        coef)
-    PA = tensor_scale(
-        tensor_add(tensor_sub(tensor_scale(I, r), bundle.Rhat),
-                   tensor_scale(P0, -(r - r1N))),
-        coef)
+    PS = (bundle.Rhat + I.scale(rinv) + P0.scale(-(rinv + r1N))).scale(coef)
+    PA = (I.scale(r) - bundle.Rhat + P0.scale(-(r - r1N))).scale(coef)
     return PS, PA, P0
 
 
@@ -144,7 +137,7 @@ class RMatrixBundle:
         return {**self._inverse_certificates, **self._projected[1]}
 
     def _certify_inverse(self) -> Dict[str, Tuple[bool, str]]:
-        bad = [k for k in self.R.entries
+        bad = [k for k in self.R.terms
                if k[0] < k[2] or (k[0] == k[2] and k[1] < k[3])]
         I = identity_tensor(self.geometry)
         ok1, w1 = tensor_equal(tensor_compose(self.R, self.Rinv), I)
@@ -162,8 +155,7 @@ class RMatrixBundle:
         """(P_S, P_A, P_0) and their two certificates."""
         geom = self.geometry
         projs = P_S, P_A, P_0 = build_projectors(self)
-        ok, w = tensor_equal(tensor_add(tensor_add(P_S, P_A), P_0),
-                             identity_tensor(geom))
+        ok, w = tensor_equal(P_S + P_A + P_0, identity_tensor(geom))
         named = [("P_S", P_S), ("P_A", P_A), ("P_0", P_0)]
         zero = SparseTensor4(geom, {})
         # case ((Pi, Pj), first mismatch of Pi Pj against its target, None)
@@ -213,7 +205,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
 
     lhs = triple_compose([(R, 12), (R, 13), (R, 23)])
     rhs = triple_compose([(R, 23), (R, 13), (R, 12)])
-    ok, w = rank6_equal(lhs, rhs)
+    ok, w = tensor_equal(lhs, rhs)
     rep.add("yang-baxter: R12 R13 R23 = R23 R13 R12", ok,
             "" if ok else "first mismatch at %r" % (w[0],))
 
@@ -237,51 +229,41 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
 
     for name, X, Y in (("Rhat", bundle.Rhat, bundle.Rhatinv),
                        ("Rhat-inverse", bundle.Rhatinv, bundle.Rhat)):
-        lhs_d: Dict[Key4, Scalar] = {}
-        for (b, c, d, e), v in X.items():
-            lhs_d[(pr(b), c, d, e)] = C.c(pr(b)) * v
-        rhs_d: Dict[Key4, Scalar] = {}
-        for (c, f, a, d), v in Y.items():
-            rhs_d[(a, c, d, pr(f))] = v * C.c(f)
-        ok, w = rank6_equal(lhs_d, rhs_d)
+        ok, w = tensor_equal(
+            SparseTensor4(geom, {(pr(b), c, d, e): C.c(pr(b)) * v
+                                 for (b, c, d, e), v in X.items()}),
+            SparseTensor4(geom, {(a, c, d, pr(f)): v * C.c(f)
+                                 for (c, f, a, d), v in Y.items()}))
         rep.add("metric conjugation (left) turns %s into its inverse" % name,
                 ok, _witness(w))
-        lhs_d = {}
-        for (b, c, d, e), v in X.items():
-            lhs_d[(b, c, d, pr(e))] = v * C.c(e)
-        rhs_d = {}
-        for (c, a, f, d), v in Y.items():
-            rhs_d[(pr(f), c, d, a)] = C.c(pr(f)) * v
-        ok, w = rank6_equal(lhs_d, rhs_d)
+        ok, w = tensor_equal(
+            SparseTensor4(geom, {(b, c, d, pr(e)): v * C.c(e)
+                                 for (b, c, d, e), v in X.items()}),
+            SparseTensor4(geom, {(pr(f), c, d, a): C.c(pr(f)) * v
+                                 for (c, a, f, d), v in Y.items()}))
         rep.add("metric conjugation (right) turns %s into its inverse" % name,
                 ok, _witness(w))
 
+    # with K^{ef}_{ab} = C^{ef} C_{ab}, (K Rhat)^{ef}_{cd} = C^{ef} C_ab
+    # Rhat^{ab}_{cd}, and every row of C has a nonzero entry: the
+    # contractions hold exactly when these compositions do
     r1N = ps.s_pow(2 * (1 - geom.dim))
-    lhs_c: Dict[Tuple[int, int], Scalar] = {}
-    for (a, b, c, d), v in bundle.Rhat.items():
-        if b == pr(a):
-            _acc(lhs_c, (c, d), C.c(a) * v)
-    rhs_c = {(c, pr(c)): r1N * C.c(c) for c in geom.indices()}
-    ok, w = rank6_equal(lhs_c, rhs_c)
+    K = bundle.K
+    ok, w = tensor_equal(tensor_compose(K, bundle.Rhat), K.scale(r1N))
     rep.add("metric row contraction: C_ab Rhat^{ab}_{cd} = r^{1-N} C_cd",
             ok, _witness(w))
-    lhs_c = {}
-    for (a, b, c, d), v in bundle.Rhat.items():
-        if d == pr(c):
-            _acc(lhs_c, (a, b), v * C.c(c))
-    rhs_c = {(a, pr(a)): r1N * C.c(a) for a in geom.indices()}
-    ok, w = rank6_equal(lhs_c, rhs_c)
+    ok, w = tensor_equal(tensor_compose(bundle.Rhat, K), K.scale(r1N))
     rep.add("metric column contraction: Rhat^{ab}_{cd} C^{cd} = r^{1-N} C^ab",
             ok, _witness(w))
 
     # strictly below the diagonal, rows against a metric column pair (and
     # columns against a metric row pair) only load the conjugate position:
     # R^{ab}_{cc'} = 0 unless b = a', and R^{aa'}_{cd} = 0 unless d = c'
-    bad_row = [k for k in R.entries
+    bad_row = [k for k in R.terms
                if k[0] > k[2] and k[3] == pr(k[2]) and k[1] != pr(k[0])]
     rep.add("below-diagonal entries on metric columns sit at b = a'",
             not bad_row, "" if not bad_row else "stray entry at %r" % (bad_row[0],))
-    bad_col = [k for k in R.entries
+    bad_col = [k for k in R.terms
                if k[0] > k[2] and k[1] == pr(k[0]) and k[3] != pr(k[2])]
     rep.add("below-diagonal entries on metric rows sit at d = c'",
             not bad_col, "" if not bad_col else "stray entry at %r" % (bad_col[0],))
@@ -289,10 +271,8 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     for name in ("projector completeness: P_S + P_A + P_0 = I",
                  "projector orthogonality and idempotence"):
         rep.add(name, *certified[name])
-    spectral = tensor_add(
-        tensor_sub(tensor_scale(bundle.P_S, ps.r),
-                   tensor_scale(bundle.P_A, ps.s_pow(-2))),
-        tensor_scale(bundle.P_0, r1N))
+    spectral = (bundle.P_S.scale(ps.r) - bundle.P_A.scale(ps.s_pow(-2))
+                + bundle.P_0.scale(r1N))
     ok, w = tensor_equal(spectral, bundle.Rhat)
     rep.add("spectral form: Rhat = r P_S - r^{-1} P_A + r^{1-N} P_0",
             ok, _witness(w))
@@ -316,10 +296,8 @@ def uniparametric_R(geometry: IndexGeometry) -> SparseTensor4:
 def specialized_rank(X: SparseTensor4, assignment: Mapping[str, object]) -> int:
     """Rank of the M^2 x M^2 matrix of X at a rational parameter point,
     by exact fraction Gaussian elimination."""
-    rows: Dict[Tuple[int, int], Dict] = {}
-    for (a, b, c, d), v in X.items():
-        rows.setdefault((a, b), {})[(c, d)] = specialize(v, assignment)
-    return rational_rank(rows.values())
+    return rational_rank({cd: specialize(v, assignment) for cd, v in row}
+                         for row in _by_upper(X).values())
 
 
 def inner_lift(big_geometry: IndexGeometry):
@@ -365,11 +343,11 @@ def decompose_embedding(N: int) -> Report:
 
     lift = inner_lift(big_geom)
 
-    ok, w = rank6_equal(
-        {k: v for k, v in big.items()
-         if all(2 <= i <= M - 1 for i in k)},
-        {(a + 1, b + 1, c + 1, d + 1): lift(v)
-         for (a, b, c, d), v in small.items()})
+    ok, w = tensor_equal(
+        SparseTensor4(big_geom, {k: v for k, v in big.items()
+                                 if all(2 <= i <= M - 1 for i in k)}),
+        SparseTensor4(big_geom, {(a + 1, b + 1, c + 1, d + 1): lift(v)
+                                 for (a, b, c, d), v in small.items()}))
     rep.add("inner block equals the dimension-%d matrix" % N, ok, _witness(w))
 
     q_ok = all(canonical_q(bps, a + 1, b + 1) == lift(canonical_q(sps, a, b))
@@ -388,16 +366,22 @@ def decompose_embedding(N: int) -> Report:
             f_cell == f_expect,
             "" if f_cell == f_expect else "%r vs %r" % (f_cell, f_expect))
 
-    ok, w = rank6_equal(
-        {(c, d): v for (a, b, c, d), v in big.items()
-         if (a, b) == (M, 1) and c in inner and d in inner},
-        {(c, prb(c)): corner * lift(small_C.c(c - 1)) for c in inner})
+    ok, w = tensor_equal(
+        SparseTensor4(big_geom, {k: v for k, v in big.items()
+                                 if k[:2] == (M, 1) and k[2] in inner
+                                 and k[3] in inner}),
+        SparseTensor4(big_geom, {(M, 1, c, prb(c)):
+                                 corner * lift(small_C.c(c - 1))
+                                 for c in inner}))
     rep.add("corner row equals -C_cd lambda r^{-rho}", ok, _witness(w))
 
-    ok, w = rank6_equal(
-        {(a, b): v for (a, b, c, d), v in big.items()
-         if (c, d) == (1, M) and a in inner and b in inner},
-        {(a, prb(a)): corner * lift(small_C.c(prb(a) - 1)) for a in inner})
+    ok, w = tensor_equal(
+        SparseTensor4(big_geom, {k: v for k, v in big.items()
+                                 if k[2:] == (1, M) and k[0] in inner
+                                 and k[1] in inner}),
+        SparseTensor4(big_geom, {(a, prb(a), 1, M):
+                                 corner * lift(small_C.c(prb(a) - 1))
+                                 for a in inner}))
     rep.add("corner column equals -C^{ba} lambda r^{-rho}", ok, _witness(w))
 
     w = first_failure(
@@ -418,14 +402,14 @@ def decompose_embedding(N: int) -> Report:
     rep.add("cone diagonal carries r and r^{-1}", cone_ok)
 
     classified = set()
-    classified.update(k for k in big.entries if all(i in inner for i in k))
+    classified.update(k for k in big.terms if all(i in inner for i in k))
     classified.update([(M, 1, 1, M), (1, 1, 1, 1), (M, M, M, M),
                        (1, M, 1, M), (M, 1, M, 1)])
     for b in inner:
         classified.update([(M, 1, b, prb(b)), (b, prb(b), 1, M),
                            (1, b, 1, b), (b, 1, b, 1), (M, b, M, b),
                            (b, M, b, M), (b, 1, 1, b), (M, b, b, M)])
-    stray = sorted(set(big.entries) - classified)
+    stray = sorted(big.terms.keys() - classified)
     rep.add("no entries outside the block template", not stray,
             "" if not stray else "stray entry at %r" % (stray[0],))
 

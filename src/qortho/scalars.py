@@ -52,7 +52,9 @@ which no suite produces, goes through Euclid's algorithm over Q
 
 The sparse combinations every layer builds over this field share one core
 here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
-elimination `stair_insert`, and the element base `LinearCombination`.
+elimination `stair_insert`, and the base `LinearCombination` of the four
+combination classes (free-algebra and tensor-product elements,
+functionals, and index tensors).
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qortho.itensor import (IndexGeometry, MetricVec, SparseTensor4,
-                            identity_tensor, map_params, rank6_equal,
-                            tensor_add, tensor_compose, tensor_equal,
-                            tensor_from_json, tensor_scale, tensor_sub,
-                            tensor_to_json, triple_compose)
+                            identity_tensor, map_params, tensor_compose,
+                            tensor_equal, tensor_from_json, tensor_to_json,
+                            triple_compose)
 from qortho.scalars import scalar_invert
 
 
@@ -100,6 +99,25 @@ def test_tensor_equal_witness():
     Y = _basis_tensor(g, {(1, 2, 2, 1): 2})
     ok, witness = tensor_equal(X, Y)
     assert not ok and witness[0] == (1, 2, 2, 1)
+    # a rank-6 entry missing on one side reads as the zero Scalar
+    left = triple_compose([(X, 12)])
+    key = (1, 2, 1, 2, 1, 1)
+    right = SparseTensor4(g, {k: v for k, v in left.items() if k != key})
+    assert tensor_equal(left, right) == (
+        False, (key, g.params.s_pow(1), g.params.zero))
+    assert tensor_equal(left, left) == (True, None)
+
+
+def test_mixing_geometries_raises():
+    g3, g3e = IndexGeometry(3), IndexGeometry(3, embedded=True)
+    X = _basis_tensor(g3, {(1, 2, 2, 1): 1})
+    Y = _basis_tensor(g3e, {(1, 2, 2, 1): 1})
+    for mixed in (lambda: X + Y, lambda: X - Y,
+                  lambda: tensor_compose(X, Y),
+                  lambda: triple_compose([(X, 12), (Y, 23)]),
+                  lambda: tensor_equal(X, Y)):
+        with pytest.raises(ValueError, match="IndexGeometry"):
+            mixed()
 
 
 def test_triple_compose_slots():
@@ -107,7 +125,7 @@ def test_triple_compose_slots():
     I = identity_tensor(g)
     left = triple_compose([(I, 12), (I, 13), (I, 23)])
     right = triple_compose([(I, 23), (I, 13), (I, 12)])
-    ok, _ = rank6_equal(left, right)
+    ok, _ = tensor_equal(left, right)
     assert ok
 
 
@@ -149,14 +167,14 @@ def small_tensors():
 @settings(max_examples=40, deadline=None)
 @given(small_tensors(), small_tensors())
 def test_add_commutes(X, Y):
-    ok, _ = tensor_equal(tensor_add(X, Y), tensor_add(Y, X))
+    ok, _ = tensor_equal(X + Y, Y + X)
     assert ok
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_tensors(), small_tensors())
 def test_sub_inverts_add(X, Y):
-    ok, _ = tensor_equal(tensor_sub(tensor_add(X, Y), Y), X)
+    ok, _ = tensor_equal(X + Y - Y, X)
     assert ok
 
 
@@ -164,8 +182,8 @@ def test_sub_inverts_add(X, Y):
 @given(small_tensors())
 def test_scale_commutes_with_compose(X):
     lam = GEOM.params.s_pow(2)
-    ok, _ = tensor_equal(tensor_compose(tensor_scale(X, lam), X),
-                         tensor_scale(tensor_compose(X, X), lam))
+    ok, _ = tensor_equal(tensor_compose(X.scale(lam), X),
+                         tensor_compose(X, X).scale(lam))
     assert ok
 
 

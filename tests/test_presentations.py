@@ -233,6 +233,22 @@ def big_letter(name):
     return word_element(B5, BIG5.params, B5.word(name))
 
 
+def test_costructure_rejects_a_foreign_alphabet():
+    """Letter ids of another alphabet are refused, not read as this
+    alphabet's own: T[∘,∘] is so(5) letter 0 (u in iso(3)), and T[•,∘]
+    is letter 20, past the end of the iso(3) tables."""
+    for name in ("T[∘,∘]", "T[•,∘]"):
+        elem = big_letter(name)
+        for op in ("coproduct", "counit", "antipode"):
+            with pytest.raises(ValueError,
+                               match=r"not over the iso\(3\) alphabet"):
+                costructure(op, elem, P3)
+        with pytest.raises(ValueError, match=r"not over the iso\(3\)"):
+            tensor_costructure(
+                TensorElement(B5, BIG5.params, 1, {(B5.word(name),): PS3.one}),
+                0, "antipode", P3)
+
+
 def test_projection_of_cone_rows():
     assert reduce(project(big_letter("T[∘,2]"), P3), RS3) == \
         reduce(P3.derived["y2"], RS3)

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from qortho.itensor import (IndexGeometry, SparseTensor4, identity_tensor,
-                            rank6_equal, tensor_add, tensor_equal, tensor_sub,
-                            triple_compose)
+                            tensor_equal, triple_compose)
 from qortho import cli, rmatrix
 from qortho.envelope import verify_envelope_suite
 from qortho.rmatrix import (RMatrixBundle, build_bundle, build_R,
@@ -82,7 +81,7 @@ def test_qybe_detects_perturbation():
     Rb = SparseTensor4(g, bad)
     lhs = triple_compose([(Rb, 12), (Rb, 13), (Rb, 23)])
     rhs = triple_compose([(Rb, 23), (Rb, 13), (Rb, 12)])
-    ok, witness = rank6_equal(lhs, rhs)
+    ok, witness = tensor_equal(lhs, rhs)
     assert not ok and witness is not None
 
 
@@ -159,7 +158,7 @@ def test_projector_certificate_names_the_first_bad_product(monkeypatch):
     def shifted(bundle):
         PS, PA, P0 = orig(bundle)
         I = identity_tensor(bundle.geometry)
-        return tensor_add(PS, I), tensor_sub(PA, I), P0
+        return PS + I, PA - I, P0
 
     monkeypatch.setattr(rmatrix, "build_projectors", shifted)
     bundle = RMatrixBundle(IndexGeometry(3))

@@ -4,10 +4,15 @@ src/qortho would turn a broken invariant into a silently wrong result.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import qortho
+from qortho.itensor import (IndexGeometry, identity_tensor, tensor_compose,
+                            triple_compose)
 
 SRC = Path(qortho.__file__).parent
 
@@ -134,3 +139,48 @@ def test_cone_ideal_lives_in_itensor():
             if pair.search(line):
                 found.append("%s:%d" % (path.name, lineno))
     assert found == []
+
+
+def test_benchmark_counters_name_engine_functions():
+    """perfbench/run.py reads call counts and times by name from a
+    Counter, so a renamed engine function would read 0 without a word:
+    every name it reads must be a public function of its qortho module,
+    or a Scalar or RMatrixBundle method, which is what the tracer wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    keys = [node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) in ("calls", "incl")
+            and isinstance(node.slice, ast.Constant)]
+    assert "itensor.tensor_compose" in keys
+    unresolved = []
+    for key in keys:
+        layer, *path = key.split(".")
+        module = importlib.import_module("qortho." + layer)
+        if len(path) == 1:
+            fn = getattr(module, path[0], None)
+            ok = (not path[0].startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == module.__name__)
+        else:
+            owner, method = path
+            ok = (owner in ("Scalar", "RMatrixBundle")
+                  and method in vars(getattr(module, owner, object)))
+        if not ok:
+            unresolved.append(key)
+    assert unresolved == []
+
+
+def test_tracer_observers_read_engine_results():
+    """The tracer's observers read tensor_compose(...).entries and
+    len(triple_compose(...)) off the engine's results."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    probe = tracer.Tracer()
+    I = identity_tensor(IndexGeometry(3))
+    for name, args, result in (
+            ("itensor.tensor_compose", (I, I), tensor_compose(I, I)),
+            ("itensor.triple_compose", ([(I, 12)],),
+             triple_compose([(I, 12)]))):
+        tracer.OBSERVERS[name](probe, args, result)
+    assert probe.tallies == {"itensor.entries_out": 9 + 27}
