@@ -20,8 +20,9 @@ generic-parameter functionals word by word and taking the exact s -> 1
 limit of each value (envelope._mapped); the limit is never taken on a
 functional as a symbolic object.  The cone-ideal check at r = 1 is the
 scan of envelope.iu_annihilates run over those limited values, and like
-every other check here it reports its first failing case, through
-envelope._first_difference for relations between functionals and
+every other check here it reports its first failing case, in the
+order of envelope._first_difference for relations between functionals
+(the q-Lie relations read envelope._first of one shared walk) and of
 report.first_failure otherwise.
 """
 
@@ -32,7 +33,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        iu_annihilates, l_functional, show_t_word,
                        show_witness, _brackets, _cone_witness,
-                       _first_difference, _mapped, _walk, _witnesses)
+                       _first, _first_difference, _mapped, _walk, _witnesses)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
@@ -64,55 +65,29 @@ def build_f(A1: int, A2: int, B1: int, B2: int, N: int) -> FunctionalElement:
 
 
 def build_chi(A: int, B: int, N: int) -> FunctionalElement:
-    """chi^A_B = (1/lambda)[sum_C f^C_{C A, B} - delta^A_B eps].
+    """chi^A_B = (1/lambda)[sum_C f^C_{C A, B} - delta^A_B eps]."""
+    return _chi(A, B, N, _bundle(N).geometry.indices())
 
-    Summands with a triangularly vanishing factor (L+ below or L- above
-    the diagonal) evaluate to zero on every word and are dropped, so the
-    bullet-row vectors come out as single f terms."""
+
+def _chi(A: int, B: int, N: int, over) -> FunctionalElement:
+    """(1/lambda)[sum over C in over of f^C_{C A, B} - delta^A_B eps].
+
+    Summands with a triangularly vanishing factor (C < A or C < B: L+
+    below or L- above the diagonal) evaluate to zero on every word and
+    are dropped, so the bullet-row vectors come out as single f terms.
+    Over all indices this is chi^A_B; over the inner block it is the
+    rotation-block candidate with the cone term dropped, whose
+    evaluations acquire tangent-vector meaning at r = 1; over the single
+    index max(A, B) it represents, off the antidiagonal, the r = 1
+    tangent vector of the embedded group at generic parameters."""
     bundle = _bundle(N)
-    ps = bundle.geometry.params
     acc = FunctionalElement(bundle, {})
-    for C in bundle.geometry.indices():
-        if C < A or C < B:
-            continue
-        acc = acc + build_f(C, C, A, B, N)
+    for C in over:
+        if C >= A and C >= B:
+            acc = acc + build_f(C, C, A, B, N)
     if A == B:
         acc = acc - eps_functional(bundle)
-    return acc.scale(scalar_invert(ps.lam))
-
-
-def _chi_inner(a: int, b: int, N: int) -> FunctionalElement:
-    """The rotation-block tangent candidate with the cone term dropped:
-    (1/lambda)[sum over inner c of f^c_{c a, b} - delta^a_b eps], small
-    indices; its evaluations acquire tangent-vector meaning at r = 1."""
-    bundle = _bundle(N)
-    ps = bundle.geometry.params
-    acc = FunctionalElement(bundle, {})
-    for c in bundle.geometry.inner():
-        if c < a + 1 or c < b + 1:
-            continue
-        acc = acc + build_f(c, c, a + 1, b + 1, N)
-    if a == b:
-        acc = acc - eps_functional(bundle)
-    return acc.scale(scalar_invert(ps.lam))
-
-
-def _chi_capital_r1(A: int, B: int, N: int) -> FunctionalElement:
-    """Generic-parameter representative of the r = 1 tangent vector on
-    the embedded group: diagonal (1/lambda)[f^A_{AA,A} - eps], zero on
-    the antidiagonal, (1/lambda) f^A_{AA,B} below and (1/lambda)
-    f^B_{BA,B} above the diagonal."""
-    bundle = _bundle(N)
-    ps = bundle.geometry.params
-    if B == bundle.geometry.prime(A):
-        return FunctionalElement(bundle, {})
-    if A == B:
-        e = build_f(A, A, A, A, N) - eps_functional(bundle)
-    elif A > B:
-        e = build_f(A, A, A, B, N)
-    else:
-        e = build_f(B, B, A, B, N)
-    return e.scale(scalar_invert(ps.lam))
+    return acc.scale(scalar_invert(bundle.geometry.params.lam))
 
 
 class TangentBasis:
@@ -147,11 +122,12 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
     if kind == "r1":
         labels: List[str] = []
         vectors: List[FunctionalElement] = []
+        inner = _bundle(N).geometry.inner()
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 if a + b > N + 1:
                     labels.append("Omega[%d,%d]" % (a, b))
-                    vectors.append(_chi_inner(a, b, N))
+                    vectors.append(_chi(a + 1, b + 1, N, inner))
         for b in range(1, N + 1):
             labels.append("Omega[*,%d]" % b)
             vectors.append(build_chi(M, b + 1, N))
@@ -174,33 +150,22 @@ def _degree(D: Optional[int]) -> int:
     return 2 if D is None else D
 
 
-def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
-    """Every q-Lie relation instance of the chosen calculus as a row
-    {relation, indices, status, witness?}; all rows are checked in one
-    walk, each reporting its own first witness."""
-    D = _degree(D)
+def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
+    """Every q-Lie relation instance of the chosen calculus, built once,
+    as {(relation,) + indices: (lhs, rhs)} in row order; the r = 1 rows
+    compare the r = 1 limits of the values."""
     bundle = _bundle(N)
     geom = bundle.geometry
     ps = geom.params
     M = geom.dim
     lam = ps.lam
     zero = FunctionalElement(bundle, {})
-    rows: List[dict] = []
-    pairs: Dict[Tuple[int], Tuple] = {}
+    pairs: Dict[Tuple, Tuple] = {}
 
-    def add(relation: str, indices, lhs, rhs, limit):
-        if limit:  # compare the r = 1 limits of the values
+    def add(relation: str, indices, lhs, rhs):
+        if kind == "r1":
             lhs, rhs = _mapped(lhs, limit_r_to_1), _mapped(rhs, limit_r_to_1)
-        pairs[(len(rows),)] = (lhs, rhs)
-        rows.append({"relation": relation, "indices": list(indices)})
-
-    def checked():
-        found = _witnesses(pairs, D)
-        for i, row in enumerate(rows):
-            row["status"] = (i,) not in found
-            if (i,) in found:
-                row["witness"] = show_witness(geom, *found[(i,)])
-        return rows
+        pairs[(relation,) + indices] = (lhs, rhs)
 
     def q(A, B):
         return canonical_q(ps, A, B)
@@ -213,14 +178,14 @@ def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
             coeff = scalar_invert(q(M, b + 1))
             add("circle vector exchanges with a translation", (b,),
                 chi_o * chi_b[b],
-                (chi_b[b] * chi_o).scale(coeff * coeff), False)
+                (chi_b[b] * chi_o).scale(coeff * coeff))
         for c in range(1, N + 1):
             add("translations scale under the dilatation", (c,),
                 chi_b[c] * chi_s - (chi_s * chi_b[c]).scale(ps.s_pow(-4)),
-                chi_b[c].scale(-ps.s_pow(-2)), False)
+                chi_b[c].scale(-ps.s_pow(-2)))
         add("circle vector scales under the dilatation", (),
             chi_o * chi_s - (chi_s * chi_o).scale(ps.s_pow(-8)),
-            chi_o.scale((ps.one + ps.s_pow(4)) * (-ps.s_pow(-6))), False)
+            chi_o.scale((ps.one + ps.s_pow(4)) * (-ps.s_pow(-6))))
         small = build_bundle(IndexGeometry(N))
         lift = inner_lift(geom)
         for c in range(1, N + 1):
@@ -232,7 +197,7 @@ def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
                     acc = acc + (chi_b[b] * chi_b[a]).scale(
                         q(M, a + 1) * lift(v))
                 add("antisymmetrized translation products vanish", (c, d),
-                    acc, zero, False)
+                    acc, zero)
         smetric = small.C
         spr = small.geometry.prime
         coeff0 = lam * (-ps.s_pow(N)) * scalar_invert(
@@ -242,11 +207,11 @@ def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
             rhs = rhs + (chi_b[spr(d)] * chi_b[d]).scale(
                 coeff0 * scalar_invert(q(d + 1, M)) * lift(smetric.c(d)))
         add("circle vector reduces to a metric square of translations", (),
-            chi_o + (chi_o * chi_s).scale(lam), rhs, False)
-        return checked()
+            chi_o + (chi_o * chi_s).scale(lam), rhs)
+        return pairs
 
     if kind == "r1":
-        chi_in = {(a, b): _chi_inner(a, b, N)
+        chi_in = {(a, b): _chi(a + 1, b + 1, N, geom.inner())
                   for a in range(1, N + 1) for b in range(1, N + 1)}
         chi_t = {b: build_chi(M, b + 1, N) for b in range(1, N + 1)}
         chi_s = build_chi(M, M, N)
@@ -282,7 +247,7 @@ def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
                             rhs = rhs - chi_in[(spr(b2), spr(c1))].scale(
                                 qs(b2, c1))
                         add("rotation brackets close with metric "
-                            "corrections", (c1, c2, b1, b2), lhs, rhs, True)
+                            "corrections", (c1, c2, b1, b2), lhs, rhs)
         for c1 in range(1, N + 1):
             for c2 in range(1, N + 1):
                 ratio = q(c1 + 1, M) * scalar_invert(q(c2 + 1, M))
@@ -297,29 +262,52 @@ def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
                     if c1 == b2:
                         rhs = rhs - chi_t[c2].scale(ratio * qs(c2, c1))
                     add("rotations move translations inside the basis",
-                        (c1, c2, b2), lhs, rhs, True)
+                        (c1, c2, b2), lhs, rhs)
         for c2 in range(1, N + 1):
             for b2 in range(1, N + 1):
                 ratio = q(b2 + 1, M) * scalar_invert(q(c2 + 1, M))
                 add("translations exchange with a deformation ratio",
                     (c2, b2), chi_t[c2] * chi_t[b2],
-                    (chi_t[b2] * chi_t[c2]).scale(ratio * qs(c2, b2)), True)
+                    (chi_t[b2] * chi_t[c2]).scale(ratio * qs(c2, b2)))
         for c1 in range(1, N + 1):
             for c2 in range(1, N + 1):
                 add("rotations commute with the dilatation", (c1, c2),
-                    chi_in[(c1, c2)] * chi_s, chi_s * chi_in[(c1, c2)], True)
+                    chi_in[(c1, c2)] * chi_s, chi_s * chi_in[(c1, c2)])
         for c2 in range(1, N + 1):
             add("translations shift under the dilatation", (c2,),
                 chi_t[c2] * chi_s - chi_s * chi_t[c2],
-                -chi_t[c2], True)
+                -chi_t[c2])
+
+        def mirror(A, B):  # zero on the antidiagonal
+            if B == geom.prime(A):
+                return zero
+            return _chi(A, B, N, (max(A, B),))
+
         for A in geom.indices():
             for B in geom.indices():
-                add("mirror tangent vectors are proportional",
-                    (A, B), _chi_capital_r1(geom.prime(B), geom.prime(A), N),
-                    _chi_capital_r1(A, B, N).scale(-q(A, B)), True)
-        return checked()
+                add("mirror tangent vectors are proportional", (A, B),
+                    mirror(geom.prime(B), geom.prime(A)),
+                    mirror(A, B).scale(-q(A, B)))
+        return pairs
 
     raise ValueError("unknown calculus kind %r" % (kind,))
+
+
+def lie_rows(kind: str, N: int, D: Optional[int] = None) -> List[dict]:
+    """Every q-Lie relation instance of the chosen calculus as a row
+    {relation, indices, status, witness?}; all rows are checked in one
+    walk, each reporting its own first witness."""
+    geom = _bundle(N).geometry
+    pairs = _lie_families(kind, N)
+    found = _witnesses(pairs, _degree(D))
+    rows = []
+    for key in pairs:
+        row = {"relation": key[0], "indices": list(key[1:]),
+               "status": key not in found}
+        if key in found:
+            row["witness"] = show_witness(geom, *found[key])
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +406,9 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
         w = first_failure((a, res.ok, False)
                           for a, res in enumerate(results, start=1))
         rep.add("rotation-row functionals fail on the cone ideal",
-                w is None, "" if w is not None else "witnesses: %s"
-                % "; ".join(show_t_word(geom, res.witness[0])
-                            for res in results))
+                w is None, "witnesses: %s" % "; ".join(
+                    show_t_word(geom, res.witness[0]) for res in results)
+                if w is None else "row %d annihilates it" % w[0])
     else:
         lam_inv = scalar_invert(geom.params.lam)
         zero = FunctionalElement(bundle, {})
@@ -432,13 +420,12 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
                 w is None, "" if w is None else "f at %r on %s" % (
                     w[0], show_t_word(geom, w[1])))
 
-    by_rel: Dict[str, List[dict]] = {}
-    for row in lie_rows(kind, N, D):
-        by_rel.setdefault(row["relation"], []).append(row)
-    for relation, group in by_rel.items():
-        w = first_failure((row, row["status"], True) for row in group)
+    pairs = _lie_families(kind, N)
+    found = _witnesses(pairs, D)
+    for relation in dict.fromkeys(key[0] for key in pairs):
+        w = _first({k: v for k, v in found.items() if k[0] == relation})
         rep.add(relation, w is None, "" if w is None else "indices %r, %s" % (
-            tuple(w[0]["indices"]), w[0].get("witness", "")))
+            w[0][1:], show_witness(geom, *w[1:])))
 
     try:
         constants = structure_constants(basis)

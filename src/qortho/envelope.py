@@ -657,15 +657,20 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     return found
 
 
-def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
-    """First disagreement of a family of relations lhs = rhs, as (key,
-    coords, lhs value, rhs value), or None when every relation holds; the
-    order is the one stated in functional_equal."""
-    found = _witnesses(pairs, D)
+def _first(found: Dict[Tuple, Tuple]):
+    """The first disagreement among the witnesses of _witnesses, as (key,
+    coords, lhs value, rhs value), or None when every relation holds:
+    the shortest word, then the smallest key (the order stated in
+    functional_equal)."""
     if not found:
         return None
     key = min(found, key=lambda k: (len(found[k][0]), k))
     return (key,) + found[key]
+
+
+def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
+    """_first of one _witnesses walk over a family of relations."""
+    return _first(_witnesses(pairs, D))
 
 
 def functional_equal(f: FunctionalElement, g: FunctionalElement,
@@ -675,10 +680,11 @@ def functional_equal(f: FunctionalElement, g: FunctionalElement,
     with both values.
 
     Every relation family compared through _first_difference (this
-    function, the envelope suite and the q-Lie relation rows) reports
-    its first failure in one order: the smallest word length k, then the
-    smallest index key of the family, then the smallest word, comparing
-    the words T^{C1}_{D1} ... T^{Ck}_{Dk} by their coordinate tuples
+    function and the envelope suite), and each q-Lie relation through
+    _first of the rows' one walk, reports its first failure in one
+    order: the smallest word length k, then the smallest index key of
+    the family, then the smallest word, comparing the words
+    T^{C1}_{D1} ... T^{Ck}_{Dk} by their coordinate tuples
     ((C1, D1), ..., (Ck, Dk))."""
     if f.bundle is not g.bundle:
         raise ValueError("functionals live over different geometries")
@@ -832,15 +838,13 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
                  % (N, D))
 
     # triangularity: no value below (above) the L+ (L-) diagonal
-    below = {(sign, A, B): l_functional(bundle, sign, A, B)
-             for sign in (1, -1) for A in geom.indices()
-             for B in geom.indices() if sign * (A - B) > 0}
-    hits = set()
-    for coords, (vals,) in _walk([below], D):
-        hits |= {(len(coords), A, B, -sign) for sign, A, B in vals}
-    bad = [("L+" if s < 0 else "L-", A, B, k) for k, A, B, s in sorted(hits)]
-    rep.add("triangularity of the functional matrices", not bad,
-            "" if not bad else "nonzero at %r" % (bad[:3],))
+    zero = FunctionalElement(bundle, {})
+    w = _first_difference(
+        {(sign, A, B): (l_functional(bundle, sign, A, B), zero)
+         for sign in (1, -1) for A in geom.indices()
+         for B in geom.indices() if sign * (A - B) > 0}, D)
+    rep.add("triangularity of the functional matrices", w is None,
+            _detail(geom, w))
 
     # exchange relations
     for name, s2, s1 in [
@@ -879,7 +883,6 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     # its inverse-parameter plane reading are this contraction)
     small = build_bundle(IndexGeometry(N))
     lift = inner_lift(geom)
-    zero = FunctionalElement(bundle, {})
     w = _first_difference(
         {key: (FunctionalElement(bundle, {
             ((-1, d + 1, circ), (-1, c + 1, circ)): lift(v)

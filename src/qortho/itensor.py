@@ -194,7 +194,7 @@ def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]) -> SparseTensor
             for (c, d), xv in by_upper.get((lo[i], lo[j]), ()):
                 newlo = list(lo)
                 newlo[i], newlo[j] = c, d
-                _acc(nxt, key[:3] + tuple(newlo), v * xv)
+                _acc(nxt, key[:3] + tuple(newlo), xv if v is one else v * xv)
         cur = nxt
     return first._like(cur)
 

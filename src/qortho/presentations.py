@@ -56,7 +56,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .itensor import IndexGeometry, _by_upper
-from .report import Report
+from .report import Report, first_failure
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
                       canonical_q, scalar_from_json, scalar_invert,
@@ -611,35 +611,35 @@ def reduce(e: AlgebraElement, rs: RewriteSystem) -> AlgebraElement:
 
 
 def check_confluence(rs: RewriteSystem, p: Presentation) -> Report:
+    """The rule shape checks and the degree-3 overlap check of a rewrite
+    system; each names its first failure, rules and words taken in
+    word_key order."""
     rep = Report("confluence of %s rules for %s" % (rs.sector, p.name))
-    ordered = all(
-        word_key(w) < word_key(lw)
-        for lw, rhs in rs.rules.items() for w in rhs.terms)
-    rep.add("every rule right side precedes its leading word", ordered)
-    lead_lengths = {len(lw) for lw in rs.rules}
-    rep.add("all leading words have degree 2", lead_lengths <= {2})
-    examined = 0
-    bad: List[Word] = []
-    for w in all_words(rs.alphabet, 3, rs.letters):
-        spots = [i for i in (0, 1) if w[i:i + 2] in rs.rules]
-        if len(spots) < 2:
-            continue
-        examined += 1
-        results = []
-        for i in spots:
-            rhs = rs.rules[w[i:i + 2]]
-            stepped: Dict[Word, Scalar] = {}
-            for w2, c2 in rhs.terms.items():
-                _acc(stepped, w[:i] + w2 + w[i + 2:], c2)
-            results.append(reduce(
-                AlgebraElement(rs.alphabet, rs.ps, stepped), rs))
-        if any(res != results[0] for res in results[1:]):
-            bad.append(w)
-    detail = "%d overlapping words examined" % examined
-    if bad:
-        detail += "; first failures: " + ", ".join(
-            rs.alphabet.show_word(w) for w in bad[:4])
-    rep.add("all degree-3 overlaps rejoin", not bad, detail)
+    show = rs.alphabet.show_word
+    leads = sorted(rs.rules, key=word_key)
+    w = first_failure(((lw, w), word_key(w) < word_key(lw), True)
+                      for lw in leads
+                      for w in sorted(rs.rules[lw].terms, key=word_key))
+    rep.add("every rule right side precedes its leading word", w is None,
+            "" if w is None else "rule %s -> %s" % tuple(map(show, w[0])))
+    w = first_failure((lw, len(lw), 2) for lw in leads)
+    rep.add("all leading words have degree 2", w is None,
+            "" if w is None else "leading word %s" % show(w[0]))
+
+    def rewritten(w: Word, i: int) -> AlgebraElement:
+        stepped: Dict[Word, Scalar] = {}
+        for w2, c2 in rs.rules[w[i:i + 2]].terms.items():
+            _acc(stepped, w[:i] + w2 + w[i + 2:], c2)
+        return reduce(AlgebraElement(rs.alphabet, rs.ps, stepped), rs)
+
+    overlaps = [w for w in all_words(rs.alphabet, 3, rs.letters)
+                if w[:2] in rs.rules and w[1:] in rs.rules]
+    w = first_failure((w, rewritten(w, 0), rewritten(w, 1))
+                      for w in overlaps)
+    detail = "%d overlapping words examined" % len(overlaps)
+    if w is not None:
+        detail += "; first failure: " + show(w[0])
+    rep.add("all degree-3 overlaps rejoin", w is None, detail)
     return rep
 
 
@@ -861,7 +861,8 @@ def check_hopf_ideal(N: int) -> Report:
                 "; ".join(sides) if not stray else
                 "terms outside H: " + "; ".join(stray))
         eps = costructure("counit", h, p)
-        rep.add("counit kills %s" % sym, not eps)
+        rep.add("counit kills %s" % sym, not eps,
+                "" if not eps else "counit gives %r" % (eps,))
         kap = costructure("antipode", h, p)
         in_h = bool(kap.terms) and all(
             len(w) == 1 and w[0] in hset for w in kap.terms)

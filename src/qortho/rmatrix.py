@@ -137,15 +137,12 @@ class RMatrixBundle:
         return {**self._inverse_certificates, **self._projected[1]}
 
     def _certify_inverse(self) -> Dict[str, Tuple[bool, str]]:
-        bad = [k for k in self.R.terms
-               if k[0] < k[2] or (k[0] == k[2] and k[1] < k[3])]
+        low = first_failure(_stray(self.R, lambda k: k[:2] < k[2:]))
         I = identity_tensor(self.geometry)
         ok1, w1 = tensor_equal(tensor_compose(self.R, self.Rinv), I)
         ok2, w2 = tensor_equal(tensor_compose(self.Rinv, self.R), I)
         return {
-            "upper triangularity": (
-                not bad,
-                "" if not bad else "entry below the diagonal at %r" % (bad[0],)),
+            "upper triangularity": (low is None, _witness(low)),
             "inverse by inverting all parameters": (ok1 and ok2,
                                                     _witness(w1 or w2)),
         }
@@ -188,6 +185,13 @@ def _bundle(dim: int, embedded: bool) -> RMatrixBundle:
     return RMatrixBundle(IndexGeometry(dim, embedded=embedded))
 
 
+def _stray(X: SparseTensor4, where):
+    """The entries of X at the keys where(key) says must be empty, in key
+    order, as cases (key, value, 0)."""
+    zero = X.geometry.params.zero
+    return ((k, v, zero) for k, v in sorted(X.items()) if where(k))
+
+
 def _witness(w) -> str:
     if w is None:
         return ""
@@ -206,8 +210,7 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     lhs = triple_compose([(R, 12), (R, 13), (R, 23)])
     rhs = triple_compose([(R, 23), (R, 13), (R, 12)])
     ok, w = tensor_equal(lhs, rhs)
-    rep.add("yang-baxter: R12 R13 R23 = R23 R13 R12", ok,
-            "" if ok else "first mismatch at %r" % (w[0],))
+    rep.add("yang-baxter: R12 R13 R23 = R23 R13 R12", ok, _witness(w))
 
     certified = bundle.certificates
     for name in ("upper triangularity", "inverse by inverting all parameters"):
@@ -259,14 +262,14 @@ def verify_rmatrix_suite(geometry: IndexGeometry) -> Report:
     # strictly below the diagonal, rows against a metric column pair (and
     # columns against a metric row pair) only load the conjugate position:
     # R^{ab}_{cc'} = 0 unless b = a', and R^{aa'}_{cd} = 0 unless d = c'
-    bad_row = [k for k in R.terms
-               if k[0] > k[2] and k[3] == pr(k[2]) and k[1] != pr(k[0])]
+    w = first_failure(_stray(R, lambda k: k[0] > k[2] and k[3] == pr(k[2])
+                             and k[1] != pr(k[0])))
     rep.add("below-diagonal entries on metric columns sit at b = a'",
-            not bad_row, "" if not bad_row else "stray entry at %r" % (bad_row[0],))
-    bad_col = [k for k in R.terms
-               if k[0] > k[2] and k[1] == pr(k[0]) and k[3] != pr(k[2])]
+            w is None, _witness(w))
+    w = first_failure(_stray(R, lambda k: k[0] > k[2] and k[1] == pr(k[0])
+                             and k[3] != pr(k[2])))
     rep.add("below-diagonal entries on metric rows sit at d = c'",
-            not bad_col, "" if not bad_col else "stray entry at %r" % (bad_col[0],))
+            w is None, _witness(w))
 
     for name in ("projector completeness: P_S + P_A + P_0 = I",
                  "projector orthogonality and idempotence"):
@@ -328,7 +331,14 @@ def decompose_embedding(N: int) -> Report:
     block pattern over the cone coordinates: the inner block is the
     dimension-N matrix, the mixed blocks are r/q diagonals and lambda
     swaps, and the two off-corners are metric multiples of lambda r^{-rho}
-    with rho = N/2."""
+    with rho = N/2.
+
+    The pattern is one table of expected entries in named blocks.  A
+    block check compares R with its table in key order, over the table's
+    keys and R's keys in the block's region, a missing entry read as
+    zero; the parameter restriction and the metric components are case
+    lists keyed (a, b) and c.  Each check reports its first failing case
+    through _witness."""
     if N < 3:
         raise ValueError("embedding needs N >= 3")
     big_geom = IndexGeometry(N + 2, embedded=True)
@@ -339,83 +349,62 @@ def decompose_embedding(N: int) -> Report:
     bps, sps = big_geom.params, small_geom.params
     M = big_geom.dim
     prb = big_geom.prime
-    rep = Report("embedding of dim %d inside dim %d" % (N, M))
-
     lift = inner_lift(big_geom)
-
-    ok, w = tensor_equal(
-        SparseTensor4(big_geom, {k: v for k, v in big.items()
-                                 if all(2 <= i <= M - 1 for i in k)}),
-        SparseTensor4(big_geom, {(a + 1, b + 1, c + 1, d + 1): lift(v)
-                                 for (a, b, c, d), v in small.items()}))
-    rep.add("inner block equals the dimension-%d matrix" % N, ok, _witness(w))
-
-    q_ok = all(canonical_q(bps, a + 1, b + 1) == lift(canonical_q(sps, a, b))
-               for a in range(1, N + 1) for b in range(1, N + 1))
-    rep.add("inner deformation parameters restrict", q_ok)
-
     lam = bps.lam
     r = bps.r
     rinv = bps.s_pow(-2)
     corner = bps.monomial(-1, bps.mono(s=-N)) * lam  # -lambda r^{-rho}
     inner = range(2, M)
 
-    f_cell = big.get((M, 1, 1, M))
-    f_expect = lam * (bps.one - bps.s_pow(-2 * N))
-    rep.add("apex cell carries f(r) = lambda (1 - r^{-2 rho})",
-            f_cell == f_expect,
-            "" if f_cell == f_expect else "%r vs %r" % (f_cell, f_expect))
+    def in_inner(k):
+        return all(i in inner for i in k)
 
-    ok, w = tensor_equal(
-        SparseTensor4(big_geom, {k: v for k, v in big.items()
-                                 if k[:2] == (M, 1) and k[2] in inner
-                                 and k[3] in inner}),
-        SparseTensor4(big_geom, {(M, 1, c, prb(c)):
-                                 corner * lift(small_C.c(c - 1))
-                                 for c in inner}))
-    rep.add("corner row equals -C_cd lambda r^{-rho}", ok, _witness(w))
+    template = set()  # the keys of every block's table
 
-    ok, w = tensor_equal(
-        SparseTensor4(big_geom, {k: v for k, v in big.items()
-                                 if k[2:] == (1, M) and k[0] in inner
-                                 and k[1] in inner}),
-        SparseTensor4(big_geom, {(a, prb(a), 1, M):
-                                 corner * lift(small_C.c(prb(a) - 1))
-                                 for a in inner}))
-    rep.add("corner column equals -C^{ba} lambda r^{-rho}", ok, _witness(w))
-
-    w = first_failure(
-        (key, big.get(key), r * scalar_invert(canonical_q(bps, *q)))
-        for b in inner
-        for key, q in (((1, b, 1, b), (1, b)), ((b, 1, b, 1), (b, 1)),
-                       ((M, b, M, b), (M, b)), ((b, M, b, M), (b, M))))
-    rep.add("mixed diagonal blocks are r/q entries", w is None,
-            "" if w is None else "at %r" % (w[0],))
-
-    swap_ok = all(big.get((b, 1, 1, b)) == lam and big.get((M, b, b, M)) == lam
-                  for b in inner)
-    rep.add("mixed swap blocks are lambda delta entries", swap_ok)
-
-    cone_ok = (big.get((1, 1, 1, 1)) == r and big.get((M, M, M, M)) == r
-               and big.get((1, M, 1, M)) == rinv
-               and big.get((M, 1, M, 1)) == rinv)
-    rep.add("cone diagonal carries r and r^{-1}", cone_ok)
-
-    classified = set()
-    classified.update(k for k in big.terms if all(i in inner for i in k))
-    classified.update([(M, 1, 1, M), (1, 1, 1, 1), (M, M, M, M),
-                       (1, M, 1, M), (M, 1, M, 1)])
-    for b in inner:
-        classified.update([(M, 1, b, prb(b)), (b, prb(b), 1, M),
-                           (1, b, 1, b), (b, 1, b, 1), (M, b, M, b),
-                           (b, M, b, M), (b, 1, 1, b), (M, b, b, M)])
-    stray = sorted(big.terms.keys() - classified)
-    rep.add("no entries outside the block template", not stray,
-            "" if not stray else "stray entry at %r" % (stray[0],))
+    def block(table, region=None):
+        """The cases of one block check; adds the table's keys to
+        template."""
+        template.update(table)
+        keys = table.keys() | {k for k in big.terms if region and region(k)}
+        return ((k, big.get(k), table.get(k, bps.zero)) for k in sorted(keys))
 
     big_C = MetricVec(big_geom)
-    metric_ok = (big_C.c(M) == bps.s_pow(N) and big_C.c(1) == bps.s_pow(-N)
-                 and all(big_C.c(c) == lift(small_C.c(c - 1)) for c in inner))
-    rep.add("cone metric components are r^{+-rho}, inner ones restrict",
-            metric_ok)
+    metric = {1: bps.s_pow(-N), M: bps.s_pow(N),
+              **{c: lift(small_C.c(c - 1)) for c in inner}}
+    checks = [
+        ("inner block equals the dimension-%d matrix" % N, block(
+            {(a + 1, b + 1, c + 1, d + 1): lift(v)
+             for (a, b, c, d), v in small.items()}, in_inner)),
+        ("inner deformation parameters restrict", (
+            ((a, b), canonical_q(bps, a + 1, b + 1),
+             lift(canonical_q(sps, a, b)))
+            for a in range(1, N + 1) for b in range(1, N + 1))),
+        ("apex cell carries f(r) = lambda (1 - r^{-2 rho})",
+         block({(M, 1, 1, M): lam * (bps.one - bps.s_pow(-2 * N))})),
+        ("corner row equals -C_cd lambda r^{-rho}", block(
+            {(M, 1, c, prb(c)): corner * lift(small_C.c(c - 1))
+             for c in inner},
+            lambda k: k[:2] == (M, 1) and in_inner(k[2:]))),
+        ("corner column equals -C^{ba} lambda r^{-rho}", block(
+            {(a, prb(a), 1, M): corner * lift(small_C.c(prb(a) - 1))
+             for a in inner},
+            lambda k: k[2:] == (1, M) and in_inner(k[:2]))),
+        ("mixed diagonal blocks are r/q entries", block(
+            {k: r * scalar_invert(canonical_q(bps, *k[:2])) for b in inner
+             for k in ((1, b, 1, b), (b, 1, b, 1), (M, b, M, b),
+                       (b, M, b, M))})),
+        ("mixed swap blocks are lambda delta entries", block(
+            {k: lam for b in inner for k in ((b, 1, 1, b), (M, b, b, M))})),
+        ("cone diagonal carries r and r^{-1}", block(
+            {(1, 1, 1, 1): r, (M, M, M, M): r, (1, M, 1, M): rinv,
+             (M, 1, M, 1): rinv})),
+        ("no entries outside the block template", _stray(
+            big, lambda k: k not in template and not in_inner(k))),
+        ("cone metric components are r^{+-rho}, inner ones restrict",
+         ((c, big_C.c(c), metric[c]) for c in big_geom.indices())),
+    ]
+    rep = Report("embedding of dim %d inside dim %d" % (N, M))
+    for name, cases in checks:
+        w = first_failure(cases)
+        rep.add(name, w is None, _witness(w))
     return rep

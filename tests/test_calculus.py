@@ -188,3 +188,28 @@ def test_adjoint_check_names_the_first_wrong_entry(monkeypatch):
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("rotation-rotation entries give antipoded rotation letters",
          "entry (1,2)")]
+
+
+def test_qlie_rows_report_in_the_first_difference_order(monkeypatch):
+    # row b = 1 of the first relation fails on a two-letter word and row
+    # b = 3 on a one-letter word: the shorter word comes first, whatever
+    # the row order
+    one = BAS3.bundle.geometry.params.one
+    circ = ((1, 1),)
+    walks = []
+
+    def stub(pairs, D):
+        walks.append(D)
+        keys = list(pairs)
+        return {keys[0]: (circ + circ, one, None), keys[2]: (circ, one, None)}
+
+    monkeypatch.setattr(calculus, "_witnesses", stub)
+    rep = verify_qlie("projected", 3, 1)
+    assert walks == [1]
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("circle vector exchanges with a translation",
+         "indices (3,), T[∘,∘]: 1 vs 0")]
+    rows = calculus.lie_rows("projected", 3, 1)
+    assert walks == [1, 1]
+    assert [(row["indices"], row.get("witness")) for row in rows[:3]] == [
+        ([1], "T[∘,∘] T[∘,∘]: 1 vs 0"), ([2], None), ([3], "T[∘,∘]: 1 vs 0")]

@@ -279,6 +279,23 @@ def test_envelope_suite_quick():
     assert "matching diagonal products equal the fourth twist power" in names
 
 
+def test_triangularity_names_the_first_generator_off_its_side(monkeypatch):
+    # two generators across the diagonal made 1 on the empty word: the
+    # smaller key is reported, and only it
+    orig = envelope.l_functional
+
+    def leaky(bundle, sign, A, B):
+        if (sign, A, B) in ((1, 3, 2), (-1, 1, 2)):
+            return eps_functional(bundle)
+        return orig(bundle, sign, A, B)
+
+    monkeypatch.setattr(envelope, "l_functional", leaky)
+    check = verify_envelope_suite(3, 1).find(
+        "triangularity of the functional matrices")
+    assert (check.status, check.detail) == (
+        "fail", "indices (-1,1,2) on I: 1 vs 0")
+
+
 def test_parameter_collapse_report():
     rep = verify_parameter_collapse(3)
     assert rep.ok

@@ -14,8 +14,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qortho import presentations
 from qortho.itensor import IndexGeometry
-from qortho.presentations import (AlgebraElement, TensorElement,
+from qortho.presentations import (AlgebraElement, Alphabet, RewriteSystem,
+                                  TensorElement,
                                   build_presentation, check_confluence,
                                   check_hopf_ideal, costructure,
                                   derive_rewrite_rules, element_from_json,
@@ -77,6 +79,39 @@ def test_confluence_of_combined_system():
     names = [c.name for c in rep.checks]
     assert "all degree-3 overlaps rejoin" in names
     assert "all leading words have degree 2" in names
+
+
+def _toy_system(rules):
+    """A rewrite system over the letters a < b < c from {leading word:
+    right-side words}, every coefficient 1."""
+    abc = Alphabet(["a", "b", "c"])
+    return RewriteSystem(abc, PS3, {
+        abc.word(*lw.split()): AlgebraElement(abc, PS3, {
+            abc.word(*w.split()): PS3.one for w in rhs})
+        for lw, rhs in rules.items()}, "toy", False)
+
+
+def test_confluence_names_the_first_rule_out_of_order():
+    # rules are taken in word_key order, whatever their insertion order
+    rep = check_confluence(_toy_system(
+        {"c b": ["c c"], "c a": ["a c", "c c"], "b a": ["a b"]}), P3)
+    check = rep.find("every rule right side precedes its leading word")
+    assert (check.status, check.detail) == ("fail", "rule c a -> c c")
+
+
+def test_confluence_names_the_first_bad_leading_word():
+    rep = check_confluence(_toy_system(
+        {"c b a": ["a"], "b a": ["a b"], "c c c": ["a"]}), P3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("all leading words have degree 2", "leading word c b a")]
+
+
+def test_confluence_names_the_first_overlap_that_does_not_rejoin():
+    # b b b rewrites to a b and to b a, both normal; likewise c c c
+    rep = check_confluence(_toy_system({"b b": ["a"], "c c": ["a"]}), P3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("all degree-3 overlaps rejoin",
+         "2 overlapping words examined; first failure: b b b")]
 
 
 def test_sector_errors():
@@ -223,6 +258,21 @@ def test_hopf_ideal_report():
     assert "coproduct of T[1,∘] splits through H" in names
     assert "counit kills T[1,∘]" in names
     assert "antipode keeps T[1,∘] inside H" in names
+
+
+def test_hopf_ideal_shows_a_nonzero_counit(monkeypatch):
+    orig = presentations.costructure
+
+    def unit_counit(op, e, p):
+        if op == "counit" and e == p.element({p.alphabet.word("T[1,∘]"):
+                                              p.params.one}):
+            return unit_element(p.alphabet, p.params)
+        return orig(op, e, p)
+
+    monkeypatch.setattr(presentations, "costructure", unit_counit)
+    rep = check_hopf_ideal(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("counit kills T[1,∘]", "counit gives (1)*I")]
 
 
 BIG5 = build_presentation("so", 5, embedded=True)

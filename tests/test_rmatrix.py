@@ -205,18 +205,84 @@ def test_embedded_bundles_build_no_projectors(monkeypatch):
     assert built == [(3, False)]
 
 
-def test_embedding_names_the_first_wrong_diagonal_cell(monkeypatch):
+def _edit_embedded_R(monkeypatch, edit):
+    """Patch build_R so that every embedded R passes through edit(entries,
+    params) first."""
     orig = rmatrix.build_R
 
-    def doubled(geom):
+    def edited(geom):
         R = orig(geom)
         if not geom.embedded:
             return R
         ent = dict(R.entries)
-        ent[(1, 3, 1, 3)] = ent[(1, 3, 1, 3)] + ent[(1, 3, 1, 3)]
+        edit(ent, geom.params)
         return SparseTensor4(geom, ent)
 
-    monkeypatch.setattr(rmatrix, "build_R", doubled)
+    monkeypatch.setattr(rmatrix, "build_R", edited)
+
+
+def _double(key):
+    def edit(ent, ps):
+        ent[key] = ent[key] + ent[key]
+    return edit
+
+
+def test_embedding_names_the_first_wrong_diagonal_cell(monkeypatch):
+    _edit_embedded_R(monkeypatch, _double((1, 3, 1, 3)))
     rep = decompose_embedding(3)
     assert [(c.name, c.detail) for c in rep.failures()] == [
-        ("mixed diagonal blocks are r/q entries", "at (1, 3, 1, 3)")]
+        ("mixed diagonal blocks are r/q entries", "at (1, 3, 1, 3): 2 vs 1")]
+
+
+@pytest.mark.parametrize("key,name,detail", [
+    ((2, 1, 1, 2), "mixed swap blocks are lambda delta entries",
+     "at (2, 1, 1, 2): 2*s^2 - 2*s^-2 vs s^2 - s^-2"),
+    ((5, 1, 5, 1), "cone diagonal carries r and r^{-1}",
+     "at (5, 1, 5, 1): 2*s^-2 vs s^-2"),
+], ids=["swap", "cone"])
+def test_embedding_names_the_first_wrong_cone_cell(monkeypatch, key, name,
+                                                   detail):
+    _edit_embedded_R(monkeypatch, _double(key))
+    rep = decompose_embedding(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [(name, detail)]
+
+
+def test_embedding_reads_the_whole_inner_block(monkeypatch):
+    # an entry the dimension-3 matrix does not have still fails the inner
+    # block, and is not reported again as outside the template
+    def spurious(ent, ps):
+        ent[(2, 3, 3, 2)] = ps.one
+
+    _edit_embedded_R(monkeypatch, spurious)
+    rep = decompose_embedding(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("inner block equals the dimension-3 matrix",
+         "at (2, 3, 3, 2): 1 vs 0")]
+
+
+def test_embedding_names_the_first_unrestricted_parameter(monkeypatch):
+    orig = rmatrix.canonical_q
+
+    def shifted(ps, a, b):
+        q = orig(ps, a, b)
+        return q + q if ps.dim == 6 and (a, b) == (2, 3) else q
+
+    monkeypatch.setattr(rmatrix, "canonical_q", shifted)
+    rep = decompose_embedding(4)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("inner block equals the dimension-4 matrix",
+         "at (2, 3, 2, 3): 1/2*s^2*g23^-1 vs s^2*g23^-1"),
+        ("inner deformation parameters restrict", "at (1, 2): 2*g23 vs g23")]
+
+
+def test_embedding_names_the_first_wrong_metric_component(monkeypatch):
+    class Doubled(rmatrix.MetricVec):
+        def c(self, a):
+            v = super().c(a)
+            return v + v if self.geometry.embedded and a == 1 else v
+
+    monkeypatch.setattr(rmatrix, "MetricVec", Doubled)
+    rep = decompose_embedding(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("cone metric components are r^{+-rho}, inner ones restrict",
+         "at 1: 2*s^-3 vs s^-3")]

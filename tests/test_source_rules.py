@@ -26,6 +26,23 @@ def test_engine_has_no_assert_statements():
     assert found == []
 
 
+def test_every_check_passes_a_detail():
+    """Every check reports its first failing case: each rep.add(...) in
+    src/qortho passes a detail, as a third positional argument or inside
+    a starred one, so that no check can fail with a bare boolean."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add"
+                  and getattr(node.func.value, "id", None) == "rep"
+                  and len(node.args) < 3
+                  and not any(isinstance(a, ast.Starred) for a in node.args)]
+    assert found == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 ENGINE = ROOT / "src" / "qortho"
 SCANNED = ("src", "tests", "perfbench")
