@@ -29,7 +29,8 @@ import itertools
 from typing import Dict, Iterable, List, Tuple
 
 from .report import first_failure
-from .scalars import LinearCombination, ParamSpace, Scalar, substitute, _acc
+from .scalars import (LinearCombination, ParamSpace, Scalar, substitute,
+                      sum_products)
 
 Key4 = Tuple[int, int, int, int]
 
@@ -150,14 +151,17 @@ def _by_upper(X: SparseTensor4) -> Dict[Tuple[int, int], List]:
 
 
 def tensor_compose(X: SparseTensor4, Y: SparseTensor4) -> SparseTensor4:
-    """(X.Y)^{ab}_{cd} = sum_ef X^{ab}_{ef} Y^{ef}_{cd}."""
+    """(X.Y)^{ab}_{cd} = sum_ef X^{ab}_{ef} Y^{ef}_{cd}.
+
+    Each entry is summed over a shared denominator (scalars.sum_products):
+    the products X^{ab}_{ef} Y^{ef}_{cd} with the same unreduced
+    denominator are added as numerators and canonicalized once."""
     X._check(Y)
     by_upper = _by_upper(Y)
-    out: Dict[Key4, Scalar] = {}
-    for (a, b, e, f), xv in X.items():
-        for (c, d), yv in by_upper.get((e, f), ()):
-            _acc(out, (a, b, c, d), xv * yv)
-    return X._like(out)
+    return X._like(sum_products(
+        ((a, b, c, d), xv, yv)
+        for (a, b, e, f), xv in X.items()
+        for (c, d), yv in by_upper.get((e, f), ())))
 
 
 def _lift_positions(pos: int) -> Tuple[int, int]:
@@ -175,7 +179,9 @@ def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]) -> SparseTensor
     Starting from the identity on V x V x V, each factor (X, pos) acts on
     the lower slots named by pos, identity on the third; position 13 is
     realized by the same chaining as 12 and 23, skipping the middle slot
-    in the index bookkeeping.
+    in the index bookkeeping.  Each step sums its entries through
+    scalars.sum_products, where a product with the unit entries of the
+    identity start is the factor's entry itself.
     """
     factors = list(factors)
     if not factors:
@@ -184,18 +190,18 @@ def triple_compose(factors: Iterable[Tuple[SparseTensor4, int]]) -> SparseTensor
     one = first.geometry.params.one
     cur = {k + k: one
            for k in itertools.product(first.geometry.indices(), repeat=3)}
-    for X, pos in factors:
-        first._check(X)
-        i, j = _lift_positions(pos)
-        by_upper = _by_upper(X)
-        nxt: Dict[Tuple[int, ...], Scalar] = {}
+
+    def step(cur, by_upper, i, j):
         for key, v in cur.items():
             lo = key[3:]
             for (c, d), xv in by_upper.get((lo[i], lo[j]), ()):
                 newlo = list(lo)
                 newlo[i], newlo[j] = c, d
-                _acc(nxt, key[:3] + tuple(newlo), xv if v is one else v * xv)
-        cur = nxt
+                yield key[:3] + tuple(newlo), v, xv
+
+    for X, pos in factors:
+        first._check(X)
+        cur = sum_products(step(cur, _by_upper(X), *_lift_positions(pos)))
     return first._like(cur)
 
 

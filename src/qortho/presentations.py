@@ -846,20 +846,17 @@ def check_hopf_ideal(N: int) -> Report:
         sym = p.alphabet.symbols[g]
         h = p.element({(g,): p.params.one})
         cop = costructure("coproduct", h, p)
-        sides = []
-        stray = []
-        for (wl, wr), _c in cop.terms.items():
-            left = wl and wl[0] in hset
-            right = wr and wr[0] in hset
-            label = "%s (x) %s" % (p.alphabet.show_word(wl),
-                                   p.alphabet.show_word(wr))
-            if left or right:
-                sides.append("%s [%s]" % (label, "left" if left else "right"))
-            else:
-                stray.append(label)
-        rep.add("coproduct of %s splits through H" % sym, not stray,
-                "; ".join(sides) if not stray else
-                "terms outside H: " + "; ".join(stray))
+        # each coproduct term, in its order, with the factor that lies in H
+        terms = [("%s (x) %s" % (p.alphabet.show_word(wl),
+                                 p.alphabet.show_word(wr)),
+                  "left" if wl and wl[0] in hset
+                  else "right" if wr and wr[0] in hset else None)
+                 for wl, wr in cop.terms]
+        w = first_failure((label, side is not None, True)
+                          for label, side in terms)
+        rep.add("coproduct of %s splits through H" % sym, w is None,
+                "; ".join("%s [%s]" % t for t in terms) if w is None else
+                "term outside H: " + w[0])
         eps = costructure("counit", h, p)
         rep.add("counit kills %s" % sym, not eps,
                 "" if not eps else "counit gives %r" % (eps,))

@@ -54,7 +54,9 @@ The sparse combinations every layer builds over this field share one core
 here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
 elimination `stair_insert`, and the base `LinearCombination` of the four
 combination classes (free-algebra and tensor-product elements,
-functionals, and index tensors).
+functionals, and index tensors).  `sum_products` sums keyed products over
+a shared denominator, for the index tensor contractions; with it, no
+other module needs to see num, den or the polynomial kernels.
 """
 
 from __future__ import annotations
@@ -614,6 +616,56 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
     gzero = ps._bias - half
     den2 = {gzero | ps._field(e): c for e, c in enumerate(dser) if c}
     return Scalar(ps, num2, den2)
+
+
+def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
+                 ) -> Dict[object, Scalar]:
+    """{key: sum of x * y over the cases (key, x, y)}, without zero values.
+
+    Shared-denominator rule: the products of one key are grouped by their
+    unreduced denominator x.den * y.den, each group's numerators are
+    added as polynomials, and _canon runs once per group, not once per
+    product and partial sum.  Groups of one key are then added as
+    Scalars.  Every product is formed exactly, with the overflow checks
+    of Scalar.__mul__; a factor x that is the unit ps.one contributes y
+    itself, and a key whose only term is such a y keeps it as it is.
+    All operands must live over one ParamSpace; ValueError otherwise.
+    """
+    ps = one_den = None
+    # (key, unreduced denominator) -> [numerator sum, denominator, value],
+    # where value is the one unit-product term y while the group holds it
+    groups: Dict[Tuple[object, object], list] = {}
+    for key, x, y in cases:
+        if ps is None:
+            ps, one_den = x.ps, x.ps._one_den
+        _same_space(ps, x)
+        _same_space(ps, y)
+        if not x.num or not y.num:
+            continue
+        if x is ps.one:
+            num, den, value = y.num, y.den, y
+        else:
+            num, value = poly_mul(ps, x.num, y.num), None
+            if x.den is one_den:
+                den = y.den
+            elif y.den is one_den:
+                den = x.den
+            else:
+                den = poly_mul(ps, x.den, y.den)
+        gkey = (key, None if den is one_den else frozenset(den.items()))
+        got = groups.get(gkey)
+        if got is None:
+            groups[gkey] = [num, den, value]
+        else:
+            got[0] = poly_add(got[0], num)
+            got[2] = None
+    out: Dict[object, Scalar] = {}
+    for (key, _), (num, den, value) in groups.items():
+        if value is None:
+            value = (Scalar(ps, num, den) if den is one_den
+                     else _canon(ps, num, den))
+        _acc(out, key, value)
+    return out
 
 
 def scalar_invert(a: Scalar) -> Scalar:

@@ -37,6 +37,8 @@ GOLDEN = [
      "1067f1cf07c807c7ae5ceda9cd0f0ce371e7c17874baa7e1dbc6458356b4d950"),
     (["verify", "--suite", "envelope", "--n", "4", "--degree", "1"],
      "a4cd185f49dc2c4d7b9270c9aa032ddfd622be2605933fbd6425767fbd60185a"),
+    (["verify", "--suite", "rmatrix", "--n", "10"],
+     "621eabf56646763960d75bed3509c91983699becc1aaee3cda77991d62825c6b"),
 ]
 
 

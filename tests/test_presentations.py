@@ -275,6 +275,27 @@ def test_hopf_ideal_shows_a_nonzero_counit(monkeypatch):
         ("counit kills T[1,∘]", "counit gives (1)*I")]
 
 
+def test_hopf_ideal_names_the_first_coproduct_term_outside_h(monkeypatch):
+    """Two planted terms outside H: the detail names the first of them in
+    the coproduct's term order, and only that one."""
+    orig = presentations.costructure
+
+    def stray_coproduct(op, e, p):
+        out = orig(op, e, p)
+        if op == "coproduct" and e == p.element(
+                {p.alphabet.word("T[1,∘]"): p.params.one}):
+            oo, o1 = p.alphabet.word("T[∘,∘]"), p.alphabet.word("T[∘,1]")
+            out = out._like({**out.terms, (oo, oo): p.params.one,
+                             (o1, o1): p.params.one})
+        return out
+
+    monkeypatch.setattr(presentations, "costructure", stray_coproduct)
+    rep = check_hopf_ideal(3)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("coproduct of T[1,∘] splits through H",
+         "term outside H: T[∘,∘] (x) T[∘,∘]")]
+
+
 BIG5 = build_presentation("so", 5, embedded=True)
 B5 = BIG5.alphabet
 

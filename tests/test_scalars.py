@@ -19,10 +19,11 @@ from qortho.itensor import IndexGeometry
 from qortho.rmatrix import inner_lift
 from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
-                            ZeroInverse, _canon, _poly_to_json, canonical_q,
-                            limit_r_to_1, merge_deformations, occurring_vars,
-                            render_scalar, scalar_from_json, scalar_invert,
-                            scalar_to_json, specialize, substitute)
+                            ZeroInverse, _acc, _canon, _poly_to_json,
+                            canonical_q, limit_r_to_1, merge_deformations,
+                            occurring_vars, render_scalar, scalar_from_json,
+                            scalar_invert, scalar_to_json, specialize,
+                            substitute, sum_products)
 
 PS = ParamSpace(4)
 
@@ -478,9 +479,14 @@ def cyclotomic_product(ps, factors):
 
 @st.composite
 def cyclotomic_fractions(draw):
+    ps = draw(st.sampled_from(SPACES))
+    return (ps,) + draw(cyclotomic_fractions_over(ps))
+
+
+@st.composite
+def cyclotomic_fractions_over(draw, ps):
     # den = c x g-monomial x s^k x prod Phi_m^e (m <= 12, e <= 2); num =
     # a random polynomial times Phi_m powers, most of them from den's
-    ps = draw(st.sampled_from(SPACES))
     factors = st.dictionaries(st.integers(1, 12), st.integers(1, 2),
                               max_size=3)
     den_f = draw(factors)
@@ -493,7 +499,7 @@ def cyclotomic_fractions(draw):
     den = ref_mul(cyclotomic_product(ps, den_f), {shift: c})
     num = ref_mul(cyclotomic_product(ps, num_f),
                   draw(tuple_polys(ps, max_size=3)))
-    return ps, num, den
+    return num, den
 
 
 @settings(max_examples=120, deadline=None)
@@ -521,12 +527,117 @@ def test_a_factorization_that_does_not_re_expand_raises(monkeypatch):
         scalar_invert(PS.s + PS.one)
 
 
+# --- sums of products over a shared denominator ----------------------------
+
+def naive_sum_products(cases):
+    out = {}
+    for key, x, y in cases:
+        _acc(out, key, x * y)
+    return out
+
+
+def assert_same_sums(got, want):
+    assert got.keys() == want.keys() and all(got.values())
+    for key, w in want.items():
+        g = got[key]
+        assert (g.num, g.den) == (w.num, w.den)
+        assert g.is_laurent() == w.is_laurent()
+        assert render_scalar(g) == render_scalar(w)
+
+
+@st.composite
+def product_cases(draw, laurent_only):
+    """(ps, cases) over one space: keys 0..2, operands Laurent or (unless
+    laurent_only) cyclotomic fractions or the unit, and some cases again
+    with the first factor negated, so that their keys may cancel."""
+    ps = draw(st.sampled_from(SPACES))
+
+    def operand():
+        kind = draw(st.sampled_from(
+            ["laurent"] if laurent_only else ["laurent", "fraction", "one"]))
+        if kind == "one":
+            return ps.one
+        if kind == "laurent":
+            return laurent(ps, draw(tuple_polys(ps, max_size=3,
+                                                exps=st.integers(-4, 4))))
+        num, den = draw(cyclotomic_fractions_over(ps))
+        return _canon(ps, packed(ps, num), packed(ps, den))
+
+    cases = [(draw(st.integers(0, 2)), operand(), operand())
+             for _ in range(draw(st.integers(0, 6)))]
+    if cases:
+        again = draw(st.lists(st.sampled_from(cases), max_size=len(cases)))
+        cases += [(key, -x, y) for key, x, y in again]
+    return ps, draw(st.permutations(cases))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases(laurent_only=True))
+def test_sum_products_matches_the_naive_loop_on_laurent_cases(data):
+    _ps, cases = data
+    assert_same_sums(sum_products(cases), naive_sum_products(cases))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_cases(laurent_only=False))
+def test_sum_products_matches_the_naive_loop_on_fractions(data):
+    _ps, cases = data
+    assert_same_sums(sum_products(cases), naive_sum_products(cases))
+
+
+def test_sum_products_adds_groups_of_different_denominators():
+    # key 0 holds products over three unreduced denominators (1, 1 + s^2
+    # and (1 + s^2)(1 - s + s^2)); key 1 cancels to zero across two of
+    # them, and key 2 is a unit product alone
+    ps = PS
+    a = scalar_invert(ps.one + ps.r)
+    b = scalar_invert(ps.one - ps.s + ps.r)
+    g = g12()
+    cases = [(0, g, ps.s), (0, a, ps.s), (1, a, b), (0, a, b), (0, ps.r, a),
+             (1, -a, b), (2, ps.one, b), (0, ps.one, g)]
+    got = sum_products(cases)
+    assert set(got) == {0, 2} and got[2] is b
+    assert_same_sums(got, naive_sum_products(cases))
+    assert got[0] == g * ps.s + (ps.s + ps.r) * a + a * b + g
+
+
+def test_sum_products_refuses_mixed_parameter_spaces():
+    small, big = ParamSpace(3), ParamSpace(5)
+    fraction = scalar_invert(small.one + small.r)
+    for x, y in [(small.s, big.s), (big.s, small.s), (fraction, big.s),
+                 (big.s, fraction), (small.zero, big.s), (big.s, small.zero),
+                 (small.one, big.s)]:
+        with pytest.raises(ValueError, match="different parameter spaces"):
+            sum_products([(0, x, y)])
+    with pytest.raises(ValueError, match="different parameter spaces"):
+        sum_products([(0, small.s, small.s), (0, big.s, big.s)])
+
+
+def test_sum_products_raises_the_overflow_of_the_product(monkeypatch):
+    # three value bits hold exponents -4..3: s^3 * s overflows in the
+    # numerator, and (1 + s^3)(1 + s) in the unreduced denominator
+    monkeypatch.setattr(scalar_module, "_EXP_BITS", 3)
+    ps = ParamSpace(5)
+    over_num = (ps.s_pow(3), ps.s)
+    over_frac = (ps.s_pow(3) * scalar_invert(ps.one + ps.s), ps.s)
+    over_den = (scalar_invert(ps.one + ps.s_pow(3)),
+                scalar_invert(ps.one + ps.s))
+    for x, y in (over_num, over_frac, over_den):
+        with pytest.raises(ExponentOverflow) as want:
+            x * y
+        with pytest.raises(ExponentOverflow) as got:
+            sum_products([(0, ps.one, ps.s), (0, x, y)])
+        assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "rmatrix", "--n", "4"],
-    ["verify", "--suite", "all", "--n", "3", "--degree", "1"]])
+    ["verify", "--suite", "all", "--n", "3", "--degree", "1"],
+    ["verify", "--suite", "rmatrix", "--n", "8"]])
 def test_engine_traffic_never_reaches_euclid(monkeypatch, capsys, argv):
     # every denominator the suites build is a product of cyclotomic
-    # polynomials, which _canon cancels without a gcd
+    # polynomials, which _canon cancels without a gcd; at n = 8 the
+    # projector contractions sum unreduced products of them first
     calls = {"_uni_gcd": 0, "_canon": 0}
     for name in calls:
         real = getattr(scalar_module, name)

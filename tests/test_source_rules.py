@@ -158,6 +158,31 @@ def test_cone_ideal_lives_in_itensor():
     assert found == []
 
 
+def test_fraction_representation_stays_in_scalars():
+    """Only scalars.py sees how a Scalar is stored: no other engine module
+    reads .num or .den, or reaches the polynomial kernels poly_mul and
+    poly_add or the canonicalization _canon, by import or attribute."""
+    fields = {"num", "den"}
+    kernels = {"poly_mul", "poly_add", "_canon"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+                hit = name in fields or name in kernels
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+                hit = name in kernels
+            else:
+                continue
+            if hit:
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
 def test_benchmark_counters_name_engine_functions():
     """perfbench/run.py reads call counts and times by name from a
     Counter, so a renamed engine function would read 0 without a word:
