@@ -15,7 +15,9 @@ One binary with subcommands:
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on usage or input-schema errors, 3 when exact arithmetic leaves its
 domain (a non-invertible denominator class, or a pole at a point that
-should be regular).
+should be regular) or a presentation fails a precondition of its
+construction (rules that are incomplete or not confluent, a top exterior
+degree that is not one-dimensional).
 
 All suites are deterministic; the --seed flag (default 0) is recorded
 in JSON reports so identical invocations produce byte-identical output.
@@ -42,7 +44,8 @@ from .presentations import (build_presentation, check_confluence,
                             element_to_json, check_hopf_ideal,
                             hilbert_dimension, iso_normal_system,
                             merge_rewrite_systems, quantum_determinant,
-                            reduce, word_element, word_key)
+                            reduce, word_element, word_key,
+                            PresentationError)
 from .report import Report, first_failure
 from .rmatrix import build_R, build_bundle, decompose_embedding, \
     verify_rmatrix_suite
@@ -562,6 +565,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
     except ScalarError as exc:
         print("exact arithmetic left its domain: %s" % exc, file=sys.stderr)
+        return 3
+    except PresentationError as exc:
+        print("presentation precondition failed: %s" % exc, file=sys.stderr)
         return 3
 
 

@@ -65,7 +65,8 @@ from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
 __all__ = [
     "Alphabet", "Word", "AlgebraElement", "TensorElement", "Presentation",
     "RewriteSystem", "MembershipResult", "PresentationError",
-    "IncompleteRules", "TopDegreeNotOneDimensional", "word_key",
+    "IncompleteRules", "TopDegreeNotOneDimensional", "NotConfluent",
+    "word_key",
     "build_presentation", "derive_rewrite_rules", "merge_rewrite_systems",
     "iso_normal_system", "reduce", "check_confluence", "hilbert_dimension",
     "costructure", "tensor_costructure", "project", "section",
@@ -87,6 +88,10 @@ class IncompleteRules(PresentationError):
 
 
 class TopDegreeNotOneDimensional(PresentationError):
+    pass
+
+
+class NotConfluent(PresentationError):
     pass
 
 
@@ -939,11 +944,48 @@ def expand_certificate(cert: Sequence[Tuple[Scalar, int, Word, Word]],
 
 # --- the quantum determinant ------------------------------------------------
 
+def _nonzero_normal_forms(rs: RewriteSystem, letters: Sequence[int],
+                          length: int) -> Iterator[Tuple[Word, AlgebraElement]]:
+    """(w, NF(w)) for every word w of the given length over letters whose
+    normal form is nonzero, in the lexicographic order of the letters,
+    walked prefix by prefix: NF(u b) = reduce(NF(u) b, rs), and a prefix
+    u with NF(u) = 0 is dropped with all of its extensions.  Both rules
+    need unique normal forms, which the caller certifies first with
+    check_confluence (see quantum_determinant)."""
+    def walk(u: Word, nf: AlgebraElement):
+        if len(u) == length:
+            yield u, nf
+            return
+        for b in letters:
+            ub = reduce(AlgebraElement(rs.alphabet, rs.ps, {
+                w + (b,): c for w, c in nf.terms.items()}), rs)
+            if ub:
+                yield from walk(u + (b,), ub)
+    return walk(EMPTY, word_element(rs.alphabet, rs.ps, EMPTY))
+
+
 def quantum_determinant(N: int) -> AlgebraElement:
     """The coefficient of the volume form in the coaction on dx^1...dx^N,
-    as an element of the so(N) presentation."""
+    as an element of the so(N) presentation: the sum, over the words
+    dx^{b_1}...dx^{b_N}, of NF(dx^{b_1}...dx^{b_N}) T^1_{b_1}...T^N_{b_N}
+    read on the volume line dx^1...dx^N.
+
+    The words are reduced prefix by prefix (_nonzero_normal_forms), so a
+    prefix whose normal form vanishes prunes all of its words.  This is
+    exact when normal forms are unique, for then NF(u v) = NF(NF(u) v)
+    for all words u, v.  check_confluence certifies that before the walk,
+    by Bergman's diamond lemma (Adv. Math. 29, 1978): every rule rewrites
+    a degree-2 word to deglex-smaller words, so every reduction ends and
+    no leading word contains another, and every degree-3 overlap
+    rejoins.  NotConfluent names the first of these checks that fails.
+    TopDegreeNotOneDimensional is raised when the degree-N normal words
+    are not the volume word alone, or a word's normal form leaves the
+    volume line."""
     ext = build_presentation("exterior", N)
     rs = derive_rewrite_rules(ext, "exterior")
+    conf = check_confluence(rs, ext)
+    if not conf.ok:
+        raise NotConfluent("%s: %r" % (conf.title, conf.failures()[0]))
     top = hilbert_dimension(ext, rs, N)
     if top != 1:
         raise TopDegreeNotOneDimensional(
@@ -952,10 +994,7 @@ def quantum_determinant(N: int) -> AlgebraElement:
     sop = build_presentation("so", N)
     ps = sop.params
     acc: Dict[Word, Scalar] = {}
-    for bs in itertools.product(range(N), repeat=N):
-        nf = reduce(word_element(ext.alphabet, ext.params, bs), rs)
-        if not nf:
-            continue
+    for bs, nf in _nonzero_normal_forms(rs, range(N), N):
         stray = [w for w in nf.terms if w != vol]
         if stray:
             raise TopDegreeNotOneDimensional(

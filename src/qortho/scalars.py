@@ -496,6 +496,13 @@ class Scalar:
         if self.den is one_den and other.den is one_den:
             return Scalar(ps, poly_mul(ps, self.num, other.num), one_den)
         _same_space(ps, other)
+        # a Laurent monomial is a unit of the Laurent ring: it shifts and
+        # scales the numerator rows of a canonical fraction, which leaves
+        # their s-content and the monic denominator as they were
+        if self.den is one_den and len(self.num) == 1:
+            return Scalar(ps, poly_mul(ps, self.num, other.num), other.den)
+        if other.den is one_den and len(other.num) == 1:
+            return Scalar(ps, poly_mul(ps, self.num, other.num), self.den)
         return _canon(ps, poly_mul(ps, self.num, other.num),
                       poly_mul(ps, self.den, other.den))
 

@@ -10,7 +10,9 @@ import pytest
 import qortho.cli as cli
 from qortho.cli import SchemaError, io, run
 from qortho.itensor import IndexGeometry, SparseTensor4, tensor_equal
-from qortho.presentations import (build_presentation, element_from_json,
+from qortho.presentations import (IncompleteRules, NotConfluent,
+                                  TopDegreeNotOneDimensional,
+                                  build_presentation, element_from_json,
                                   quantum_determinant, word_element)
 from qortho.report import Report
 from qortho.rmatrix import build_R, build_bundle
@@ -174,6 +176,20 @@ def test_scalar_domain_error_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_SUITES", [("rmatrix", poleful)])
     assert run(["verify", "--suite", "rmatrix", "--n", "3"]) == 3
     assert "exact arithmetic left its domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [NotConfluent, TopDegreeNotOneDimensional,
+                                   IncompleteRules])
+def test_presentation_error_exits_three(monkeypatch, capsys, error):
+    def refused(n):
+        raise error("exterior(3) says no")
+
+    monkeypatch.setattr(cli, "quantum_determinant", refused)
+    assert run(["det", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("presentation precondition failed: exterior(3) "
+                            "says no\n")
 
 
 # --- payload io --------------------------------------------------------------

@@ -39,6 +39,8 @@ GOLDEN = [
      "a4cd185f49dc2c4d7b9270c9aa032ddfd622be2605933fbd6425767fbd60185a"),
     (["verify", "--suite", "rmatrix", "--n", "10"],
      "621eabf56646763960d75bed3509c91983699becc1aaee3cda77991d62825c6b"),
+    (["det", "--n", "7"],
+     "d1cb74a69c679fd9a912da9647d392a79ab0bb4e13ed93884210a8448ee8773e"),
 ]
 
 

@@ -8,6 +8,7 @@ out of the combined system.
 """
 
 import hashlib
+import itertools
 import json
 from math import comb
 
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qortho import presentations
+from qortho.cli import run
 from qortho.itensor import IndexGeometry
-from qortho.presentations import (AlgebraElement, Alphabet, RewriteSystem,
-                                  TensorElement,
+from qortho.presentations import (AlgebraElement, Alphabet, NotConfluent,
+                                  RewriteSystem, TensorElement,
+                                  TopDegreeNotOneDimensional,
                                   build_presentation, check_confluence,
                                   check_hopf_ideal, costructure,
                                   derive_rewrite_rules, element_from_json,
@@ -179,6 +182,108 @@ def test_quantum_determinant_classical_limit():
         ("T[1,3]", "T[2,1]", "T[3,2]"): 1,
         ("T[1,3]", "T[2,2]", "T[3,1]"): -1,
     }
+
+
+def brute_force_determinant(N):
+    """quantum_determinant by reducing every one of the N^N exterior words
+    on its own, with no pruning."""
+    ext = build_presentation("exterior", N)
+    rs = derive_rewrite_rules(ext, "exterior")
+    vol = tuple(range(N))
+    acc = {}
+    for bs in itertools.product(range(N), repeat=N):
+        nf = reduce(word_element(ext.alphabet, ext.params, bs), rs)
+        assert set(nf.terms) <= {vol}
+        if nf:
+            tword = tuple(t_letter(N, a + 1, b + 1) for a, b in enumerate(bs))
+            acc[tword] = nf.terms[vol]
+    sop = build_presentation("so", N)
+    return AlgebraElement(sop.alphabet, sop.params, acc)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_quantum_determinant_matches_the_unpruned_reduction(N):
+    qd, want = quantum_determinant(N), brute_force_determinant(N)
+    assert qd.alphabet is want.alphabet
+    # the same terms, inserted in the same (lexicographic) order
+    assert list(qd.terms.items()) == list(want.terms.items())
+
+
+def test_quantum_determinant_prunes_vanishing_prefixes(monkeypatch):
+    calls, systems = [0], []
+    real_reduce = presentations.reduce
+    real_derive = presentations.derive_rewrite_rules
+
+    def counted(e, rs):
+        calls[0] += 1
+        return real_reduce(e, rs)
+
+    def kept(p, sector):
+        systems.append(real_derive(p, sector))
+        return systems[-1]
+    monkeypatch.setattr(presentations, "reduce", counted)
+    monkeypatch.setattr(presentations, "derive_rewrite_rules", kept)
+    quantum_determinant(6)
+    # reducing all 6^6 words one by one makes 46,677 calls and leaves
+    # 46,656 cached normal forms
+    assert calls[0] < 10000 and len(systems[-1]._nf) < 1000
+
+
+def perturb_exterior_rule(monkeypatch):
+    """Scale the rule dx2 dx1 -> -s^2 dx1 dx2 of every exterior system by
+    s: its leading words stay, but the overlap dx2 dx2 dx2 (the first in
+    word order) no longer rejoins."""
+    real = presentations.derive_rewrite_rules
+
+    def perturbed(p, sector):
+        rs = real(p, sector)
+        lw = p.alphabet.word("dx2", "dx1")
+        rules = dict(rs.rules)
+        rules[lw] = rules[lw].scale(p.params.s)
+        return RewriteSystem(rs.alphabet, rs.ps, rules, rs.sector, rs.partial)
+    monkeypatch.setattr(presentations, "derive_rewrite_rules", perturbed)
+
+
+def test_quantum_determinant_refuses_rules_that_are_not_confluent(
+        monkeypatch):
+    perturb_exterior_rule(monkeypatch)
+
+    def walked(*args):
+        raise AssertionError("walked a system that is not confluent")
+    monkeypatch.setattr(presentations, "_nonzero_normal_forms", walked)
+    with pytest.raises(NotConfluent) as err:
+        quantum_determinant(3)
+    assert str(err.value) == (
+        "confluence of exterior rules for exterior(3): [FAIL] all degree-3 "
+        "overlaps rejoin -- 10 overlapping words examined; first failure: "
+        "dx2 dx2 dx2")
+
+
+def test_det_exits_three_on_rules_that_are_not_confluent(monkeypatch,
+                                                          capsys):
+    perturb_exterior_rule(monkeypatch)
+    assert run(["det", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "presentation precondition failed: confluence of exterior rules for "
+        "exterior(3): [FAIL] all degree-3 overlaps rejoin -- 10 overlapping "
+        "words examined; first failure: dx2 dx2 dx2\n")
+
+
+def test_quantum_determinant_names_a_word_off_the_volume_line(monkeypatch):
+    real = presentations._nonzero_normal_forms
+
+    def strayed(rs, letters, length):
+        for w, nf in real(rs, letters, length):
+            if w == (2, 1, 0):
+                nf = nf + word_element(rs.alphabet, rs.ps, (0, 0, 1))
+            yield w, nf
+    monkeypatch.setattr(presentations, "_nonzero_normal_forms", strayed)
+    with pytest.raises(TopDegreeNotOneDimensional,
+                       match="^normal form of dx3 dx2 dx1 leaves the volume "
+                             "line: dx1 dx1 dx2$"):
+        quantum_determinant(3)
 
 
 def test_coproduct_of_translation():

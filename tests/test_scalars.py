@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qortho.scalars as scalar_module
 from qortho.cli import run
@@ -21,9 +21,9 @@ from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
                             ZeroInverse, _acc, _canon, _poly_to_json,
                             canonical_q, limit_r_to_1, merge_deformations,
-                            occurring_vars, render_scalar, scalar_from_json,
-                            scalar_invert, scalar_to_json, specialize,
-                            substitute, sum_products)
+                            occurring_vars, poly_mul, render_scalar,
+                            scalar_from_json, scalar_invert, scalar_to_json,
+                            specialize, substitute, sum_products)
 
 PS = ParamSpace(4)
 
@@ -628,6 +628,64 @@ def test_sum_products_raises_the_overflow_of_the_product(monkeypatch):
         with pytest.raises(ExponentOverflow) as got:
             sum_products([(0, ps.one, ps.s), (0, x, y)])
         assert str(got.value) == str(want.value)
+
+
+# --- a Laurent polynomial times a canonical fraction -------------------------
+
+@st.composite
+def laurent_fraction_pairs(draw):
+    """(ps, x, y): a Laurent polynomial and a canonical cyclotomic fraction,
+    divided by 1 + s when it cancels to a Laurent polynomial, in either
+    order.  The Laurent factor is a monomial with an int or Fraction
+    coefficient, alone (its s-exponent then may sit at either end of its
+    field), or times a random Laurent polynomial, or times the polynomial
+    the fraction was drawn over, which cancels against it."""
+    ps = draw(st.sampled_from(SPACES))
+    num, den = draw(cyclotomic_fractions_over(ps))
+    frac = _canon(ps, packed(ps, num), packed(ps, den))
+    if frac.is_laurent():
+        frac = _canon(ps, frac.num, packed(ps, cyclotomic_product(ps, {2: 1})))
+    gexp = draw(st.tuples(*[st.integers(-2, 2)] * (ps.nvars - 1)))
+    c = draw(st.sampled_from([1, -2, Fraction(2, 3), Fraction(-3, 2)]))
+    factor = draw(st.one_of(st.just({}), tuple_polys(ps, max_size=2),
+                            st.just(den)))
+    if factor:
+        sexp = draw(st.integers(-6, 6))
+    else:
+        sexp = draw(st.sampled_from([-ps._half, ps._half - 1, 0, 2]))
+        factor = {(0,) * ps.nvars: 1}
+    poly = laurent(ps, ref_mul({(sexp,) + gexp: c}, factor))
+    return (ps, poly, frac) if draw(st.booleans()) else (ps, frac, poly)
+
+
+def product_or_overflow(f):
+    try:
+        return f()
+    except ExponentOverflow as exc:
+        return "overflow: %s" % exc
+
+
+PS5 = ParamSpace(5)
+S_TOP = laurent(PS5, {(PS5._half - 1, 1): Fraction(1, 2)})
+S_OVER_1_PLUS_S = PS5.s * scalar_invert(PS5.one + PS5.s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_fraction_pairs())
+@example((PS5, S_TOP, S_OVER_1_PLUS_S))    # both sides overflow in s
+@example((PS5, S_OVER_1_PLUS_S, S_TOP))
+def test_laurent_times_fraction_matches_canon(data):
+    ps, x, y = data
+    got = product_or_overflow(lambda: x * y)
+    want = product_or_overflow(lambda: _canon(
+        ps, poly_mul(ps, x.num, y.num), poly_mul(ps, x.den, y.den)))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.is_laurent() == want.is_laurent()
+    assert render_scalar(got) == render_scalar(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
 
 
 @pytest.mark.parametrize("argv", [
