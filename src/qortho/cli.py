@@ -21,6 +21,12 @@ degree that is not one-dimensional).
 
 All suites are deterministic; the --seed flag (default 0) is recorded
 in JSON reports so identical invocations produce byte-identical output.
+
+Every input has one parser, in the module that owns it: `io` loads files
+through the *_from_json functions, and --word and --functional go through
+the parsers of the JSON words, Alphabet.word and envelope.tag_word (which
+absorbs eps, the unit, wherever it stands).  Each raises SchemaError, a
+ValueError with the JSON pointer of the bad node, and the run exits 2.
 """
 
 from __future__ import annotations
@@ -30,15 +36,14 @@ import json
 import sys
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .calculus import (_degree, adjoint_coaction_check, lie_rows,
                        structure_constants, tangent_basis, verify_qlie)
-from .envelope import (EPS_WORD, pairing, tag_gen, word_functional,
-                       verify_envelope_suite, verify_parameter_collapse,
-                       verify_pairing_axioms)
-from .itensor import (IndexGeometry, SparseTensor4, tensor_from_json,
-                      tensor_to_json)
+from .envelope import (functional_from_json, functional_to_json, pairing,
+                       tag_word, word_functional, verify_envelope_suite,
+                       verify_parameter_collapse, verify_pairing_axioms)
+from .itensor import IndexGeometry, tensor_from_json, tensor_to_json
 from .presentations import (build_presentation, check_confluence,
                             derive_rewrite_rules, element_from_json,
                             element_to_json, check_hopf_ideal,
@@ -49,20 +54,10 @@ from .presentations import (build_presentation, check_confluence,
 from .report import Report, first_failure
 from .rmatrix import build_R, build_bundle, decompose_embedding, \
     verify_rmatrix_suite
-from .scalars import (ScalarError, occurring_vars, render_scalar,
+from .scalars import (ScalarError, SchemaError, render_scalar,
                       scalar_to_json, specialize)
 
 __all__ = ["run", "main", "io", "RunConfig", "SchemaError", "UsageError"]
-
-
-class SchemaError(Exception):
-    """A payload violated one of the JSON schemas; `pointer` locates the
-    offending node."""
-
-    def __init__(self, pointer: str, message: str):
-        self.pointer = pointer
-        self.message = message
-        super().__init__("%s at %r" % (message, pointer or "/"))
 
 
 class UsageError(Exception):
@@ -98,8 +93,6 @@ def _parse_spec(text: str):
             val = Fraction(v.strip())
         except (ValueError, ZeroDivisionError):
             raise UsageError("--spec value %r is not a rational" % (v,))
-        if val == 0:
-            raise UsageError("--spec values must be nonzero")
         out[k.strip()] = val
     return out
 
@@ -108,8 +101,10 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str, payload) -> None:
-    body = text + "\n" if cfg.fmt == "text" else _dumps(payload)
+def _emit(cfg: RunConfig, render: Callable[[], str], payload) -> None:
+    """Write the report: render() under --format text, the JSON payload
+    otherwise."""
+    body = render() + "\n" if cfg.fmt == "text" else _dumps(payload)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(body)
@@ -133,139 +128,47 @@ def _render_element(e) -> str:
 # ---------------------------------------------------------------------------
 # schema-checked payload io
 
+# kind: (serializer, parser of (doc, context), what its list holds)
+_PAYLOADS = {
+    "tensor": (tensor_to_json, lambda doc, ctx: tensor_from_json(doc),
+               "entry"),
+    "element": (element_to_json,
+                lambda doc, ctx: element_from_json(*ctx, doc), "term"),
+    "functional": (functional_to_json,
+                   lambda doc, ctx: functional_from_json(ctx, doc), "term"),
+}
+
+
 def io(mode: str, path: str, kind: str, payload=None, context=None):
     """Save or load one of the canonical JSON payloads.
 
     Kinds: "tensor" (four-index tensors), "element" (algebra elements,
     context = (alphabet, params)), "functional" (regular-functional
-    combinations, context = bundle).  Loading accepts non-canonical
-    entry order, re-canonicalizes, and returns (object, notes) with a
-    note flagging anything that was reordered.
+    combinations, context = bundle).  Loading decodes the file, parses it
+    with the owning module's *_from_json (which raises SchemaError on a
+    bad payload), and returns (object, notes) with a note flagging a
+    payload whose terms were not in canonical order.
     """
+    if kind not in _PAYLOADS:
+        raise ValueError("unknown payload kind %r" % (kind,))
+    to_json, from_json, listed = _PAYLOADS[kind]
     if mode == "save":
-        if kind == "tensor":
-            doc = tensor_to_json(payload)
-        elif kind == "element":
-            doc = element_to_json(payload)
-        elif kind == "functional":
-            from .envelope import functional_to_json
-            doc = functional_to_json(payload)
-        else:
-            raise ValueError("unknown payload kind %r" % (kind,))
         with open(path, "w") as fh:
-            fh.write(_dumps(doc))
+            fh.write(_dumps(to_json(payload)))
         return payload
     if mode != "load":
         raise ValueError("io mode must be save or load")
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError("", "not valid JSON: %s" % exc)
-    if kind == "tensor":
-        return _load_tensor(doc)
-    if kind == "element":
-        alphabet, ps = context
-        return _load_element(doc, alphabet, ps)
-    if kind == "functional":
-        return _load_functional(doc, context)
-    raise ValueError("unknown payload kind %r" % (kind,))
-
-
-def _want(doc, key, types, pointer):
-    if not isinstance(doc, dict) or key not in doc:
-        raise SchemaError(pointer, "missing key %r" % (key,))
-    val = doc[key]
-    if not isinstance(val, types):
-        raise SchemaError(pointer + "/" + key, "wrong type %r"
-                          % (type(val).__name__,))
-    return val
-
-
-def _load_tensor(doc) -> Tuple[SparseTensor4, List[str]]:
-    dim = _want(doc, "dim", int, "")
-    if dim < 3:
-        raise SchemaError("/dim", "dimension below 3")
-    geom = IndexGeometry(dim, embedded=bool(doc.get("embedded", False)))
-    if "series" in doc and doc["series"] != geom.series:
-        raise SchemaError("/series", "series %r inconsistent with dim %d"
-                          % (doc["series"], dim))
-    if "vars" in doc and list(doc["vars"]) != geom.params.vars:
-        raise SchemaError("/vars", "unknown variable header %r"
-                          % (doc["vars"],))
-    entries = _want(doc, "entries", list, "")
-    notes: List[str] = []
-    keys = []
-    for i, rec in enumerate(entries):
-        ptr = "/entries/%d" % i
-        idx = _want(rec, "idx", list, ptr)
-        if len(idx) != 4 or not all(isinstance(x, int) for x in idx):
-            raise SchemaError(ptr + "/idx", "expected four integers")
-        if not all(1 <= x <= dim for x in idx):
-            raise SchemaError(ptr + "/idx", "index out of range %r" % (idx,))
-        _want(rec, "value", dict, ptr)
-        keys.append(tuple(idx))
-    if keys != sorted(keys):
-        notes.append("entry list was not in canonical order; re-sorted")
-    if len(set(keys)) != len(keys):
-        raise SchemaError("/entries", "duplicate index tuple")
-    try:
-        tensor = tensor_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError("/entries", str(exc))
-    return tensor, notes
-
-
-def _load_element(doc, alphabet, ps):
-    if not isinstance(doc, list):
-        raise SchemaError("", "element payload must be a list")
-    notes: List[str] = []
-    words = []
-    for i, rec in enumerate(doc):
-        ptr = "/%d" % i
-        word = _want(rec, "word", list, ptr)
-        for j, sym in enumerate(word):
-            if not isinstance(sym, str) or sym not in alphabet.index:
-                raise SchemaError("%s/word/%d" % (ptr, j),
-                                  "unknown symbol %r" % (sym,))
-        _want(rec, "coeff", dict, ptr)
-        words.append(tuple(alphabet.index[s] for s in word))
-    if words != sorted(words, key=word_key):
-        notes.append("term list was not in canonical order; re-sorted")
-    try:
-        elem = element_from_json(alphabet, ps, doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError("", str(exc))
-    return elem, notes
-
-
-def _load_functional(doc, bundle):
-    from .envelope import functional_from_json
-    if not isinstance(doc, list):
-        raise SchemaError("", "functional payload must be a list")
-    notes: List[str] = []
-    words = []
-    for i, rec in enumerate(doc):
-        ptr = "/%d" % i
-        word = _want(rec, "word", list, ptr)
-        parsed = []
-        for j, tag in enumerate(word):
-            try:
-                g = tag_gen(tag)
-            except (ValueError, TypeError):
-                raise SchemaError("%s/word/%d" % (ptr, j),
-                                  "unknown functional tag %r" % (tag,))
-            if g is not None:
-                parsed.append(g)
-        _want(rec, "coeff", dict, ptr)
-        words.append(tuple(parsed))
-    if words != sorted(words, key=word_key):
-        notes.append("term list was not in canonical order; re-sorted")
-    try:
-        f = functional_from_json(bundle, doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError("", str(exc))
-    return f, notes
+    obj = from_json(doc, context)
+    notes = []
+    if list(obj.terms) != sorted(obj.terms, key=word_key):
+        notes.append("%s list was not in canonical order; re-sorted"
+                     % listed)
+    return obj, notes
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +235,24 @@ def _cmd_build_r(cfg: RunConfig, args) -> int:
                          % (cfg.n, geom.series))
     R = build_R(geom)
     if spec:
-        occurring = set()
-        for v in R.terms.values():
-            occurring.update(occurring_vars(v))
         unknown = set(spec) - set(geom.params.vars)
         if unknown:
             raise UsageError("--spec names unknown variables %s"
                              % sorted(unknown))
-        missing = occurring - set(spec)
-        if missing:
-            raise UsageError("--spec misses variables %s" % sorted(missing))
+        try:  # specialize refuses a missing or a zero variable
+            entries = [{"idx": list(k), "value": str(specialize(v, spec))}
+                       for k, v in sorted(R.terms.items())]
+        except ValueError as exc:
+            raise UsageError("--spec: %s" % exc)
         payload = {
             "dim": geom.dim,
             "series": geom.series,
             "spec": {k: str(v) for k, v in spec.items()},
-            "entries": [{"idx": list(k), "value": str(specialize(
-                R.terms[k], spec))} for k in sorted(R.terms)],
+            "entries": entries,
         }
     else:
         payload = tensor_to_json(R)
-    text = _dumps(payload).rstrip("\n")
-    _emit(cfg, text, payload)
+    _emit(cfg, lambda: _dumps(payload).rstrip("\n"), payload)
     return 0
 
 
@@ -365,24 +265,14 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     ok = all(rep.ok for rep in reports)
     checks = sum(len(rep.checks) for rep in reports)
     fails = sum(len(rep.failures()) for rep in reports)
-    text = "\n\n".join(rep.render() for rep in reports)
-    text += "\nsummary: %d checks, %d failures" % (checks, fails)
     payload = {
         "command": "verify", "suite": wanted, "n": cfg.n,
         "degree": cfg.degree, "seed": cfg.seed, "ok": ok,
         "reports": [rep.to_json() for rep in reports],
     }
-    _emit(cfg, text, payload)
+    _emit(cfg, lambda: "\n\n".join(rep.render() for rep in reports)
+          + "\nsummary: %d checks, %d failures" % (checks, fails), payload)
     return 0 if ok else 1
-
-
-def _word_from_tokens(p, tokens):
-    bad = [t for t in tokens if t not in p.alphabet.index]
-    if bad:
-        raise UsageError("unknown symbols %s; alphabet: %s"
-                         % (bad, " ".join(p.alphabet.symbols)))
-    return word_element(p.alphabet, p.params,
-                        tuple(p.alphabet.index[t] for t in tokens))
 
 
 def _cmd_reduce(cfg: RunConfig, args) -> int:
@@ -396,51 +286,34 @@ def _cmd_reduce(cfg: RunConfig, args) -> int:
         rs = derive_rewrite_rules(p, "plane")
     else:
         rs = iso_normal_system(p)
-    e = _word_from_tokens(p, tokens)
-    nf = reduce(e, rs)
-    text = "%s -> %s" % (" ".join(tokens) or "I", _render_element(nf))
+    nf = reduce(word_element(p.alphabet, p.params, p.alphabet.word(*tokens)),
+                rs)
     payload = {"command": "reduce", "algebra": args.algebra, "n": cfg.n,
                "word": tokens, "normal_form": element_to_json(nf)}
-    _emit(cfg, text, payload)
+    _emit(cfg, lambda: "%s -> %s" % (" ".join(tokens) or "I",
+                                     _render_element(nf)), payload)
     return 0
 
 
 def _cmd_pair(cfg: RunConfig, args) -> int:
     bundle = build_bundle(IndexGeometry(cfg.n + 2, embedded=True))
     tags = args.functional.split()
-    if tags == ["eps"]:
-        fword = EPS_WORD
-    else:
-        gens = []
-        for t in tags:
-            try:
-                g = tag_gen(t)
-            except ValueError as exc:
-                raise UsageError(str(exc))
-            if g is None:
-                raise UsageError("eps can only stand alone")
-            if not (1 <= g[1] <= cfg.n + 2 and 1 <= g[2] <= cfg.n + 2):
-                raise UsageError("indices of %r out of range 1..%d"
-                                 % (t, cfg.n + 2))
-            gens.append(g)
-        fword = tuple(gens)
-    f = word_functional(bundle, fword)
+    f = word_functional(bundle, tag_word(cfg.n + 2, tags))
     p = build_presentation("iso", cfg.n)
-    pa = _word_from_tokens(p, args.word.split())
+    pa = word_element(p.alphabet, p.params,
+                      p.alphabet.word(*args.word.split()))
     val = pairing(f, pa)
-    text = render_scalar(val)
     payload = {"command": "pair", "n": cfg.n, "functional": tags,
                "word": args.word.split(), "value": scalar_to_json(val)}
-    _emit(cfg, text, payload)
+    _emit(cfg, lambda: render_scalar(val), payload)
     return 0
 
 
 def _cmd_det(cfg: RunConfig, args) -> int:
     e = quantum_determinant(cfg.n)
-    text = _render_element(e)
     payload = {"command": "det", "n": cfg.n,
                "element": element_to_json(e)}
-    _emit(cfg, text, payload)
+    _emit(cfg, lambda: _render_element(e), payload)
     return 0
 
 
@@ -462,15 +335,19 @@ def _cmd_lie(cfg: RunConfig, args) -> int:
         "seed": cfg.seed, "labels": basis.labels, "relations": rows,
         "closed": closed, "structure_constants": constants, "ok": ok,
     }
-    lines = ["tangent basis: %s" % " ".join(basis.labels)]
-    for row in rows:
-        lines.append("[%s] %s %r%s" % (
-            "pass" if row["status"] else "fail", row["relation"],
-            tuple(row["indices"]),
-            " -- " + row["witness"] if "witness" in row else ""))
-    lines.append("bracket closure: %s, %d nonzero structure constants"
-                 % ("yes" if closed else "no", len(constants)))
-    _emit(cfg, "\n".join(lines), payload)
+
+    def render():
+        lines = ["tangent basis: %s" % " ".join(basis.labels)]
+        for row in rows:
+            lines.append("[%s] %s %r%s" % (
+                "pass" if row["status"] else "fail", row["relation"],
+                tuple(row["indices"]),
+                " -- " + row["witness"] if "witness" in row else ""))
+        lines.append("bracket closure: %s, %d nonzero structure constants"
+                     % ("yes" if closed else "no", len(constants)))
+        return "\n".join(lines)
+
+    _emit(cfg, render, payload)
     return 0 if ok else 1
 
 

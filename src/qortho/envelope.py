@@ -66,11 +66,11 @@ from .presentations import (AlgebraElement, build_presentation, costructure,
                             word_element)
 from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
-from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
-                      canonical_q, denominator, merge_deformations,
-                      rational_rank,
-                      render_scalar, scalar_from_json, scalar_invert,
-                      scalar_to_json, specialize, word_key)
+from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
+                      _acc, _schema_items, _terms_from_json, canonical_q,
+                      denominator, merge_deformations, rational_rank,
+                      render_scalar, scalar_invert, scalar_to_json,
+                      specialize, word_key)
 
 Gen = Tuple[int, int, int]            # (sign, A, B); sign +1 for L+, -1 for L-
 FunctionalWord = Tuple[Gen, ...]
@@ -80,7 +80,7 @@ __all__ = [
     "FunctionalElement", "FunctionalWord", "Gen", "EPS_WORD", "NotInIU",
     "EqualityResult", "AnnihilationResult",
     "eps_functional", "l_functional", "word_functional",
-    "gen_tag", "tag_gen", "show_functional_word",
+    "gen_tag", "tag_gen", "tag_word", "show_functional_word",
     "eval_functional", "antipode_L", "coproduct_functional",
     "counit_functional", "functional_equal", "verify_envelope_suite",
     "verify_parameter_collapse", "verify_pairing_axioms",
@@ -105,10 +105,23 @@ def gen_tag(g: Optional[Gen]) -> str:
 def tag_gen(tag: str) -> Optional[Gen]:
     if tag == "eps":
         return None
-    m = re.fullmatch(r"L([+-])\[([0-9]+),([0-9]+)\]", tag)
-    if m is not None:
-        return (1 if m[1] == "+" else -1, int(m[2]), int(m[3]))
-    raise ValueError("unknown functional generator tag %r" % (tag,))
+    m = (re.fullmatch(r"L([+-])\[([0-9]{1,9}),([0-9]{1,9})\]", tag)
+         if isinstance(tag, str) else None)
+    if m is None:
+        raise SchemaError("", "unknown functional generator tag %r" % (tag,))
+    return (1 if m[1] == "+" else -1, int(m[2]), int(m[3]))
+
+
+def tag_word(M: int, tags) -> FunctionalWord:
+    """The functional word a list of generator tags spells, every index in
+    1..M.  eps is the unit, so it is absorbed wherever it stands."""
+    def gen(tag):
+        g = tag_gen(tag)
+        if g is not None and not (1 <= g[1] <= M and 1 <= g[2] <= M):
+            raise SchemaError("", "indices of %r outside 1..%d" % (tag, M))
+        return g
+
+    return tuple(g for g in _schema_items(tags, gen) if g is not None)
 
 
 def show_functional_word(w: FunctionalWord) -> str:
@@ -120,8 +133,8 @@ def show_functional_word(w: FunctionalWord) -> str:
 class FunctionalElement(LinearCombination):
     """Finite scalar combination of words of L+/L- generators.
 
-    The counit is the empty word; eps letters fed in through JSON are
-    absorbed on construction, so words never store unit factors.
+    The counit is the empty word; tag_word absorbs the eps tags of a
+    parsed word, so words never store unit factors.
     """
 
     __slots__ = ("bundle",)
@@ -1275,10 +1288,6 @@ def functional_to_json(e: FunctionalElement) -> list:
 
 
 def functional_from_json(bundle: RMatrixBundle, payload) -> FunctionalElement:
-    ps = bundle.geometry.params
-    terms: Dict[FunctionalWord, Scalar] = {}
-    for rec in payload:
-        w = tuple(g for g in (tag_gen(t) for t in rec["word"])
-                  if g is not None)
-        _acc(terms, w, scalar_from_json(ps, rec["coeff"]))
-    return FunctionalElement(bundle, terms)
+    M = bundle.geometry.dim
+    return FunctionalElement(bundle, _terms_from_json(
+        bundle.geometry.params, payload, lambda tags: tag_word(M, tags)))

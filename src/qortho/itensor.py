@@ -29,8 +29,9 @@ import itertools
 from typing import Dict, Iterable, List, Tuple
 
 from .report import first_failure
-from .scalars import (LinearCombination, ParamSpace, Scalar, substitute,
-                      sum_products)
+from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
+                      _schema_field, _schema_items, scalar_from_json,
+                      scalar_to_json, substitute, sum_products)
 
 Key4 = Tuple[int, int, int, int]
 
@@ -255,7 +256,6 @@ class MetricVec:
 # --- serialization ---------------------------------------------------------
 
 def tensor_to_json(X: SparseTensor4) -> dict:
-    from .scalars import scalar_to_json
     geom = X.geometry
     return {
         "dim": geom.dim,
@@ -269,22 +269,45 @@ def tensor_to_json(X: SparseTensor4) -> dict:
     }
 
 
+# far past what the suites reach; it bounds the parameter space a payload
+# can make the loader build
+_MAX_DIM = 64
+
+
+def _key4(dim: int, idx: list) -> Key4:
+    if len(idx) != 4:
+        raise SchemaError("", "expected four indices, got %d" % len(idx))
+    for j, a in enumerate(idx):
+        if type(a) is not int or not 1 <= a <= dim:
+            raise SchemaError("/%d" % j, "index %r is not an integer in "
+                              "1..%d" % (a, dim))
+    return tuple(idx)
+
+
 def tensor_from_json(payload: dict) -> SparseTensor4:
-    from .scalars import scalar_from_json
-    geom = IndexGeometry(int(payload["dim"]),
-                         embedded=bool(payload.get("embedded", False)))
-    if payload.get("series", geom.series) != geom.series:
-        raise ValueError("series %r inconsistent with dim" % (payload.get("series"),))
-    if list(payload.get("vars", geom.params.vars)) != geom.params.vars:
-        raise ValueError("variable ordering mismatch")
+    dim = _schema_field(payload, "dim", int)
+    if not 3 <= dim <= _MAX_DIM:
+        raise SchemaError("/dim", "dimension %d outside 3..%d"
+                          % (dim, _MAX_DIM))
+    embedded = ("embedded" in payload
+                and _schema_field(payload, "embedded", bool))
+    geom = IndexGeometry(dim, embedded=embedded)
+    for key, want in (("series", geom.series), ("vars", geom.params.vars)):
+        if payload.get(key, want) != want:
+            raise SchemaError("/" + key, "%s %r does not match dim %d"
+                              % (key, payload[key], dim))
+
+    def entry(rec):
+        return (_schema_field(rec, "idx", list, lambda i: _key4(dim, i)),
+                _schema_field(rec, "value", dict,
+                              lambda v: scalar_from_json(geom.params, v)))
+
     entries: Dict[Key4, Scalar] = {}
-    for rec in payload["entries"]:
-        k = tuple(int(i) for i in rec["idx"])
-        if len(k) != 4 or not all(1 <= i <= geom.dim for i in k):
-            raise ValueError("bad index tuple %r" % (rec.get("idx"),))
-        v = scalar_from_json(geom.params, rec["value"])
+    records = _schema_field(payload, "entries", list,
+                            lambda recs: _schema_items(recs, entry))
+    for i, (k, v) in enumerate(records):
         if k in entries:
-            raise ValueError("duplicate index tuple %r" % (rec.get("idx"),))
-        if v:
-            entries[k] = v
+            raise SchemaError("/entries/%d/idx" % i,
+                              "duplicate index tuple %r" % (k,))
+        entries[k] = v
     return SparseTensor4(geom, entries)

@@ -58,8 +58,8 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
 from .itensor import IndexGeometry, _by_upper
 from .report import Report, first_failure
 from .rmatrix import build_bundle, inner_lift
-from .scalars import (LinearCombination, ParamSpace, Scalar, _acc,
-                      canonical_q, scalar_from_json, scalar_invert,
+from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
+                      _acc, _terms_from_json, canonical_q, scalar_invert,
                       scalar_to_json, stair_insert, stair_reduce, word_key)
 
 __all__ = [
@@ -107,6 +107,12 @@ class Alphabet:
             raise ValueError("duplicate generator symbol")
 
     def word(self, *names: str) -> Word:
+        """The word spelled by the symbols; an unknown one is a
+        SchemaError at its position."""
+        for j, n in enumerate(names):
+            if not isinstance(n, str) or n not in self.index:
+                raise SchemaError("/%d" % j, "unknown symbol %r; alphabet: %s"
+                                  % (n, " ".join(self.symbols)))
         return tuple(self.index[n] for n in names)
 
     def show_word(self, w: Word) -> str:
@@ -1018,8 +1024,5 @@ def element_to_json(e: AlgebraElement) -> list:
 
 def element_from_json(alphabet: Alphabet, ps: ParamSpace,
                       payload: Iterable[Mapping]) -> AlgebraElement:
-    terms: Dict[Word, Scalar] = {}
-    for rec in payload:
-        w = tuple(alphabet.index[s] for s in rec["word"])
-        _acc(terms, w, scalar_from_json(ps, rec["coeff"]))
-    return AlgebraElement(alphabet, ps, terms)
+    return AlgebraElement(alphabet, ps, _terms_from_json(
+        ps, payload, lambda names: alphabet.word(*names)))

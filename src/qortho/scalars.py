@@ -63,9 +63,10 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from fractions import Fraction
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 Mono = Tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -968,6 +969,55 @@ def _canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
 
 # --- serialization ---------------------------------------------------------
 
+class SchemaError(ValueError):
+    """A JSON payload broke its schema; `pointer` is the JSON pointer of
+    the offending node within the payload given to the parser."""
+
+    def __init__(self, pointer: str, message: str):
+        self.pointer = pointer
+        self.message = message
+        super().__init__("%s at %r" % (message, pointer or "/"))
+
+
+def _schema_at(pointer: str, parse: Callable, value):
+    """parse(value), with any SchemaError it raises moved below pointer."""
+    try:
+        return parse(value)
+    except SchemaError as exc:
+        raise SchemaError(pointer + exc.pointer, exc.message) from None
+
+
+def _schema_items(seq, parse: Callable) -> list:
+    """parse applied to each item of a JSON list."""
+    if not isinstance(seq, list):
+        raise SchemaError("", "expected a list, got %s" % type(seq).__name__)
+    return [_schema_at("/%d" % i, parse, x) for i, x in enumerate(seq)]
+
+
+def _schema_field(doc, key: str, kind: type, parse: Optional[Callable] = None):
+    """doc[key], which must be a `kind` (a bool is no int), passed through
+    parse if given."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise SchemaError("", "missing key %r" % (key,))
+    val = doc[key]
+    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
+        raise SchemaError("/" + key, "expected %s, got %s"
+                          % (kind.__name__, type(val).__name__))
+    return val if parse is None else _schema_at("/" + key, parse, val)
+
+
+def _terms_from_json(ps: "ParamSpace", payload, word: Callable) -> dict:
+    """{word: coefficient}, summed over a JSON list of {"word": [...],
+    "coeff": scalar} records, with `word` parsing one word list."""
+    terms: dict = {}
+    for w, c in _schema_items(payload, lambda rec: (
+            _schema_field(rec, "word", list, word),
+            _schema_field(rec, "coeff", dict,
+                          lambda x: scalar_from_json(ps, x)))):
+        _acc(terms, w, c)
+    return terms
+
+
 def _decoded(ps: ParamSpace, p: Poly) -> Dict[Mono, Coeff]:
     return {ps._unpack(m): c for m, c in p.items()}
 
@@ -979,13 +1029,39 @@ def _poly_to_json(ps: ParamSpace, p: Poly) -> list:
             for m in sorted(d)]
 
 
+# the form str(Fraction) writes; Fraction itself would also read decimal
+# exponents, and "1e999999999" would take it minutes
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _coeff_from_json(text: str) -> Coeff:
+    if _RATIONAL.fullmatch(text):
+        try:
+            return _norm_coeff(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than int() reads
+    raise SchemaError("", "%.60r is not a rational with a nonzero "
+                          "denominator" % (text,))
+
+
+def _mono_from_json(ps: ParamSpace, exps: list) -> int:
+    if len(exps) != ps.nvars:
+        raise SchemaError("", "expected %d exponents, got %d"
+                          % (ps.nvars, len(exps)))
+    for i, e in enumerate(exps):
+        if type(e) is not int or not -ps._half <= e < ps._half:
+            raise SchemaError("/%d" % i, "exponent %r is not an integer in "
+                              "[%d, %d]" % (e, -ps._half, ps._half - 1))
+    return ps._pack(exps)
+
+
 def _poly_from_json(ps: ParamSpace, records) -> Poly:
     out: Poly = {}
-    for rec in records:
-        m = tuple(int(e) for e in rec["exponents"])
-        if len(m) != ps.nvars:
-            raise ValueError("exponent vector %r has wrong length" % (rec,))
-        _acc(out, ps._pack(m), _norm_coeff(Fraction(rec["coeff"])))
+    for m, c in _schema_items(records, lambda rec: (
+            _schema_field(rec, "exponents", list,
+                          lambda exps: _mono_from_json(ps, exps)),
+            _schema_field(rec, "coeff", str, _coeff_from_json))):
+        _acc(out, m, c)
     return out
 
 
@@ -995,9 +1071,15 @@ def scalar_to_json(a: Scalar) -> dict:
 
 
 def scalar_from_json(ps: ParamSpace, payload: Mapping) -> Scalar:
-    num = _poly_from_json(ps, payload["num"])
-    den = _poly_from_json(ps, payload["den"])
-    return _canon(ps, num, den)
+    num, den = (_schema_field(payload, key, list,
+                              lambda recs: _poly_from_json(ps, recs))
+                for key in ("num", "den"))
+    if not den:
+        raise SchemaError("/den", "zero denominator")
+    try:
+        return _canon(ps, num, den)
+    except ScalarError as exc:
+        raise SchemaError("", str(exc)) from None
 
 
 def _poly_str(ps: ParamSpace, p: Poly) -> str:

@@ -2,22 +2,26 @@
 output, and the schema-checked payload io helpers.
 """
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qortho.cli as cli
 from qortho.cli import SchemaError, io, run
-from qortho.itensor import IndexGeometry, SparseTensor4, tensor_equal
+from qortho.itensor import (IndexGeometry, SparseTensor4, tensor_equal,
+                            tensor_to_json)
 from qortho.presentations import (IncompleteRules, NotConfluent,
                                   TopDegreeNotOneDimensional,
                                   build_presentation, element_from_json,
-                                  quantum_determinant, word_element)
+                                  element_to_json, quantum_determinant,
+                                  word_element)
 from qortho.report import Report
 from qortho.rmatrix import build_R, build_bundle
-from qortho.envelope import word_functional
-from qortho.scalars import PoleAtOne, specialize
+from qortho.envelope import functional_to_json, word_functional
+from qortho.scalars import PoleAtOne, scalar_invert, specialize
 
 
 def test_verify_rmatrix_exit_zero(capsys):
@@ -275,3 +279,155 @@ def test_io_element_unknown_symbol(tmp_path):
     with pytest.raises(SchemaError) as err:
         io("load", str(path), "element", context=(A, ps))
     assert err.value.pointer == "/0/word/0"
+
+
+# --- one parser per input ---------------------------------------------------
+
+def _tensor_doc(tmp_path):
+    ps = IndexGeometry(3).params
+    X = SparseTensor4(IndexGeometry(3), {(1, 2, 2, 1): ps.s_pow(2)})
+    path = tmp_path / "t.json"
+    io("save", str(path), "tensor", X)
+    return json.loads(path.read_text())
+
+
+def _pointer_of(tmp_path, kind, doc, context=None):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        io("load", str(path), kind, context=context)
+    return err.value.pointer
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda v: v["num"][0].update(exponents=[2.7]), "/num/0/exponents/0"),
+    (lambda v: v["num"][0].update(exponents=[99999]), "/num/0/exponents/0"),
+    (lambda v: v["num"][0].update(coeff="1/0"), "/num/0/coeff"),
+    # only the form str(Fraction) writes: no decimal exponent to expand
+    (lambda v: v["num"][0].update(coeff="1e999999999"), "/num/0/coeff"),
+    (lambda v: v.update(den=[]), "/den"),
+])
+def test_io_scalar_schema_pointers(tmp_path, edit, pointer):
+    doc = _tensor_doc(tmp_path)
+    edit(doc["entries"][0]["value"])
+    assert _pointer_of(tmp_path, "tensor", doc) == \
+        "/entries/0/value" + pointer
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda d: d["entries"][0].update(idx=[True, 2, 2, True]),
+     "/entries/0/idx/0"),
+    (lambda d: d["entries"].append(d["entries"][0]), "/entries/1/idx"),
+    # a dimension is checked before its parameter space is built
+    (lambda d: d.update(dim=10 ** 6), "/dim"),
+])
+def test_io_tensor_header_and_index_pointers(tmp_path, edit, pointer):
+    doc = _tensor_doc(tmp_path)
+    edit(doc)
+    assert _pointer_of(tmp_path, "tensor", doc) == pointer
+
+
+def test_io_functional_index_range(tmp_path):
+    bundle = build_bundle(IndexGeometry(5, embedded=True))
+    path = tmp_path / "f.json"
+    io("save", str(path), "functional",
+       word_functional(bundle, ((1, 2, 2),)))
+    doc = json.loads(path.read_text())
+    doc[0]["word"] = ["L+[9,9]", "L-[0,1]"]
+    assert _pointer_of(tmp_path, "functional", doc, bundle) == "/0/word/0"
+
+
+def test_pair_absorbs_eps_anywhere(capsys):
+    for functional in ["eps L-[1,1]", "L-[1,1] eps", "L-[1,1]"]:
+        assert run(["pair", "--n", "3", "--functional", functional,
+                    "--word", "u"]) == 0
+        assert capsys.readouterr().out == "s^-2\n"
+
+
+def test_build_r_spec_point_errors_exit_two(capsys):
+    for spec in ["s=0", "g99=1", "s=x"]:
+        assert run(["build-r", "--n", "3", "--spec", spec]) == 2
+    # iso(4) has g12 as well as s
+    assert run(["build-r", "--n", "4", "--spec", "s=2"]) == 2
+    assert "misses variables ['g12']" in capsys.readouterr().err
+
+
+# Mutations of valid payloads: io("load") returns an object or raises
+# SchemaError, nothing else.  A replaced node takes a value of another
+# type, or of its own type out of range or unknown.  Values that pass the
+# schema reach the engine, so they stay small.
+GENERIC = [None, True, 2.7, [], {}, {"num": [], "den": []}]
+NEAR = {int: [-1, 0, 99999, -10 ** 30],
+        str: ["", "x9", "eps", "L+[9,9]", "L-[0,1]", "L*[1,1]", "T[1,1]",
+              "1/0", "0", "1e5", "-3/4"],
+        list: [[1, 2, 2, 1], ["u"], ["eps", "L+[1,1]"], [0], [2.7]]}
+
+
+def _fuzz_payloads():
+    g = IndexGeometry(3)
+    ps = g.params
+    X = SparseTensor4(g, {(1, 2, 2, 1): ps.s_pow(2),
+                          (3, 1, 1, 3): scalar_invert(ps.one + ps.s_pow(2)),
+                          (2, 2, 2, 2): ps.from_rational(Fraction(-3, 4))})
+    p = build_presentation("iso", 3)
+    A = p.alphabet
+    e = word_element(A, p.params, A.word("x1", "u"), p.params.s_pow(2)) \
+        - word_element(A, p.params, A.word("T[1,2]"))
+    bundle = build_bundle(IndexGeometry(5, embedded=True))
+    f = word_functional(bundle, ((1, 2, 2), (-1, 3, 1))) \
+        + word_functional(bundle, ())
+    return {"tensor": (tensor_to_json(X), None, X),
+            "element": (element_to_json(e), (A, p.params), e),
+            "functional": (functional_to_json(f), bundle, f)}
+
+
+FUZZ = _fuzz_payloads()
+
+
+def _slots(doc):
+    """(container, key) for every node below doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, val in list(items):
+        yield doc, key
+        yield from _slots(val)
+
+
+@st.composite
+def _mutated(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(
+                NEAR.get(type(parent[key]), []) + GENERIC)))
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+        else:
+            parent["extra"] = draw(st.sampled_from(NEAR[str]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_io_load_returns_or_raises_schema_error(fuzz_dir, data):
+    kind = data.draw(st.sampled_from(sorted(FUZZ)))
+    doc, context, valid = FUZZ[kind]
+    path = fuzz_dir / "m.json"
+    path.write_text(json.dumps(data.draw(_mutated(doc))))
+    try:
+        obj, notes = io("load", str(path), kind, context=context)
+    except SchemaError:
+        return
+    assert type(obj) is type(valid) and isinstance(notes, list)

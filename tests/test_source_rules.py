@@ -226,3 +226,17 @@ def test_tracer_observers_read_engine_results():
              triple_compose([(I, 12)]))):
         tracer.OBSERVERS[name](probe, args, result)
     assert probe.tallies == {"itensor.entries_out": 9 + 27}
+
+
+def test_payload_records_are_read_by_their_owners():
+    """The *_from_json parser of each owning module alone reads a payload
+    record: cli.py names a record field only as a key of a payload it
+    writes, never to look one up."""
+    fields = {"idx", "word", "coeff", "exponents", "entries"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    written = {id(key) for node in ast.walk(tree)
+               if isinstance(node, ast.Dict) for key in node.keys}
+    found = ["cli.py:%d %s" % (node.lineno, node.value)
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node.value in fields and id(node) not in written]
+    assert found == []
