@@ -17,13 +17,16 @@ At the uniparametric point r = 1 the rotation block joins: the limits of
 because the obstruction term (1/lambda) f^*_{* a, b} vanishes entrywise
 in the limit.  Everything at r = 1 is handled by evaluating the
 generic-parameter functionals word by word and taking the exact s -> 1
-limit of each value (envelope._mapped); the limit is never taken on a
-functional as a symbolic object.  The cone-ideal check at r = 1 is the
-scan of envelope.iu_annihilates run over those limited values, and like
-every other check here it reports its first failing case, in the
-order of envelope._first_difference for relations between functionals
-(the q-Lie relations read envelope._first of one shared walk) and of
-report.first_failure otherwise.
+limit of each value (envelope._mapped): the walk hands
+scalars.limit_r_to_1 the Laurent value together with the side's
+common-denominator scale, and the limit of their product is read off
+Taylor coefficients at s = 1 without forming the product.  The limit is
+never taken on a functional as a symbolic object.  The cone-ideal check
+at r = 1 is the scan of envelope.iu_annihilates run over those limited
+values, and like every other check here it reports its first failing
+case, in the order of envelope._first_difference for relations between
+functionals (the q-Lie relations read envelope._first of one shared
+walk) and of report.first_failure otherwise.
 """
 
 from __future__ import annotations

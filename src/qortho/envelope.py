@@ -53,6 +53,7 @@ L-^*_* = (L-^o_o)^{-1}.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from fractions import Fraction
 from itertools import product as iproduct
@@ -327,9 +328,13 @@ class _Diagonal:
 
 class _Side:
     """A relation side as the walk evaluates it.  On a T-word its value
-    is fn of the sum, over the terms (source, row, column), of the start
-    row carried along the word by the source and dotted with the column
-    (a column entry None stands for 1); fn None is the identity.
+    is fn(v, scale), v the sum, over the terms (source, row, column), of
+    the start row carried along the word by the source and dotted with
+    the column (a column entry None stands for 1); fn None is the
+    identity, with scale None.  fn is a named scalar function that
+    returns the image of v * scale (scale None standing for 1) without
+    having to form that product: operator.mul, or a ring morphism such as
+    limit_r_to_1 or merge_deformations.
 
     A source carries sparse rows {state: Scalar} one T letter at a time:
     source.step(row, letter=None, keep=None) gives the nonzero rows after
@@ -337,22 +342,25 @@ class _Side:
     source.viable(ends, r) a filter for keep that may drop the states
     from which no state of ends is reached within r letters, or None."""
 
-    __slots__ = ("terms", "fn")
+    __slots__ = ("terms", "fn", "scale")
 
     def __init__(self, terms: Tuple[Tuple[object, Row, Dict], ...],
-                 fn: Optional[Callable[[Scalar], Scalar]] = None):
+                 fn: Optional[Callable[[Scalar, Optional[Scalar]],
+                                       Scalar]] = None,
+                 scale: Optional[Scalar] = None):
         self.terms = terms
         self.fn = fn
+        self.scale = scale
 
 
 def _as_side(side) -> _Side:
     """A FunctionalElement as a walk side.  Coefficients with a
     denominator are first brought to Laurent polynomials by a common
-    factor that the side's map takes back out once per value.  The words
-    of one sign pattern are then grouped by start state (a unit row per
-    start, the coefficients in the column) or, when that gives fewer
-    rows, by end state (the coefficients folded into one start row per
-    end)."""
+    factor; its inverse is the side's scale, which operator.mul takes
+    back out once per value.  The words of one sign pattern are then
+    grouped by start state (a unit row per start, the coefficients in
+    the column) or, when that gives fewer rows, by end state (the
+    coefficients folded into one start row per end)."""
     if isinstance(side, _Side):
         return side
     ps = side.bundle.geometry.params
@@ -383,24 +391,27 @@ def _as_side(side) -> _Side:
                       for b, row in sorted(ends.items())]
     if common is ps.one:
         return _Side(tuple(terms))
-    inverse = scalar_invert(common)
-    return _Side(tuple(terms), lambda v: v * inverse)
+    return _Side(tuple(terms), operator.mul, scalar_invert(common))
 
 
 def _mapped(side, fn) -> _Side:
-    """A relation side whose values are fn of the values of side, zeros
-    dropped; fn is a ring morphism of the scalars such as limit_r_to_1
-    or merge_deformations."""
+    """A relation side whose values are the images under fn of the values
+    of side, zeros dropped.  fn is a ring morphism of the scalars such as
+    limit_r_to_1 or merge_deformations, called as fn(v, scale) on the
+    Laurent sum v and the common-denominator scale of _as_side (None
+    when there is none), so that it may take its image of v * scale
+    without forming the product.  side must not be mapped already."""
     s = _as_side(side)
-    inner = s.fn
-    return _Side(s.terms, fn if inner is None else lambda v: fn(inner(v)))
+    if s.fn not in (None, operator.mul):
+        raise ValueError("side is mapped by %s already" % s.fn.__name__)
+    return _Side(s.terms, fn, s.scale)
 
 
 def _compile(families: Sequence[Dict]):
     """The distinct streams (source, start row) of a list of side
     families {key: side}, and where each stream is read:
     reads[i][b] lists (family number, key, column entry) for end state
-    b; fns[n] holds the maps of family n's mapped sides."""
+    b; fns[n] holds the (map, scale) of family n's mapped sides."""
     index: Dict[Tuple, int] = {}
     streams: List[Tuple[object, Row]] = []
     reads: List[Dict[State, List]] = []
@@ -410,7 +421,7 @@ def _compile(families: Sequence[Dict]):
         for key, side in family.items():
             s = _as_side(side)
             if s.fn is not None:
-                fns[n][key] = s.fn
+                fns[n][key] = (s.fn, s.scale)
             for src, row, col in s.terms:
                 ident = (type(src), src, frozenset(row.items()))
                 i = index.get(ident)
@@ -438,10 +449,12 @@ def _add(got: Dict, key, x: Scalar) -> None:
 
 
 def _finish(vals: List[Dict], fns) -> List[Dict]:
-    """Apply the maps of mapped sides, dropping the zeros they give."""
-    for got, fn in zip(vals, fns):
-        for key in [key for key in got if key in fn] if fn else ():
-            v = fn[key](got[key])
+    """Apply the maps of mapped sides, each as fn(value, scale), dropping
+    the zeros they give."""
+    for got, maps in zip(vals, fns):
+        for key in [key for key in got if key in maps] if maps else ():
+            fn, scale = maps[key]
+            v = fn(got[key], scale)
             if v:
                 got[key] = v
             else:

@@ -211,9 +211,6 @@ def _uni_gcd(p1: Dict[int, Coeff], p2: Dict[int, Coeff]) -> Dict[int, Coeff]:
         a = {e: _norm_coeff(Fraction(c, 1) / lc) for e, c in a.items()}
     return a
 
-def _uni_eval(p: Dict[int, Coeff], x: Fraction) -> Fraction:
-    return sum((Fraction(c) * x ** e for e, c in p.items()), Fraction(0))
-
 
 # --- cyclotomic factors, over dense coefficient lists (index = degree) ------
 
@@ -911,28 +908,78 @@ def rational_rank(rows: Iterable[Mapping[object, Fraction]]) -> int:
     return len(stair)
 
 
-def merge_deformations(a: Scalar) -> Scalar:
+def merge_deformations(a: Scalar, scale: Optional[Scalar] = None) -> Scalar:
     """Substitute every deformation variable g_ab by r = s^2, the
-    uniparametric point."""
+    uniparametric point, in a (times scale, when given)."""
     ps = a.ps
+    if scale is not None:
+        a = a * scale
     return substitute(a, [ps.mono(s=1)] + [ps.mono(s=2)] * len(ps.pairs))
 
 
-def limit_r_to_1(a: Scalar) -> Scalar:
-    ps = a.ps
+def _pole_order_at_one(ps: ParamSpace, den: Poly) -> Tuple[int, Coeff]:
+    """(k, E(1)) for a canonical denominator den = (s - 1)^k E(s) with
+    E(1) != 0, read from its cached cyclotomic factors: Phi_1 = s - 1,
+    Phi_m(1) is the sum of its coefficients, and the leftover has no root
+    at 1 because it has no cyclotomic factor."""
+    if den is ps._one_den:
+        return 0, 1
     smask, half = ps._smask, ps._half
-    dval = _uni_eval({(m & smask) - half: c for m, c in a.den.items()},
-                     Fraction(1))
-    if dval == 0:
-        raise PoleAtOne("pole at r=1: %r" % (a,))
-    num: Poly = {}
-    for m, c in a.num.items():
-        # s^e -> 1: reset the s field to exponent zero
-        _acc(num, m - (m & smask) + half, Fraction(c, 1) / dval)
-    if not num:
+    factors, rest = _den_factors(tuple(_dense(
+        {(m & smask) - half: c for m, c in den.items()}, 0)))
+    k, value = 0, sum(rest)
+    for m, e in factors:
+        if m == 1:
+            k = e
+        else:
+            value *= sum(_cyclotomic(m)) ** e
+    return k, value
+
+
+def _taylor_at_one(ps: ParamSpace, p: Poly, k: int) -> List[Poly]:
+    """The Taylor coefficients T_0, ..., T_k of p at s = 1, polynomials in
+    the g's (s field at exponent zero): s^e = sum_j binom(e, j) (s - 1)^j,
+    binom the generalized binomial coefficient, an integer for negative e
+    too."""
+    smask, half = ps._smask, ps._half
+    out: List[Poly] = [{} for _ in range(k + 1)]
+    for m, c in p.items():
+        se = m & smask
+        e, g = se - half, m - se + half
+        b = 1
+        for j, t in enumerate(out):
+            t[g] = t.get(g, 0) + c * b
+            b = b * (e - j) // (j + 1)
+    return [{g: c for g, c in t.items() if c} for t in out]
+
+
+def limit_r_to_1(a: Scalar, scale: Optional[Scalar] = None) -> Scalar:
+    """The limit s -> 1 (so r -> 1) of a times scale, without forming the
+    product a * scale.
+
+    Write den(a) den(scale) = (s - 1)^k E(s) with E(1) != 0; k is the
+    exponent of Phi_1 among the denominators' cyclotomic factors.  The
+    numerator product num(a) num(scale), a Laurent polynomial that is
+    never canonicalized, is sum_j T_j (s - 1)^j, each T_j a polynomial
+    in the g's: its j-th Taylor coefficient at s = 1.  The limit exists
+    exactly when T_0 = ... = T_{k-1} = 0, and then it is T_k / E(1);
+    otherwise PoleAtOne is raised, naming the canonical product.
+    Without scale this is the limit of a alone."""
+    ps = a.ps
+    k, value = _pole_order_at_one(ps, a.den)
+    if scale is not None:
+        _same_space(ps, scale)
+        k2, value2 = _pole_order_at_one(ps, scale.den)
+        k, value = k + k2, value * value2
+    coeffs = _taylor_at_one(ps, a.num if scale is None
+                            else poly_mul(ps, a.num, scale.num), k)
+    if any(coeffs[:k]):
+        raise PoleAtOne("pole at r=1: %r"
+                        % (a if scale is None else a * scale,))
+    if not coeffs[k]:
         return ps.zero
-    return Scalar(ps, {m: _norm_coeff(c) for m, c in num.items()},
-                  ps._one_den)
+    return Scalar(ps, {m: _norm_coeff(Fraction(c, 1) / value)
+                       for m, c in coeffs[k].items()}, ps._one_den)
 
 
 def canonical_q(ps: ParamSpace, A: int, B: int) -> Scalar:
@@ -1070,12 +1117,29 @@ def scalar_to_json(a: Scalar) -> dict:
             "den": _poly_to_json(a.ps, a.den)}
 
 
+# the largest s-degree (top minus bottom s-exponent) of a parsed
+# denominator; _den_factors sieves up to twice the square of the degree,
+# which at degree 1000 takes seconds and about 90 MB
+_MAX_DEN_DEGREE = 128
+
+
 def scalar_from_json(ps: ParamSpace, payload: Mapping) -> Scalar:
+    """The canonical Scalar of a {"num": ..., "den": ...} payload.  The
+    denominator's s-degree is capped at _MAX_DEN_DEGREE = 128, well above
+    what the engine forms: every denominator the pinned command-line
+    invocations write has s-degree 0, and the largest that _canon
+    factors in any of them is 68 (unreduced products in verify --suite
+    rmatrix --n 10)."""
     num, den = (_schema_field(payload, key, list,
                               lambda recs: _poly_from_json(ps, recs))
                 for key in ("num", "den"))
     if not den:
         raise SchemaError("/den", "zero denominator")
+    sexps = [m & ps._smask for m in den]
+    degree = max(sexps) - min(sexps)
+    if degree > _MAX_DEN_DEGREE:
+        raise SchemaError("/den", "denominator of s-degree %d, above the "
+                          "bound %d" % (degree, _MAX_DEN_DEGREE))
     try:
         return _canon(ps, num, den)
     except ScalarError as exc:

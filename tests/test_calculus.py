@@ -10,7 +10,9 @@ all of its identities are checked through per-word limits.
 
 import pytest
 
-from qortho import calculus
+import qortho.scalars as scalar_module
+from qortho import calculus, envelope
+from qortho.cli import run
 from qortho.calculus import (TangentBasis, adjoint_coaction_check,
                              adjoint_entries, bimodule_commute, build_chi,
                              differential, leibniz_check,
@@ -213,3 +215,40 @@ def test_qlie_rows_report_in_the_first_difference_order(monkeypatch):
     assert walks == [1, 1]
     assert [(row["indices"], row.get("witness")) for row in rows[:3]] == [
         ([1], "T[∘,∘] T[∘,∘]: 1 vs 0"), ([2], None), ([3], "T[∘,∘]: 1 vs 0")]
+
+
+def test_r1_limits_never_canonicalize_a_product(monkeypatch, capsys):
+    """Every value of a side mapped to r = 1 is a Laurent sum v with the
+    side's common-denominator scale beside it; limit_r_to_1 takes the
+    limit of v * scale from Taylor coefficients at s = 1, so the side
+    maps that envelope._finish applies at r = 1 reach no _canon.  (An
+    unmapped side with a scale is multiplied out there, as before.)"""
+    depth = {"finish": 0, "limit": 0}
+    calls = {"scaled_in_finish": 0, "canon_in_limit": 0}
+    real_finish, real_canon = envelope._finish, scalar_module._canon
+    real_limit = scalar_module.limit_r_to_1
+
+    def inside(name, real, *args):
+        depth[name] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[name] -= 1
+
+    def limit(a, scale=None):
+        calls["scaled_in_finish"] += bool(depth["finish"]) and (
+            scale is not None)
+        return inside("limit", real_limit, a, scale)
+
+    def canon(*args):
+        calls["canon_in_limit"] += bool(depth["limit"])
+        return real_canon(*args)
+
+    monkeypatch.setattr(envelope, "_finish",
+                        lambda *args: inside("finish", real_finish, *args))
+    monkeypatch.setattr(scalar_module, "_canon", canon)
+    monkeypatch.setattr(calculus, "limit_r_to_1", limit)
+    assert run(["verify", "--suite", "calculus-r1", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert calls["scaled_in_finish"] > 1000
+    assert calls["canon_in_limit"] == 0

@@ -4,6 +4,7 @@ output, and the schema-checked payload io helpers.
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,28 @@ def test_io_functional_index_range(tmp_path):
     doc = json.loads(path.read_text())
     doc[0]["word"] = ["L+[9,9]", "L-[0,1]"]
     assert _pointer_of(tmp_path, "functional", doc, bundle) == "/0/word/0"
+
+
+@pytest.mark.parametrize("kind", ["element", "functional"])
+def test_io_refuses_a_denominator_of_high_s_degree(tmp_path, kind):
+    # the payload kinds of reduce (algebra elements) and pair (functional
+    # combinations); 1 + s^1000 would cost the cyclotomic factorization
+    # seconds, so the scalar parser refuses it at once
+    doc, context, _ = FUZZ[kind]
+    doc = copy.deepcopy(doc)
+    nvars = len(doc[0]["coeff"]["num"][0]["exponents"])
+    doc[0]["coeff"]["den"] = [
+        {"coeff": "1", "exponents": [0] * nvars},
+        {"coeff": "1", "exponents": [1000] + [0] * (nvars - 1)}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        io("load", str(path), kind, context=context)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.pointer == "/0/coeff/den"
+    assert str(err.value) == ("denominator of s-degree 1000, above the "
+                              "bound 128 at '/0/coeff/den'")
 
 
 def test_pair_absorbs_eps_anywhere(capsys):

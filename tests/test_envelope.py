@@ -368,7 +368,8 @@ def test_pairing_axioms_name_the_first_failing_case(monkeypatch, name,
 
 
 def test_parameter_collapse_reports_a_relation_witness(monkeypatch):
-    monkeypatch.setattr(envelope, "merge_deformations", lambda v: v)
+    monkeypatch.setattr(envelope, "merge_deformations",
+                        lambda v, scale=None: v)
     rep = verify_parameter_collapse(3)
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("every matching diagonal product collapses to the counit at the "

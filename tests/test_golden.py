@@ -41,6 +41,8 @@ GOLDEN = [
      "621eabf56646763960d75bed3509c91983699becc1aaee3cda77991d62825c6b"),
     (["det", "--n", "7"],
      "d1cb74a69c679fd9a912da9647d392a79ab0bb4e13ed93884210a8448ee8773e"),
+    (["verify", "--suite", "calculus-r1", "--n", "4"],
+     "ad7df93ebcaff91b8fe902f7962d1135d1796b6660a99a6096518c1930e17ef4"),
 ]
 
 

@@ -8,6 +8,7 @@ denominator produced by the constructions stays in.
 
 import functools
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,12 @@ from qortho.itensor import IndexGeometry
 from qortho.rmatrix import inner_lift
 from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
-                            ZeroInverse, _acc, _canon, _poly_to_json,
-                            canonical_q, limit_r_to_1, merge_deformations,
-                            occurring_vars, poly_mul, render_scalar,
-                            scalar_from_json, scalar_invert, scalar_to_json,
-                            specialize, substitute, sum_products)
+                            SchemaError, ZeroInverse, _acc, _canon,
+                            _poly_to_json, canonical_q, limit_r_to_1,
+                            merge_deformations, occurring_vars, poly_mul,
+                            render_scalar, scalar_from_json, scalar_invert,
+                            scalar_to_json, specialize, substitute,
+                            sum_products)
 
 PS = ParamSpace(4)
 
@@ -707,3 +709,105 @@ def test_engine_traffic_never_reaches_euclid(monkeypatch, capsys, argv):
     assert run(argv) == 0
     capsys.readouterr()
     assert calls["_canon"] > 0 and calls["_uni_gcd"] == 0
+
+
+# --- the r = 1 limit of a product, from Taylor coefficients at s = 1 -------
+
+def _cyclotomic_den(ps, k, e2, e4):
+    """(s - 1)^k Phi_2^e2 Phi_4^e4 as a Laurent polynomial Scalar."""
+    out = ps.one
+    for phi, e in ((ps.s - ps.one, k), (ps.s + ps.one, e2),
+                   (ps.s_pow(2) + ps.one, e4)):
+        for _ in range(e):
+            out = out * phi
+    return out
+
+
+@st.composite
+def limit_cases(draw):
+    """(a, scale): a Laurent, or a fraction whose denominator may hold
+    Phi_1 = s - 1 itself; scale a Laurent polynomial over (s - 1)^k with
+    k in 0..3, mixed with Phi_2 and Phi_4.  Either numerator may carry
+    powers of s - 1 that cancel a pole of the other factor."""
+    ps = draw(st.sampled_from(SPACES))
+
+    def fraction(max_k):
+        num = laurent(ps, draw(tuple_polys(ps, max_size=3,
+                                           exps=st.integers(-4, 4))
+                               .filter(bool)))
+        num = num * _cyclotomic_den(ps, draw(st.integers(0, 3)), 0, 0)
+        den = _cyclotomic_den(ps, draw(st.integers(0, max_k)),
+                              draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        return num if den == ps.one else num * scalar_invert(den)
+
+    a = fraction(draw(st.sampled_from([0, 2])))
+    scale = fraction(3)
+    if draw(st.booleans()):
+        # a monomial over (s - 1)^k, the shape _as_side gives a side
+        k = draw(st.integers(0, 3))
+        mono = laurent(ps, {draw(st.tuples(*[st.integers(-4, 4)]
+                                           * ps.nvars)): 2})
+        scale = mono * scalar_invert(_cyclotomic_den(ps, k, 0, 0)
+                                     * (ps.s + ps.one))
+    return a, scale
+
+
+def _limit_or_pole(f):
+    try:
+        return f()
+    except PoleAtOne as exc:
+        return "PoleAtOne: %s" % exc
+
+
+PHI1 = PS5.s - PS5.one
+G12 = PS5.g_pow((1, 2), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(limit_cases())
+@example((PS5.one, scalar_invert(PHI1)))                     # a pole
+@example((PHI1, scalar_invert(PHI1 * (PS5.s + PS5.one))))    # 1/2
+# a's own Phi_1 cancelled by the numerator of scale: g12/2, and 0
+@example((G12 * scalar_invert(PHI1), PHI1 * scalar_invert(PS5.r + PS5.one)))
+@example((G12 * scalar_invert(PHI1 * PHI1),
+          PHI1 * PHI1 * PHI1 * scalar_invert(PS5.s + PS5.one)))
+def test_limit_of_a_scaled_value_matches_the_limit_of_the_product(case):
+    a, scale = case
+    got = _limit_or_pole(lambda: limit_r_to_1(a, scale))
+    want = _limit_or_pole(lambda: limit_r_to_1(a * scale))
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.num, got.den) == (want.num, want.den)
+    assert render_scalar(got) == render_scalar(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
+    assert got.is_laurent()
+
+
+def test_limit_reads_the_pole_order_of_both_denominators():
+    inv = scalar_invert(PHI1 * PHI1 * (PS5.s + PS5.one))
+    # (s - 1)^2 g12 / ((s - 1)^2 (s + 1)) -> g12 / 2
+    assert limit_r_to_1(PHI1 * PHI1 * G12, inv) == G12 * PS5.from_rational(
+        Fraction(1, 2))
+    # one factor of s - 1 too few: the message names the canonical product
+    with pytest.raises(PoleAtOne) as err:
+        limit_r_to_1(PHI1 * G12, inv)
+    assert str(err.value) == "pole at r=1: %r" % (PHI1 * G12 * inv,)
+
+
+def test_a_parsed_denominator_of_high_s_degree_is_refused_at_once():
+    # 1 + s^1000 would sieve Euler's phi up to 2 * 1000^2 and try every
+    # cyclotomic factor of degree up to 1000
+    ps = ParamSpace(5)
+    doc = {"num": [{"coeff": "1", "exponents": [0, 0]}],
+           "den": [{"coeff": "1", "exponents": [0, 0]},
+                   {"coeff": "1", "exponents": [1000, 0]}]}
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        scalar_from_json(ps, doc)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.pointer == "/den"
+    assert "s-degree 1000" in err.value.message
+    # the bound itself still parses
+    doc["den"][1]["exponents"] = [scalar_module._MAX_DEN_DEGREE, 0]
+    assert scalar_from_json(ps, doc).den

@@ -240,3 +240,40 @@ def test_payload_records_are_read_by_their_owners():
              for node in ast.walk(tree) if isinstance(node, ast.Constant)
              and node.value in fields and id(node) not in written]
     assert found == []
+
+
+def _side_closures(source: str, filename: str = "<source>") -> list:
+    """Lines where a lambda is passed to _Side(...), or where _mapped
+    builds a lambda or a nested function."""
+    tree = ast.parse(source, filename=filename)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == \
+                "_Side":
+            args = node.args + [k.value for k in node.keywords]
+            found += [n.lineno for a in args for n in ast.walk(a)
+                      if isinstance(n, ast.Lambda)]
+        elif isinstance(node, ast.FunctionDef) and node.name == "_mapped":
+            found += [n.lineno for n in ast.walk(node) if n is not node
+                      and isinstance(n, (ast.Lambda, ast.FunctionDef))]
+    return found
+
+
+def test_side_maps_are_named_functions():
+    """A side's map is a named module-level scalar function applied as
+    fn(value, scale), never a closure: a map of a map would hide a
+    product (v * inverse) inside the map, where limit_r_to_1 could not
+    avoid forming it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += ["%s:%d" % (path.name, line)
+                  for line in _side_closures(path.read_text(), str(path))]
+    assert found == []
+    # the closures the rule is there to keep out
+    assert _side_closures(
+        "def _as_side(side):\n"
+        "    return _Side(terms, lambda v: v * inverse)\n") == [2]
+    assert _side_closures(
+        "def _mapped(side, fn):\n"
+        "    s = _as_side(side)\n"
+        "    return _Side(s.terms, lambda v: fn(s.fn(v)))\n") == [3, 3]
