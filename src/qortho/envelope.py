@@ -357,10 +357,11 @@ def _as_side(side) -> _Side:
     """A FunctionalElement as a walk side.  Coefficients with a
     denominator are first brought to Laurent polynomials by a common
     factor; its inverse is the side's scale, which operator.mul takes
-    back out once per value.  The words of one sign pattern are then
-    grouped by start state (a unit row per start, the coefficients in
-    the column) or, when that gives fewer rows, by end state (the
-    coefficients folded into one start row per end)."""
+    back out once per value (once per bracket in _brackets).  The words
+    of one sign pattern are then grouped by start state (a unit row per
+    start, the coefficients in the column) or, when that gives fewer
+    rows, by end state (the coefficients folded into one start row per
+    end)."""
     if isinstance(side, _Side):
         return side
     ps = side.bundle.geometry.params
@@ -565,7 +566,9 @@ def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
     """The brackets <f, a> of every functional of fs with every element
     of the free matrix-entry algebra in elems, keyed (key of f, key of
     a), zeros left out, from one walk restricted to the elements'
-    T-words."""
+    T-words.  An unmapped side's common-denominator scale is applied
+    once per bracket, to the sum over the words; a mapped side maps each
+    value as the walk reads it."""
     if not fs:
         return {}
     bundle = next(iter(fs.values())).bundle
@@ -575,14 +578,20 @@ def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
         terms[ekey] = [(tuple(pairs[g] for g in w), c)
                        for w, c in a.terms.items()]
     words = {w for ts in terms.values() for w, _ in ts}
-    vals = {w: v for w, (v,) in _walk([fs], max(map(len, words), default=0),
+    sides = {fkey: _as_side(f) for fkey, f in fs.items()}
+    scales = {fkey: s.scale for fkey, s in sides.items()
+              if s.fn is operator.mul}
+    raw = {fkey: _Side(s.terms) if fkey in scales else s
+           for fkey, s in sides.items()}
+    vals = {w: v for w, (v,) in _walk([raw], max(map(len, words), default=0),
                                       words)}
     out: Dict[Tuple, Scalar] = {}
     for ekey, ts in terms.items():
         for w, c in ts:
             for fkey, v in vals.get(w, {}).items():
                 _add(out, (fkey, ekey), c * v)
-    return out
+    return {key: v * scales[key[0]] if key[0] in scales else v
+            for key, v in out.items()}
 
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:

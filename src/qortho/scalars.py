@@ -50,6 +50,15 @@ integer numerators stay integers.  Only a leftover of positive degree,
 which no suite produces, goes through Euclid's algorithm over Q
 (_uni_gcd).
 
+The same few denominators recur in every contraction, so each is one
+shared object (hash-consing: Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006).  Every Scalar's den is the dict that _den builds
+once per ParamSpace and dense s-coefficient tuple, kept as its `key`;
+ps._one_den is _den(ps, (1,)).  Equal denominators therefore meet by
+identity in + and in the groups of sum_products, the unreduced product
+of two denominators is formed once per pair (_den_product), and the
+cyclotomic factors and the pole order at s = 1 are looked up by key.
+
 The sparse combinations every layer builds over this field share one core
 here: the accumulate rule `_acc`, the deglex `word_key`, the staircase
 elimination `stair_insert`, and the base `LinearCombination` of the four
@@ -319,6 +328,37 @@ def _den_factors(dser: Tuple[Coeff, ...]):
     return factors, tuple(rest)
 
 
+class _Den(dict):
+    """A shared denominator: a monic polynomial in s with nonzero
+    constant term, as a packed dict, whose `key` holds its dense
+    s-coefficients from degree 0 up.  Canonical Scalars hold them, and
+    so do the unreduced products of _den_product.  Only _den builds one,
+    so that equal denominators over one ParamSpace are one object."""
+
+    __slots__ = ("key",)
+
+
+@functools.cache
+def _den(ps: "ParamSpace", key: Tuple[Coeff, ...]) -> _Den:
+    """The shared denominator of ps with dense s-coefficients key."""
+    gzero = ps._bias - ps._half
+    den = _Den({gzero | ps._field(e): c for e, c in enumerate(key) if c})
+    den.key = key
+    return den
+
+
+@functools.cache
+def _den_product(ps: "ParamSpace", k1: Tuple[Coeff, ...],
+                 k2: Tuple[Coeff, ...]) -> _Den:
+    """The shared unreduced product of the denominators _den(ps, k1) and
+    _den(ps, k2), multiplied by poly_mul with its overflow check once per
+    pair."""
+    smask, half = ps._smask, ps._half
+    p = poly_mul(ps, _den(ps, k1), _den(ps, k2))
+    return _den(ps, tuple(_dense({(m & smask) - half: c
+                                  for m, c in p.items()}, 0)))
+
+
 class ParamSpace:
     """Variable layout for dimension M.
 
@@ -365,7 +405,7 @@ class ParamSpace:
                          for i in range(self.nvars))
         self._hi = 2 * self._bias
         self._guard = 6 * self._bias
-        self._one_den: Poly = {self._bias: 1}
+        self._one_den = _den(self, (1,))
         self.zero = Scalar(self, {}, self._one_den)
         self.one = self.monomial(1, self.unit_mono)
         self.s = self.s_pow(1)
@@ -431,10 +471,13 @@ class Scalar:
     of num, each shifted to honest polynomials).  _canon reaches that form
     by stripping the cyclotomic factors of den first and running Euclid
     only on what is left (see the module docstring).  Equality of Scalars
-    is therefore structural equality of the two dicts.  A Laurent polynomial
-    (den = 1) holds the shared dict ps._one_den of its ParamSpace, so the
-    operators recognize one by identity.  Both operands of + and * must
-    live over the same ParamSpace; ValueError otherwise.
+    is therefore structural equality of the two dicts.  Every den is the
+    one shared dict of its value over the ParamSpace (_den): a Laurent
+    polynomial (den = 1) holds ps._one_den, so the operators recognize one
+    by identity, two operands with equal denominators hold the same dict,
+    and the unreduced product of two denominators is formed once per pair
+    (_den_product).  Both operands of + and * must live over the same
+    ParamSpace; ValueError otherwise.
     """
 
     __slots__ = ("ps", "num", "den")
@@ -469,13 +512,13 @@ class Scalar:
         one_den = ps._one_den
         if self.den is one_den and other.den is one_den:
             num = poly_add(self.num, other.num)
-            return Scalar(ps, num, one_den) if num else ps.zero
+            return Scalar(ps, num, self.den) if num else ps.zero
         _same_space(ps, other)
-        if self.den == other.den:
+        if self.den is other.den:
             return _canon(ps, poly_add(self.num, other.num), self.den)
         num = poly_add(poly_mul(ps, self.num, other.den),
                        poly_mul(ps, other.num, self.den))
-        return _canon(ps, num, poly_mul(ps, self.den, other.den))
+        return _canon(ps, num, _den_product(ps, self.den.key, other.den.key))
 
     def __neg__(self) -> "Scalar":
         if not self.num:
@@ -492,7 +535,7 @@ class Scalar:
             return ps.zero
         one_den = ps._one_den
         if self.den is one_den and other.den is one_den:
-            return Scalar(ps, poly_mul(ps, self.num, other.num), one_den)
+            return Scalar(ps, poly_mul(ps, self.num, other.num), self.den)
         _same_space(ps, other)
         # a Laurent monomial is a unit of the Laurent ring: it shifts and
         # scales the numerator rows of a canonical fraction, which leaves
@@ -502,7 +545,7 @@ class Scalar:
         if other.den is one_den and len(other.num) == 1:
             return Scalar(ps, poly_mul(ps, self.num, other.num), self.den)
         return _canon(ps, poly_mul(ps, self.num, other.num),
-                      poly_mul(ps, self.den, other.den))
+                      _den_product(ps, self.den.key, other.den.key))
 
     def __rtruediv__(self, other) -> "Scalar":
         # x / a for a rational x, so that 1 / a inverts a Scalar as it
@@ -556,17 +599,22 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
             num = {m: _norm_coeff(Fraction(c, 1) / dc) for m, c in num.items()}
         return Scalar(ps, num, ps._one_den)
     width, smask, half = ps._width, ps._smask, ps._half
-    gparts = {m >> width for m in den}
-    if len(gparts) != 1:
-        raise DenominatorClass(
-            "denominator is not (g-monomial) x (s-polynomial): %s"
-            % _poly_str(ps, den))
-    gpart = gparts.pop()
-    if gpart != ps._bias >> width:
-        num = poly_mul(ps, num, {mono_inv(ps, gpart << width | half): 1})
-    dser = {(m & smask) - half: c for m, c in den.items()}
-    sshift = min(dser)
-    factors, rest = _den_factors(tuple(_dense(dser, sshift)))
+    if isinstance(den, _Den):
+        # a shared denominator is an s-polynomial from degree 0 already
+        key, sshift = den.key, 0
+    else:
+        gparts = {m >> width for m in den}
+        if len(gparts) != 1:
+            raise DenominatorClass(
+                "denominator is not (g-monomial) x (s-polynomial): %s"
+                % _poly_str(ps, den))
+        gpart = gparts.pop()
+        if gpart != ps._bias >> width:
+            num = poly_mul(ps, num, {mono_inv(ps, gpart << width | half): 1})
+        dser = {(m & smask) - half: c for m, c in den.items()}
+        sshift = min(dser)
+        key = tuple(_dense(dser, sshift))
+    factors, rest = _den_factors(key)
     # each numerator row, shifted to an honest polynomial: (shift, dense)
     rows = {}
     for g, row in _poly_rows(ps, num).items():
@@ -616,11 +664,7 @@ def _canon(ps: ParamSpace, num: Poly, den: Poly) -> Scalar:
                 if lc != 1:
                     c = Fraction(c, 1) / lc
                 num2[gbits | ps._field(base + e - sshift)] = _norm_coeff(c)
-    if len(dser) == 1:
-        return Scalar(ps, num2, ps._one_den)
-    gzero = ps._bias - half
-    den2 = {gzero | ps._field(e): c for e, c in enumerate(dser) if c}
-    return Scalar(ps, num2, den2)
+    return Scalar(ps, num2, _den(ps, tuple(dser)))
 
 
 def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
@@ -630,16 +674,19 @@ def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
     Shared-denominator rule: the products of one key are grouped by their
     unreduced denominator x.den * y.den, each group's numerators are
     added as polynomials, and _canon runs once per group, not once per
-    product and partial sum.  Groups of one key are then added as
+    product and partial sum.  That denominator is the shared product of
+    _den_product, so it is formed once per pair of denominators and a
+    group is found by its identity.  Groups of one key are then added as
     Scalars.  Every product is formed exactly, with the overflow checks
     of Scalar.__mul__; a factor x that is the unit ps.one contributes y
     itself, and a key whose only term is such a y keeps it as it is.
     All operands must live over one ParamSpace; ValueError otherwise.
     """
     ps = one_den = None
-    # (key, unreduced denominator) -> [numerator sum, denominator, value],
-    # where value is the one unit-product term y while the group holds it
-    groups: Dict[Tuple[object, object], list] = {}
+    # (key, id of the unreduced denominator) -> [numerator sum,
+    # denominator, value], where value is the one unit-product term y while
+    # the group holds it
+    groups: Dict[Tuple[object, int], list] = {}
     for key, x, y in cases:
         if ps is None:
             ps, one_den = x.ps, x.ps._one_den
@@ -656,8 +703,8 @@ def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
             elif y.den is one_den:
                 den = x.den
             else:
-                den = poly_mul(ps, x.den, y.den)
-        gkey = (key, None if den is one_den else frozenset(den.items()))
+                den = _den_product(ps, x.den.key, y.den.key)
+        gkey = (key, id(den))
         got = groups.get(gkey)
         if got is None:
             groups[gkey] = [num, den, value]
@@ -667,7 +714,7 @@ def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
     out: Dict[object, Scalar] = {}
     for (key, _), (num, den, value) in groups.items():
         if value is None:
-            value = (Scalar(ps, num, den) if den is one_den
+            value = (Scalar(ps, num, ps._one_den) if den is one_den
                      else _canon(ps, num, den))
         _acc(out, key, value)
     return out
@@ -917,16 +964,14 @@ def merge_deformations(a: Scalar, scale: Optional[Scalar] = None) -> Scalar:
     return substitute(a, [ps.mono(s=1)] + [ps.mono(s=2)] * len(ps.pairs))
 
 
-def _pole_order_at_one(ps: ParamSpace, den: Poly) -> Tuple[int, Coeff]:
-    """(k, E(1)) for a canonical denominator den = (s - 1)^k E(s) with
-    E(1) != 0, read from its cached cyclotomic factors: Phi_1 = s - 1,
-    Phi_m(1) is the sum of its coefficients, and the leftover has no root
-    at 1 because it has no cyclotomic factor."""
-    if den is ps._one_den:
-        return 0, 1
-    smask, half = ps._smask, ps._half
-    factors, rest = _den_factors(tuple(_dense(
-        {(m & smask) - half: c for m, c in den.items()}, 0)))
+@functools.cache
+def _pole_order_at_one(key: Tuple[Coeff, ...]) -> Tuple[int, Coeff]:
+    """(k, E(1)) for the canonical denominator den = (s - 1)^k E(s) with
+    E(1) != 0 and dense s-coefficients key (den.key), read from its cached
+    cyclotomic factors: Phi_1 = s - 1, Phi_m(1) is the sum of its
+    coefficients, and the leftover has no root at 1 because it has no
+    cyclotomic factor."""
+    factors, rest = _den_factors(key)
     k, value = 0, sum(rest)
     for m, e in factors:
         if m == 1:
@@ -966,10 +1011,10 @@ def limit_r_to_1(a: Scalar, scale: Optional[Scalar] = None) -> Scalar:
     otherwise PoleAtOne is raised, naming the canonical product.
     Without scale this is the limit of a alone."""
     ps = a.ps
-    k, value = _pole_order_at_one(ps, a.den)
+    k, value = _pole_order_at_one(a.den.key)
     if scale is not None:
         _same_space(ps, scale)
-        k2, value2 = _pole_order_at_one(ps, scale.den)
+        k2, value2 = _pole_order_at_one(scale.den.key)
         k, value = k + k2, value * value2
     coeffs = _taylor_at_one(ps, a.num if scale is None
                             else poly_mul(ps, a.num, scale.num), k)

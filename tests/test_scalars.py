@@ -9,6 +9,7 @@ denominator produced by the constructions stays in.
 import functools
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,10 @@ from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
                             SchemaError, ZeroInverse, _acc, _canon,
                             _poly_to_json, canonical_q, limit_r_to_1,
-                            merge_deformations, occurring_vars, poly_mul,
-                            render_scalar, scalar_from_json, scalar_invert,
-                            scalar_to_json, specialize, substitute,
-                            sum_products)
+                            merge_deformations, occurring_vars, poly_add,
+                            poly_mul, render_scalar, scalar_from_json,
+                            scalar_invert, scalar_to_json, specialize,
+                            substitute, sum_products)
 
 PS = ParamSpace(4)
 
@@ -672,22 +673,118 @@ S_TOP = laurent(PS5, {(PS5._half - 1, 1): Fraction(1, 2)})
 S_OVER_1_PLUS_S = PS5.s * scalar_invert(PS5.one + PS5.s)
 
 
+def assert_matches_unreduced(ps, x, y):
+    """x * y, x + y and the sums 2xy and x + y of sum_products equal _canon
+    of their unreduced forms over the plain dict x.den * y.den, which
+    holds no shared denominator; where the reference overflows, so must
+    the operation, with the same message."""
+    def den():
+        return poly_mul(ps, x.den, y.den)
+
+    def cross():
+        return poly_add(poly_mul(ps, x.num, y.den),
+                        poly_mul(ps, y.num, x.den))
+
+    def summed(cases):
+        return sum_products(cases).get(0, ps.zero)
+
+    checks = [
+        (lambda: x * y,
+         lambda: _canon(ps, poly_mul(ps, x.num, y.num), den())),
+        (lambda: x + y, lambda: _canon(ps, cross(), den())),
+        (lambda: summed([(0, x, y), (0, y, x)]),
+         lambda: _canon(ps, {m: 2 * c for m, c in
+                             poly_mul(ps, x.num, y.num).items()}, den())),
+        (lambda: summed([(0, x, ps.one), (0, y, ps.one)]),
+         lambda: _canon(ps, cross(), den())),
+    ]
+    for operation, reference in checks:
+        got = product_or_overflow(operation)
+        want = product_or_overflow(reference)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den is want.den
+        assert got.is_laurent() == want.is_laurent()
+        assert render_scalar(got) == render_scalar(want)
+        assert scalar_to_json(got) == scalar_to_json(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(laurent_fraction_pairs())
 @example((PS5, S_TOP, S_OVER_1_PLUS_S))    # both sides overflow in s
 @example((PS5, S_OVER_1_PLUS_S, S_TOP))
 def test_laurent_times_fraction_matches_canon(data):
-    ps, x, y = data
-    got = product_or_overflow(lambda: x * y)
-    want = product_or_overflow(lambda: _canon(
-        ps, poly_mul(ps, x.num, y.num), poly_mul(ps, x.den, y.den)))
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert (got.num, got.den) == (want.num, want.den)
-    assert got.is_laurent() == want.is_laurent()
-    assert render_scalar(got) == render_scalar(want)
-    assert scalar_to_json(got) == scalar_to_json(want)
+    assert_matches_unreduced(*data)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(ps, x, y): two cyclotomic fractions, each canonicalized from its
+    own plain dicts.  y's denominator is drawn anew, or is the one x was
+    drawn over, so that equal denominators built apart meet."""
+    ps = draw(st.sampled_from(SPACES))
+    num, den = draw(cyclotomic_fractions_over(ps))
+    x = _canon(ps, packed(ps, num), packed(ps, den))
+    if draw(st.booleans()):
+        num, den = draw(cyclotomic_fractions_over(ps))
+    else:
+        num = draw(tuple_polys(ps))
+    return ps, x, _canon(ps, packed(ps, num), packed(ps, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_pairs())
+def test_fraction_sums_and_products_match_canon(data):
+    assert_matches_unreduced(*data)
+
+
+def test_equal_denominators_are_one_object():
+    """(1 + s)(1 + s^2), reached through every operation that builds a
+    denominator, is one dict, and so is the unreduced product of 1 + s
+    and 1 + s^2."""
+    ps = ParamSpace(5)
+    g = ps.g_pow((1, 2), 1)
+    p2, p4 = ps.one + ps.s, ps.one + ps.r
+    inv2, inv4 = scalar_invert(p2), scalar_invert(p4)
+    reached = [
+        scalar_invert(p2 * p4),
+        inv2 * inv4,
+        g * inv2 + ps.s * inv4,
+        substitute(g * inv2 * inv4,
+                   [ps.mono(s=1), ps.mono(g={(1, 2): -1})]),
+        scalar_from_json(ps, scalar_to_json(inv2 * inv4)),
+        sum_products([(0, inv2, inv4), (0, g, inv2)])[0],
+    ]
+    den = reached[0].den
+    assert decoded(ps, den) == {(e, 0): 1 for e in range(4)}
+    assert all(a.den is den for a in reached)
+    assert scalar_module._den_product(ps, inv2.den.key, inv4.den.key) is den
+    assert scalar_module._den(ps, (1,)) is ps._one_den
+    # another space keeps its own
+    small = ParamSpace(3)
+    assert scalar_invert(small.one + small.s).den is not inv2.den
+
+
+def test_denominator_products_are_formed_once_per_pair(monkeypatch, capsys):
+    """In verify --suite rmatrix --n 8, poly_mul multiplies two non-unit
+    denominators once per distinct pair: 12 times, where unshared
+    denominators took 5,632 such products over the same 12 pairs."""
+    pairs = Counter()
+    real = scalar_module.poly_mul
+
+    def counted(ps, p1, p2):
+        if all(isinstance(p, scalar_module._Den) and p is not ps._one_den
+               for p in (p1, p2)):
+            pairs[p1.key, p2.key] += 1
+        return real(ps, p1, p2)
+    monkeypatch.setattr(scalar_module, "poly_mul", counted)
+    # forgetting the products is safe: each is shared again through _den
+    scalar_module._den_product.cache_clear()
+    assert run(["verify", "--suite", "rmatrix", "--n", "8"]) == 0
+    capsys.readouterr()
+    assert pairs and set(pairs.values()) == {1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -277,3 +277,44 @@ def test_side_maps_are_named_functions():
         "def _mapped(side, fn):\n"
         "    s = _as_side(side)\n"
         "    return _Side(s.terms, lambda v: fn(s.fn(v)))\n") == [3, 3]
+
+
+def _unshared_dens(source: str, filename: str = "<source>") -> list:
+    """Lines of Scalar(...) calls whose denominator is neither an
+    attribute _one_den or den nor the result of the interning builder
+    _den(...)."""
+    tree = ast.parse(source, filename=filename)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "Scalar"):
+            continue
+        dens = node.args[2:3] + [k.value for k in node.keywords
+                                 if k.arg == "den"]
+        ok = len(dens) == 1 and (
+            isinstance(dens[0], ast.Attribute)
+            and dens[0].attr in ("_one_den", "den")
+            or isinstance(dens[0], ast.Call)
+            and getattr(dens[0].func, "id", "") == "_den")
+        if not ok:
+            found.append(node.lineno)
+    return found
+
+
+def test_every_scalar_holds_a_shared_denominator():
+    """Every Scalar(...) in scalars.py takes as its den ps._one_den, the
+    .den of an existing Scalar, or what _den returns, so no path builds a
+    denominator that the identity tests of + and sum_products would
+    miss."""
+    path = SRC / "scalars.py"
+    assert _unshared_dens(path.read_text(), str(path)) == []
+    # the denominators the rule is there to keep out
+    assert _unshared_dens(
+        "Scalar(ps, num, {ps._bias: 1})\n"
+        "Scalar(ps, num, den)\n"
+        "Scalar(ps, num, den=dict(a.den))\n"
+        "Scalar(ps, num)\n") == [1, 2, 3, 4]
+    assert _unshared_dens(
+        "Scalar(ps, num, a.den)\n"
+        "Scalar(ps, num, den=ps._one_den)\n"
+        "Scalar(ps, num, _den(ps, key))\n") == []
