@@ -15,15 +15,18 @@ projected adjoint entries P(T^*_* k(T^D_B)).
 At the uniparametric point r = 1 the rotation block joins: the limits of
 (1/lambda)[sum_c f^c_{c a, b} - delta^a_b eps] annihilate the cone ideal
 because the obstruction term (1/lambda) f^*_{* a, b} vanishes entrywise
-in the limit.  Everything at r = 1 is handled by evaluating the
-generic-parameter functionals word by word and taking the exact s -> 1
-limit of each value (envelope._mapped): the walk hands
-scalars.limit_r_to_1 the Laurent value together with the side's
-common-denominator scale, and the limit of their product is read off
-Taylor coefficients at s = 1 without forming the product.  The limit is
-never taken on a functional as a symbolic object.  The cone-ideal check
-at r = 1 is the scan of envelope.iu_annihilates run over those limited
-values, and like every other check here it reports its first failing
+in the limit.  Which calculus reads a functional through the limit is
+decided in one place, _view: at r = 1 every functional is read as the
+walk side envelope._mapped(f, limit_r_to_1), whose value on a T-word,
+and whose bracket with an element, is the exact s -> 1 limit of the
+generic-parameter value.  scalars.limit_r_to_1 gets the Laurent value
+together with the side's common-denominator scale and reads the limit
+of their product off Taylor coefficients at s = 1 without forming the
+product; a bracket is summed over its words before the limit is taken,
+so poles paired across words cancel first.  The limit is never taken on
+a functional as a symbolic object.  The cone-ideal check at r = 1 is
+the scan of envelope.iu_annihilates run over those limited values, and
+like every other check here it reports its first failing
 case, in the order of envelope._first_difference for relations between
 functionals (the q-Lie relations read envelope._first of one shared
 walk) and of report.first_failure otherwise.
@@ -93,22 +96,27 @@ def _chi(A: int, B: int, N: int, over) -> FunctionalElement:
     return acc.scale(scalar_invert(bundle.geometry.params.lam))
 
 
+def _view(kind: str, f):
+    """How the calculus of this kind reads the functional f: at r = 1
+    through the exact s -> 1 limit of every value and bracket, otherwise
+    as it is."""
+    return _mapped(f, limit_r_to_1) if kind == "r1" else f
+
+
 class TangentBasis:
     """Labeled tangent vectors of one of the two calculi.  Vectors are
-    generic-parameter FunctionalElements; `limit` marks the r = 1 basis,
-    whose members only become tangent vectors after the per-word s -> 1
-    limit of their evaluations."""
+    generic-parameter FunctionalElements; those of the r = 1 basis only
+    become tangent vectors when read through _view."""
 
-    __slots__ = ("kind", "N", "bundle", "labels", "vectors", "limit")
+    __slots__ = ("kind", "N", "bundle", "labels", "vectors")
 
     def __init__(self, kind: str, N: int, labels: List[str],
-                 vectors: List[FunctionalElement], limit: bool):
+                 vectors: List[FunctionalElement]):
         self.kind = kind
         self.N = N
         self.bundle = _bundle(N)
         self.labels = labels
         self.vectors = vectors
-        self.limit = limit
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -121,7 +129,7 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
         vectors = [build_chi(M, b + 1, N) for b in range(1, N + 1)]
         labels += ["omega[o]", "omega[*]"]
         vectors += [build_chi(M, 1, N), build_chi(M, M, N)]
-        return TangentBasis(kind, N, labels, vectors, False)
+        return TangentBasis(kind, N, labels, vectors)
     if kind == "r1":
         labels: List[str] = []
         vectors: List[FunctionalElement] = []
@@ -136,12 +144,11 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
             vectors.append(build_chi(M, b + 1, N))
         labels.append("Omega[*,*]")
         vectors.append(build_chi(M, M, N))
-        basis = TangentBasis(kind, N, labels, vectors, True)
         # a pole here would break the limit claim
-        for _ in _walk([{i: _mapped(v, limit_r_to_1)
-                         for i, v in enumerate(vectors)}], 1):
+        for _ in _walk([{i: _view(kind, v) for i, v in enumerate(vectors)}],
+                       1):
             pass
-        return basis
+        return TangentBasis(kind, N, labels, vectors)
     raise ValueError("unknown calculus kind %r" % (kind,))
 
 
@@ -166,9 +173,7 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
     pairs: Dict[Tuple, Tuple] = {}
 
     def add(relation: str, indices, lhs, rhs):
-        if kind == "r1":
-            lhs, rhs = _mapped(lhs, limit_r_to_1), _mapped(rhs, limit_r_to_1)
-        pairs[(relation,) + indices] = (lhs, rhs)
+        pairs[(relation,) + indices] = (_view(kind, lhs), _view(kind, rhs))
 
     def q(A, B):
         return canonical_q(ps, A, B)
@@ -322,12 +327,10 @@ def _letter(big, A: int, B: int) -> AlgebraElement:
                         (t_letter(big.geometry.dim, A, B),))
 
 
-def _letter_values(f: FunctionalElement,
-                   limit: bool = False) -> Dict[Tuple[int, int], Scalar]:
-    """The nonzero letter values {(A, C): f(T^A_C)}, at r = 1 with
-    limit."""
-    side = _mapped(f, limit_r_to_1) if limit else f
-    return {coords[0]: vals[()] for coords, (vals,) in _walk([{(): side}], 1)
+def _letter_values(f) -> Dict[Tuple[int, int], Scalar]:
+    """The nonzero letter values {(A, C): f(T^A_C)} of a functional or a
+    walk side."""
+    return {coords[0]: vals[()] for coords, (vals,) in _walk([{(): f}], 1)
             if coords and () in vals}
 
 
@@ -335,23 +338,23 @@ def _brackets_on_letters(basis: TangentBasis, f: FunctionalElement
                          ) -> List[Dict[Tuple[int, int], Scalar]]:
     """[f, g](T^A_C) for every basis vector g, through the adjoint
     coaction of the embedded group: g on the sum over B, D of f(T^B_D)
-    k(T^A_B) T^D_C, all read from one walk.  The limit r = 1 is taken of
-    the whole value, so that paired poles may cancel first."""
+    k(T^A_B) T^D_C, all read from one walk, each g through _view.  The
+    coaction takes the generic-parameter values of f; at r = 1 the limit
+    is taken of each whole bracket, so that paired poles cancel first."""
     big = build_presentation("so", basis.N + 2, embedded=True)
     idx = list(big.geometry.indices())
     fvals = _letter_values(f)
     kappa = {(A, B): costructure("antipode", _letter(big, A, B), big)
              for A in idx for B in {B for B, _ in fvals}}
-    vals = _brackets(dict(enumerate(basis.vectors)), {
+    vals = _brackets({j: _view(basis.kind, g)
+                      for j, g in enumerate(basis.vectors)}, {
         (A, C): sum(((kappa[A, B] * _letter(big, D, C)).scale(fv)
                      for (B, D), fv in fvals.items()),
                     zero_element(big.alphabet, big.params))
         for A in idx for C in idx})
     out: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in basis.vectors]
     for j, AC in sorted(vals):
-        v = limit_r_to_1(vals[j, AC]) if basis.limit else vals[j, AC]
-        if v:
-            out[j][AC] = v
+        out[j][AC] = vals[j, AC]
     return out
 
 
@@ -364,7 +367,7 @@ def structure_constants(basis: TangentBasis):
     one = basis.bundle.geometry.params.one
     stair: dict = {}
     for k, v in enumerate(basis.vectors):
-        stair_insert(stair, _letter_values(v, basis.limit), {k: one})
+        stair_insert(stair, _letter_values(_view(basis.kind, v)), {k: one})
     out = []
     for i, vi in enumerate(basis.vectors):
         for j, bracket in enumerate(_brackets_on_letters(basis, vi)):
@@ -393,14 +396,10 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
     geom = bundle.geometry
     M = geom.dim
 
-    def cone_witness(v):
-        side = _mapped(v, limit_r_to_1) if basis.limit else v
-        return _cone_witness(side, geom, D)
-
-    w = first_failure((label, cone_witness(v), None)
+    w = first_failure((label, _cone_witness(_view(kind, v), geom, D), None)
                       for label, v in zip(basis.labels, basis.vectors))
     rep.add("tangent vectors annihilate the cone ideal"
-            + (" after the limit" if basis.limit else ""), w is None,
+            + (" after the limit" if kind == "r1" else ""), w is None,
             "" if w is None else "%s on %s" % (w[0],
                                                show_t_word(geom, w[1][0])))
     if kind == "projected":
@@ -416,8 +415,8 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
         lam_inv = scalar_invert(geom.params.lam)
         zero = FunctionalElement(bundle, {})
         w = _first_difference(
-            {(a, b): (_mapped(build_f(M, M, a + 1, b + 1, N).scale(lam_inv),
-                              limit_r_to_1), zero)
+            {(a, b): (_view(kind, build_f(M, M, a + 1, b + 1, N).scale(
+                lam_inv)), zero)
              for a in range(1, N + 1) for b in range(1, N + 1)}, D)
         rep.add("cone cross terms vanish entrywise in the limit",
                 w is None, "" if w is None else "f at %r on %s" % (
@@ -443,16 +442,13 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
 # ---------------------------------------------------------------------------
 # differential, bimodule rule, Leibniz
 
-def _star(fs: Dict, a: AlgebraElement, p,
-          limit: bool = False) -> Dict[object, AlgebraElement]:
-    """f * a = (id x f) Delta(a) for every functional f of fs, by key, in
-    iso normal form; with limit, each bracket is taken at r = 1."""
+def _star(fs: Dict, a: AlgebraElement, p) -> Dict[object, AlgebraElement]:
+    """f * a = (id x f) Delta(a) for every functional or walk side f of
+    fs, by key, in iso normal form."""
     ps = p.params
     cop = costructure("coproduct", a, p).terms
     vals = _brackets(fs, {w2: section(word_element(p.alphabet, ps, w2), p)
                           for _, w2 in cop})
-    if limit:
-        vals = {k: limit_r_to_1(v) for k, v in vals.items()}
     acc: Dict[object, Dict] = {key: {} for key in fs}
     for (w1, w2), c in cop.items():
         for key in fs:
@@ -468,7 +464,8 @@ def differential(a: AlgebraElement,
     """da = (chi_i * a) omega^i with chi_i * a = (id x chi_i) Delta(a);
     coefficients come back in iso normal form, one per basis label."""
     p = build_presentation("iso", basis.N)
-    stars = _star(dict(enumerate(basis.vectors)), a, p, basis.limit)
+    stars = _star({i: _view(basis.kind, v)
+                   for i, v in enumerate(basis.vectors)}, a, p)
     return [(stars[i], label) for i, label in enumerate(basis.labels)]
 
 

@@ -57,30 +57,11 @@ from .rmatrix import build_R, build_bundle, decompose_embedding, \
 from .scalars import (ScalarError, SchemaError, render_scalar,
                       scalar_to_json, specialize)
 
-__all__ = ["run", "main", "io", "RunConfig", "SchemaError", "UsageError"]
+__all__ = ["run", "main", "io", "SchemaError", "UsageError"]
 
 
 class UsageError(Exception):
     pass
-
-
-class RunConfig:
-    """Validated common options shared by the subcommands."""
-
-    __slots__ = ("n", "degree", "seed", "fmt", "out", "dump")
-
-    def __init__(self, args):
-        self.n = args.n
-        if self.n is None or self.n < 3:
-            raise UsageError("--n must be at least 3")
-        # only verify and lie take --degree
-        self.degree = getattr(args, "degree", None)
-        if self.degree is not None and self.degree < 1:
-            raise UsageError("--degree must be at least 1")
-        self.seed = args.seed
-        self.fmt = args.format
-        self.out = args.out
-        self.dump = args.dump
 
 
 def _parse_spec(text: str):
@@ -101,17 +82,17 @@ def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(cfg: RunConfig, render: Callable[[], str], payload) -> None:
+def _emit(args, render: Callable[[], str], payload) -> None:
     """Write the report: render() under --format text, the JSON payload
     otherwise."""
-    body = render() + "\n" if cfg.fmt == "text" else _dumps(payload)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    body = render() + "\n" if args.format == "text" else _dumps(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
-    if cfg.dump:
-        with open(cfg.dump, "w") as fh:
+    if args.dump:
+        with open(args.dump, "w") as fh:
             fh.write(_dumps(payload))
 
 
@@ -174,22 +155,22 @@ def io(mode: str, path: str, kind: str, payload=None, context=None):
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_rmatrix(cfg: RunConfig) -> List[Report]:
-    return [verify_rmatrix_suite(IndexGeometry(cfg.n))]
+def _suite_rmatrix(args) -> List[Report]:
+    return [verify_rmatrix_suite(IndexGeometry(args.n))]
 
 
-def _suite_embedding(cfg: RunConfig) -> List[Report]:
-    return [decompose_embedding(cfg.n)]
+def _suite_embedding(args) -> List[Report]:
+    return [decompose_embedding(args.n)]
 
 
-def _suite_presentation(cfg: RunConfig) -> List[Report]:
-    n = cfg.n
+def _suite_presentation(args) -> List[Report]:
+    n = args.n
     p = build_presentation("iso", n)
     rs = merge_rewrite_systems(derive_rewrite_rules(p, "plane"),
                                derive_rewrite_rules(p, "dilatation"))
     rep = Report("presentation suite for iso(%d)" % n)
     rep.extend(check_confluence(rs, p))
-    dmax = cfg.degree if cfg.degree is not None else 4
+    dmax = args.degree if args.degree is not None else 4
     xs = ["x%d" % a for a in range(1, n + 1)]
     w = first_failure((d, hilbert_dimension(p, rs, d, letters=xs),
                        comb(n + d - 1, d)) for d in range(dmax + 1))
@@ -199,19 +180,19 @@ def _suite_presentation(cfg: RunConfig) -> List[Report]:
     return [rep]
 
 
-def _suite_envelope(cfg: RunConfig) -> List[Report]:
-    return [verify_envelope_suite(cfg.n, cfg.degree),
-            verify_parameter_collapse(cfg.n, cfg.degree),
-            verify_pairing_axioms(cfg.n)]
+def _suite_envelope(args) -> List[Report]:
+    return [verify_envelope_suite(args.n, args.degree),
+            verify_parameter_collapse(args.n, args.degree),
+            verify_pairing_axioms(args.n)]
 
 
-def _suite_calculus_projected(cfg: RunConfig) -> List[Report]:
-    return [verify_qlie("projected", cfg.n, cfg.degree),
-            adjoint_coaction_check(cfg.n)]
+def _suite_calculus_projected(args) -> List[Report]:
+    return [verify_qlie("projected", args.n, args.degree),
+            adjoint_coaction_check(args.n)]
 
 
-def _suite_calculus_r1(cfg: RunConfig) -> List[Report]:
-    return [verify_qlie("r1", cfg.n, cfg.degree)]
+def _suite_calculus_r1(args) -> List[Report]:
+    return [verify_qlie("r1", args.n, args.degree)]
 
 
 _SUITES = [
@@ -227,12 +208,9 @@ _SUITES = [
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_build_r(cfg: RunConfig, args) -> int:
+def _cmd_build_r(args) -> int:
     spec = _parse_spec(args.spec) if args.spec else {}
-    geom = IndexGeometry(cfg.n)
-    if args.series != "auto" and args.series != geom.series:
-        raise UsageError("dimension %d belongs to series %s"
-                         % (cfg.n, geom.series))
+    geom = IndexGeometry(args.n)
     R = build_R(geom)
     if spec:
         unknown = set(spec) - set(geom.params.vars)
@@ -252,34 +230,34 @@ def _cmd_build_r(cfg: RunConfig, args) -> int:
         }
     else:
         payload = tensor_to_json(R)
-    _emit(cfg, lambda: _dumps(payload).rstrip("\n"), payload)
+    _emit(args, lambda: _dumps(payload).rstrip("\n"), payload)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     wanted = args.suite
     reports: List[Report] = []
     for name, runner in _SUITES:
         if wanted in (name, "all"):
-            reports.extend(runner(cfg))
+            reports.extend(runner(args))
     ok = all(rep.ok for rep in reports)
     checks = sum(len(rep.checks) for rep in reports)
     fails = sum(len(rep.failures()) for rep in reports)
     payload = {
-        "command": "verify", "suite": wanted, "n": cfg.n,
-        "degree": cfg.degree, "seed": cfg.seed, "ok": ok,
+        "command": "verify", "suite": wanted, "n": args.n,
+        "degree": args.degree, "seed": args.seed, "ok": ok,
         "reports": [rep.to_json() for rep in reports],
     }
-    _emit(cfg, lambda: "\n\n".join(rep.render() for rep in reports)
+    _emit(args, lambda: "\n\n".join(rep.render() for rep in reports)
           + "\nsummary: %d checks, %d failures" % (checks, fails), payload)
     return 0 if ok else 1
 
 
-def _cmd_reduce(cfg: RunConfig, args) -> int:
+def _cmd_reduce(args) -> int:
     tokens = args.word.split()
-    p = build_presentation("iso", cfg.n)
+    p = build_presentation("iso", args.n)
     if args.algebra == "plane":
-        xs = {"x%d" % a for a in range(1, cfg.n + 1)}
+        xs = {"x%d" % a for a in range(1, args.n + 1)}
         if not set(tokens) <= xs:
             raise UsageError("the plane algebra only has the letters %s"
                              % " ".join(sorted(xs)))
@@ -288,39 +266,39 @@ def _cmd_reduce(cfg: RunConfig, args) -> int:
         rs = iso_normal_system(p)
     nf = reduce(word_element(p.alphabet, p.params, p.alphabet.word(*tokens)),
                 rs)
-    payload = {"command": "reduce", "algebra": args.algebra, "n": cfg.n,
+    payload = {"command": "reduce", "algebra": args.algebra, "n": args.n,
                "word": tokens, "normal_form": element_to_json(nf)}
-    _emit(cfg, lambda: "%s -> %s" % (" ".join(tokens) or "I",
+    _emit(args, lambda: "%s -> %s" % (" ".join(tokens) or "I",
                                      _render_element(nf)), payload)
     return 0
 
 
-def _cmd_pair(cfg: RunConfig, args) -> int:
-    bundle = build_bundle(IndexGeometry(cfg.n + 2, embedded=True))
+def _cmd_pair(args) -> int:
+    bundle = build_bundle(IndexGeometry(args.n + 2, embedded=True))
     tags = args.functional.split()
-    f = word_functional(bundle, tag_word(cfg.n + 2, tags))
-    p = build_presentation("iso", cfg.n)
+    f = word_functional(bundle, tag_word(args.n + 2, tags))
+    p = build_presentation("iso", args.n)
     pa = word_element(p.alphabet, p.params,
                       p.alphabet.word(*args.word.split()))
     val = pairing(f, pa)
-    payload = {"command": "pair", "n": cfg.n, "functional": tags,
+    payload = {"command": "pair", "n": args.n, "functional": tags,
                "word": args.word.split(), "value": scalar_to_json(val)}
-    _emit(cfg, lambda: render_scalar(val), payload)
+    _emit(args, lambda: render_scalar(val), payload)
     return 0
 
 
-def _cmd_det(cfg: RunConfig, args) -> int:
-    e = quantum_determinant(cfg.n)
-    payload = {"command": "det", "n": cfg.n,
+def _cmd_det(args) -> int:
+    e = quantum_determinant(args.n)
+    payload = {"command": "det", "n": args.n,
                "element": element_to_json(e)}
-    _emit(cfg, lambda: _render_element(e), payload)
+    _emit(args, lambda: _render_element(e), payload)
     return 0
 
 
-def _cmd_lie(cfg: RunConfig, args) -> int:
-    D = _degree(cfg.degree)
-    basis = tangent_basis(args.kind, cfg.n)
-    rows = lie_rows(args.kind, cfg.n, D)
+def _cmd_lie(args) -> int:
+    D = _degree(args.degree)
+    basis = tangent_basis(args.kind, args.n)
+    rows = lie_rows(args.kind, args.n, D)
     try:
         constants = [{"i": i, "j": j, "k": k,
                       "value": scalar_to_json(c)}
@@ -331,8 +309,8 @@ def _cmd_lie(cfg: RunConfig, args) -> int:
         closed = False
     ok = closed and all(row["status"] for row in rows)
     payload = {
-        "command": "lie", "kind": args.kind, "n": cfg.n, "degree": D,
-        "seed": cfg.seed, "labels": basis.labels, "relations": rows,
+        "command": "lie", "kind": args.kind, "n": args.n, "degree": D,
+        "seed": args.seed, "labels": basis.labels, "relations": rows,
         "closed": closed, "structure_constants": constants, "ok": ok,
     }
 
@@ -347,7 +325,7 @@ def _cmd_lie(cfg: RunConfig, args) -> int:
                      % ("yes" if closed else "no", len(constants)))
         return "\n".join(lines)
 
-    _emit(cfg, render, payload)
+    _emit(args, render, payload)
     return 0 if ok else 1
 
 
@@ -379,9 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build-r", parents=[common],
                         help="emit the R matrix as canonical JSON")
-    sp.add_argument("--series", choices=["auto", "B", "D"], default="auto",
-                    help="odd/even series selector; auto derives it from "
-                         "--n")
     sp.add_argument("--spec", default=None,
                     help="parameter assignment k=v,... with nonzero "
                          "rational values")
@@ -432,8 +407,12 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        cfg = RunConfig(args)
-        return args.handler(cfg, args)
+        if args.n < 3:
+            raise UsageError("--n must be at least 3")
+        # only verify and lie take --degree
+        if getattr(args, "degree", None) is not None and args.degree < 1:
+            raise UsageError("--degree must be at least 1")
+        return args.handler(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -33,11 +33,13 @@ every free word of length k <= D in one walk; functional_equal states
 the order in which the first disagreement is reported.  A side may also
 carry the image of every value under a scalar morphism (_mapped), which
 is how the uniparametric collapse compares values at g_ab = r and the
-calculi compare limits at r = 1.  The Hopf pairing axioms are ordered
-families of (key, lhs, rhs) cases that report their first failure
-through report.first_failure, their sides reading brackets from
-batched restricted walks; the cone-ideal scan of iu_annihilates reports
-the first nonzero value in the order stated in _cone_witness.
+r = 1 calculus reads its limits; a bracket with such a side is the image
+of the unmapped bracket, so terms cancel across words before the map.
+The Hopf pairing axioms are ordered families of (key, lhs, rhs) cases
+that report their first failure through report.first_failure, their
+sides reading brackets from batched restricted walks; the cone-ideal
+scan of iu_annihilates reports the first nonzero value in the order
+stated in _cone_witness.
 
 L+ is upper triangular and L- lower triangular.  The functionals that
 annihilate the cone ideal (generated by T^a_o, T^*_b, T^*_o) are exactly
@@ -78,7 +80,7 @@ FunctionalWord = Tuple[Gen, ...]
 EPS_WORD: FunctionalWord = ()
 
 __all__ = [
-    "FunctionalElement", "FunctionalWord", "Gen", "EPS_WORD", "NotInIU",
+    "FunctionalElement", "FunctionalWord", "Gen", "EPS_WORD",
     "EqualityResult", "AnnihilationResult",
     "eps_functional", "l_functional", "word_functional",
     "gen_tag", "tag_gen", "tag_word", "show_functional_word",
@@ -89,11 +91,6 @@ __all__ = [
     "eta_monomials", "script_r_matrix",
     "functional_to_json", "functional_from_json",
 ]
-
-
-class NotInIU(Exception):
-    """A pairing was requested for a functional that fails to annihilate
-    the cone ideal at the configured degree bound."""
 
 
 def gen_tag(g: Optional[Gen]) -> str:
@@ -334,7 +331,9 @@ class _Side:
     identity, with scale None.  fn is a named scalar function that
     returns the image of v * scale (scale None standing for 1) without
     having to form that product: operator.mul, or a ring morphism such as
-    limit_r_to_1 or merge_deformations.
+    limit_r_to_1 or merge_deformations.  A walk maps the value on each
+    word; _brackets maps each bracket, the sum over the words of an
+    element, so the bracket of a mapped side is the map of the bracket.
 
     A source carries sparse rows {state: Scalar} one T letter at a time:
     source.step(row, letter=None, keep=None) gives the nonzero rows after
@@ -435,20 +434,6 @@ def _compile(families: Sequence[Dict]):
     return streams, reads, fns
 
 
-def _add(got: Dict, key, x: Scalar) -> None:
-    """got[key] += x for a nonzero x, keeping no zeros: products of
-    nonzero scalars are nonzero, so only a sum can cancel."""
-    old = got.get(key)
-    if old is None:
-        got[key] = x
-    else:
-        x = old + x
-        if x:
-            got[key] = x
-        else:
-            del got[key]
-
-
 def _finish(vals: List[Dict], fns) -> List[Dict]:
     """Apply the maps of mapped sides, each as fn(value, scale), dropping
     the zeros they give."""
@@ -470,7 +455,7 @@ def _read(live: Dict[int, Row], reads, fns) -> List[Dict]:
         at = reads[i]
         for b, v in row.items():
             for n, key, c in at.get(b, ()):
-                _add(vals[n], key, v if c is None else v * c)
+                _acc(vals[n], key, v if c is None else v * c)
     return _finish(vals, fns)
 
 
@@ -527,7 +512,7 @@ def _walk(families: Sequence[Dict], D: int, words=None):
                         if vals is None:
                             vals = leaves[letter] = [{} for _ in fns]
                         for n, key, c in hits:
-                            _add(vals[n], key, v * c)
+                            _acc(vals[n], key, v * c)
             for letter in sorted(leaves):
                 yield coords + (letter,), _finish(leaves[letter], fns)
         elif len(coords) < D:
@@ -563,35 +548,36 @@ def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
 
 
 def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
-    """The brackets <f, a> of every functional of fs with every element
-    of the free matrix-entry algebra in elems, keyed (key of f, key of
-    a), zeros left out, from one walk restricted to the elements'
-    T-words.  An unmapped side's common-denominator scale is applied
-    once per bracket, to the sum over the words; a mapped side maps each
-    value as the walk reads it."""
-    if not fs:
+    """The brackets <f, a> of every functional or walk side of fs with
+    every element of the free matrix-entry algebra in elems, keyed (key
+    of f, key of a), zeros left out, from one walk restricted to the
+    elements' T-words.  Every side is walked without its map: the sum v
+    of c * value over the words of a is formed first, and the side's map
+    is applied to it once, as fn(v, scale).  So the bracket of a mapped
+    side is the map of the bracket, and terms that cancel in the sum
+    (paired poles at r = 1) cancel before the map sees them."""
+    sides = {fkey: _as_side(f) for fkey, f in fs.items()}
+    bundle = next((src.bundle for s in sides.values()
+                   for src, _, _ in s.terms), None)
+    if bundle is None:
         return {}
-    bundle = next(iter(fs.values())).bundle
     terms = {}
     for ekey, a in elems.items():
         pairs = _letter_pairs(bundle, a.alphabet)
         terms[ekey] = [(tuple(pairs[g] for g in w), c)
                        for w, c in a.terms.items()]
     words = {w for ts in terms.values() for w, _ in ts}
-    sides = {fkey: _as_side(f) for fkey, f in fs.items()}
-    scales = {fkey: s.scale for fkey, s in sides.items()
-              if s.fn is operator.mul}
-    raw = {fkey: _Side(s.terms) if fkey in scales else s
-           for fkey, s in sides.items()}
-    vals = {w: v for w, (v,) in _walk([raw], max(map(len, words), default=0),
-                                      words)}
+    vals = {w: v for w, (v,) in _walk(
+        [{fkey: _Side(s.terms) for fkey, s in sides.items()}],
+        max(map(len, words), default=0), words)}
     out: Dict[Tuple, Scalar] = {}
     for ekey, ts in terms.items():
         for w, c in ts:
             for fkey, v in vals.get(w, {}).items():
-                _add(out, (fkey, ekey), c * v)
-    return {key: v * scales[key[0]] if key[0] in scales else v
-            for key, v in out.items()}
+                _acc(out, (fkey, ekey), c * v)
+    maps = {key: (sides[key[0]].fn, sides[key[0]].scale)
+            for key in out if sides[key[0]].fn}
+    return _finish([out], [maps])[0]
 
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
@@ -1138,11 +1124,11 @@ def iu_generators(bundle: RMatrixBundle) -> List[FunctionalElement]:
     return out
 
 
-def pairing(f: FunctionalElement, pa: AlgebraElement, *,
-            check: bool = False, bound: int = 2) -> Scalar:
+def pairing(f: FunctionalElement, pa: AlgebraElement) -> Scalar:
     """The duality bracket: lift the quotient element through the fixed
-    section and evaluate.  With check=True the functional must first
-    annihilate the cone ideal at the given bound."""
+    section and evaluate.  It is the pairing of U_{q,r}(iso(N)) with the
+    quotient only for an f that annihilates the cone ideal, which
+    iu_annihilates checks."""
     geom = f.bundle.geometry
     N = geom.dim - 2
     p = build_presentation("iso", N)
@@ -1150,12 +1136,6 @@ def pairing(f: FunctionalElement, pa: AlgebraElement, *,
             or pa.alphabet.symbols == p.alphabet.symbols):
         raise ValueError("pairing argument is not over the iso(%d) alphabet"
                          % N)
-    if check:
-        res = iu_annihilates(f, N, bound)
-        if not res.ok:
-            coords, val = res.witness
-            raise NotInIU("functional fails on %s with value %s"
-                          % (show_t_word(geom, coords), render_scalar(val)))
     return _brackets({(): f}, {(): section(pa, p)}).get(((), ()),
                                                         geom.params.zero)
 

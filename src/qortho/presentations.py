@@ -71,7 +71,7 @@ __all__ = [
     "iso_normal_system", "reduce", "check_confluence", "hilbert_dimension",
     "costructure", "tensor_costructure", "project", "section",
     "ideal_membership", "expand_certificate", "check_hopf_ideal",
-    "quantum_determinant", "all_words", "t_letter", "element_to_json",
+    "quantum_determinant", "t_letter", "element_to_json",
     "element_from_json",
 ]
 
@@ -176,12 +176,6 @@ def unit_element(alphabet: Alphabet, ps: ParamSpace) -> AlgebraElement:
 def word_element(alphabet: Alphabet, ps: ParamSpace, w: Word,
                  coeff: Optional[Scalar] = None) -> AlgebraElement:
     return AlgebraElement(alphabet, ps, {w: ps.one if coeff is None else coeff})
-
-
-def all_words(alphabet: Alphabet, degree: int,
-              letters: Optional[Sequence[int]] = None) -> Iterator[Word]:
-    pool = range(len(alphabet.symbols)) if letters is None else letters
-    return itertools.product(pool, repeat=degree)
 
 
 class TensorElement(LinearCombination):
@@ -643,7 +637,7 @@ def check_confluence(rs: RewriteSystem, p: Presentation) -> Report:
             _acc(stepped, w[:i] + w2 + w[i + 2:], c2)
         return reduce(AlgebraElement(rs.alphabet, rs.ps, stepped), rs)
 
-    overlaps = [w for w in all_words(rs.alphabet, 3, rs.letters)
+    overlaps = [w for w in itertools.product(rs.letters, repeat=3)
                 if w[:2] in rs.rules and w[1:] in rs.rules]
     w = first_failure((w, rewritten(w, 0), rewritten(w, 1))
                       for w in overlaps)

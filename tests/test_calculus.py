@@ -5,7 +5,8 @@ one-forms.
 
 The projected basis acts on the inhomogeneous algebra directly; the
 rotation-augmented basis exists only after the one-parameter limit, so
-all of its identities are checked through per-word limits.
+all of its identities are checked through exact limits of the values
+and brackets (calculus._view).
 """
 
 import pytest
@@ -18,7 +19,7 @@ from qortho.calculus import (TangentBasis, adjoint_coaction_check,
                              differential, leibniz_check,
                              structure_constants, tangent_basis, verify_qlie)
 from qortho.envelope import iu_annihilates, word_functional
-from qortho.scalars import scalar_invert
+from qortho.scalars import limit_r_to_1, scalar_invert
 from qortho.presentations import (build_presentation, costructure,
                                   iso_normal_system, reduce, unit_element,
                                   word_element, zero_element)
@@ -46,7 +47,10 @@ def test_r1_basis_labels():
     assert bas.labels == ["Omega[2,3]", "Omega[3,2]", "Omega[3,3]",
                           "Omega[*,1]", "Omega[*,2]", "Omega[*,3]",
                           "Omega[*,*]"]
-    assert bas.limit
+    # the r = 1 basis is read through the exact limit, the projected one
+    # as it is
+    assert calculus._view(bas.kind, bas.vectors[0]).fn is limit_r_to_1
+    assert calculus._view(BAS3.kind, BAS3.vectors[0]) is BAS3.vectors[0]
 
 
 def test_unknown_kind_rejected():
@@ -171,7 +175,7 @@ def test_cone_check_names_the_first_failing_vector(monkeypatch, kind, name):
         bad = word_functional(basis.bundle, ((1, 1, 2),),
                               scalar_invert(ps.s_pow(2) - ps.s_pow(-2)))
         return TangentBasis(kind, N, basis.labels + ["bad"],
-                            basis.vectors + [bad], basis.limit)
+                            basis.vectors + [bad])
 
     monkeypatch.setattr(calculus, "tangent_basis", with_bad)
     got = verify_qlie(kind, 3, 1).find(name)

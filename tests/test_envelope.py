@@ -14,7 +14,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qortho import envelope
+from qortho import calculus, envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              _cone_witness, _exchange_residual,
                              _Side, _first_difference, _mapped, _walk,
@@ -26,8 +26,7 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              iu_annihilates, iu_generators, l_functional,
                              pairing, show_t_word, tag_gen,
                              verify_envelope_suite, verify_pairing_axioms,
-                             verify_parameter_collapse, word_functional,
-                             NotInIU)
+                             verify_parameter_collapse, word_functional)
 from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, build_presentation,
                                   word_element)
@@ -190,9 +189,9 @@ def test_iu_annihilation_positive_and_negative():
 
 
 def test_pairing_check_rejects_outside_functionals():
+    # pairing does not check; a caller refuses f by iu_annihilates first
     bad = word_functional(BUNDLE5, ((1, 1, 2),))
-    with pytest.raises(NotInIU):
-        pairing(bad, iso_word("x1"), check=True)
+    assert not iu_annihilates(bad, 3, 2).ok
 
 
 def test_eta_monomials_and_rank():
@@ -389,6 +388,28 @@ def test_cone_scan_is_shared_by_limited_sides():
     g = word_functional(BUNDLE5, ((1, 1, 5),), lam_inv)
     assert render_scalar(iu_annihilates(g, N, D=2).witness[1]) == "1 - s^-6"
     assert _cone_witness(_mapped(g, limit_r_to_1), GEOM5, 2) is None
+
+
+def test_bracket_of_a_limit_side_is_the_limit_of_the_bracket(monkeypatch):
+    # the adjoint elements of the r = 1 brackets carry the generic letter
+    # values of f, whose poles cancel only across the words of an element
+    basis = calculus.tangent_basis("r1", 3)
+    seen = []
+
+    def spy(fs, elems):
+        seen.append(elems)
+        return envelope._brackets(fs, elems)
+
+    monkeypatch.setattr(calculus, "_brackets", spy)
+    for f in basis.vectors:
+        calculus._brackets_on_letters(basis, f)
+    for elems in seen:
+        plain = envelope._brackets(dict(enumerate(basis.vectors)), elems)
+        want = {key: limit_r_to_1(v) for key, v in plain.items()}
+        assert envelope._brackets(
+            {j: _mapped(g, limit_r_to_1)
+             for j, g in enumerate(basis.vectors)}, elems) == {
+                 key: v for key, v in want.items() if v}
 
 
 def test_pairing_is_linear():

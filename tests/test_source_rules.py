@@ -318,3 +318,35 @@ def test_every_scalar_holds_a_shared_denominator():
         "Scalar(ps, num, a.den)\n"
         "Scalar(ps, num, den=ps._one_den)\n"
         "Scalar(ps, num, _den(ps, key))\n") == []
+
+
+def _limit_reads(source: str, filename: str = "<source>") -> list:
+    """Lines that name limit_r_to_1 or _mapped outside the module-level
+    function _view; an import or a docstring names neither."""
+    tree = ast.parse(source, filename=filename)
+    inside = {id(node) for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == "_view"
+              for node in ast.walk(stmt)}
+    return [node.lineno for node in ast.walk(tree) if id(node) not in inside
+            and (getattr(node, "id", None) or getattr(node, "attr", None))
+            in ("limit_r_to_1", "_mapped")]
+
+
+def test_the_calculus_decides_its_limit_in_one_view():
+    """Whether the calculus reads a functional through the r = 1 limit
+    is decided once, by calculus._view from the calculus kind: every
+    reader asks it, and no reader maps a side or limits a bracket on its
+    own."""
+    path = SRC / "calculus.py"
+    source = path.read_text()
+    assert "\ndef _view(" in source
+    assert _limit_reads(source, str(path)) == []
+    # the readers the rule is there to keep out
+    assert _limit_reads(
+        "from .scalars import limit_r_to_1\n"
+        "def _view(kind, f):\n"
+        "    return _mapped(f, limit_r_to_1) if kind == 'r1' else f\n"
+        "def _letter_values(f, limit):\n"
+        "    side = _mapped(f, limit_r_to_1) if limit else f\n"
+        "    vals = {k: scalars.limit_r_to_1(v) for k, v in vals.items()}\n"
+        ) == [5, 5, 6]
