@@ -30,6 +30,13 @@ like every other check here it reports its first failing
 case, in the order of envelope._first_difference for relations between
 functionals (the q-Lie relations read envelope._first of one shared
 walk) and of report.first_failure otherwise.
+
+The q-Lie relations chi chi - kappa chi chi = sum c chi are never
+multiplied out into words of four L letters: each side stays a
+combination of the tangent vectors and their products
+(envelope._Factored), and envelope._witnesses reads it from the values
+of the tangent vectors alone, a product's value on a T-word being the
+convolution of its factors' values over the coproduct of the word.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        iu_annihilates, l_functional, show_t_word,
-                       show_witness, _brackets, _cone_witness,
-                       _first, _first_difference, _mapped, _walk, _witnesses)
+                       show_witness, _brackets, _cone_witness, _factored,
+                       _Factored, _first, _first_difference, _mapped, _walk,
+                       _witnesses)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
@@ -163,13 +171,16 @@ def _degree(D: Optional[int]) -> int:
 def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
     """Every q-Lie relation instance of the chosen calculus, built once,
     as {(relation,) + indices: (lhs, rhs)} in row order; the r = 1 rows
-    compare the r = 1 limits of the values."""
+    compare the r = 1 limits of the values.  Each side is a combination
+    of the tangent vectors and of their products kept factored
+    (envelope._Factored), so _witnesses reads it from the vectors'
+    values by the coproduct, without multiplying a product out."""
     bundle = _bundle(N)
     geom = bundle.geometry
     ps = geom.params
     M = geom.dim
     lam = ps.lam
-    zero = FunctionalElement(bundle, {})
+    zero = _Factored(bundle, {})
     pairs: Dict[Tuple, Tuple] = {}
 
     def add(relation: str, indices, lhs, rhs):
@@ -179,9 +190,10 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
         return canonical_q(ps, A, B)
 
     if kind == "projected":
-        chi_b = {b: build_chi(M, b + 1, N) for b in range(1, N + 1)}
-        chi_o = build_chi(M, 1, N)
-        chi_s = build_chi(M, M, N)
+        chi_b = {b: _factored(build_chi(M, b + 1, N))
+                 for b in range(1, N + 1)}
+        chi_o = _factored(build_chi(M, 1, N))
+        chi_s = _factored(build_chi(M, M, N))
         for b in range(1, N + 1):
             coeff = scalar_invert(q(M, b + 1))
             add("circle vector exchanges with a translation", (b,),
@@ -219,10 +231,11 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
         return pairs
 
     if kind == "r1":
-        chi_in = {(a, b): _chi(a + 1, b + 1, N, geom.inner())
+        chi_in = {(a, b): _factored(_chi(a + 1, b + 1, N, geom.inner()))
                   for a in range(1, N + 1) for b in range(1, N + 1)}
-        chi_t = {b: build_chi(M, b + 1, N) for b in range(1, N + 1)}
-        chi_s = build_chi(M, M, N)
+        chi_t = {b: _factored(build_chi(M, b + 1, N))
+                 for b in range(1, N + 1)}
+        chi_s = _factored(build_chi(M, M, N))
         small = build_bundle(IndexGeometry(N))
         smetric = small.C
         spr = small.geometry.prime
@@ -289,7 +302,7 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
         def mirror(A, B):  # zero on the antidiagonal
             if B == geom.prime(A):
                 return zero
-            return _chi(A, B, N, (max(A, B),))
+            return _factored(_chi(A, B, N, (max(A, B),)))
 
         for A in geom.indices():
             for B in geom.indices():

@@ -35,6 +35,11 @@ carry the image of every value under a scalar morphism (_mapped), which
 is how the uniparametric collapse compares values at g_ab = r and the
 r = 1 calculus reads its limits; a bracket with such a side is the image
 of the unmapped bracket, so terms cancel across words before the map.
+A side may also be a combination of convolution products of functionals
+kept factored (_Factored), as the q-Lie relations of the calculus are:
+_convolve walks the distinct factors once and forms each product on a
+T-word from their values by the coproduct Delta(T^C_D) = sum_G T^C_G x
+T^G_D, so no product is multiplied out into longer functional words.
 The Hopf pairing axioms are ordered families of (key, lhs, rhs) cases
 that report their first failure through report.first_failure, their
 sides reading brackets from batched restricted walks; the cone-ideal
@@ -71,7 +76,7 @@ from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
                       _acc, _schema_items, _terms_from_json, canonical_q,
-                      denominator, merge_deformations, rational_rank,
+                      common_denominator, merge_deformations, rational_rank,
                       render_scalar, scalar_invert, scalar_to_json,
                       specialize, word_key)
 
@@ -353,7 +358,8 @@ class _Side:
 
 
 def _as_side(side) -> _Side:
-    """A FunctionalElement as a walk side.  Coefficients with a
+    """A FunctionalElement as a walk side (a _Factored becomes the
+    _Products side that _convolve reads).  Coefficients with a
     denominator are first brought to Laurent polynomials by a common
     factor; its inverse is the side's scale, which operator.mul takes
     back out once per value (once per bracket in _brackets).  The words
@@ -361,15 +367,12 @@ def _as_side(side) -> _Side:
     start, the coefficients in the column) or, when that gives fewer
     rows, by end state (the coefficients folded into one start row per
     end)."""
-    if isinstance(side, _Side):
+    if isinstance(side, (_Side, _Products)):
         return side
+    if isinstance(side, _Factored):
+        return _Products(side)
     ps = side.bundle.geometry.params
-    common = ps.one
-    for c in side.terms.values():
-        if not c.is_laurent():
-            x = c * common
-            if not x.is_laurent():
-                common = common * denominator(x)
+    common = common_denominator(ps, side.terms.values())
     groups: Dict[Tuple, Tuple[Dict, Dict]] = {}
     for w, c in side.terms.items():
         if common is not ps.one:
@@ -404,7 +407,54 @@ def _mapped(side, fn) -> _Side:
     s = _as_side(side)
     if s.fn not in (None, operator.mul):
         raise ValueError("side is mapped by %s already" % s.fn.__name__)
+    if isinstance(s, _Products):
+        return _Products(s.element, fn)
     return _Side(s.terms, fn, s.scale)
+
+
+class _Factored(LinearCombination):
+    """A finite scalar combination of convolution products f1 f2 ... fm
+    of FunctionalElements, each product kept as the tuple (f1, ..., fm)
+    of its factors instead of being multiplied out into words; +, -,
+    scale and * (which joins the factor tuples) work as for
+    FunctionalElement.  _convolve evaluates it from the values of its
+    factors alone."""
+
+    __slots__ = ("bundle",)
+
+    def __init__(self, bundle: RMatrixBundle,
+                 terms: Dict[Tuple[FunctionalElement, ...], Scalar]):
+        self.bundle = bundle
+        super().__init__(terms)
+
+    def _context(self):
+        return (self.bundle,)
+
+    def _mismatch(self, other) -> str:
+        if self.bundle is other.bundle:
+            return ""
+        return "products over different R matrix bundles"
+
+
+def _factored(f: FunctionalElement) -> _Factored:
+    """f as a product of one factor."""
+    return _Factored(f.bundle, {(f,): f.bundle.geometry.params.one})
+
+
+class _Products:
+    """A _Factored relation side as _convolve evaluates it.  Its value on
+    a T-word is fn(v, scale) as for a _Side, v a Laurent sum; the scale
+    is the inverse of the common factor that _convolve finds for the
+    side's coefficients and its factors' scales, so fn None stands for
+    operator.mul when that factor is not one."""
+
+    __slots__ = ("element", "fn")
+
+    def __init__(self, element: _Factored,
+                 fn: Optional[Callable[[Scalar, Optional[Scalar]],
+                                       Scalar]] = None):
+        self.element = element
+        self.fn = fn
 
 
 def _compile(families: Sequence[Dict]):
@@ -528,6 +578,99 @@ def _walk(families: Sequence[Dict], D: int, words=None):
                         kids.setdefault(letter, {})[i] = got
             stack += [(coords + (letter,), kids[letter])
                       for letter in sorted(kids, reverse=True)]
+
+
+def _product_reads(sides: List[Dict], index: Dict, factors: List[_Side]):
+    """Where _convolve reads each product of factors: reads[first][rest]
+    lists (family number, key, coefficient) for the product of the
+    factors numbered first and then rest (index numbers the distinct
+    factors, whose walk sides are factors), a coefficient None standing
+    for 1; fns[n] holds the (map, scale) of family n's sides.  A side's
+    coefficients take in its factors' scales and a common factor
+    (scalars.common_denominator) of their own, whose inverse is the
+    side's scale, so that they are Laurent polynomials."""
+    reads: Dict[int, Dict[Tuple[int, ...], List]] = {}
+    fns: List[Dict] = []
+    scales: Dict[Tuple[int, ...], Scalar] = {}
+    inverses: Dict[Scalar, Scalar] = {}
+    for n, family in enumerate(sides):
+        fns.append({})
+        for key, s in family.items():
+            ps = s.element.bundle.geometry.params
+            terms = []
+            for t, c in s.element.terms.items():
+                ids = tuple(index[f] for f in t)
+                if ids not in scales:
+                    scales[ids] = functools.reduce(operator.mul, [
+                        factors[i].scale or ps.one for i in ids])
+                terms.append((ids, c * scales[ids]))
+            common = common_denominator(ps, (c for _, c in terms))
+            for ids, c in terms:
+                c = c if common is ps.one else c * common
+                reads.setdefault(ids[0], {}).setdefault(ids[1:], []).append(
+                    (n, key, None if c == ps.one else c))
+            if common is not ps.one:
+                if common not in inverses:
+                    inverses[common] = scalar_invert(common)
+                fns[n][key] = (s.fn or operator.mul, inverses[common])
+            elif s.fn is not None:
+                fns[n][key] = (s.fn, None)
+    return reads, fns
+
+
+def _convolve(families: Sequence[Dict], D: int):
+    """_walk for families of product sides ({key: _Factored or its image
+    under _mapped}): yields (coords, values) for the free T-words of
+    length <= D with a nonzero value, by length, then by row (C1, ...,
+    Ck), then by column (D1, ..., Dk).  The distinct factors are walked
+    once, unmapped, and their nonzero values kept by word.  The value of
+    a product f g on T^{C1}_{D1} ... T^{Ck}_{Dk} is the convolution
+    (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D:
+    sum over G of f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ...
+    T^{Gk}_{Dk}), formed for one row (C1, ..., Ck) at a time.  A side's
+    value on a word is the Laurent sum of _product_reads, which reaches
+    the side's map once, as fn(v, scale), in _finish."""
+    sides = [{key: _as_side(side) for key, side in family.items()}
+             for family in families]
+    index: Dict[FunctionalElement, int] = {}
+    for family in sides:
+        for s in family.values():
+            if not isinstance(s, _Products):
+                raise TypeError("_convolve reads product sides only")
+            for t in s.element.terms:
+                for f in t:
+                    index.setdefault(f, len(index))
+    factors = [_as_side(f) for f in index]
+    # tables[i][(C1, ..., Ck)][(D1, ..., Dk)]: the Laurent value of
+    # factor i on T^{C1}_{D1} ... T^{Ck}_{Dk}, before its scale
+    tables: List[Dict[Tuple, Dict[Tuple, Scalar]]] = [{} for _ in factors]
+    for coords, (vals,) in _walk(
+            [{i: _Side(f.terms) for i, f in enumerate(factors)}], D):
+        C, G = tuple(zip(*coords)) or ((), ())
+        for i, v in vals.items():
+            tables[i].setdefault(C, {})[G] = v
+    reads, fns = _product_reads(sides, index, factors)
+    for C in sorted({C for i in reads for C in tables[i]},
+                    key=lambda C: (len(C), C)):
+        at: Dict[Tuple, List[Dict]] = {}
+        for first, products in reads.items():
+            start = tables[first].get(C)
+            for rest, hits in products.items() if start else ():
+                row = start
+                for i in rest:
+                    nxt: Dict[Tuple, Scalar] = {}
+                    for G, v in row.items():
+                        for Dd, t in tables[i].get(G, {}).items():
+                            _acc(nxt, Dd, v * t)
+                    row = nxt
+                for Dd, v in row.items():
+                    vals = at.get(Dd)
+                    if vals is None:
+                        vals = at[Dd] = [{} for _ in fns]
+                    for n, key, c in hits:
+                        _acc(vals[n], key, v if c is None else v * c)
+        for Dd in sorted(at):
+            yield tuple(zip(C, Dd)), _finish(at[Dd], fns)
 
 
 @functools.cache
@@ -663,17 +806,21 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     per index key, on the free words of length <= D, in one walk:
     {key: (coords, lhs value, rhs value)} with None for a zero value,
     keys whose relation holds left out.  A side is a FunctionalElement or
-    a _Side; a key's first word is its shortest, then the smallest by
-    coordinate tuple."""
+    a _Side, read by _walk, or, for every side of the family, a
+    _Factored or its image under _mapped, read by _convolve; a key's
+    first word is its shortest, then the smallest by coordinate tuple."""
+    walk = _convolve if any(isinstance(s, (_Factored, _Products))
+                            for p in pairs.values() for s in p) else _walk
     found: Dict[Tuple, Tuple] = {}
-    for coords, (lv, rv) in _walk([{k: p[0] for k, p in pairs.items()},
-                                   {k: p[1] for k, p in pairs.items()}], D):
+    for coords, (lv, rv) in walk([{k: p[0] for k, p in pairs.items()},
+                                  {k: p[1] for k, p in pairs.items()}], D):
         if lv == rv:
             continue
         for key in lv.keys() | rv.keys():
             a, b = lv.get(key), rv.get(key)
-            if a != b and (key not in found
-                           or len(found[key][0]) > len(coords)):
+            if a != b and (key not in found or (len(found[key][0]),
+                                                found[key][0])
+                           > (len(coords), coords)):
                 found[key] = (coords, a, b)
     return found
 

@@ -256,3 +256,93 @@ def test_r1_limits_never_canonicalize_a_product(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["scaled_in_finish"] > 1000
     assert calls["canon_in_limit"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the q-Lie rows read by the coproduct
+
+def _expanded(side):
+    """The FunctionalElement that a _Factored side multiplies out to."""
+    out = envelope.FunctionalElement(side.bundle, {})
+    for factors, c in side.terms.items():
+        product = factors[0]
+        for f in factors[1:]:
+            product = product * f
+        out = out + product.scale(c)
+    return out
+
+
+def _by_word(walk, families, D):
+    return {coords: vals for coords, vals in walk(families, D) if any(vals)}
+
+
+@pytest.mark.parametrize("kind", ["r1", "projected"])
+def test_convolution_products_match_the_walk_of_the_expanded_product(kind):
+    """For every ordered pair of basis vectors, the convolution of their
+    values is the walk of their multiplied-out product on every word of
+    length <= 2, at generic parameters and through the r = 1 view."""
+    vectors = dict(enumerate(tangent_basis(kind, 3).vectors))
+    factored = {(i, j): envelope._factored(f) * envelope._factored(g)
+                for i, f in vectors.items() for j, g in vectors.items()}
+    expanded = {key: _expanded(side) for key, side in factored.items()}
+    got = _by_word(envelope._convolve, [factored], 2)
+    assert got == _by_word(envelope._walk, [expanded], 2)
+    assert len(got) > 100
+    if kind == "r1":
+        view = {key: calculus._view("r1", side)
+                for key, side in factored.items()}
+        got = _by_word(envelope._convolve, [view], 2)
+        assert got == _by_word(envelope._walk, [{
+            key: calculus._view("r1", side)
+            for key, side in expanded.items()}], 2)
+        assert len(got) > 100
+
+
+def _scale_a_coefficient(side):
+    # the second product of the row's lhs, chi_b chi_c with its
+    # deformation factor, taken twice
+    factors, c = [t for t in side.terms.items() if len(t[0]) == 2][1]
+    ps = side.bundle.geometry.params
+    return envelope._Factored(side.bundle, {
+        **side.terms, factors: c * (ps.one + ps.one)})
+
+
+def _drop_a_product(side):
+    factors = next(t for t in side.terms if len(t) == 2)
+    return envelope._Factored(side.bundle, {
+        t: c for t, c in side.terms.items() if t != factors})
+
+
+@pytest.mark.parametrize("relation, row, mutate", [
+    ("rotation brackets close with metric corrections", (1, 2, 2, 1),
+     _scale_a_coefficient),
+    ("rotations move translations inside the basis", (2, 1, 2),
+     _drop_a_product)])
+def test_a_wrong_qlie_row_fails_with_the_witness_of_its_expanded_form(
+        relation, row, mutate):
+    """A q-Lie row with one coefficient changed, or one product term
+    dropped, fails with the same (word, lhs, rhs) witness that the walk
+    of the multiplied-out rows gives, and the other rows still hold."""
+    pairs = {key: (side.element, rhs.element)
+             for key, (side, rhs) in calculus._lie_families("r1", 3).items()
+             if key[0] == relation}
+    key = (relation,) + row
+    pairs[key] = (mutate(pairs[key][0]), pairs[key][1])
+    found = envelope._witnesses({
+        k: tuple(calculus._view("r1", s) for s in sides)
+        for k, sides in pairs.items()}, 2)
+    assert list(found) == [key]
+    assert found == envelope._witnesses({
+        k: tuple(calculus._view("r1", _expanded(s)) for s in sides)
+        for k, sides in pairs.items()}, 2)
+
+
+def test_a_product_side_with_a_pole_at_r1_still_raises():
+    basis = tangent_basis("r1", 3)
+    ps = basis.bundle.geometry.params
+    chi = envelope._factored(basis.vectors[-1])
+    side = (chi * chi).scale(scalar_invert(ps.lam))
+    zero = envelope._Factored(basis.bundle, {})
+    with pytest.raises(scalar_module.PoleAtOne):
+        envelope._witnesses({(): (calculus._view("r1", side),
+                                  calculus._view("r1", zero))}, 2)
