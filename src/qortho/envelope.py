@@ -19,7 +19,12 @@ the R matrix.  Functionals are evaluated by a depth-first walk of the
 trie of T-words (_walk): a fixed combination of words enters as start
 rows with its coefficients folded in (_as_side), each node multiplies
 its parent's rows by one transfer matrix, and only the rows along the
-current word are held.  A bracket <f, a> comes from the same walk
+current word are held.  The coefficients are first brought to Laurent
+polynomials, so the walk carries bare Laurent numerators in its rows,
+transfer matrices and read coefficients, never looks inside them, and
+forms every product with scalars.mul_acc, one call per row state; a
+value becomes a Scalar once, when it is read, before any map of its
+side.  A bracket <f, a> comes from the same walk
 restricted to the prefixes of the T-words of a (_brackets), one walk per
 batch of functionals and elements.  The transfer matrices of the one-
 and two-letter patterns are derived data, built on first use and kept by
@@ -76,7 +81,8 @@ from .report import Report, first_failure
 from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
                       _acc, _schema_items, _terms_from_json, canonical_q,
-                      common_denominator, merge_deformations, rational_rank,
+                      common_denominator, laurent_numerator, laurent_scalar,
+                      merge_deformations, mul_acc, rational_rank,
                       render_scalar, scalar_invert, scalar_to_json,
                       specialize, word_key)
 
@@ -192,7 +198,7 @@ def word_functional(bundle: RMatrixBundle, w: FunctionalWord,
 # evaluation engine
 
 State = Tuple[int, ...]          # one generator index per letter of a word
-Row = Dict[State, Scalar]
+Row = Dict[State, object]        # values: Laurent numerators (laurent_numerator)
 Letter = Tuple[int, int]         # the T letter T^C_D as (C, D)
 
 
@@ -200,25 +206,26 @@ Letter = Tuple[int, int]         # the T letter T^C_D as (C, D)
 def _transfer(bundle: RMatrixBundle, signs: Tuple[int, ...]):
     """The transfer matrices of a sign pattern of one or two letters,
     indexed for stepping: trans[(C, a)] lists the (D, b, v) with
-    Theta^C_D[a][b] = v nonzero (see _Pattern); for one letter
-    Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) = R+-^{EC}_{FD}."""
+    Theta^C_D[a][b] = v nonzero, v its Laurent numerator (see _Pattern);
+    for one letter Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) = R+-^{EC}_{FD}."""
+    ps = bundle.geometry.params
     if len(signs) == 1:
         tensor = bundle.Rplus if signs[0] > 0 else bundle.Rminus
-        out: Dict[Tuple, List[Tuple[int, State, Scalar]]] = {}
+        out: Dict[Tuple, List[Tuple[int, State, object]]] = {}
         for (E, C, F, D), v in tensor.items():
-            out.setdefault((C, (E,)), []).append((D, (F,), v))
+            out.setdefault((C, (E,)), []).append(
+                (D, (F,), laurent_numerator(ps, v)))
         return out
     # Theta^C_D[a1 a2][b1 b2] = sum_G tau^C_G[a1][b1] tau^G_D[a2][b2]
     second: Dict[int, List] = {}
     for (G, a2), tail in _transfer(bundle, signs[1:]).items():
         second.setdefault(G, []).append((a2, tail))
-    acc: Dict[Tuple, Dict[Tuple, Scalar]] = {}
+    acc: Dict[Tuple, Row] = {}
     for (C, a1), hits in _transfer(bundle, signs[:1]).items():
         for G, b1, v in hits:
             for a2, tail in second.get(G, ()):
-                dst = acc.setdefault((C, a1 + a2), {})
-                for D, b2, t in tail:
-                    _acc(dst, (D, b1 + b2), v * t)
+                mul_acc(ps, acc.setdefault((C, a1 + a2), {}), v,
+                        [((D, b1 + b2), t) for D, b2, t in tail])
     return {key: [k + (v,) for k, v in row.items()]
             for key, row in acc.items() if row}
 
@@ -276,31 +283,28 @@ class _Pattern:
              keep=None) -> Dict[Letter, Row]:
         """The nonzero products row Theta^C_D for every letter, or for
         the one letter given, without the states a filter of viable
-        drops.  The pattern is applied two letters at a time (the
-        transfer matrices of longer patterns are not stored), each
-        partial product keyed by (C, G, state) with G the running index
-        of the sum over the chain."""
+        drops; rows hold Laurent numerators.  The pattern is applied two
+        letters at a time (the transfer matrices of longer patterns are
+        not stored), each partial product keyed by (C, G, state) with G
+        the running index of the sum over the chain, and each state's
+        products go through one scalars.mul_acc call."""
         idx = (self.bundle.geometry.indices() if letter is None
                else (letter[0],))
         cur = {(C, C) + a: v for C in idx for a, v in row.items()}
-        signs, one = self.signs, self.bundle.geometry.params.one
+        signs, ps = self.signs, self.bundle.geometry.params
         for p in range(0, len(signs), 2):
             trans = _transfer(self.bundle, signs[p:p + 2])
             q = min(p + 2, len(signs))
             ok = None if keep is None else keep[p // 2]
             D = letter[1] if q == len(signs) and letter is not None else None
-            nxt: Dict[Tuple[int, ...], Scalar] = {}
+            nxt: Row = {}
             for key, v in cur.items():
                 C, head, tail = key[0], key[2:2 + p], key[2 + q:]
-                for H, b, t in trans.get((key[1], key[2 + p:2 + q]), ()):
-                    if D is not None and H != D or (
-                            ok is not None and b not in ok):
-                        continue
-                    k2 = (C, H) + head + b + tail
-                    x = t if v is one else v * t
-                    old = nxt.get(k2)
-                    nxt[k2] = x if old is None else old + x
-            cur = {k: v for k, v in nxt.items() if v}
+                mul_acc(ps, nxt, v, [
+                    ((C, H) + head + b + tail, t)
+                    for H, b, t in trans.get((key[1], key[2 + p:2 + q]), ())
+                    if (D is None or H == D) and (ok is None or b in ok)])
+            cur = nxt
         if letter is not None:
             got = {k[2:]: v for k, v in cur.items() if k[1] == letter[1]}
             return {letter: got} if got else {}
@@ -312,20 +316,26 @@ class _Pattern:
 
 class _Diagonal:
     """A one-state source that lives on the diagonal words
-    T^{C1}_{C1} ... T^{Ck}_{Ck} only, scaling by factors[C] per letter."""
+    T^{C1}_{C1} ... T^{Ck}_{Ck} only, scaling by factors[C] per letter
+    (Laurent polynomials, kept as their numerators)."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("ps", "factors")
 
     def __init__(self, factors: Dict[int, Scalar]):
-        self.factors = factors
+        self.ps = next(iter(factors.values())).ps
+        self.factors = {C: laurent_numerator(self.ps, f)
+                        for C, f in factors.items()}
 
     def viable(self, ends, r: int):
         return None
 
     def step(self, row: Row, letter: Optional[Letter] = None,
              keep=None) -> Dict[Letter, Row]:
-        return {(C, C): {a: v * f for a, v in row.items()}
-                for C, f in self.factors.items() if letter in (None, (C, C))}
+        out: Dict[Letter, Row] = {}
+        for C, f in self.factors.items():
+            if letter in (None, (C, C)):
+                mul_acc(self.ps, out.setdefault((C, C), {}), f, row.items())
+        return out
 
 
 class _Side:
@@ -340,15 +350,20 @@ class _Side:
     word; _brackets maps each bracket, the sum over the words of an
     element, so the bracket of a mapped side is the map of the bracket.
 
-    A source carries sparse rows {state: Scalar} one T letter at a time:
-    source.step(row, letter=None, keep=None) gives the nonzero rows after
-    every next letter (or the one letter given), and
-    source.viable(ends, r) a filter for keep that may drop the states
-    from which no state of ends is reached within r letters, or None."""
+    The start rows {state: Scalar} and the column entries must be Laurent
+    polynomials.  The walk carries their numerators (laurent_numerator):
+    a source carries sparse rows {state: numerator} one T letter at a
+    time, multiplying only through scalars.mul_acc, and a value becomes a
+    Scalar again only when it is read.  source.step(row, letter=None,
+    keep=None) gives the nonzero rows after every next letter (or the one
+    letter given), and source.viable(ends, r) a filter for keep that may
+    drop the states from which no state of ends is reached within r
+    letters, or None."""
 
     __slots__ = ("terms", "fn", "scale")
 
-    def __init__(self, terms: Tuple[Tuple[object, Row, Dict], ...],
+    def __init__(self, terms: Tuple[Tuple[object, Dict[State, Scalar],
+                                          Dict], ...],
                  fn: Optional[Callable[[Scalar, Optional[Scalar]],
                                        Scalar]] = None,
                  scale: Optional[Scalar] = None):
@@ -459,29 +474,41 @@ class _Products:
 
 def _compile(families: Sequence[Dict]):
     """The distinct streams (source, start row) of a list of side
-    families {key: side}, and where each stream is read:
-    reads[i][b] lists (family number, key, column entry) for end state
-    b; fns[n] holds the (map, scale) of family n's mapped sides."""
+    families {key: side}, where each stream is read, and the ParamSpace
+    ps of the start rows (None when there is no stream): reads[i][b]
+    lists ((family number, key), column entry) for end state b; fns[n]
+    holds the (map, scale) of family n's mapped sides.  Start rows and
+    column entries are Laurent numerators over ps, a column entry None
+    becoming the numerator of one."""
     index: Dict[Tuple, int] = {}
     streams: List[Tuple[object, Row]] = []
     reads: List[Dict[State, List]] = []
     fns: List[Dict] = []
+    ps = one = None
     for n, family in enumerate(families):
         fns.append({})
         for key, side in family.items():
             s = _as_side(side)
             if s.fn is not None:
                 fns[n][key] = (s.fn, s.scale)
+            nk = (n, key)
             for src, row, col in s.terms:
+                if not row:
+                    continue    # a zero start row reads zero everywhere
                 ident = (type(src), src, frozenset(row.items()))
                 i = index.get(ident)
                 if i is None:
+                    if ps is None:
+                        ps = next(iter(row.values())).ps
+                        one = laurent_numerator(ps, ps.one)
                     i = index[ident] = len(streams)
-                    streams.append((src, row))
+                    streams.append((src, {a: laurent_numerator(ps, v)
+                                          for a, v in row.items()}))
                     reads.append({})
                 for b, c in col.items():
-                    reads[i].setdefault(b, []).append((n, key, c))
-    return streams, reads, fns
+                    reads[i].setdefault(b, []).append((
+                        nk, one if c is None else laurent_numerator(ps, c)))
+    return streams, reads, fns, ps
 
 
 def _finish(vals: List[Dict], fns) -> List[Dict]:
@@ -498,29 +525,36 @@ def _finish(vals: List[Dict], fns) -> List[Dict]:
     return vals
 
 
-def _read(live: Dict[int, Row], reads, fns) -> List[Dict]:
-    """Values by family and key of the live stream rows at one word."""
-    vals: List[Dict] = [{} for _ in fns]
+def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
+    """Values by family and key of the live stream rows at one word, one
+    Scalar per nonzero value."""
+    acc: Dict[Tuple, object] = {}
     for i, row in live.items():
         at = reads[i]
         for b, v in row.items():
-            for n, key, c in at.get(b, ()):
-                _acc(vals[n], key, v if c is None else v * c)
+            hits = at.get(b)
+            if hits:
+                mul_acc(ps, acc, v, hits)
+    vals: List[Dict] = [{} for _ in fns]
+    for (n, key), v in acc.items():
+        vals[n][key] = laurent_scalar(ps, v)
     return _finish(vals, fns)
 
 
-def _through(src, a: State, at: Dict, one: Scalar) -> Dict[Letter, List]:
-    """The reads of a stream from state a through one more letter:
-    {letter: [(family, key, coefficient)]}, the coefficient summing
-    Theta^letter[a][b] times the column entry over the read states b."""
-    out: Dict[Letter, List] = {}
-    for letter, r in src.step({a: one}, None, src.viable(at, 0)).items():
-        acc: Dict[Tuple, Scalar] = {}
+def _through(src, a: State, at: Dict, ps: ParamSpace) -> List:
+    """The reads of a stream from state a through one more letter, as
+    [((letter, family, key), coefficient)], the coefficient (a Laurent
+    numerator) summing Theta^letter[a][b] times the column entry over the
+    read states b."""
+    out: List = []
+    start = {a: laurent_numerator(ps, ps.one)}
+    for letter, r in src.step(start, None, src.viable(at, 0)).items():
+        acc: Dict[Tuple, object] = {}
         for b, t in r.items():
-            for n, key, c in at.get(b, ()):
-                _acc(acc, (n, key), t if c is None else t * c)
-        if acc:
-            out[letter] = [nk + (c,) for nk, c in acc.items()]
+            hits = at.get(b)
+            if hits:
+                mul_acc(ps, acc, t, hits)
+        out += [((letter,) + nk, c) for nk, c in acc.items()]
     return out
 
 
@@ -536,33 +570,39 @@ def _walk(families: Sequence[Dict], D: int, words=None):
     extensions, because every side is zero there.  Walking every word,
     the words of length D are read straight from their parent's rows:
     what one letter does to the reads of a stream state is worked out
-    once per walk."""
-    streams, reads, fns = _compile(families)
+    once per walk.  Rows, transfer entries and read coefficients are
+    Laurent numerators over the start rows' ParamSpace, and all of one
+    stream state's products at a node go through one scalars.mul_acc
+    call; a start row or column entry with a denominator raises
+    DenominatorClass."""
+    streams, reads, fns, ps = _compile(families)
     nexts: Dict[Tuple, set] = {}
     for w in words or ():
         for k in range(len(w)):
             nexts.setdefault(w[:k], set()).add(w[k])
-    ahead: List[Dict[State, Dict]] = [{} for _ in streams]
+    ahead: List[Dict[State, List]] = [{} for _ in streams]
     keeps: Dict[Tuple[int, int], object] = {}
     stack = [((), {i: row for i, (_, row) in enumerate(streams)})]
     while stack:
         coords, live = stack.pop()
         if words is None or coords in words:
-            yield coords, _read(live, reads, fns)
+            yield coords, _read(live, reads, fns, ps)
         if words is None and len(coords) == D - 1:
-            leaves: Dict[Letter, List[Dict]] = {}
+            acc: Dict[Tuple, object] = {}
             for i, row in live.items():
                 known = ahead[i]
                 for a, v in row.items():
-                    if a not in known:
-                        known[a] = _through(streams[i][0], a, reads[i],
-                                            v.ps.one)
-                    for letter, hits in known[a].items():
-                        vals = leaves.get(letter)
-                        if vals is None:
-                            vals = leaves[letter] = [{} for _ in fns]
-                        for n, key, c in hits:
-                            _acc(vals[n], key, v * c)
+                    hits = known.get(a)
+                    if hits is None:
+                        hits = known[a] = _through(streams[i][0], a,
+                                                   reads[i], ps)
+                    mul_acc(ps, acc, v, hits)
+            leaves: Dict[Letter, List[Dict]] = {}
+            for (letter, n, key), v in acc.items():
+                vals = leaves.get(letter)
+                if vals is None:
+                    vals = leaves[letter] = [{} for _ in fns]
+                vals[n][key] = laurent_scalar(ps, v)
             for letter in sorted(leaves):
                 yield coords + (letter,), _finish(leaves[letter], fns)
         elif len(coords) < D:

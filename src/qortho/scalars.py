@@ -66,6 +66,14 @@ combination classes (free-algebra and tensor-product elements,
 functionals, and index tensors).  `sum_products` sums keyed products over
 a shared denominator, for the index tensor contractions; with it, no
 other module needs to see num, den or the polynomial kernels.
+
+The functional walks multiply Laurent polynomials only, about a million
+times a run, so they skip the Scalar wrapper: laurent_numerator hands out
+the numerator of a Laurent Scalar (DenominatorClass for any other),
+mul_acc adds keyed products of such numerators into a dict, forming each
+product's terms directly in the sum (in-place accumulation, as in POLY),
+and laurent_scalar wraps a sum back.  The caller only passes numerators
+on; their encoding stays in this module.
 """
 
 from __future__ import annotations
@@ -720,6 +728,69 @@ def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
     return out
 
 
+# --- Laurent numerators -----------------------------------------------------
+
+def laurent_numerator(ps: ParamSpace, a: Scalar) -> Poly:
+    """The numerator of a over ps, for mul_acc; a must be a Laurent
+    polynomial (DenominatorClass names it otherwise).  The numerator is
+    a's own, so it must never be written to."""
+    _same_space(ps, a)
+    if a.den is not ps._one_den:
+        raise DenominatorClass("%r is not a Laurent polynomial" % (a,))
+    return a.num
+
+
+def laurent_scalar(ps: ParamSpace, num: Poly) -> Scalar:
+    """The Laurent polynomial over ps with numerator num, which must not
+    be written to from then on."""
+    return Scalar(ps, num, ps._one_den) if num else ps.zero
+
+
+def mul_acc(ps: ParamSpace, acc: dict, x: Poly,
+            hits: Iterable[Tuple[object, Poly]]) -> None:
+    """acc[k] += x * y for every (k, y) of hits, over Laurent numerators
+    (laurent_numerator), keeping no empty value in acc.
+
+    The terms of each product are added, as they are formed, into one
+    dict that this call made: a new one for a new key, a copy of acc[k]
+    otherwise.  No Scalar and no separate product dict is made, and no
+    dict that the call did not make is written to, so acc may hold
+    operands themselves: for a new key, a product with the unit (ps.one's
+    numerator, known by identity) is the other operand, stored as it is.
+    Overflow is checked and reported as in Scalar.__mul__.  A caller
+    passes every hit of one operand x in one call."""
+    bias, guard, hi, one = ps._bias, ps._guard, ps._hi, ps.one.num
+    for k, y in hits:
+        got = acc.get(k)
+        if got is None:
+            if x is one or y is one:
+                y = x if y is one else y
+                if y:
+                    acc[k] = y
+                continue
+            got = {}
+        else:
+            got = dict(got)
+        # the shorter operand outside, as poly_mul takes them
+        p1, p2 = (y, x) if len(x) > len(y) else (x, y)
+        for m1, c1 in p1.items():
+            m1k = m1 + bias
+            for m2, c2 in p2.items():
+                m = m1k + m2
+                if m & guard != hi:
+                    raise _overflow(ps, "product", m1, m2)
+                m ^= hi
+                v = got.get(m, 0) + c1 * c2
+                if v:
+                    got[m] = v
+                else:
+                    del got[m]
+        if got:
+            acc[k] = got
+        elif k in acc:
+            del acc[k]
+
+
 def scalar_invert(a: Scalar) -> Scalar:
     if not a.num:
         raise ZeroInverse("cannot invert 0")
@@ -891,14 +962,17 @@ class LinearCombination:
     `terms` (`_context`) and the message for an operand from another
     context (`_mismatch`, empty when the contexts agree).  It may change
     how two keys join in a product (`_join`, concatenation by default).
+    `terms` is never written after construction, so the hash is taken
+    once, on first use, and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     _join = staticmethod(operator.add)
 
     def __init__(self, terms: Mapping):
         self.terms = {k: c for k, c in terms.items() if c}
+        self._hash = None
 
     def _context(self) -> tuple:
         raise NotImplementedError
@@ -922,7 +996,9 @@ class LinearCombination:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __add__(self, other):
         self._check(other)

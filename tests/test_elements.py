@@ -6,8 +6,9 @@ different contexts are refused.
 
 import pytest
 
-from qortho.envelope import FunctionalElement
-from qortho.itensor import IndexGeometry
+import qortho.scalars as scalar_module
+from qortho.envelope import FunctionalElement, _Factored
+from qortho.itensor import IndexGeometry, SparseTensor4
 from qortho.presentations import AlgebraElement, Alphabet, TensorElement
 from qortho.rmatrix import build_bundle
 
@@ -56,3 +57,33 @@ def test_element_base_arithmetic(kind):
     with pytest.raises(ValueError):
         x * stranger
     assert x != other(dict(x.terms))
+
+
+def test_a_kept_hash_still_agrees_with_equality(monkeypatch):
+    """An element's hash is taken once and kept: hashing it again builds
+    no frozenset, and an equal element built another way (other key
+    order, a dropped zero, a sum) hashes equal, whichever was hashed
+    first; so do index tensors and factored products."""
+    built = []
+
+    def counted(items):
+        built.append(1)
+        return frozenset(items)
+
+    monkeypatch.setattr(scalar_module, "frozenset", counted, raising=False)
+    f, g = FunctionalElement(BUNDLE, {(G1,): PS.s}), FunctionalElement(
+        BUNDLE, {(G2, G1): PS.one})
+    geom = BUNDLE.geometry
+    for x, y in [
+            (f + g, FunctionalElement(BUNDLE, {(G2, G1): PS.one,
+                                               (G1,): PS.s, (G2,): PS.zero})),
+            (SparseTensor4(geom, {(1, 2, 2, 1): PS.s, (1, 1, 1, 1): PS.one}),
+             SparseTensor4(geom, {(1, 1, 1, 1): PS.one, (1, 2, 2, 1): PS.s})),
+            (_Factored(BUNDLE, {(f, g): PS.one, (g,): PS.r}),
+             _Factored(BUNDLE, {(g,): PS.r}) + _Factored(BUNDLE,
+                                                         {(f, g): PS.one}))]:
+        h = hash(x)
+        built.clear()
+        assert hash(x) == h and not built
+        assert x == y and hash(y) == h
+        assert {x: 1}[y] == 1

@@ -8,6 +8,9 @@ is checked degree by degree on spanning sets of T words.
 """
 
 import functools
+import re
+import sys
+from collections import Counter
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -16,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from qortho import calculus, envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
-                             _cone_witness, _exchange_residual,
-                             _Side, _first_difference, _mapped, _walk,
+                             _cone_witness, _Diagonal, _exchange_residual,
+                             _Pattern, _Side, _first_difference, _mapped,
+                             _walk,
                              _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
@@ -31,8 +35,8 @@ from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, build_presentation,
                                   word_element)
 from qortho.rmatrix import build_bundle
-from qortho.scalars import (_acc, limit_r_to_1, render_scalar,
-                            scalar_invert)
+from qortho.scalars import (DenominatorClass, Scalar, _acc, limit_r_to_1,
+                            render_scalar, scalar_invert)
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -145,6 +149,56 @@ def test_first_difference_order():
     del pairs[(2,)]
     assert _first_difference(pairs, 1) is None
     assert _first_difference(pairs, 2) == ((1,), ((1, 3), (2, 1)), one, None)
+
+
+class _OneEntryBundle:
+    """An R matrix bundle stand-in whose plus matrix is the one entry
+    L+^1_1(T^1_1) = entry."""
+
+    def __init__(self, geometry, entry):
+        self.geometry = geometry
+        self.Rplus = {(1, 1, 1, 1): entry}
+
+
+def test_walk_refuses_a_value_with_a_denominator():
+    """A start row, a column entry, a transfer entry or a diagonal factor
+    that is not a Laurent polynomial stops the walk with DenominatorClass
+    naming it, under python -O too."""
+    ps = GEOM3.params
+    bad = scalar_invert(ps.one + ps.r)          # 1/(1 + s^2)
+    src = _Pattern(BUNDLE3, (1,))
+    sides = [_Side(((src, {(1,): bad}, {(1,): None}),)),
+             _Side(((src, {(1,): ps.one}, {(1,): bad}),)),
+             _Side(((_Pattern(_OneEntryBundle(GEOM3, bad), (1,)),
+                     {(1,): ps.one}, {(1,): None}),))]
+    for side in sides:
+        with pytest.raises(DenominatorClass, match=re.escape(repr(bad))):
+            list(_walk([{(): side}], 1))
+    with pytest.raises(DenominatorClass, match=re.escape(repr(bad))):
+        _Diagonal({1: ps.one, 2: bad})
+
+
+def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
+    """Every product of an exchange walk goes through scalars.mul_acc on
+    Laurent numerators: the walk's frames make no Scalar product."""
+    callers = Counter()
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):     # comprehensions
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return mul(a, b)
+
+    kernel_calls = []
+    kernel = envelope.mul_acc
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(envelope, "mul_acc", lambda *args: (
+        kernel_calls.append(1), kernel(*args)))
+    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert kernel_calls
+    assert not callers.keys() & {"_walk", "step", "_through", "_read"}
 
 
 def test_pairing_values():

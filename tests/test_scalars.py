@@ -7,6 +7,7 @@ denominator produced by the constructions stays in.
 """
 
 import functools
+import re
 import sys
 import time
 from collections import Counter
@@ -22,11 +23,12 @@ from qortho.rmatrix import inner_lift
 from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
                             SchemaError, ZeroInverse, _acc, _canon,
-                            _poly_to_json, canonical_q, limit_r_to_1,
-                            merge_deformations, occurring_vars, poly_add,
-                            poly_mul, render_scalar, scalar_from_json,
-                            scalar_invert, scalar_to_json, specialize,
-                            substitute, sum_products)
+                            _poly_to_json, canonical_q, laurent_numerator,
+                            laurent_scalar, limit_r_to_1, merge_deformations,
+                            mul_acc, occurring_vars, poly_add, poly_mul,
+                            render_scalar, scalar_from_json, scalar_invert,
+                            scalar_to_json, specialize, substitute,
+                            sum_products)
 
 PS = ParamSpace(4)
 
@@ -908,3 +910,97 @@ def test_a_parsed_denominator_of_high_s_degree_is_refused_at_once():
     # the bound itself still parses
     doc["den"][1]["exponents"] = [scalar_module._MAX_DEN_DEGREE, 0]
     assert scalar_from_json(ps, doc).den
+
+
+# --- the in-place multiply-accumulate kernel ----------------------------------
+
+@st.composite
+def mul_acc_cases(draw, exps=st.integers(-6, 6)):
+    """(ps, start, x, hits): an accumulator {key: tuple poly} over keys
+    0..2, an operand x and hits [(key, y)], some of them again with y
+    negated, so that keys may cancel to an empty numerator."""
+    ps = draw(st.sampled_from(SPACES))
+    poly = tuple_polys(ps, max_size=3, exps=exps)
+    start = draw(st.dictionaries(st.integers(0, 2), poly))
+    hits = draw(st.lists(st.tuples(st.integers(0, 2), poly), max_size=5))
+    if hits:
+        again = draw(st.lists(st.sampled_from(hits), max_size=len(hits)))
+        hits += [(k, {m: -c for m, c in y.items()}) for k, y in again]
+    return ps, start, draw(poly), draw(st.permutations(hits))
+
+
+def kernel_and_reference(ps, start, x, hits):
+    """mul_acc on packed numerators, and _acc(d, k, x * y) on Scalars;
+    mul_acc writes to none of the dicts it is given."""
+    acc = {k: packed(ps, p) for k, p in start.items() if p}
+    xn, ys = packed(ps, x), [(k, packed(ps, y)) for k, y in hits]
+    given = [(p, dict(p)) for p in [xn, *acc.values()] + [y for _, y in ys]]
+    mul_acc(ps, acc, xn, ys)
+    assert all(p == seen for p, seen in given)
+    d = {k: laurent(ps, p) for k, p in start.items() if p}
+    for k, y in hits:
+        _acc(d, k, laurent(ps, x) * laurent(ps, y))
+    return acc, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(mul_acc_cases())
+@example((PS, {0: {(1, 0): 2}}, {(1, 0): 1},
+          [(0, {(0, 0): 1}), (0, {(0, 0): 1}), (0, {(0, 0): -4})]))
+@example((PS, {}, {(1, 0): 1, (0, 1): -1},
+          [(1, {(0, 0): 3, (2, 1): 1}), (1, {(0, 0): -3, (2, 1): -1})]))
+def test_mul_acc_matches_acc_of_the_products(case):
+    ps, start, x, hits = case
+    acc, d = kernel_and_reference(ps, start, x, hits)
+    assert acc == {k: v.num for k, v in d.items()}
+    assert all(acc.values())
+
+
+def test_mul_acc_stores_a_unit_product_as_the_other_operand():
+    # a product with ps.one's numerator is the other operand itself; a
+    # later sum into its key is a new dict, so the operand never changes
+    ps = ParamSpace(5)
+    one = laurent_numerator(ps, ps.one)
+    y = laurent_numerator(ps, ps.lam)
+    acc = {}
+    mul_acc(ps, acc, one, [(0, y)])
+    mul_acc(ps, acc, y, [(1, one)])
+    assert acc[0] is y and acc[1] is y
+    mul_acc(ps, acc, one, [(0, y)])
+    mul_acc(ps, acc, y, [(1, laurent_numerator(ps, -ps.one))])
+    assert acc == {0: laurent_numerator(ps, ps.lam + ps.lam)}
+    assert laurent_scalar(ps, y) == ps.lam
+
+
+EDGE = ParamSpace(5)._half
+
+
+@settings(max_examples=200, deadline=None)
+@given(mul_acc_cases(exps=st.sampled_from(
+    [-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 2, EDGE - 1])))
+def test_mul_acc_overflows_as_the_product_does(case):
+    # at the edge of the exponent field: the first product that leaves
+    # the field raises with Scalar.__mul__'s message, naming the same
+    # monomials
+    ps, start, x, hits = case
+    for j, (_, y) in enumerate(hits):
+        try:
+            laurent(ps, x) * laurent(ps, y)
+        except ExponentOverflow as exc:
+            with pytest.raises(ExponentOverflow) as got:
+                kernel_and_reference(ps, start, x, hits[:j + 1])
+            assert str(got.value) == str(exc)
+            return
+    acc, d = kernel_and_reference(ps, start, x, hits)
+    assert acc == {k: v.num for k, v in d.items()}
+
+
+def test_laurent_numerator_refuses_a_denominator_and_another_space():
+    ps = ParamSpace(5)
+    bad = scalar_invert(ps.one + ps.r)
+    with pytest.raises(DenominatorClass, match=re.escape(repr(bad))):
+        laurent_numerator(ps, bad)
+    with pytest.raises(ValueError, match="different parameter spaces"):
+        laurent_numerator(ps, ParamSpace(3).s)
+    assert laurent_scalar(ps, dict(laurent_numerator(ps, ps.lam))) == ps.lam
+    assert laurent_scalar(ps, {}) is ps.zero
