@@ -37,6 +37,9 @@ combination of the tangent vectors and their products
 (envelope._Factored), and envelope._witnesses reads it from the values
 of the tangent vectors alone, a product's value on a T-word being the
 convolution of its factors' values over the coproduct of the word.
+Like the walk, that convolution reads its sides through
+envelope._compile and multiplies through scalars.mul_acc; the tangent
+vectors' values are kept, as Laurent numerators, for one check only.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ One binary with subcommands:
   reduce    normal-form a word of the inhomogeneous algebra
   pair      evaluate the duality bracket of a functional word against
             an algebra word
-  det       print the central quantum determinant of the rotation block
+  det       print the quantum determinant of the rotation block
   lie       dump every q-Lie relation instance and the structure
             constants of a tangent basis as JSON
 

@@ -42,9 +42,14 @@ r = 1 calculus reads its limits; a bracket with such a side is the image
 of the unmapped bracket, so terms cancel across words before the map.
 A side may also be a combination of convolution products of functionals
 kept factored (_Factored), as the q-Lie relations of the calculus are:
-_convolve walks the distinct factors once and forms each product on a
-T-word from their values by the coproduct Delta(T^C_D) = sum_G T^C_G x
-T^G_D, so no product is multiplied out into longer functional words.
+its walk side has one term per product, whose source is the tuple of
+factors, and _convolve reads such sides in place of _walk.  Both read
+their streams, column coefficients and maps through _compile and form
+every product with scalars.mul_acc.  _convolve walks the distinct
+factors once, keeps their values as Laurent numerators for that one
+check, and forms each product on a T-word from them by the coproduct
+Delta(T^C_D) = sum_G T^C_G x T^G_D, so no product is multiplied out
+into longer functional words.
 The Hopf pairing axioms are ordered families of (key, lhs, rhs) cases
 that report their first failure through report.first_failure, their
 sides reading brackets from batched restricted walks; the cone-ideal
@@ -358,7 +363,9 @@ class _Side:
     keep=None) gives the nonzero rows after every next letter (or the one
     letter given), and source.viable(ends, r) a filter for keep that may
     drop the states from which no state of ends is reached within r
-    letters, or None."""
+    letters, or None.  A source may instead be a tuple of factors, the
+    start row {(): 1}: its value on a word is the convolution product of
+    the factors' values there, which _convolve reads in place of _walk."""
 
     __slots__ = ("terms", "fn", "scale")
 
@@ -373,43 +380,46 @@ class _Side:
 
 
 def _as_side(side) -> _Side:
-    """A FunctionalElement as a walk side (a _Factored becomes the
-    _Products side that _convolve reads).  Coefficients with a
-    denominator are first brought to Laurent polynomials by a common
-    factor; its inverse is the side's scale, which operator.mul takes
-    back out once per value (once per bracket in _brackets).  The words
-    of one sign pattern are then grouped by start state (a unit row per
+    """A FunctionalElement or a _Factored as a walk side.  Coefficients
+    with a denominator are first brought to Laurent polynomials by a
+    common factor; its inverse is the side's scale, which operator.mul
+    takes back out once per value (once per bracket in _brackets).  A
+    _Factored gives one term (factors, {(): 1}, {(): coefficient}) per
+    product, its source the tuple of factors, which _convolve reads.  The
+    words of one sign pattern are grouped by start state (a unit row per
     start, the coefficients in the column) or, when that gives fewer
     rows, by end state (the coefficients folded into one start row per
     end)."""
-    if isinstance(side, (_Side, _Products)):
+    if isinstance(side, _Side):
         return side
-    if isinstance(side, _Factored):
-        return _Products(side)
     ps = side.bundle.geometry.params
-    common = common_denominator(ps, side.terms.values())
-    groups: Dict[Tuple, Tuple[Dict, Dict]] = {}
-    for w, c in side.terms.items():
-        if common is not ps.one:
-            c = c * common
-        signs, a, b = zip(*w) if w else ((), (), ())
-        by_start, by_end = groups.setdefault(signs, ({}, {}))
-        by_start.setdefault(a, {})[b] = c
-        by_end.setdefault(b, {})[a] = c
-    terms = []
-    for signs in sorted(groups):
-        src = _Pattern(side.bundle, signs)
-        starts, ends = groups[signs]
-        if len(starts) <= len(ends):
-            terms += [(src, {a: ps.one}, {b: None if c == ps.one else c
-                                          for b, c in col.items()})
-                      for a, col in sorted(starts.items())]
-        else:
-            terms += [(src, row, {b: None})
-                      for b, row in sorted(ends.items())]
+    common, scale = common_denominator(ps, side.terms.values())
+    coeffs = side.terms if common is ps.one else {
+        t: c * common for t, c in side.terms.items()}
+    if isinstance(side, _Factored):
+        terms = [(factors, {(): ps.one}, {(): None if c == ps.one else c})
+                 for factors, c in coeffs.items()]
+    else:
+        groups: Dict[Tuple, Tuple[Dict, Dict]] = {}
+        for w, c in coeffs.items():
+            signs, a, b = zip(*w) if w else ((), (), ())
+            by_start, by_end = groups.setdefault(signs, ({}, {}))
+            by_start.setdefault(a, {})[b] = c
+            by_end.setdefault(b, {})[a] = c
+        terms = []
+        for signs in sorted(groups):
+            src = _Pattern(side.bundle, signs)
+            starts, ends = groups[signs]
+            if len(starts) <= len(ends):
+                terms += [(src, {a: ps.one}, {b: None if c == ps.one else c
+                                              for b, c in col.items()})
+                          for a, col in sorted(starts.items())]
+            else:
+                terms += [(src, row, {b: None})
+                          for b, row in sorted(ends.items())]
     if common is ps.one:
         return _Side(tuple(terms))
-    return _Side(tuple(terms), operator.mul, scalar_invert(common))
+    return _Side(tuple(terms), operator.mul, scale)
 
 
 def _mapped(side, fn) -> _Side:
@@ -422,8 +432,6 @@ def _mapped(side, fn) -> _Side:
     s = _as_side(side)
     if s.fn not in (None, operator.mul):
         raise ValueError("side is mapped by %s already" % s.fn.__name__)
-    if isinstance(s, _Products):
-        return _Products(s.element, fn)
     return _Side(s.terms, fn, s.scale)
 
 
@@ -433,7 +441,8 @@ class _Factored(LinearCombination):
     of its factors instead of being multiplied out into words; +, -,
     scale and * (which joins the factor tuples) work as for
     FunctionalElement.  _convolve evaluates it from the values of its
-    factors alone."""
+    factors alone, which must be Laurent polynomials (DenominatorClass
+    otherwise); the factors of _factored have Laurent coefficients."""
 
     __slots__ = ("bundle",)
 
@@ -452,24 +461,14 @@ class _Factored(LinearCombination):
 
 
 def _factored(f: FunctionalElement) -> _Factored:
-    """f as a product of one factor."""
-    return _Factored(f.bundle, {(f,): f.bundle.geometry.params.one})
-
-
-class _Products:
-    """A _Factored relation side as _convolve evaluates it.  Its value on
-    a T-word is fn(v, scale) as for a _Side, v a Laurent sum; the scale
-    is the inverse of the common factor that _convolve finds for the
-    side's coefficients and its factors' scales, so fn None stands for
-    operator.mul when that factor is not one."""
-
-    __slots__ = ("element", "fn")
-
-    def __init__(self, element: _Factored,
-                 fn: Optional[Callable[[Scalar, Optional[Scalar]],
-                                       Scalar]] = None):
-        self.element = element
-        self.fn = fn
+    """f as a product of one factor.  The factor is f times the common
+    factor of its coefficients (see _as_side), whose inverse becomes the
+    product's coefficient, so every product of such factors carries the
+    scales of its factors in its own coefficient, each found once."""
+    ps = f.bundle.geometry.params
+    common, scale = common_denominator(ps, f.terms.values())
+    return _Factored(f.bundle, {
+        (f if common is ps.one else f.scale(common),): scale})
 
 
 def _compile(families: Sequence[Dict]):
@@ -525,9 +524,17 @@ def _finish(vals: List[Dict], fns) -> List[Dict]:
     return vals
 
 
+def _values(acc: Dict[Tuple, object], fns, ps: ParamSpace) -> List[Dict]:
+    """Values by family and key of the Laurent sums {(family number, key):
+    numerator} of one word, one Scalar per nonzero sum, through _finish."""
+    vals: List[Dict] = [{} for _ in fns]
+    for (n, key), v in acc.items():
+        vals[n][key] = laurent_scalar(ps, v)
+    return _finish(vals, fns)
+
+
 def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
-    """Values by family and key of the live stream rows at one word, one
-    Scalar per nonzero value."""
+    """Values by family and key of the live stream rows at one word."""
     acc: Dict[Tuple, object] = {}
     for i, row in live.items():
         at = reads[i]
@@ -535,15 +542,12 @@ def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
             hits = at.get(b)
             if hits:
                 mul_acc(ps, acc, v, hits)
-    vals: List[Dict] = [{} for _ in fns]
-    for (n, key), v in acc.items():
-        vals[n][key] = laurent_scalar(ps, v)
-    return _finish(vals, fns)
+    return _values(acc, fns, ps)
 
 
 def _through(src, a: State, at: Dict, ps: ParamSpace) -> List:
     """The reads of a stream from state a through one more letter, as
-    [((letter, family, key), coefficient)], the coefficient (a Laurent
+    [((letter, (family, key)), coefficient)], the coefficient (a Laurent
     numerator) summing Theta^letter[a][b] times the column entry over the
     read states b."""
     out: List = []
@@ -554,7 +558,7 @@ def _through(src, a: State, at: Dict, ps: ParamSpace) -> List:
             hits = at.get(b)
             if hits:
                 mul_acc(ps, acc, t, hits)
-        out += [((letter,) + nk, c) for nk, c in acc.items()]
+        out += [((letter, nk), c) for nk, c in acc.items()]
     return out
 
 
@@ -597,14 +601,11 @@ def _walk(families: Sequence[Dict], D: int, words=None):
                         hits = known[a] = _through(streams[i][0], a,
                                                    reads[i], ps)
                     mul_acc(ps, acc, v, hits)
-            leaves: Dict[Letter, List[Dict]] = {}
-            for (letter, n, key), v in acc.items():
-                vals = leaves.get(letter)
-                if vals is None:
-                    vals = leaves[letter] = [{} for _ in fns]
-                vals[n][key] = laurent_scalar(ps, v)
+            leaves: Dict[Letter, Dict] = {}
+            for (letter, nk), v in acc.items():
+                leaves.setdefault(letter, {})[nk] = v
             for letter in sorted(leaves):
-                yield coords + (letter,), _finish(leaves[letter], fns)
+                yield coords + (letter,), _values(leaves[letter], fns, ps)
         elif len(coords) < D:
             r = D - len(coords) - 1
             letters = [None] if words is None else nexts.get(coords, ())
@@ -620,97 +621,50 @@ def _walk(families: Sequence[Dict], D: int, words=None):
                       for letter in sorted(kids, reverse=True)]
 
 
-def _product_reads(sides: List[Dict], index: Dict, factors: List[_Side]):
-    """Where _convolve reads each product of factors: reads[first][rest]
-    lists (family number, key, coefficient) for the product of the
-    factors numbered first and then rest (index numbers the distinct
-    factors, whose walk sides are factors), a coefficient None standing
-    for 1; fns[n] holds the (map, scale) of family n's sides.  A side's
-    coefficients take in its factors' scales and a common factor
-    (scalars.common_denominator) of their own, whose inverse is the
-    side's scale, so that they are Laurent polynomials."""
-    reads: Dict[int, Dict[Tuple[int, ...], List]] = {}
-    fns: List[Dict] = []
-    scales: Dict[Tuple[int, ...], Scalar] = {}
-    inverses: Dict[Scalar, Scalar] = {}
-    for n, family in enumerate(sides):
-        fns.append({})
-        for key, s in family.items():
-            ps = s.element.bundle.geometry.params
-            terms = []
-            for t, c in s.element.terms.items():
-                ids = tuple(index[f] for f in t)
-                if ids not in scales:
-                    scales[ids] = functools.reduce(operator.mul, [
-                        factors[i].scale or ps.one for i in ids])
-                terms.append((ids, c * scales[ids]))
-            common = common_denominator(ps, (c for _, c in terms))
-            for ids, c in terms:
-                c = c if common is ps.one else c * common
-                reads.setdefault(ids[0], {}).setdefault(ids[1:], []).append(
-                    (n, key, None if c == ps.one else c))
-            if common is not ps.one:
-                if common not in inverses:
-                    inverses[common] = scalar_invert(common)
-                fns[n][key] = (s.fn or operator.mul, inverses[common])
-            elif s.fn is not None:
-                fns[n][key] = (s.fn, None)
-    return reads, fns
-
-
 def _convolve(families: Sequence[Dict], D: int):
-    """_walk for families of product sides ({key: _Factored or its image
-    under _mapped}): yields (coords, values) for the free T-words of
+    """_walk for families of product sides (a _Factored or its image
+    under _mapped): yields (coords, values) for the free T-words of
     length <= D with a nonzero value, by length, then by row (C1, ...,
-    Ck), then by column (D1, ..., Dk).  The distinct factors are walked
-    once, unmapped, and their nonzero values kept by word.  The value of
-    a product f g on T^{C1}_{D1} ... T^{Ck}_{Dk} is the convolution
-    (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D:
-    sum over G of f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ...
-    T^{Gk}_{Dk}), formed for one row (C1, ..., Ck) at a time.  A side's
-    value on a word is the Laurent sum of _product_reads, which reaches
-    the side's map once, as fn(v, scale), in _finish."""
-    sides = [{key: _as_side(side) for key, side in family.items()}
-             for family in families]
+    Ck), then by column (D1, ..., Dk).  The streams, reads and maps come
+    from _compile, one stream per distinct tuple of factors.  The
+    distinct factors are walked once and their nonzero values kept by
+    word, as Laurent numerators, for this call only.  The value of a
+    product f g on T^{C1}_{D1} ... T^{Ck}_{Dk} is the convolution
+    (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D: sum over G of
+    f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ... T^{Gk}_{Dk}), formed
+    for one row (C1, ..., Ck) at a time with the products grouped by
+    their first factor, every product through scalars.mul_acc."""
+    streams, reads, fns, ps = _compile(families)
     index: Dict[FunctionalElement, int] = {}
-    for family in sides:
-        for s in family.values():
-            if not isinstance(s, _Products):
-                raise TypeError("_convolve reads product sides only")
-            for t in s.element.terms:
-                for f in t:
-                    index.setdefault(f, len(index))
-    factors = [_as_side(f) for f in index]
-    # tables[i][(C1, ..., Ck)][(D1, ..., Dk)]: the Laurent value of
-    # factor i on T^{C1}_{D1} ... T^{Ck}_{Dk}, before its scale
-    tables: List[Dict[Tuple, Dict[Tuple, Scalar]]] = [{} for _ in factors]
-    for coords, (vals,) in _walk(
-            [{i: _Side(f.terms) for i, f in enumerate(factors)}], D):
+    by_first: Dict[int, List[Tuple[Tuple[int, ...], List]]] = {}
+    for (src, _), at in zip(streams, reads):
+        if type(src) is not tuple:
+            raise TypeError("_convolve reads product sides only")
+        ids = tuple(index.setdefault(f, len(index)) for f in src)
+        by_first.setdefault(ids[0], []).append((ids[1:], at[()]))
+    # tables[i][(C1, ..., Ck)][(D1, ..., Dk)]: the numerator of the
+    # value of factor i on T^{C1}_{D1} ... T^{Ck}_{Dk}
+    tables: List[Dict[Tuple, Row]] = [{} for _ in index]
+    for coords, (vals,) in _walk([{i: f for f, i in index.items()}], D):
         C, G = tuple(zip(*coords)) or ((), ())
         for i, v in vals.items():
-            tables[i].setdefault(C, {})[G] = v
-    reads, fns = _product_reads(sides, index, factors)
-    for C in sorted({C for i in reads for C in tables[i]},
+            tables[i].setdefault(C, {})[G] = laurent_numerator(ps, v)
+    for C in sorted({C for i in by_first for C in tables[i]},
                     key=lambda C: (len(C), C)):
-        at: Dict[Tuple, List[Dict]] = {}
-        for first, products in reads.items():
+        at: Dict[Tuple, Dict] = {}
+        for first, products in by_first.items():
             start = tables[first].get(C)
-            for rest, hits in products.items() if start else ():
+            for rest, hits in products if start else ():
                 row = start
                 for i in rest:
-                    nxt: Dict[Tuple, Scalar] = {}
+                    nxt: Row = {}
                     for G, v in row.items():
-                        for Dd, t in tables[i].get(G, {}).items():
-                            _acc(nxt, Dd, v * t)
+                        mul_acc(ps, nxt, v, tables[i].get(G, {}).items())
                     row = nxt
                 for Dd, v in row.items():
-                    vals = at.get(Dd)
-                    if vals is None:
-                        vals = at[Dd] = [{} for _ in fns]
-                    for n, key, c in hits:
-                        _acc(vals[n], key, v if c is None else v * c)
+                    mul_acc(ps, at.setdefault(Dd, {}), v, hits)
         for Dd in sorted(at):
-            yield tuple(zip(C, Dd)), _finish(at[Dd], fns)
+            yield tuple(zip(C, Dd)), _values(at[Dd], fns, ps)
 
 
 @functools.cache
@@ -845,12 +799,14 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     """The first disagreement of each relation lhs = rhs of a family, one
     per index key, on the free words of length <= D, in one walk:
     {key: (coords, lhs value, rhs value)} with None for a zero value,
-    keys whose relation holds left out.  A side is a FunctionalElement or
-    a _Side, read by _walk, or, for every side of the family, a
-    _Factored or its image under _mapped, read by _convolve; a key's
-    first word is its shortest, then the smallest by coordinate tuple."""
-    walk = _convolve if any(isinstance(s, (_Factored, _Products))
-                            for p in pairs.values() for s in p) else _walk
+    keys whose relation holds left out.  A side is a FunctionalElement, a
+    _Factored or a walk side (_as_side, _mapped); the kind of the
+    family's sources decides the walk: _convolve reads a family of
+    products, _walk one of words.  A key's first word is its shortest,
+    then the smallest by coordinate tuple."""
+    src = next((src for p in pairs.values() for s in map(_as_side, p)
+                for src, _, _ in s.terms), None)
+    walk = _convolve if type(src) is tuple else _walk
     found: Dict[Tuple, Tuple] = {}
     for coords, (lv, rv) in walk([{k: p[0] for k, p in pairs.items()},
                                   {k: p[1] for k, p in pairs.items()}], D):

@@ -815,17 +815,21 @@ def denominator(a: Scalar) -> Scalar:
     return Scalar(a.ps, a.den, a.ps._one_den)
 
 
-def common_denominator(ps: ParamSpace, coeffs: Iterable[Scalar]) -> Scalar:
+def common_denominator(ps: ParamSpace, coeffs: Iterable[Scalar]
+                       ) -> Tuple[Scalar, Scalar]:
     """A Laurent polynomial whose product with every scalar of coeffs is
-    a Laurent polynomial: one, times the denominators that are missing.
-    Whether a is covered depends on its denominator alone, and equal
-    denominators are one shared dict, so each is looked at once."""
-    common = ps.one
+    a Laurent polynomial, and its inverse: one, times the denominators
+    that are missing.  Whether a is covered depends on its denominator
+    alone, and equal denominators are one shared dict, so each is looked
+    at once.  The inverse of a missing denominator is one over it, in
+    canonical form as it stands, so no inverse is solved for."""
+    common = inverse = ps.one
     for a in {id(a.den): a for a in coeffs if not a.is_laurent()}.values():
         x = a * common
         if not x.is_laurent():
             common = common * denominator(x)
-    return common
+            inverse = inverse * Scalar(ps, ps.one.num, x.den)
+    return common, inverse
 
 
 def occurring_vars(a: Scalar) -> List[str]:

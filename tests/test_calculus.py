@@ -276,26 +276,60 @@ def _by_word(walk, families, D):
     return {coords: vals for coords, vals in walk(families, D) if any(vals)}
 
 
-@pytest.mark.parametrize("kind", ["r1", "projected"])
-def test_convolution_products_match_the_walk_of_the_expanded_product(kind):
-    """For every ordered pair of basis vectors, the convolution of their
-    values is the walk of their multiplied-out product on every word of
-    length <= 2, at generic parameters and through the r = 1 view."""
-    vectors = dict(enumerate(tangent_basis(kind, 3).vectors))
-    factored = {(i, j): envelope._factored(f) * envelope._factored(g)
-                for i, f in vectors.items() for j, g in vectors.items()}
+def _convolution_matches_the_walk(kind, pairs, D):
+    """The convolution of the values of the basis vectors numbered by
+    each pair is the walk of their multiplied-out product on every word
+    of length <= D, at generic parameters and through the r = 1 view."""
+    vectors = tangent_basis(kind, 3).vectors
+    factored = {(i, j): envelope._factored(vectors[i])
+                * envelope._factored(vectors[j]) for i, j in pairs}
     expanded = {key: _expanded(side) for key, side in factored.items()}
-    got = _by_word(envelope._convolve, [factored], 2)
-    assert got == _by_word(envelope._walk, [expanded], 2)
+    got = _by_word(envelope._convolve, [factored], D)
+    assert got == _by_word(envelope._walk, [expanded], D)
     assert len(got) > 100
     if kind == "r1":
         view = {key: calculus._view("r1", side)
                 for key, side in factored.items()}
-        got = _by_word(envelope._convolve, [view], 2)
+        got = _by_word(envelope._convolve, [view], D)
         assert got == _by_word(envelope._walk, [{
             key: calculus._view("r1", side)
-            for key, side in expanded.items()}], 2)
+            for key, side in expanded.items()}], D)
         assert len(got) > 100
+
+
+@pytest.mark.parametrize("kind", ["r1", "projected"])
+def test_convolution_products_match_the_walk_of_the_expanded_product(kind):
+    """Every ordered pair of basis vectors on the words of length <= 2."""
+    n = len(tangent_basis(kind, 3).vectors)
+    _convolution_matches_the_walk(
+        kind, [(i, j) for i in range(n) for j in range(n)], 2)
+
+
+@pytest.mark.parametrize("kind", ["r1", "projected"])
+def test_convolution_over_three_inner_indices_matches_the_walk(kind):
+    """A few ordered pairs of basis vectors (first and last, last and
+    second, a square) on the words of length <= 3, where each product's
+    value sums over three inner indices."""
+    last = len(tangent_basis(kind, 3).vectors) - 1
+    _convolution_matches_the_walk(kind, [(0, last), (last, 1), (2, 2)], 3)
+
+
+def test_a_product_reads_the_same_from_factors_as_they_are():
+    """_factored takes each factor's common denominator out of it once;
+    a product of the factors as they are reads the same witnesses, and a
+    factor with a value that is not a Laurent polynomial is refused."""
+    basis = tangent_basis("r1", 3)
+    ps = basis.bundle.geometry.params
+    chi = basis.vectors[-1]
+    zero = envelope._Factored(basis.bundle, {})
+    raw = envelope._Factored(basis.bundle, {(chi, chi): ps.one})
+    found = envelope._witnesses({(): (raw, zero)}, 2)
+    assert found and found == envelope._witnesses({(): (
+        envelope._factored(chi) * envelope._factored(chi), zero)}, 2)
+    bad = envelope.eps_functional(basis.bundle).scale(scalar_invert(ps.lam))
+    with pytest.raises(scalar_module.DenominatorClass):
+        envelope._witnesses({(): (
+            envelope._Factored(basis.bundle, {(bad,): ps.one}), zero)}, 2)
 
 
 def _scale_a_coefficient(side):
@@ -319,12 +353,14 @@ def _drop_a_product(side):
     ("rotations move translations inside the basis", (2, 1, 2),
      _drop_a_product)])
 def test_a_wrong_qlie_row_fails_with_the_witness_of_its_expanded_form(
-        relation, row, mutate):
+        relation, row, mutate, monkeypatch):
     """A q-Lie row with one coefficient changed, or one product term
     dropped, fails with the same (word, lhs, rhs) witness that the walk
     of the multiplied-out rows gives, and the other rows still hold."""
-    pairs = {key: (side.element, rhs.element)
-             for key, (side, rhs) in calculus._lie_families("r1", 3).items()
+    with monkeypatch.context() as m:    # the rows' sides before the view
+        m.setattr(calculus, "_view", lambda kind, f: f)
+        families = calculus._lie_families("r1", 3)
+    pairs = {key: sides for key, sides in families.items()
              if key[0] == relation}
     key = (relation,) + row
     pairs[key] = (mutate(pairs[key][0]), pairs[key][1])

@@ -36,7 +36,7 @@ from qortho.presentations import (AlgebraElement, build_presentation,
                                   word_element)
 from qortho.rmatrix import build_bundle
 from qortho.scalars import (DenominatorClass, Scalar, _acc, limit_r_to_1,
-                            render_scalar, scalar_invert)
+                            merge_deformations, render_scalar, scalar_invert)
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -178,9 +178,9 @@ def test_walk_refuses_a_value_with_a_denominator():
         _Diagonal({1: ps.one, 2: bad})
 
 
-def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
-    """Every product of an exchange walk goes through scalars.mul_acc on
-    Laurent numerators: the walk's frames make no Scalar product."""
+def _count_products(monkeypatch):
+    """Counters of the Scalar products by calling function (comprehension
+    frames skipped) and of the calls of envelope's mul_acc."""
     callers = Counter()
     mul = Scalar.__mul__
 
@@ -196,9 +196,37 @@ def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(envelope, "mul_acc", lambda *args: (
         kernel_calls.append(1), kernel(*args)))
+    return callers, kernel_calls
+
+
+def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
+    """Every product of an exchange walk goes through scalars.mul_acc on
+    Laurent numerators: the walk's frames make no Scalar product."""
+    callers, kernel_calls = _count_products(monkeypatch)
     assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
     assert kernel_calls
     assert not callers.keys() & {"_walk", "step", "_through", "_read"}
+
+
+def test_the_convolution_multiplies_through_the_kernel_alone(monkeypatch):
+    """The q-Lie rows' products of factor values go through
+    scalars.mul_acc too: _convolve makes no Scalar product."""
+    callers, kernel_calls = _count_products(monkeypatch)
+    rows = calculus.lie_rows("r1", 3, 2)
+    assert rows and all(row["status"] for row in rows)
+    assert kernel_calls
+    assert not callers.keys() & {"_convolve", "_walk", "_read"}
+
+
+def test_mapped_refuses_a_side_mapped_already():
+    """A word side and a product side can each be mapped once; mapping
+    the image again is refused by name."""
+    f = l_functional(BUNDLE5, 1, 2, 2)
+    for side in (f, envelope._factored(f) * envelope._factored(f)):
+        once = _mapped(side, limit_r_to_1)
+        assert once.fn is limit_r_to_1
+        with pytest.raises(ValueError, match="mapped by limit_r_to_1"):
+            _mapped(once, merge_deformations)
 
 
 def test_pairing_values():

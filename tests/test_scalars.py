@@ -23,12 +23,12 @@ from qortho.rmatrix import inner_lift
 from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             PoleAtOne, PoleAtPoint, Scalar, ScalarError,
                             SchemaError, ZeroInverse, _acc, _canon,
-                            _poly_to_json, canonical_q, laurent_numerator,
-                            laurent_scalar, limit_r_to_1, merge_deformations,
-                            mul_acc, occurring_vars, poly_add, poly_mul,
-                            render_scalar, scalar_from_json, scalar_invert,
-                            scalar_to_json, specialize, substitute,
-                            sum_products)
+                            _poly_to_json, canonical_q, common_denominator,
+                            laurent_numerator, laurent_scalar, limit_r_to_1,
+                            merge_deformations, mul_acc, occurring_vars,
+                            poly_add, poly_mul, render_scalar,
+                            scalar_from_json, scalar_invert, scalar_to_json,
+                            specialize, substitute, sum_products)
 
 PS = ParamSpace(4)
 
@@ -740,6 +740,22 @@ def fraction_pairs(draw):
 @given(fraction_pairs())
 def test_fraction_sums_and_products_match_canon(data):
     assert_matches_unreduced(*data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_pairs())
+def test_common_denominator_clears_every_coefficient_with_its_inverse(data):
+    """The common denominator makes every coefficient a Laurent
+    polynomial, and the inverse given with it is the canonical one that
+    scalar_invert solves for."""
+    ps, x, y = data
+    coeffs = [x, y, x * y, ps.s]
+    common, inverse = common_denominator(ps, coeffs)
+    assert common.is_laurent()
+    assert all((c * common).is_laurent() for c in coeffs)
+    want = scalar_invert(common)
+    assert (inverse.num, inverse.den) == (want.num, want.den)
+    assert inverse.den is want.den
 
 
 def test_equal_denominators_are_one_object():
