@@ -302,16 +302,14 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
                 chi_t[c2] * chi_s - chi_s * chi_t[c2],
                 -chi_t[c2])
 
-        def mirror(A, B):  # zero on the antidiagonal
-            if B == geom.prime(A):
-                return zero
-            return _factored(_chi(A, B, N, (max(A, B),)))
-
-        for A in geom.indices():
-            for B in geom.indices():
-                add("mirror tangent vectors are proportional", (A, B),
-                    mirror(geom.prime(B), geom.prime(A)),
-                    mirror(A, B).scale(-q(A, B)))
+        # each mirror vector is the lhs of one row and the rhs of another
+        mirror = {(A, B): zero if B == geom.prime(A)   # the antidiagonal
+                  else _factored(_chi(A, B, N, (max(A, B),)))
+                  for A in geom.indices() for B in geom.indices()}
+        for A, B in mirror:
+            add("mirror tangent vectors are proportional", (A, B),
+                mirror[geom.prime(B), geom.prime(A)],
+                mirror[A, B].scale(-q(A, B)))
         return pairs
 
     raise ValueError("unknown calculus kind %r" % (kind,))

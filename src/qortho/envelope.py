@@ -18,18 +18,22 @@ indices, one family per sign pattern of the word (_Pattern), built from
 the R matrix.  Functionals are evaluated by a depth-first walk of the
 trie of T-words (_walk): a fixed combination of words enters as start
 rows with its coefficients folded in (_as_side), each node multiplies
-its parent's rows by one transfer matrix, and only the rows along the
-current word are held.  The coefficients are first brought to Laurent
-polynomials, so the walk carries bare Laurent numerators in its rows,
-transfer matrices and read coefficients, never looks inside them, and
-forms every product with scalars.mul_acc, one call per row state; a
-value becomes a Scalar once, when it is read, before any map of its
-side.  A bracket <f, a> comes from the same walk
-restricted to the prefixes of the T-words of a (_brackets), one walk per
-batch of functionals and elements.  The transfer matrices of the one-
-and two-letter patterns are derived data, built on first use and kept by
-functools.cache per bundle and sign pattern; nothing keyed by a word or
-a word length is kept.
+its parent's rows by the transfer matrices of every letter at once, and
+only the rows along the current word are held; the words of the last
+length are read from their parent's rows through a lookahead.  The
+coefficients are first brought to Laurent polynomials, so the walk
+carries bare Laurent numerators in its rows, transfer matrices and read
+coefficients, never looks inside them, and forms every product with
+scalars.mul_acc: one call per row state at a node, and at the last
+length one per row state and letter; a value becomes a Scalar once,
+when it is read, before any map of its side.  A bracket <f, a> comes
+from the same walk restricted to the prefixes of the T-words of a
+(_brackets), one walk per batch of functionals and elements: it steps
+every letter at each prefix it visits, keeps the letters that extend a
+T-word of a, and reads the last length through the same lookahead.  The
+transfer matrices of the one- and two-letter patterns are derived data,
+built on first use and kept by functools.cache per bundle and sign
+pattern; nothing keyed by a word or a word length is kept.
 
 Every relation of the envelope suite (exchange, metric orthogonality,
 the counit, bullet-row reduction and twist identities) is a family of
@@ -210,37 +214,39 @@ Letter = Tuple[int, int]         # the T letter T^C_D as (C, D)
 @functools.cache
 def _transfer(bundle: RMatrixBundle, signs: Tuple[int, ...]):
     """The transfer matrices of a sign pattern of one or two letters,
-    indexed for stepping: trans[(C, a)] lists the (D, b, v) with
-    Theta^C_D[a][b] = v nonzero, v its Laurent numerator (see _Pattern);
-    for one letter Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) = R+-^{EC}_{FD}."""
+    indexed by the state they act on: trans[a] lists the (C, D, b, v)
+    with Theta^C_D[a][b] = v nonzero, v its Laurent numerator (see
+    _Pattern); for one letter Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) =
+    R+-^{EC}_{FD}."""
     ps = bundle.geometry.params
     if len(signs) == 1:
         tensor = bundle.Rplus if signs[0] > 0 else bundle.Rminus
-        out: Dict[Tuple, List[Tuple[int, State, object]]] = {}
+        out: Dict[State, List[Tuple[int, int, State, object]]] = {}
         for (E, C, F, D), v in tensor.items():
-            out.setdefault((C, (E,)), []).append(
-                (D, (F,), laurent_numerator(ps, v)))
+            out.setdefault((E,), []).append(
+                (C, D, (F,), laurent_numerator(ps, v)))
         return out
     # Theta^C_D[a1 a2][b1 b2] = sum_G tau^C_G[a1][b1] tau^G_D[a2][b2]
-    second: Dict[int, List] = {}
-    for (G, a2), tail in _transfer(bundle, signs[1:]).items():
-        second.setdefault(G, []).append((a2, tail))
-    acc: Dict[Tuple, Row] = {}
-    for (C, a1), hits in _transfer(bundle, signs[:1]).items():
-        for G, b1, v in hits:
-            for a2, tail in second.get(G, ()):
-                mul_acc(ps, acc.setdefault((C, a1 + a2), {}), v,
-                        [((D, b1 + b2), t) for D, b2, t in tail])
-    return {key: [k + (v,) for k, v in row.items()]
-            for key, row in acc.items() if row}
+    second: Dict[int, Dict[State, List]] = {}
+    for a2, hits in _transfer(bundle, signs[1:]).items():
+        for G, D, b2, t in hits:
+            second.setdefault(G, {}).setdefault(a2, []).append((D, b2, t))
+    acc: Dict[State, Row] = {}
+    for a1, hits in _transfer(bundle, signs[:1]).items():
+        for C, G, b1, v in hits:
+            for a2, tail in second.get(G, {}).items():
+                mul_acc(ps, acc.setdefault(a1 + a2, {}), v,
+                        [((C, D, b1 + b2), t) for D, b2, t in tail])
+    return {a: [k + (v,) for k, v in row.items()]
+            for a, row in acc.items() if row}
 
 
 @functools.cache
 def _preimages(bundle: RMatrixBundle, sign: int) -> Dict[int, set]:
     """pre[F]: the E with L^E_F nonzero on some T letter."""
     pre: Dict[int, set] = {}
-    for (_, (E,)), hits in _transfer(bundle, (sign,)).items():
-        for _, (F,), _ in hits:
+    for (E,), hits in _transfer(bundle, (sign,)).items():
+        for _, _, (F,), _ in hits:
             pre.setdefault(F, set()).add(E)
     return pre
 
@@ -279,40 +285,45 @@ class _Pattern:
             ok = {e[i] for e in ends}
             pre = _preimages(self.bundle, sign)
             for _ in range(r):
-                ok = ok.union(*(pre.get(F, ()) for F in ok))
+                grown = ok.union(*(pre.get(F, ()) for F in ok))
+                if len(grown) == len(ok):
+                    break           # no longer growing
+                ok = grown
             sets.append(ok)
         return tuple(set(iproduct(*sets[p:p + 2]))
                      for p in range(0, len(sets), 2))
 
-    def step(self, row: Row, letter: Optional[Letter] = None,
-             keep=None) -> Dict[Letter, Row]:
-        """The nonzero products row Theta^C_D for every letter, or for
-        the one letter given, without the states a filter of viable
-        drops; rows hold Laurent numerators.  The pattern is applied two
-        letters at a time (the transfer matrices of longer patterns are
-        not stored), each partial product keyed by (C, G, state) with G
-        the running index of the sum over the chain, and each state's
-        products go through one scalars.mul_acc call."""
-        idx = (self.bundle.geometry.indices() if letter is None
-               else (letter[0],))
-        cur = {(C, C) + a: v for C in idx for a, v in row.items()}
+    def step(self, row: Row, keep=None) -> Dict[Letter, Row]:
+        """The nonzero products row Theta^C_D for every letter (C, D),
+        without the states a filter of viable drops; rows hold Laurent
+        numerators.  The pattern is applied two letters at a time (the
+        transfer matrices of longer patterns are not stored), each
+        partial product keyed by (C, G, state) with G the running index
+        of the sum over the chain, and each state's products go through
+        one scalars.mul_acc call; the first two letters are read off the
+        transfer matrices of the state for every C at once."""
         signs, ps = self.signs, self.bundle.geometry.params
+        if not signs:                                       # the counit
+            return {(C, C): row for C in self.bundle.geometry.indices()}
+        cur: Row = {}
         for p in range(0, len(signs), 2):
             trans = _transfer(self.bundle, signs[p:p + 2])
             q = min(p + 2, len(signs))
             ok = None if keep is None else keep[p // 2]
-            D = letter[1] if q == len(signs) and letter is not None else None
             nxt: Row = {}
+            if p == 0:                  # every letter's C starts a chain
+                for a, v in row.items():
+                    mul_acc(ps, nxt, v, [
+                        ((C, H) + b + a[q:], t)
+                        for C, H, b, t in trans.get(a[:q], ())
+                        if ok is None or b in ok])
             for key, v in cur.items():
-                C, head, tail = key[0], key[2:2 + p], key[2 + q:]
+                C, G, head, tail = key[0], key[1], key[2:2 + p], key[2 + q:]
                 mul_acc(ps, nxt, v, [
                     ((C, H) + head + b + tail, t)
-                    for H, b, t in trans.get((key[1], key[2 + p:2 + q]), ())
-                    if (D is None or H == D) and (ok is None or b in ok)])
+                    for E, H, b, t in trans.get(key[2 + p:2 + q], ())
+                    if E == G and (ok is None or b in ok)])
             cur = nxt
-        if letter is not None:
-            got = {k[2:]: v for k, v in cur.items() if k[1] == letter[1]}
-            return {letter: got} if got else {}
         out: Dict[Letter, Row] = {}
         for key, v in cur.items():
             out.setdefault(key[:2], {})[key[2:]] = v
@@ -334,12 +345,10 @@ class _Diagonal:
     def viable(self, ends, r: int):
         return None
 
-    def step(self, row: Row, letter: Optional[Letter] = None,
-             keep=None) -> Dict[Letter, Row]:
+    def step(self, row: Row, keep=None) -> Dict[Letter, Row]:
         out: Dict[Letter, Row] = {}
         for C, f in self.factors.items():
-            if letter in (None, (C, C)):
-                mul_acc(self.ps, out.setdefault((C, C), {}), f, row.items())
+            mul_acc(self.ps, out.setdefault((C, C), {}), f, row.items())
         return out
 
 
@@ -359,13 +368,14 @@ class _Side:
     polynomials.  The walk carries their numerators (laurent_numerator):
     a source carries sparse rows {state: numerator} one T letter at a
     time, multiplying only through scalars.mul_acc, and a value becomes a
-    Scalar again only when it is read.  source.step(row, letter=None,
-    keep=None) gives the nonzero rows after every next letter (or the one
-    letter given), and source.viable(ends, r) a filter for keep that may
-    drop the states from which no state of ends is reached within r
-    letters, or None.  A source may instead be a tuple of factors, the
-    start row {(): 1}: its value on a word is the convolution product of
-    the factors' values there, which _convolve reads in place of _walk."""
+    Scalar again only when it is read.  source.step(row, keep=None) gives
+    the nonzero rows after every next letter, by letter, and is all a
+    walk asks of a source to step, in full and bracket walks alike;
+    source.viable(ends, r) gives a filter for keep that may drop the
+    states from which no state of ends is reached within r letters, or
+    None.  A source may instead be a tuple of factors, the start row
+    {(): 1}: its value on a word is the convolution product of the
+    factors' values there, which _convolve reads in place of _walk."""
 
     __slots__ = ("terms", "fn", "scale")
 
@@ -545,20 +555,22 @@ def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
     return _values(acc, fns, ps)
 
 
-def _through(src, a: State, at: Dict, ps: ParamSpace) -> List:
+def _through(src, a: State, at: Dict, keep, ps: ParamSpace) -> List:
     """The reads of a stream from state a through one more letter, as
-    [((letter, (family, key)), coefficient)], the coefficient (a Laurent
+    [(letter, [((family, key), coefficient)])], the coefficient (a Laurent
     numerator) summing Theta^letter[a][b] times the column entry over the
-    read states b."""
+    read states b; keep is the stream's viable filter with no letter
+    left."""
     out: List = []
-    start = {a: laurent_numerator(ps, ps.one)}
-    for letter, r in src.step(start, None, src.viable(at, 0)).items():
+    for letter, r in src.step({a: laurent_numerator(ps, ps.one)},
+                              keep).items():
         acc: Dict[Tuple, object] = {}
         for b, t in r.items():
             hits = at.get(b)
             if hits:
                 mul_acc(ps, acc, t, hits)
-        out += [((letter, nk), c) for nk, c in acc.items()]
+        if acc:
+            out.append((letter, list(acc.items())))
     return out
 
 
@@ -566,19 +578,24 @@ def _walk(families: Sequence[Dict], D: int, words=None):
     """Depth-first walk of the free T-words of length <= D in the order
     of their coordinate tuples ((C1, D1), ..., (Ck, Dk)): yields
     (coords, values), values[n] the nonzero values of the n-th family by
-    key; given a set of words, only those are read and only the letters
-    that extend one of them are stepped.  Only the stream rows of the
-    current word and of its parents' unvisited siblings are held, without
-    the states from which no read state is reachable in the letters left;
-    a word on which every stream vanishes is skipped with all its
-    extensions, because every side is zero there.  Walking every word,
-    the words of length D are read straight from their parent's rows:
-    what one letter does to the reads of a stream state is worked out
-    once per walk.  Rows, transfer entries and read coefficients are
-    Laurent numerators over the start rows' ParamSpace, and all of one
-    stream state's products at a node go through one scalars.mul_acc
-    call; a start row or column entry with a denominator raises
-    DenominatorClass."""
+    key; given a set of words, only those are read and only the prefixes
+    of those words are visited.  A visited word steps every stream
+    through every letter at once, keeping the letters that extend a
+    wanted word (all of them when no words are given).  Only the stream
+    rows of the current word and of its parents' unvisited siblings are
+    held, without the states from which no read state is reachable in
+    the letters left (each stream's viable filter is computed once per
+    number of letters left); a word on which every stream vanishes is
+    skipped with all its extensions, because every side is zero there.
+    The words of length D are read straight from their parent's rows
+    through a lookahead: what one letter does to the reads of a stream
+    state is worked out once per walk, by letter, and the last level
+    adds each state's reads through one letter into that letter's sums
+    with one scalars.mul_acc call per (state, letter).  Rows, transfer
+    entries and read coefficients are Laurent numerators over the start
+    rows' ParamSpace, and all of one stream state's products at a node
+    go through one scalars.mul_acc call; a start row or column entry
+    with a denominator raises DenominatorClass."""
     streams, reads, fns, ps = _compile(families)
     nexts: Dict[Tuple, set] = {}
     for w in words or ():
@@ -591,31 +608,33 @@ def _walk(families: Sequence[Dict], D: int, words=None):
         coords, live = stack.pop()
         if words is None or coords in words:
             yield coords, _read(live, reads, fns, ps)
-        if words is None and len(coords) == D - 1:
-            acc: Dict[Tuple, object] = {}
+        want = nexts.get(coords)
+        if len(coords) == D or (want is None and words is not None):
+            continue
+        r = D - len(coords) - 1
+        for i in live:
+            if (i, r) not in keeps:
+                keeps[i, r] = streams[i][0].viable(reads[i], r)
+        if r == 0:
+            leaves: Dict[Letter, Dict] = {}
             for i, row in live.items():
                 known = ahead[i]
                 for a, v in row.items():
                     hits = known.get(a)
                     if hits is None:
                         hits = known[a] = _through(streams[i][0], a,
-                                                   reads[i], ps)
-                    mul_acc(ps, acc, v, hits)
-            leaves: Dict[Letter, Dict] = {}
-            for (letter, nk), v in acc.items():
-                leaves.setdefault(letter, {})[nk] = v
+                                                   reads[i], keeps[i, 0], ps)
+                    for letter, h in hits:
+                        if want is None or letter in want:
+                            mul_acc(ps, leaves.setdefault(letter, {}), v, h)
             for letter in sorted(leaves):
                 yield coords + (letter,), _values(leaves[letter], fns, ps)
-        elif len(coords) < D:
-            r = D - len(coords) - 1
-            letters = [None] if words is None else nexts.get(coords, ())
+        else:
             kids: Dict[Letter, Dict[int, Row]] = {}
             for i, row in live.items():
-                if (i, r) not in keeps:
-                    keeps[i, r] = streams[i][0].viable(reads[i], r)
-                for x in letters:
-                    for letter, got in streams[i][0].step(
-                            row, x, keeps[i, r]).items():
+                for letter, got in streams[i][0].step(row,
+                                                      keeps[i, r]).items():
+                    if want is None or letter in want:
                         kids.setdefault(letter, {})[i] = got
             stack += [(coords + (letter,), kids[letter])
                       for letter in sorted(kids, reverse=True)]

@@ -41,11 +41,10 @@ numbering t_letter gives the so(M) alphabet), so
 normal words carry dilatations leftmost, then translations in
 nondecreasing order, then matrix entries.  Rewrite rules come from
 Gaussian elimination of a sector's degree-two relation span; every
-sector except so-swap has a prescribed set of order-violating leading
-words and derivation raises IncompleteRules if the elimination pivots
-differ from it.  The so-swap system is partial by design: equality of
-pure matrix-entry words is settled by bounded-degree ideal membership,
-never by rewriting.
+sector has a prescribed set of order-violating leading words and
+derivation raises IncompleteRules if the elimination pivots differ from
+it.  The so(M) presentation has no sector: equality of pure matrix-entry
+words is settled by bounded-degree ideal membership, never by rewriting.
 """
 
 from __future__ import annotations
@@ -314,8 +313,7 @@ def _build_so(M: int, embedded: bool) -> Presentation:
     return Presentation(
         kind="so", name="so(%d)" % M, N=M, geometry=geom, params=ps,
         alphabet=alphabet, relations=relations,
-        sectors={"so-swap": list(relations)},
-        derived={})
+        sectors={}, derived={})
 
 
 def _build_iso(N: int) -> Presentation:
@@ -454,17 +452,14 @@ def _build_exterior(N: int) -> Presentation:
 # --- rewrite systems --------------------------------------------------------
 
 class RewriteSystem:
-    __slots__ = ("alphabet", "ps", "rules", "sector", "partial",
-                 "letters", "_nf")
+    __slots__ = ("alphabet", "ps", "rules", "sector", "letters", "_nf")
 
     def __init__(self, alphabet: Alphabet, ps: ParamSpace,
-                 rules: Dict[Word, AlgebraElement], sector: str,
-                 partial: bool):
+                 rules: Dict[Word, AlgebraElement], sector: str):
         self.alphabet = alphabet
         self.ps = ps
         self.rules = rules
         self.sector = sector
-        self.partial = partial
         seen = set()
         for lw, rhs in rules.items():
             seen.update(lw)
@@ -476,9 +471,7 @@ class RewriteSystem:
         self._nf: Dict[Word, AlgebraElement] = {}
 
     def __repr__(self):
-        flavor = "partial " if self.partial else ""
-        return "RewriteSystem(%s, %s%d rules)" % (self.sector, flavor,
-                                                  len(self.rules))
+        return "RewriteSystem(%s, %d rules)" % (self.sector, len(self.rules))
 
 
 _SECTOR_KINDS = {
@@ -486,11 +479,10 @@ _SECTOR_KINDS = {
     "dilatation": ("iso",),
     "iso-mixed": ("iso",),
     "exterior": ("exterior",),
-    "so-swap": ("so",),
 }
 
 
-def _expected_leading(p: Presentation, sector: str) -> Optional[set]:
+def _expected_leading(p: Presentation, sector: str) -> set:
     A = p.alphabet
     if sector == "plane":
         xs = [A.index["x%d" % a] for a in range(1, p.N + 1)]
@@ -512,10 +504,9 @@ def _expected_leading(p: Presentation, sector: str) -> Optional[set]:
         out.update((tt, iu) for tt in ts)
         out.update((tt, iv) for tt in ts)
         return out
-    if sector == "exterior":
-        dxs = [A.index["dx%d" % a] for a in range(1, p.N + 1)]
-        return {(dxs[b], dxs[a]) for b in range(p.N) for a in range(b + 1)}
-    return None
+    # the exterior sector
+    dxs = [A.index["dx%d" % a] for a in range(1, p.N + 1)]
+    return {(dxs[b], dxs[a]) for b in range(p.N) for a in range(b + 1)}
 
 
 def derive_rewrite_rules(p: Presentation, sector: str) -> RewriteSystem:
@@ -528,26 +519,23 @@ def derive_rewrite_rules(p: Presentation, sector: str) -> RewriteSystem:
     stair: Dict[Word, Tuple[Dict[Word, Scalar], None]] = {}
     for row in sorted(rows, key=lambda e: word_key(e.leading())):
         stair_insert(stair, dict(row.terms))
-    partial = sector == "so-swap"
-    expected = _expected_leading(p, sector)
-    if expected is not None:
-        got = set(stair)
-        if got != expected:
-            show = p.alphabet.show_word
-            missing = sorted(expected - got, key=word_key)
-            extra = sorted(got - expected, key=word_key)
-            raise IncompleteRules(
-                "%s sector of %s: missing rules for [%s], unexpected pivots "
-                "at [%s]" % (sector, p.name,
-                             ", ".join(show(w) for w in missing),
-                             ", ".join(show(w) for w in extra)))
+    expected, got = _expected_leading(p, sector), set(stair)
+    if got != expected:
+        show = p.alphabet.show_word
+        missing = sorted(expected - got, key=word_key)
+        extra = sorted(got - expected, key=word_key)
+        raise IncompleteRules(
+            "%s sector of %s: missing rules for [%s], unexpected pivots "
+            "at [%s]" % (sector, p.name,
+                         ", ".join(show(w) for w in missing),
+                         ", ".join(show(w) for w in extra)))
     rules: Dict[Word, AlgebraElement] = {}
     for lw, (row, _) in stair.items():
         tail = {w: -c for w, c in row.items() if w != lw}
         rules[lw] = AlgebraElement(p.alphabet, p.params, tail)
-    rs = RewriteSystem(p.alphabet, p.params, rules, sector, partial)
+    rs = RewriteSystem(p.alphabet, p.params, rules, sector)
     reduced = {lw: reduce(rhs, rs) for lw, rhs in rules.items()}
-    return RewriteSystem(p.alphabet, p.params, reduced, sector, partial)
+    return RewriteSystem(p.alphabet, p.params, reduced, sector)
 
 
 def merge_rewrite_systems(*systems: RewriteSystem) -> RewriteSystem:
@@ -555,7 +543,6 @@ def merge_rewrite_systems(*systems: RewriteSystem) -> RewriteSystem:
         raise ValueError("nothing to merge")
     first = systems[0]
     rules: Dict[Word, AlgebraElement] = {}
-    partial = False
     for rs in systems:
         if not _same_alphabet(rs.alphabet, first.alphabet):
             raise ValueError("rewrite systems over different alphabets")
@@ -564,9 +551,8 @@ def merge_rewrite_systems(*systems: RewriteSystem) -> RewriteSystem:
                 raise ValueError("conflicting rules for %s"
                                  % first.alphabet.show_word(lw))
             rules[lw] = rhs
-        partial = partial or rs.partial
     sector = "+".join(rs.sector for rs in systems)
-    return RewriteSystem(first.alphabet, first.ps, rules, sector, partial)
+    return RewriteSystem(first.alphabet, first.ps, rules, sector)
 
 
 def iso_normal_system(p: Presentation) -> RewriteSystem:

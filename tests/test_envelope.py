@@ -33,7 +33,7 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              verify_parameter_collapse, word_functional)
 from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, build_presentation,
-                                  word_element)
+                                  section, word_element)
 from qortho.rmatrix import build_bundle
 from qortho.scalars import (DenominatorClass, Scalar, _acc, limit_r_to_1,
                             merge_deformations, render_scalar, scalar_invert)
@@ -127,9 +127,9 @@ class _Spell(NamedTuple):
     def viable(self, ends, r):
         return None
 
-    def step(self, row, letter=None, keep=None):
+    def step(self, row, keep=None):
         return {x: {a + (x,): v for a, v in row.items()}
-                for x in self.letters if letter in (None, x)}
+                for x in self.letters}
 
 
 def on_words(*words):
@@ -216,6 +216,54 @@ def test_the_convolution_multiplies_through_the_kernel_alone(monkeypatch):
     assert rows and all(row["status"] for row in rows)
     assert kernel_calls
     assert not callers.keys() & {"_convolve", "_walk", "_read"}
+
+
+def test_a_walk_computes_each_viable_filter_once(monkeypatch):
+    """In one walk, each stream's viable filter is computed at most once
+    per number of letters left, the lookahead's filter included."""
+    calls = Counter()
+    held = []                   # keeps every ends alive, so ids stay unique
+    viable = _Pattern.viable
+
+    def counted(self, ends, r):
+        held.append(ends)
+        calls[id(ends), r] += 1
+        return viable(self, ends, r)
+
+    monkeypatch.setattr(_Pattern, "viable", counted)
+    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert {r for _, r in calls} == {0, 1}
+    assert max(calls.values()) == 1
+
+
+def test_a_bracket_walk_steps_only_the_prefixes_of_its_word(monkeypatch):
+    """A bracket on a 10-letter word steps its one stream once at each
+    proper prefix but the last, whose letters are read through the
+    lookahead: 9 steps, where a full walk of that depth would step at
+    every word of length up to 8."""
+    steps, ahead = [], []
+    step, through = _Pattern.step, envelope._through
+
+    def counted(*args):
+        if not ahead:
+            steps.append(1)
+        return step(*args)
+
+    def looking_ahead(*args):
+        ahead.append(1)
+        try:
+            return through(*args)
+        finally:
+            ahead.pop()
+
+    monkeypatch.setattr(_Pattern, "step", counted)
+    monkeypatch.setattr(envelope, "_through", looking_ahead)
+    names = "u T[1,1] v T[2,2] u u T[3,3] v T[1,1] u".split()
+    f = word_functional(BUNDLE5, ((1, 1, 1), (-1, 2, 2)))
+    got = envelope._brackets({(): f}, {(): section(iso_word(*names), ISO3)})
+    assert got == {((), ()): ISO3.params.s_pow(4) * scalar_invert(
+        ISO3.params.monomial(1, ISO3.params.mono(0, {(1, 2): 1})))}
+    assert len(steps) == len(names) - 1
 
 
 def test_mapped_refuses_a_side_mapped_already():

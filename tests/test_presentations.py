@@ -67,7 +67,6 @@ def test_pinned_rewrite_rules():
     }
     for names, rhs in expected.items():
         assert RS3.rules[A3.word(*names)] == rhs, names
-    assert not RS3.partial
 
 
 def test_reduce_is_idempotent_on_rules():
@@ -91,7 +90,7 @@ def _toy_system(rules):
     return RewriteSystem(abc, PS3, {
         abc.word(*lw.split()): AlgebraElement(abc, PS3, {
             abc.word(*w.split()): PS3.one for w in rhs})
-        for lw, rhs in rules.items()}, "toy", False)
+        for lw, rhs in rules.items()}, "toy")
 
 
 def test_confluence_names_the_first_rule_out_of_order():
@@ -140,12 +139,6 @@ def test_exterior_dimensions_are_binomial():
         got = [hilbert_dimension(ext, ers, d) for d in range(N + 3)]
         assert got == [comb(N, d) for d in range(N + 1)] + [0, 0]
         assert got[N] == 1
-
-
-def test_so_swap_sector_is_partial():
-    so = build_presentation("so", 3)
-    sw = derive_rewrite_rules(so, "so-swap")
-    assert sw.partial
 
 
 def test_quantum_determinant_terms():
@@ -240,7 +233,7 @@ def perturb_exterior_rule(monkeypatch):
         lw = p.alphabet.word("dx2", "dx1")
         rules = dict(rs.rules)
         rules[lw] = rules[lw].scale(p.params.s)
-        return RewriteSystem(rs.alphabet, rs.ps, rules, rs.sector, rs.partial)
+        return RewriteSystem(rs.alphabet, rs.ps, rules, rs.sector)
     monkeypatch.setattr(presentations, "derive_rewrite_rules", perturbed)
 
 
@@ -487,7 +480,7 @@ def test_element_json_round_trip():
     (("iso", 4), 390,
      "4145cfe7d9ef1094d5a0e7e47a743c4fcd7b5444edb08b87c5cf79a8e45255a5"),
     (("so", 5, True), 659,
-     "2d53430660525d37e25114e9454dc1017e655110569e620a81b5d4330e3b48df"),
+     "323d377b9ecc2cb896628d198dc7bc603e9f5cc76910693a996c65c5bb4854cb"),
 ])
 def test_relation_lists_are_pinned(args, count, digest):
     """Every relation and every sector, iso's inner sector included,
