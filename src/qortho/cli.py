@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from math import comb
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from .calculus import (_degree, adjoint_coaction_check, lie_rows,
                        structure_constants, tangent_basis, verify_qlie)
@@ -48,7 +48,8 @@ from .envelope import (functional_from_json, functional_to_json, pairing,
 from .itensor import IndexGeometry, tensor_from_json, tensor_to_json
 from .presentations import (build_presentation, check_confluence,
                             derive_rewrite_rules, element_from_json,
-                            element_to_json, check_hopf_ideal,
+                            element_json_terms, element_to_json,
+                            check_hopf_ideal,
                             hilbert_dimension, iso_normal_system,
                             merge_rewrite_systems, quantum_determinant,
                             reduce, word_element, word_key,
@@ -86,6 +87,26 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 def _dumps(payload) -> str:
     """payload as the JSON text that _dump writes."""
     return _JSON.encode(payload) + "\n"
+
+
+class _Streamed(list):
+    """A JSON array whose items are made only as _JSON encodes it, so a
+    long payload list is never held whole.  The pure-Python encoder that
+    an indent selects asks an array for its length and its items alone;
+    items() makes them afresh on every pass, so --out and --dump can both
+    write the payload."""
+
+    __slots__ = ("_size", "_items")
+
+    def __init__(self, size: int, items: Callable[[], Iterator]):
+        super().__init__()
+        self._size, self._items = size, items
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator:
+        return self._items()
 
 
 def _dump(payload, fh) -> None:
@@ -311,7 +332,8 @@ def _cmd_pair(args) -> int:
 def _cmd_det(args) -> int:
     e = quantum_determinant(args.n)
     payload = {"command": "det", "n": args.n,
-               "element": element_to_json(e)}
+               "element": _Streamed(len(e.terms),
+                                    lambda: element_json_terms(e))}
     _emit(args, lambda: _render_element(e), payload)
     return 0
 

@@ -39,11 +39,18 @@ Every relation of the envelope suite (exchange, metric orthogonality,
 the counit, bullet-row reduction and twist identities) is a family of
 equalities lhs = rhs between functionals, one per index key, checked on
 every free word of length k <= D in one walk; functional_equal states
-the order in which the first disagreement is reported.  A side may also
-carry the image of every value under a scalar morphism (_mapped), which
-is how the uniparametric collapse compares values at g_ab = r and the
-r = 1 calculus reads its limits; a bracket with such a side is the image
-of the unmapped bracket, so terms cancel across words before the map.
+the order in which the first disagreement is reported.  A relation with
+two unmapped sides is walked as the one side lhs - rhs, and holds when
+the walk gives it no value, so a passing family wraps no value in a
+Scalar; a failing relation has both sides read again on its first
+failing word alone (_witnesses).  A side may also carry the image of
+every value under a scalar morphism (_mapped), which is how the
+uniparametric collapse compares values at g_ab = r and the r = 1
+calculus reads its limits; such a relation is walked as its two sides
+and compared word by word, since a map must see each side's value
+(limit_r_to_1 raises PoleAtOne on a side with a pole even where the two
+poles cancel).  A bracket with a mapped side is the image of the
+unmapped bracket, so terms cancel across words before the map.
 A side may also be a combination of convolution products of functionals
 kept factored (_Factored), as the q-Lie relations of the calculus are:
 its walk side has one term per product, whose source is the tuple of
@@ -814,6 +821,23 @@ def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
                              "0" if rv is None else render_scalar(rv))
 
 
+def _difference(lhs, rhs):
+    """lhs - rhs as one walk side, or None when either side is mapped or
+    scaled (_mapped, or the common-denominator scale of _as_side) and so
+    must be compared value by value.  Two FunctionalElements or two
+    _Factored are subtracted, so that terms common to both sides cancel
+    before the walk; two unscaled walk sides are joined, the start rows
+    of rhs negated."""
+    if type(lhs) is type(rhs) and isinstance(lhs, (FunctionalElement,
+                                                   _Factored)):
+        return lhs - rhs
+    a, b = _as_side(lhs), _as_side(rhs)
+    if a.fn is not None or b.fn is not None:
+        return None
+    return _Side(a.terms + tuple((src, {s: -v for s, v in row.items()}, col)
+                                 for src, row, col in b.terms))
+
+
 def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     """The first disagreement of each relation lhs = rhs of a family, one
     per index key, on the free words of length <= D, in one walk:
@@ -822,21 +846,50 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     _Factored or a walk side (_as_side, _mapped); the kind of the
     family's sources decides the walk: _convolve reads a family of
     products, _walk one of words.  A key's first word is its shortest,
-    then the smallest by coordinate tuple."""
+    then the smallest by coordinate tuple.
+
+    A relation whose sides are unmapped is walked as the one side lhs -
+    rhs (_difference): it holds when the walk gives it no value, and no
+    value of a passing relation is made.  A relation with a mapped side
+    is walked as its two sides and compared word by word, so that each
+    side's map sees that side's value alone: limit_r_to_1 raises
+    PoleAtOne on a side with a pole even where the poles of the two
+    sides cancel.  A failing relation of either kind has both sides read
+    again on its first word alone (a walk restricted to the failing
+    words; _convolve has no restriction and stops at their length)."""
+    diffs: Dict[Tuple, object] = {}
+    mapped: Dict[Tuple, Tuple] = {}
+    for key, (lhs, rhs) in pairs.items():
+        d = _difference(lhs, rhs)
+        if d is None:
+            mapped[key] = (lhs, rhs)
+        else:
+            diffs[key] = d
     src = next((src for p in pairs.values() for s in map(_as_side, p)
                 for src, _, _ in s.terms), None)
     walk = _convolve if type(src) is tuple else _walk
+    first: Dict[Tuple, Tuple] = {}
+    for coords, (dv, lv, rv) in walk([
+            diffs, {k: p[0] for k, p in mapped.items()},
+            {k: p[1] for k, p in mapped.items()}], D):
+        unequal = [k for k in lv.keys() | rv.keys()
+                   if lv.get(k) != rv.get(k)] if lv != rv else ()
+        for key in (*dv, *unequal):
+            if key not in first or (len(first[key]), first[key]) > (
+                    len(coords), coords):
+                first[key] = coords
     found: Dict[Tuple, Tuple] = {}
-    for coords, (lv, rv) in walk([{k: p[0] for k, p in pairs.items()},
-                                  {k: p[1] for k, p in pairs.items()}], D):
-        if lv == rv:
-            continue
-        for key in lv.keys() | rv.keys():
-            a, b = lv.get(key), rv.get(key)
-            if a != b and (key not in found or (len(found[key][0]),
-                                                found[key][0])
-                           > (len(coords), coords)):
-                found[key] = (coords, a, b)
+    if first:
+        keys: Dict[Tuple, List] = {}
+        for key, coords in first.items():
+            keys.setdefault(coords, []).append(key)
+        both = [{k: pairs[k][0] for k in first},
+                {k: pairs[k][1] for k in first}]
+        depth = max(map(len, keys))
+        for coords, (lv, rv) in (_walk(both, depth, keys) if walk is _walk
+                                 else walk(both, depth)):
+            for key in keys.get(coords, ()):
+                found[key] = (coords, lv.get(key), rv.get(key))
     return found
 
 
@@ -852,7 +905,9 @@ def _first(found: Dict[Tuple, Tuple]):
 
 
 def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
-    """_first of one _witnesses walk over a family of relations."""
+    """_first of one _witnesses walk over a family of relations: the
+    difference of the sides where both are unmapped, their values on the
+    first failing word read again from the two sides."""
     return _first(_witnesses(pairs, D))
 
 
@@ -868,7 +923,9 @@ def functional_equal(f: FunctionalElement, g: FunctionalElement,
     order: the smallest word length k, then the smallest index key of
     the family, then the smallest word, comparing the words
     T^{C1}_{D1} ... T^{Ck}_{Dk} by their coordinate tuples
-    ((C1, D1), ..., (Ck, Dk))."""
+    ((C1, D1), ..., (Ck, Dk)).  The order does not depend on how a
+    relation is walked: f - g is walked as one side, and f and g are read
+    again on the first word where it has a value."""
     if f.bundle is not g.bundle:
         raise ValueError("functionals live over different geometries")
     w = _first_difference({(): (f, g)}, D)

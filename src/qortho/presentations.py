@@ -71,7 +71,7 @@ __all__ = [
     "costructure", "tensor_costructure", "project", "section",
     "ideal_membership", "expand_certificate", "check_hopf_ideal",
     "quantum_determinant", "t_letter", "element_to_json",
-    "element_from_json",
+    "element_json_terms", "element_from_json",
 ]
 
 Word = Tuple[int, ...]
@@ -994,12 +994,15 @@ def quantum_determinant(N: int) -> AlgebraElement:
 
 # --- serialization ----------------------------------------------------------
 
-def element_to_json(e: AlgebraElement) -> list:
-    out = []
+def element_json_terms(e: AlgebraElement) -> Iterator[dict]:
+    """The term records of element_to_json, made one at a time."""
     for w in sorted(e.terms, key=word_key):
-        out.append({"word": [e.alphabet.symbols[g] for g in w],
-                    "coeff": scalar_to_json(e.terms[w])})
-    return out
+        yield {"word": [e.alphabet.symbols[g] for g in w],
+               "coeff": scalar_to_json(e.terms[w])}
+
+
+def element_to_json(e: AlgebraElement) -> list:
+    return list(element_json_terms(e))
 
 
 def element_from_json(alphabet: Alphabet, ps: ParamSpace,

@@ -21,7 +21,7 @@ from qortho import calculus, envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
                              _cone_witness, _Diagonal, _exchange_residual,
                              _Pattern, _Side, _first_difference, _mapped,
-                             _walk,
+                             _metric_orthogonality, _walk, _witnesses,
                              _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
@@ -35,8 +35,9 @@ from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, build_presentation,
                                   section, word_element)
 from qortho.rmatrix import build_bundle
-from qortho.scalars import (DenominatorClass, Scalar, _acc, limit_r_to_1,
-                            merge_deformations, render_scalar, scalar_invert)
+from qortho.scalars import (DenominatorClass, PoleAtOne, Scalar, _acc,
+                            limit_r_to_1, merge_deformations, render_scalar,
+                            scalar_invert)
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -275,6 +276,32 @@ def test_mapped_refuses_a_side_mapped_already():
         assert once.fn is limit_r_to_1
         with pytest.raises(ValueError, match="mapped by limit_r_to_1"):
             _mapped(once, merge_deformations)
+
+
+def test_a_passing_relation_family_makes_no_value(monkeypatch):
+    """The exchange relations are walked as one difference side per key,
+    and every key passes: no value is made on any word."""
+    made = []
+    wrap = envelope.laurent_scalar
+    monkeypatch.setattr(envelope, "laurent_scalar", lambda *args: (
+        made.append(1), wrap(*args))[1])
+    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert not made
+
+
+def test_mapped_sides_keep_their_own_poles():
+    """Both sides are (1/lambda) eps on the words of length <= 2 (the
+    ordered diagonal product of L+ is the counit), so each has the pole
+    1/lambda on the empty word and the poles cancel in lhs - rhs.  The
+    limit is taken side by side, so the pair still raises PoleAtOne."""
+    lam_inv = scalar_invert(GEOM5.params.lam)
+    diagonal = tuple((1, A, A) for A in GEOM5.indices())
+    lhs = word_functional(BUNDLE5, diagonal, lam_inv)
+    rhs = eps_functional(BUNDLE5).scale(lam_inv)
+    assert _witnesses({(): (lhs, rhs)}, 2) == {}
+    with pytest.raises(PoleAtOne):
+        _witnesses({(): (_mapped(lhs, limit_r_to_1),
+                         _mapped(rhs, limit_r_to_1))}, 2)
 
 
 def test_pairing_values():
@@ -748,6 +775,75 @@ def test_first_difference_matches_the_table_engine(bundle, data):
              word_functional(bundle, ((-1, 2, 1), (1, 1, 2)))]))
         pairs[(key,)] = (f, f + h)
     assert _first_difference(pairs, D) == ref_first_difference(pairs, D)
+
+
+def ref_witnesses(pairs, D):
+    """_witnesses as a walk of the two sides of every relation, compared
+    word by word: each key's first disagreeing word, shortest and then
+    smallest by coordinate tuple, with both values."""
+    found = {}
+    for coords, (lv, rv) in _walk([{k: p[0] for k, p in pairs.items()},
+                                   {k: p[1] for k, p in pairs.items()}], D):
+        for key in lv.keys() | rv.keys():
+            a, b = lv.get(key), rv.get(key)
+            if a != b and (key not in found or (len(found[key][0]),
+                                                found[key][0])
+                           > (len(coords), coords)):
+                found[key] = (coords, a, b)
+    return found
+
+
+@functools.cache
+def relation_family(name):
+    """A relation family {key: (lhs, rhs)} of the N = 3 suite: the pairs
+    that _exchange_residual compares, or a metric orthogonality family."""
+    if name.startswith("metric"):
+        _, sign, variant = name.split()
+        return _metric_orthogonality(BUNDLE5, int(sign), variant)
+    s2, s1 = {"plus-plus": (1, 1), "mixed": (1, -1)}[name]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_first_difference",
+                   lambda pairs, D: seen.append(pairs))
+        _exchange_residual(BUNDLE5, BUNDLE5.R, s2, s1, 2)
+    return seen[0]
+
+
+@st.composite
+def perturbed_relations(draw):
+    """A relation family with one or two of its sides changed in one
+    coefficient, or with one word moved to another word."""
+    ps = GEOM5.params
+    pairs = dict(relation_family(draw(st.sampled_from(
+        ["plus-plus", "mixed", "metric 1 upper", "metric -1 lower"]))))
+    coeffs = [ps.one, -ps.one, ps.s_pow(2), ps.from_rational(3),
+              scalar_invert(ps.lam)]
+    gens = st.tuples(st.sampled_from([1, -1]), st.integers(1, GEOM5.dim),
+                     st.integers(1, GEOM5.dim))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(sorted(pairs)))
+        n = draw(st.integers(0, 1))
+        side = pairs[key][n]
+        terms = dict(side.terms)
+        w = draw(st.sampled_from(sorted(terms))) if terms else None
+        if w is not None and draw(st.booleans()):
+            _acc(terms, w, draw(st.sampled_from(coeffs)))
+        else:
+            c = terms.pop(w) if w is not None else draw(
+                st.sampled_from(coeffs))
+            _acc(terms, tuple(draw(st.lists(gens, min_size=1, max_size=2))),
+                 c)
+        new = envelope.FunctionalElement(BUNDLE5, terms)
+        pairs[key] = (new, pairs[key][1]) if n == 0 else (pairs[key][0], new)
+    return pairs
+
+
+@settings(max_examples=20, deadline=None)
+@given(pairs=perturbed_relations())
+def test_witnesses_match_a_walk_of_both_sides(pairs):
+    # the difference walk finds each failing key's first word, and the
+    # values on it are read from the two sides again
+    assert _witnesses(pairs, 2) == ref_witnesses(pairs, 2)
 
 
 def test_engine_caches_do_not_grow_with_the_degree():
