@@ -45,7 +45,8 @@ from .calculus import (_degree, adjoint_coaction_check, lie_rows,
 from .envelope import (functional_from_json, functional_to_json, pairing,
                        tag_word, word_functional, verify_envelope_suite,
                        verify_parameter_collapse, verify_pairing_axioms)
-from .itensor import IndexGeometry, tensor_from_json, tensor_to_json
+from .itensor import (_MAX_DIM, IndexGeometry, tensor_from_json,
+                      tensor_to_json)
 from .presentations import (build_presentation, check_confluence,
                             derive_rewrite_rules, element_from_json,
                             element_json_terms, element_to_json,
@@ -380,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, required=True,
                         help="dimension: the matrix size for build-r and "
                              "the rmatrix suite, the coordinate count "
-                             "elsewhere (at least 3)")
+                             "elsewhere (3 to %d)" % (_MAX_DIM - 2))
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in JSON reports; the suites "
                              "themselves are deterministic (default 0)")
@@ -452,6 +453,10 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         if args.n < 3:
             raise UsageError("--n must be at least 3")
+        # every geometry a command builds, of dimension n or n + 2, stays
+        # within the bound that tensor_from_json applies
+        if args.n > _MAX_DIM - 2:
+            raise UsageError("--n must be at most %d" % (_MAX_DIM - 2))
         # only verify and lie take --degree
         if getattr(args, "degree", None) is not None and args.degree < 1:
             raise UsageError("--degree must be at least 1")

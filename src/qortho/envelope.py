@@ -40,17 +40,19 @@ the counit, bullet-row reduction and twist identities) is a family of
 equalities lhs = rhs between functionals, one per index key, checked on
 every free word of length k <= D in one walk; functional_equal states
 the order in which the first disagreement is reported.  A relation with
-two unmapped sides is walked as the one side lhs - rhs, and holds when
-the walk gives it no value, so a passing family wraps no value in a
-Scalar; a failing relation has both sides read again on its first
-failing word alone (_witnesses).  A side may also carry the image of
-every value under a scalar morphism (_mapped), which is how the
-uniparametric collapse compares values at g_ab = r and the r = 1
-calculus reads its limits; such a relation is walked as its two sides
-and compared word by word, since a map must see each side's value
-(limit_r_to_1 raises PoleAtOne on a side with a pole even where the two
-poles cancel).  A bracket with a mapped side is the image of the
-unmapped bracket, so terms cancel across words before the map.
+two unmapped sides, or with no terms on its rhs, is walked as the one
+side lhs - rhs, and holds when the walk gives it no value, so a passing
+family wraps no value in a Scalar; a failing relation has both sides
+read again on its first failing word alone (_witnesses).  The
+uniparametric collapse is such a family too, over the bundle of R at
+g_ab = r (RMatrixBundle.uniparametric).  A side may also carry the
+image of every value under the r = 1 limit (_mapped), which is how the
+r = 1 calculus reads its functionals; a relation between a mapped side
+and a nonzero other side is walked as its two sides and compared word
+by word, since the limit must see each side's value (limit_r_to_1
+raises PoleAtOne on a side with a pole even where the two poles
+cancel).  A bracket with a mapped side is the limit of the unmapped
+bracket, so terms cancel across words before the limit is taken.
 A side may also be a combination of convolution products of functionals
 kept factored (_Factored), as the q-Lie relations of the calculus are:
 its walk side has one term per product, whose source is the tuple of
@@ -98,7 +100,7 @@ from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
                       _acc, _schema_items, _terms_from_json, canonical_q,
                       common_denominator, laurent_numerator, laurent_scalar,
-                      merge_deformations, mul_acc, rational_rank,
+                      mul_acc, rational_rank,
                       render_scalar, scalar_invert, scalar_to_json,
                       specialize, word_key)
 
@@ -366,10 +368,10 @@ class _Side:
     the column (a column entry None stands for 1); fn None is the
     identity, with scale None.  fn is a named scalar function that
     returns the image of v * scale (scale None standing for 1) without
-    having to form that product: operator.mul, or a ring morphism such as
-    limit_r_to_1 or merge_deformations.  A walk maps the value on each
-    word; _brackets maps each bracket, the sum over the words of an
-    element, so the bracket of a mapped side is the map of the bracket.
+    having to form that product: operator.mul, or the r = 1 limit
+    limit_r_to_1 (_mapped).  A walk maps the value on each word;
+    _brackets maps each bracket, the sum over the words of an element,
+    so the bracket of a mapped side is the map of the bracket.
 
     The start rows {state: Scalar} and the column entries must be Laurent
     polynomials.  The walk carries their numerators (laurent_numerator):
@@ -441,11 +443,12 @@ def _as_side(side) -> _Side:
 
 def _mapped(side, fn) -> _Side:
     """A relation side whose values are the images under fn of the values
-    of side, zeros dropped.  fn is a ring morphism of the scalars such as
-    limit_r_to_1 or merge_deformations, called as fn(v, scale) on the
-    Laurent sum v and the common-denominator scale of _as_side (None
-    when there is none), so that it may take its image of v * scale
-    without forming the product.  side must not be mapped already."""
+    of side, zeros dropped.  fn is the r = 1 view of the calculus
+    (limit_r_to_1, passed by calculus._view alone), called as fn(v, scale)
+    on the Laurent sum v and the common-denominator scale of _as_side
+    (None when there is none), so that it may take its image of v * scale
+    without forming the product.  side must not be mapped already.  The
+    g_ab = r collapse is no side map: it is a bundle of its own."""
     s = _as_side(side)
     if s.fn not in (None, operator.mul):
         raise ValueError("side is mapped by %s already" % s.fn.__name__)
@@ -604,6 +607,7 @@ def _walk(families: Sequence[Dict], D: int, words=None):
     go through one scalars.mul_acc call; a start row or column entry
     with a denominator raises DenominatorClass."""
     streams, reads, fns, ps = _compile(families)
+    del families                        # the walk reads what _compile kept
     nexts: Dict[Tuple, set] = {}
     for w in words or ():
         for k in range(len(w)):
@@ -661,6 +665,7 @@ def _convolve(families: Sequence[Dict], D: int):
     for one row (C1, ..., Ck) at a time with the products grouped by
     their first factor, every product through scalars.mul_acc."""
     streams, reads, fns, ps = _compile(families)
+    del families                        # the walk reads what _compile kept
     index: Dict[FunctionalElement, int] = {}
     by_first: Dict[int, List[Tuple[Tuple[int, ...], List]]] = {}
     for (src, _), at in zip(streams, reads):
@@ -822,16 +827,19 @@ def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
 
 
 def _difference(lhs, rhs):
-    """lhs - rhs as one walk side, or None when either side is mapped or
-    scaled (_mapped, or the common-denominator scale of _as_side) and so
-    must be compared value by value.  Two FunctionalElements or two
-    _Factored are subtracted, so that terms common to both sides cancel
-    before the walk; two unscaled walk sides are joined, the start rows
-    of rhs negated."""
-    if type(lhs) is type(rhs) and isinstance(lhs, (FunctionalElement,
-                                                   _Factored)):
+    """lhs - rhs as one walk side, or None when the two sides must be
+    compared value by value: when rhs has terms and either side is mapped
+    or scaled (_mapped, or the common-denominator scale of _as_side).  A
+    rhs with no terms gives lhs itself, mapped or not: a side on its own
+    has no other side to cancel a pole with, so its map sees its own
+    values.  Two FunctionalElements or two _Factored are subtracted, so
+    that terms common to both sides cancel before the walk; two unscaled
+    walk sides are joined, the start rows of rhs negated."""
+    if type(lhs) is type(rhs) is not _Side:     # FunctionalElement, _Factored
         return lhs - rhs
     a, b = _as_side(lhs), _as_side(rhs)
+    if not b.terms:
+        return a
     if a.fn is not None or b.fn is not None:
         return None
     return _Side(a.terms + tuple((src, {s: -v for s, v in row.items()}, col)
@@ -848,30 +856,32 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     products, _walk one of words.  A key's first word is its shortest,
     then the smallest by coordinate tuple.
 
-    A relation whose sides are unmapped is walked as the one side lhs -
-    rhs (_difference): it holds when the walk gives it no value, and no
-    value of a passing relation is made.  A relation with a mapped side
-    is walked as its two sides and compared word by word, so that each
-    side's map sees that side's value alone: limit_r_to_1 raises
-    PoleAtOne on a side with a pole even where the poles of the two
-    sides cancel.  A failing relation of either kind has both sides read
-    again on its first word alone (a walk restricted to the failing
-    words; _convolve has no restriction and stops at their length)."""
-    diffs: Dict[Tuple, object] = {}
-    mapped: Dict[Tuple, Tuple] = {}
+    A relation is walked as the one side lhs - rhs (_difference) when
+    both sides are unmapped, or when rhs has no terms: it holds when the
+    walk gives it no value, and no value of a passing relation is made.
+    A relation with a mapped side and a nonzero other side (an r = 1
+    q-Lie row) is walked as its two sides and compared word by word, so
+    that each side's map sees that side's value alone: limit_r_to_1
+    raises PoleAtOne on a side with a pole even where the poles of the
+    two sides cancel.  The walk is handed the sides alone and frees them
+    once it has compiled them.  A failing relation of either kind has
+    both sides read again on its first word alone (a walk restricted to
+    the failing words; _convolve has no restriction and stops at their
+    length)."""
+    sides: List[Dict] = [{}, {}, {}]    # differences, lhs, rhs
     for key, (lhs, rhs) in pairs.items():
         d = _difference(lhs, rhs)
         if d is None:
-            mapped[key] = (lhs, rhs)
+            sides[1][key], sides[2][key] = lhs, rhs
         else:
-            diffs[key] = d
+            sides[0][key] = d
     src = next((src for p in pairs.values() for s in map(_as_side, p)
                 for src, _, _ in s.terms), None)
     walk = _convolve if type(src) is tuple else _walk
+    values = walk(sides, D)
+    sides = d = None            # the walk frees them once compiled
     first: Dict[Tuple, Tuple] = {}
-    for coords, (dv, lv, rv) in walk([
-            diffs, {k: p[0] for k, p in mapped.items()},
-            {k: p[1] for k, p in mapped.items()}], D):
+    for coords, (dv, lv, rv) in values:
         unequal = [k for k in lv.keys() | rv.keys()
                    if lv.get(k) != rv.get(k)] if lv != rv else ()
         for key in (*dv, *unequal):
@@ -1259,7 +1269,11 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
 def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
     """Matching diagonal plus/minus products versus the counit: the
     multiparametric functionals detect the deformation mismatch, and the
-    identification g_ab = s^2 restores the counit identity."""
+    identification g_ab = s^2 restores the counit identity.  The second
+    check is an ordinary relation family over the uniparametric bundle
+    (RMatrixBundle.uniparametric), whose R is the generic R at g_ab = r:
+    its functionals take the uniparametric values on every word, so no
+    side is mapped."""
     D = _degree(N, D)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
@@ -1280,10 +1294,10 @@ def verify_parameter_collapse(N: int, D: Optional[int] = None) -> Report:
                      geom.label(coords[0][0]), render_scalar(qv)))
     rep.add("a mismatched deformation parameter breaks the counit identity",
             not res.equal, detail)
-    merged_eps = _mapped(eps_functional(bundle), merge_deformations)
+    uni = bundle.uniparametric
     w = _first_difference(
-        {(A,): (_mapped(word_functional(bundle, ((1, A, A), (-1, A, A))),
-                        merge_deformations), merged_eps)
+        {(A,): (word_functional(uni, ((1, A, A), (-1, A, A))),
+                eps_functional(uni))
          for A in geom.indices()}, D)
     rep.add("every matching diagonal product collapses to the counit at "
             "the uniparametric point", w is None, _detail(geom, w))

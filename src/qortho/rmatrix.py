@@ -38,7 +38,7 @@ from .scalars import (ParamSpace, Scalar, canonical_q,
 __all__ = [
     "RMatrixBundle", "build_R", "build_projectors",
     "build_bundle", "verify_rmatrix_suite", "decompose_embedding",
-    "inner_lift", "uniparametric_R", "specialized_rank",
+    "inner_lift", "specialized_rank",
 ]
 
 
@@ -93,7 +93,8 @@ def build_projectors(bundle) -> Tuple[SparseTensor4, SparseTensor4, SparseTensor
 
 
 class RMatrixBundle:
-    """R and everything derived from it for one index geometry.
+    """R and everything derived from it for one index geometry; R is
+    build_R(geometry) unless given.
 
     Rinv is built by inverting every deformation variable; Rhat^{ab}_{cd} =
     R^{ba}_{cd}; the functional-representation kernels are R+^{AC}_{BD} =
@@ -102,12 +103,13 @@ class RMatrixBundle:
     since every consumer reads L- = R^{-1}.  The projectors P_S, P_A, P_0
     are built on the first read of any of them, and their completeness,
     orthogonality and idempotence are certified at that moment.  A failed
-    certificate raises ArithmeticError naming it.
+    certificate raises ArithmeticError naming it.  The uniparametric
+    bundle is built on first read, from R at g_ab = r.
     """
 
-    def __init__(self, geometry: IndexGeometry):
+    def __init__(self, geometry: IndexGeometry, R=None):
         self.geometry = geometry
-        self.R = build_R(geometry)
+        self.R = build_R(geometry) if R is None else R
         self.C = MetricVec(geometry)
         self.Rhat = SparseTensor4(
             geometry, {(b, a, c, d): v for (a, b, c, d), v in self.R.items()})
@@ -146,6 +148,14 @@ class RMatrixBundle:
             "inverse by inverting all parameters": (ok1 and ok2,
                                                     _witness(w1 or w2)),
         }
+
+    @functools.cached_property
+    def uniparametric(self) -> "RMatrixBundle":
+        """The bundle, over the same geometry, of R with every deformation
+        parameter g_ab set to r = s^2 (merge_deformations, a ring
+        morphism); its inverse is certified like any bundle's."""
+        return RMatrixBundle(self.geometry, self.R._like(
+            {k: merge_deformations(v) for k, v in self.R.items()}))
 
     @functools.cached_property
     def _projected(self):
@@ -288,12 +298,6 @@ def _transpose_params(v: Scalar) -> Scalar:
     ps = v.ps
     return substitute(v, [ps.mono(s=1)] + [ps.mono(s=4, g={p: -1})
                                            for p in ps.pairs])
-
-
-def uniparametric_R(geometry: IndexGeometry) -> SparseTensor4:
-    """R with every independent parameter g_ab specialized to r = s^2."""
-    return SparseTensor4(geometry, {k: merge_deformations(v)
-                                    for k, v in build_R(geometry).items()})
 
 
 def specialized_rank(X: SparseTensor4, assignment: Mapping[str, object]) -> int:

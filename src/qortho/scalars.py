@@ -1048,12 +1048,11 @@ def rational_rank(rows: Iterable[Mapping[object, Fraction]]) -> int:
     return len(stair)
 
 
-def merge_deformations(a: Scalar, scale: Optional[Scalar] = None) -> Scalar:
+def merge_deformations(a: Scalar) -> Scalar:
     """Substitute every deformation variable g_ab by r = s^2, the
-    uniparametric point, in a (times scale, when given)."""
+    uniparametric point, in a: a ring morphism, which
+    RMatrixBundle.uniparametric applies to the entries of R."""
     ps = a.ps
-    if scale is not None:
-        a = a * scale
     return substitute(a, [ps.mono(s=1)] + [ps.mono(s=2)] * len(ps.pairs))
 
 

@@ -207,6 +207,26 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all"], ["det"], ["build-r"]],
+    ids=["verify", "det", "build-r"])
+def test_too_large_n_exits_two_before_any_handler(monkeypatch, capsys, argv):
+    """--n above 62 is refused before a handler builds anything: a
+    geometry of dimension n + 2 would pass the bound 64 that
+    tensor_from_json applies, and ParamSpace(10**9) alone would list
+    about 10**17 deformation pairs.  62 itself reaches the handler."""
+    reached = []
+    for name in ("_cmd_verify", "_cmd_det", "_cmd_build_r"):
+        monkeypatch.setattr(cli, name, lambda args: reached.append(args.n)
+                            or 0)
+    for n in ("63", "1000000000"):
+        assert run(argv + ["--n", n]) == 2
+        assert capsys.readouterr().err == "error: --n must be at most 62\n"
+    assert reached == []
+    assert run(argv + ["--n", "62"]) == 0
+    assert reached == [62]
+
+
 def test_envelope_suite_passes_degree_to_every_bounded_report(monkeypatch):
     seen = []
 

@@ -10,6 +10,7 @@ is checked degree by degree on spanning sets of T words.
 import functools
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult,
 from qortho.itensor import IndexGeometry
 from qortho.presentations import (AlgebraElement, build_presentation,
                                   section, word_element)
-from qortho.rmatrix import build_bundle
+from qortho.rmatrix import RMatrixBundle, build_bundle
 from qortho.scalars import (DenominatorClass, PoleAtOne, Scalar, _acc,
                             limit_r_to_1, merge_deformations, render_scalar,
                             scalar_invert)
@@ -289,6 +290,22 @@ def test_a_passing_relation_family_makes_no_value(monkeypatch):
     assert not made
 
 
+def test_a_walk_frees_its_difference_sides_once_compiled():
+    """Neither _witnesses nor the walk keeps the difference elements
+    after _compile has read them, so the traced peak of the plus-plus
+    exchange check at N = 4, D = 2 stays under 7.9 MB (8.2 MB while they
+    were held), once a D = 1 call has built the transfer matrices."""
+    bundle = build_bundle(IndexGeometry(6, embedded=True))
+    assert _exchange_residual(bundle, bundle.R, 1, 1, 1) is None
+    tracemalloc.start()
+    try:
+        assert _exchange_residual(bundle, bundle.R, 1, 1, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.9 * 2 ** 20
+
+
 def test_mapped_sides_keep_their_own_poles():
     """Both sides are (1/lambda) eps on the words of length <= 2 (the
     ordered diagonal product of L+ is the counit), so each has the pole
@@ -302,6 +319,80 @@ def test_mapped_sides_keep_their_own_poles():
     with pytest.raises(PoleAtOne):
         _witnesses({(): (_mapped(lhs, limit_r_to_1),
                          _mapped(rhs, limit_r_to_1))}, 2)
+
+
+def _pair_path_count(monkeypatch):
+    """A list that receives, for every relation _witnesses splits, whether
+    _difference sent it down the two-family path."""
+    paired = []
+    orig = envelope._difference
+
+    def spy(lhs, rhs):
+        d = orig(lhs, rhs)
+        paired.append(d is None)
+        return d
+
+    monkeypatch.setattr(envelope, "_difference", spy)
+    return paired
+
+
+def test_only_mapped_pairs_with_two_nonzero_sides_take_the_pair_path(
+        monkeypatch):
+    """The envelope layer walks every relation as one difference side,
+    the collapse included; at r = 1 only the q-Lie rows with a nonzero
+    rhs are walked side by side (119 of them), and the cone cross terms
+    and the rows against zero (44) are walked as their lhs alone."""
+    paired = _pair_path_count(monkeypatch)
+    assert verify_envelope_suite(3, 2).ok
+    assert verify_parameter_collapse(3, 2).ok
+    assert paired and not any(paired)
+    paired.clear()
+    assert calculus.verify_qlie("r1", 3).ok
+    assert (paired.count(True), paired.count(False)) == (119, 44)
+
+
+def test_a_limited_side_against_zero_keeps_its_pole(monkeypatch):
+    """A side mapped by the r = 1 limit and set against zero is walked
+    as that side alone, and its own pole still raises PoleAtOne."""
+    paired = _pair_path_count(monkeypatch)
+    lam_inv = scalar_invert(GEOM5.params.lam)
+    lhs = _mapped(word_functional(BUNDLE5, EPS_WORD, lam_inv), limit_r_to_1)
+    zero = envelope.FunctionalElement(BUNDLE5, {})
+    for rhs in (zero, _mapped(zero, limit_r_to_1)):
+        with pytest.raises(PoleAtOne):
+            _witnesses({(): (lhs, rhs)}, 1)
+    assert paired == [False, False]
+
+
+def test_the_uniparametric_bundle_takes_the_merged_values():
+    """Over the uniparametric bundle each L+-^A_B, the collapse word
+    L+^1_1 L-^1_1 and eps take, on every T-word of length <= 2, the
+    value at g_ab = r of the generic functional: the generic value sent
+    through merge_deformations one value at a time, the route the
+    collapse check took before it had a bundle."""
+    uni = BUNDLE5.uniparametric
+    assert uni is BUNDLE5.uniparametric and uni.geometry is BUNDLE5.geometry
+    assert uni._inverse_certificates[
+        "inverse by inverting all parameters"] == (True, "")
+    words = {g: (g,) for g in iproduct((1, -1), GEOM5.indices(),
+                                       GEOM5.indices())}
+    words["collapse"] = ((1, 1, 1), (-1, 1, 1))
+    words["eps"] = EPS_WORD
+
+    def values(bundle, fn):
+        family = {k: word_functional(bundle, w) for k, w in words.items()}
+        out = {}
+        for coords, (vals,) in _walk([family], 2):
+            vals = {k: v for k, v in map(fn, vals.items()) if v}
+            if vals:
+                out[coords] = vals
+        return out
+
+    generic = values(BUNDLE5, lambda kv: kv)
+    merged = values(BUNDLE5, lambda kv: (kv[0], merge_deformations(kv[1])))
+    assert values(uni, lambda kv: kv) == merged != generic
+    assert len(merged) == 323      # words with a nonzero value
+    assert merged[((1, 1),)]["collapse"] == GEOM5.params.one
 
 
 def test_pairing_values():
@@ -524,8 +615,8 @@ def test_pairing_axioms_name_the_first_failing_case(monkeypatch, name,
 
 
 def test_parameter_collapse_reports_a_relation_witness(monkeypatch):
-    monkeypatch.setattr(envelope, "merge_deformations",
-                        lambda v, scale=None: v)
+    monkeypatch.setattr(RMatrixBundle, "uniparametric",
+                        property(lambda bundle: bundle))
     rep = verify_parameter_collapse(3)
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("every matching diagonal product collapses to the counit at the "

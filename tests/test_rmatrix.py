@@ -18,7 +18,7 @@ from qortho import cli, rmatrix
 from qortho.envelope import verify_envelope_suite
 from qortho.rmatrix import (RMatrixBundle, build_bundle, build_R,
                             decompose_embedding, inner_lift, specialized_rank,
-                            uniparametric_R, verify_rmatrix_suite)
+                            verify_rmatrix_suite)
 from qortho.scalars import ParamSpace, scalar_invert, specialize
 
 
@@ -87,7 +87,7 @@ def test_qybe_detects_perturbation():
 
 def test_uniparametric_specializes_to_identity_at_s1():
     g = IndexGeometry(3)
-    U = uniparametric_R(g)
+    U = build_bundle(g).uniparametric.R
     vals = {k: specialize(v, {"s": Fraction(1)}) for k, v in U.entries.items()}
     nz = {k: v for k, v in vals.items() if v}
     assert nz == {(a, b, a, b): Fraction(1)

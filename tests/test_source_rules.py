@@ -350,3 +350,46 @@ def test_the_calculus_decides_its_limit_in_one_view():
         "    side = _mapped(f, limit_r_to_1) if limit else f\n"
         "    vals = {k: scalars.limit_r_to_1(v) for k, v in vals.items()}\n"
         ) == [5, 5, 6]
+
+
+def _named_outside(source: str, names, function=None) -> list:
+    """(line, name) of every name or attribute in names, outside the
+    module-level function of that name; a definition, an import or a
+    docstring names nothing."""
+    tree = ast.parse(source)
+    inside = {id(node) for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == function
+              for node in ast.walk(stmt)}
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if id(node) not in inside
+            and (name := getattr(node, "id", None)
+                 or getattr(node, "attr", None)) in names]
+
+
+def test_the_only_side_map_is_the_r1_view():
+    """A side map is only ever the r = 1 limit: in src/qortho, _mapped is
+    named by its definition and inside calculus._view alone, and the
+    g_ab = r collapse is a bundle of its own, so merge_deformations is
+    named only where it is defined (scalars.py) and where the
+    uniparametric bundle maps R (rmatrix.py)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        names = {"_mapped"}
+        if path.name not in ("scalars.py", "rmatrix.py"):
+            names.add("merge_deformations")
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _named_outside(
+                      path.read_text(), names,
+                      "_view" if path.name == "calculus.py" else None)]
+    assert found == []
+    # the side maps the rule is there to keep out
+    assert _named_outside(
+        "from .scalars import merge_deformations\n"
+        "def _mapped(side, fn):\n"
+        "    return side\n"
+        "def _view(kind, f):\n"
+        "    return _mapped(f, limit_r_to_1)\n"
+        "def collapse(f):\n"
+        "    return envelope._mapped(f, scalars.merge_deformations)\n",
+        {"_mapped", "merge_deformations"}, "_view") == [
+            (7, "_mapped"), (7, "merge_deformations")]
