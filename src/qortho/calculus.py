@@ -40,6 +40,14 @@ convolution of its factors' values over the coproduct of the word.
 Like the walk, that convolution reads its sides through
 envelope._compile and multiplies through scalars.mul_acc; the tangent
 vectors' values are kept, as Laurent numerators, for one check only.
+At r = 1 the rows are stated between the limits of the tangent vectors,
+and the limit is a ring morphism on the functions regular at s = 1, so
+a product side has the limit sum lim(c) prod lim(f): each vector is
+read through _view once, each coefficient is replaced by its limit in
+_view, and every row is walked as one difference side with no map,
+like the projected rows.  PoleAtOne fires on a factor value or a
+coefficient; a side, a sum of coefficients times convolutions of factor
+values, can have a pole only if one of those has.
 """
 
 from __future__ import annotations
@@ -108,9 +116,12 @@ def _chi(A: int, B: int, N: int, over) -> FunctionalElement:
 
 
 def _view(kind: str, f):
-    """How the calculus of this kind reads the functional f: at r = 1
-    through the exact s -> 1 limit of every value and bracket, otherwise
-    as it is."""
+    """How the calculus of this kind reads f: at r = 1 a functional
+    through the exact s -> 1 limit of every value and bracket, and a
+    _Factored, whose factors are viewed already, through the limits of
+    its coefficients; in the projected calculus f as it is."""
+    if kind == "r1" and isinstance(f, _Factored):
+        return f._like({t: limit_r_to_1(c) for t, c in f.terms.items()})
     return _mapped(f, limit_r_to_1) if kind == "r1" else f
 
 
@@ -173,17 +184,26 @@ def _degree(D: Optional[int]) -> int:
 
 def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
     """Every q-Lie relation instance of the chosen calculus, built once,
-    as {(relation,) + indices: (lhs, rhs)} in row order; the r = 1 rows
-    compare the r = 1 limits of the values.  Each side is a combination
-    of the tangent vectors and of their products kept factored
-    (envelope._Factored), so _witnesses reads it from the vectors'
-    values by the coproduct, without multiplying a product out."""
+    as {(relation,) + indices: (lhs, rhs)} in row order.  Each side is a
+    combination of the tangent vectors and of their products kept
+    factored (envelope._Factored), so _witnesses reads it from the
+    vectors' values by the coproduct, without multiplying a product out.
+    At r = 1 each distinct vector is read through _view once, as one
+    factor with coefficient 1, and each side's coefficients through
+    _view when the side is complete: the limit is a ring morphism on the
+    values regular at s = 1, so the side is the sum of the limited
+    coefficients times the products of the limited factors, an ordinary
+    side with no map."""
     bundle = _bundle(N)
     geom = bundle.geometry
     ps = geom.params
     M = geom.dim
     lam = ps.lam
     zero = _Factored(bundle, {})
+    small = build_bundle(IndexGeometry(N))
+    smetric = small.C
+    spr = small.geometry.prime
+    lift = inner_lift(geom)
     pairs: Dict[Tuple, Tuple] = {}
 
     def add(relation: str, indices, lhs, rhs):
@@ -209,8 +229,6 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
         add("circle vector scales under the dilatation", (),
             chi_o * chi_s - (chi_s * chi_o).scale(ps.s_pow(-8)),
             chi_o.scale((ps.one + ps.s_pow(4)) * (-ps.s_pow(-6))))
-        small = build_bundle(IndexGeometry(N))
-        lift = inner_lift(geom)
         for c in range(1, N + 1):
             for d in range(1, N + 1):
                 acc = zero
@@ -221,8 +239,6 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
                         q(M, a + 1) * lift(v))
                 add("antisymmetrized translation products vanish", (c, d),
                     acc, zero)
-        smetric = small.C
-        spr = small.geometry.prime
         coeff0 = lam * (-ps.s_pow(N)) * scalar_invert(
             ps.s_pow(4) + ps.s_pow(2 * N))
         rhs = zero
@@ -234,15 +250,17 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
         return pairs
 
     if kind == "r1":
-        chi_in = {(a, b): _factored(_chi(a + 1, b + 1, N, geom.inner()))
+        views: Dict[FunctionalElement, _Factored] = {}
+
+        def vector(f):      # one factor per distinct vector, walked once
+            if f not in views:
+                views[f] = _Factored(bundle, {(_view(kind, f),): ps.one})
+            return views[f]
+
+        chi_in = {(a, b): vector(_chi(a + 1, b + 1, N, geom.inner()))
                   for a in range(1, N + 1) for b in range(1, N + 1)}
-        chi_t = {b: _factored(build_chi(M, b + 1, N))
-                 for b in range(1, N + 1)}
-        chi_s = _factored(build_chi(M, M, N))
-        small = build_bundle(IndexGeometry(N))
-        smetric = small.C
-        spr = small.geometry.prime
-        lift = inner_lift(geom)
+        chi_t = {b: vector(build_chi(M, b + 1, N)) for b in range(1, N + 1)}
+        chi_s = vector(build_chi(M, M, N))
 
         def qs(a, b):
             return q(a + 1, b + 1)
@@ -304,7 +322,7 @@ def _lie_families(kind: str, N: int) -> Dict[Tuple, Tuple]:
 
         # each mirror vector is the lhs of one row and the rhs of another
         mirror = {(A, B): zero if B == geom.prime(A)   # the antidiagonal
-                  else _factored(_chi(A, B, N, (max(A, B),)))
+                  else vector(_chi(A, B, N, (max(A, B),)))
                   for A in geom.indices() for B in geom.indices()}
         for A, B in mirror:
             add("mirror tangent vectors are proportional", (A, B),

@@ -39,28 +39,30 @@ Every relation of the envelope suite (exchange, metric orthogonality,
 the counit, bullet-row reduction and twist identities) is a family of
 equalities lhs = rhs between functionals, one per index key, checked on
 every free word of length k <= D in one walk; functional_equal states
-the order in which the first disagreement is reported.  A relation with
-two unmapped sides, or with no terms on its rhs, is walked as the one
-side lhs - rhs, and holds when the walk gives it no value, so a passing
-family wraps no value in a Scalar; a failing relation has both sides
-read again on its first failing word alone (_witnesses).  The
-uniparametric collapse is such a family too, over the bundle of R at
-g_ab = r (RMatrixBundle.uniparametric).  A side may also carry the
-image of every value under the r = 1 limit (_mapped), which is how the
-r = 1 calculus reads its functionals; a relation between a mapped side
-and a nonzero other side is walked as its two sides and compared word
-by word, since the limit must see each side's value (limit_r_to_1
-raises PoleAtOne on a side with a pole even where the two poles
-cancel).  A bracket with a mapped side is the limit of the unmapped
-bracket, so terms cancel across words before the limit is taken.
+the order in which the first disagreement is reported.  Every relation
+is walked as the one side lhs - rhs (_difference), and holds when the
+walk gives it no value, so a passing family wraps no value in a Scalar;
+a failing relation has both sides read again on its first failing word
+alone (_witnesses).  The uniparametric collapse is such a family too,
+over the bundle of R at g_ab = r (RMatrixBundle.uniparametric).  A side
+may also carry the image of every value under the r = 1 limit
+(_mapped), which is how the r = 1 calculus reads its functionals.  A
+mapped side is only ever set against zero, and walked alone, so the
+limit sees its own values; set against a nonzero side it is refused,
+since the limit of the difference would hide a pole of either side.  A
+bracket with a mapped side is the limit of the unmapped bracket, so
+terms cancel across words before the limit is taken.
 A side may also be a combination of convolution products of functionals
 kept factored (_Factored), as the q-Lie relations of the calculus are:
 its walk side has one term per product, whose source is the tuple of
-factors, and _convolve reads such sides in place of _walk.  Both read
-their streams, column coefficients and maps through _compile and form
-every product with scalars.mul_acc.  _convolve walks the distinct
-factors once, keeps their values as Laurent numerators for that one
-check, and forms each product on a T-word from them by the coproduct
+factors, and _convolve reads such sides in place of _walk.  A factor may
+be a mapped side, which is how the r = 1 q-Lie rows are built: over the
+limited tangent vectors, with limited coefficients, so that the rows
+are differences with no map.  Both walks read their streams, column
+coefficients and maps through _compile and form every product with
+scalars.mul_acc.  _convolve walks the distinct factors once, keeps
+their values as Laurent numerators for that one check, and forms each
+product on a T-word from them by the coproduct
 Delta(T^C_D) = sum_G T^C_G x T^G_D, so no product is multiplied out
 into longer functional words.
 The Hopf pairing axioms are ordered families of (key, lhs, rhs) cases
@@ -447,8 +449,10 @@ def _mapped(side, fn) -> _Side:
     (limit_r_to_1, passed by calculus._view alone), called as fn(v, scale)
     on the Laurent sum v and the common-denominator scale of _as_side
     (None when there is none), so that it may take its image of v * scale
-    without forming the product.  side must not be mapped already.  The
-    g_ab = r collapse is no side map: it is a bundle of its own."""
+    without forming the product.  side must not be mapped already.  A
+    mapped side is walked alone, as a factor of a _Factored or against
+    zero (_difference), or read in brackets.  The g_ab = r collapse is
+    no side map: it is a bundle of its own."""
     s = _as_side(side)
     if s.fn not in (None, operator.mul):
         raise ValueError("side is mapped by %s already" % s.fn.__name__)
@@ -457,12 +461,15 @@ def _mapped(side, fn) -> _Side:
 
 class _Factored(LinearCombination):
     """A finite scalar combination of convolution products f1 f2 ... fm
-    of FunctionalElements, each product kept as the tuple (f1, ..., fm)
-    of its factors instead of being multiplied out into words; +, -,
-    scale and * (which joins the factor tuples) work as for
-    FunctionalElement.  _convolve evaluates it from the values of its
+    of FunctionalElements or mapped sides, each product kept as the
+    tuple (f1, ..., fm) of its factors instead of being multiplied out
+    into words; +, -, scale and * (which joins the factor tuples) work as
+    for FunctionalElement.  _convolve evaluates it from the values of its
     factors alone, which must be Laurent polynomials (DenominatorClass
-    otherwise); the factors of _factored have Laurent coefficients."""
+    otherwise): the factors of _factored have Laurent coefficients, and a
+    factor mapped to r = 1 has Laurent limits.  Mapped factors are told
+    apart by identity: a functional mapped twice is two factors, walked
+    twice."""
 
     __slots__ = ("bundle",)
 
@@ -652,13 +659,14 @@ def _walk(families: Sequence[Dict], D: int, words=None):
 
 
 def _convolve(families: Sequence[Dict], D: int):
-    """_walk for families of product sides (a _Factored or its image
-    under _mapped): yields (coords, values) for the free T-words of
-    length <= D with a nonzero value, by length, then by row (C1, ...,
-    Ck), then by column (D1, ..., Dk).  The streams, reads and maps come
-    from _compile, one stream per distinct tuple of factors.  The
-    distinct factors are walked once and their nonzero values kept by
-    word, as Laurent numerators, for this call only.  The value of a
+    """_walk for families of product sides (_Factored): yields (coords,
+    values) for the free T-words of length <= D with a nonzero value, by
+    length, then by row (C1, ..., Ck), then by column (D1, ..., Dk).  The
+    streams, reads and maps come from _compile, one stream per distinct
+    tuple of factors.  The distinct factors are walked once, each through
+    its own map if it is a mapped side (a pole of a factor value raises
+    there), and their nonzero values kept by word, as Laurent
+    numerators, for this call only.  The value of a
     product f g on T^{C1}_{D1} ... T^{Ck}_{Dk} is the convolution
     (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D: sum over G of
     f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ... T^{Gk}_{Dk}), formed
@@ -666,7 +674,7 @@ def _convolve(families: Sequence[Dict], D: int):
     their first factor, every product through scalars.mul_acc."""
     streams, reads, fns, ps = _compile(families)
     del families                        # the walk reads what _compile kept
-    index: Dict[FunctionalElement, int] = {}
+    index: Dict[object, int] = {}
     by_first: Dict[int, List[Tuple[Tuple[int, ...], List]]] = {}
     for (src, _), at in zip(streams, reads):
         if type(src) is not tuple:
@@ -827,21 +835,23 @@ def show_witness(geometry: IndexGeometry, coords, lv: Optional[Scalar],
 
 
 def _difference(lhs, rhs):
-    """lhs - rhs as one walk side, or None when the two sides must be
-    compared value by value: when rhs has terms and either side is mapped
-    or scaled (_mapped, or the common-denominator scale of _as_side).  A
-    rhs with no terms gives lhs itself, mapped or not: a side on its own
-    has no other side to cancel a pole with, so its map sees its own
-    values.  Two FunctionalElements or two _Factored are subtracted, so
-    that terms common to both sides cancel before the walk; two unscaled
-    walk sides are joined, the start rows of rhs negated."""
+    """lhs - rhs as one walk side.  Two FunctionalElements or two
+    _Factored are subtracted, so that terms common to both sides cancel
+    before the walk; two unscaled walk sides are joined, the start rows
+    of rhs negated.  A rhs with no terms gives lhs itself, mapped or
+    not: a side on its own has no other side to cancel a pole with, so
+    its map sees its own values.  A mapped or scaled side set against a
+    nonzero side raises ValueError naming the map, since a map sees the
+    value of one side (the r = 1 calculus limits its factors and
+    coefficients, not its sides)."""
     if type(lhs) is type(rhs) is not _Side:     # FunctionalElement, _Factored
         return lhs - rhs
     a, b = _as_side(lhs), _as_side(rhs)
     if not b.terms:
         return a
-    if a.fn is not None or b.fn is not None:
-        return None
+    if a.fn or b.fn:
+        raise ValueError("a side mapped by %s has no difference with a "
+                         "nonzero side" % (a.fn or b.fn).__name__)
     return _Side(a.terms + tuple((src, {s: -v for s, v in row.items()}, col)
                                  for src, row, col in b.terms))
 
@@ -851,40 +861,25 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     per index key, on the free words of length <= D, in one walk:
     {key: (coords, lhs value, rhs value)} with None for a zero value,
     keys whose relation holds left out.  A side is a FunctionalElement, a
-    _Factored or a walk side (_as_side, _mapped); the kind of the
-    family's sources decides the walk: _convolve reads a family of
-    products, _walk one of words.  A key's first word is its shortest,
-    then the smallest by coordinate tuple.
-
-    A relation is walked as the one side lhs - rhs (_difference) when
-    both sides are unmapped, or when rhs has no terms: it holds when the
-    walk gives it no value, and no value of a passing relation is made.
-    A relation with a mapped side and a nonzero other side (an r = 1
-    q-Lie row) is walked as its two sides and compared word by word, so
-    that each side's map sees that side's value alone: limit_r_to_1
-    raises PoleAtOne on a side with a pole even where the poles of the
-    two sides cancel.  The walk is handed the sides alone and frees them
-    once it has compiled them.  A failing relation of either kind has
-    both sides read again on its first word alone (a walk restricted to
-    the failing words; _convolve has no restriction and stops at their
-    length)."""
-    sides: List[Dict] = [{}, {}, {}]    # differences, lhs, rhs
-    for key, (lhs, rhs) in pairs.items():
-        d = _difference(lhs, rhs)
-        if d is None:
-            sides[1][key], sides[2][key] = lhs, rhs
-        else:
-            sides[0][key] = d
-    src = next((src for p in pairs.values() for s in map(_as_side, p)
+    _Factored or a walk side (_as_side, _mapped), and every relation is
+    walked as the one side lhs - rhs (_difference): it holds when the
+    walk gives it no value, so no value of a passing relation is made.
+    The kind of the sources decides the walk: _convolve reads a family
+    of products, _walk one of words.  A key's first word is its
+    shortest, then the smallest by coordinate tuple.  The walk is handed
+    the differences alone and frees them once it has compiled them.  A
+    failing relation has both sides read again on its first word alone
+    (a walk restricted to the failing words; _convolve has no
+    restriction and stops at their length)."""
+    sides = {key: _difference(lhs, rhs) for key, (lhs, rhs) in pairs.items()}
+    src = next((src for s in map(_as_side, sides.values())
                 for src, _, _ in s.terms), None)
     walk = _convolve if type(src) is tuple else _walk
-    values = walk(sides, D)
-    sides = d = None            # the walk frees them once compiled
+    values = walk([sides], D)
+    sides = None                # the walk frees them once compiled
     first: Dict[Tuple, Tuple] = {}
-    for coords, (dv, lv, rv) in values:
-        unequal = [k for k in lv.keys() | rv.keys()
-                   if lv.get(k) != rv.get(k)] if lv != rv else ()
-        for key in (*dv, *unequal):
+    for coords, (vals,) in values:
+        for key in vals:
             if key not in first or (len(first[key]), first[key]) > (
                     len(coords), coords):
                 first[key] = coords
@@ -916,8 +911,8 @@ def _first(found: Dict[Tuple, Tuple]):
 
 def _first_difference(pairs: Dict[Tuple, Tuple], D: int):
     """_first of one _witnesses walk over a family of relations: the
-    difference of the sides where both are unmapped, their values on the
-    first failing word read again from the two sides."""
+    difference of the sides, their values on the first failing word read
+    again from the two sides."""
     return _first(_witnesses(pairs, D))
 
 

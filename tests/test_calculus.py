@@ -19,7 +19,7 @@ from qortho.calculus import (TangentBasis, adjoint_coaction_check,
                              differential, leibniz_check,
                              structure_constants, tangent_basis, verify_qlie)
 from qortho.envelope import iu_annihilates, word_functional
-from qortho.scalars import limit_r_to_1, scalar_invert
+from qortho.scalars import canonical_q, limit_r_to_1, scalar_invert
 from qortho.presentations import (build_presentation, costructure,
                                   iso_normal_system, reduce, unit_element,
                                   word_element, zero_element)
@@ -261,15 +261,25 @@ def test_r1_limits_never_canonicalize_a_product(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # the q-Lie rows read by the coproduct
 
-def _expanded(side):
-    """The FunctionalElement that a _Factored side multiplies out to."""
+def _expanded(side, generic=None):
+    """The FunctionalElement that a _Factored side multiplies out to,
+    each factor replaced by its generic vector in generic, if given."""
     out = envelope.FunctionalElement(side.bundle, {})
     for factors, c in side.terms.items():
-        product = factors[0]
-        for f in factors[1:]:
+        fs = [generic[f] for f in factors] if generic else factors
+        product = fs[0]
+        for f in fs[1:]:
             product = product * f
         out = out + product.scale(c)
     return out
+
+
+def _viewed(vectors):
+    """Each vector as one factor read through the r = 1 view, with
+    coefficient 1, as _lie_families builds the r = 1 rows."""
+    return [envelope._Factored(v.bundle, {
+        (calculus._view("r1", v),): v.bundle.geometry.params.one})
+        for v in vectors]
 
 
 def _by_word(walk, families, D):
@@ -279,7 +289,11 @@ def _by_word(walk, families, D):
 def _convolution_matches_the_walk(kind, pairs, D):
     """The convolution of the values of the basis vectors numbered by
     each pair is the walk of their multiplied-out product on every word
-    of length <= D, at generic parameters and through the r = 1 view."""
+    of length <= D, at generic parameters.  At r = 1 the limit of a
+    product is the product of the limits: the convolution over the
+    viewed vectors, with the limit of a deformation factor as the
+    coefficient, is the walk of the view of the generic product with
+    that factor."""
     vectors = tangent_basis(kind, 3).vectors
     factored = {(i, j): envelope._factored(vectors[i])
                 * envelope._factored(vectors[j]) for i, j in pairs}
@@ -288,11 +302,13 @@ def _convolution_matches_the_walk(kind, pairs, D):
     assert got == _by_word(envelope._walk, [expanded], D)
     assert len(got) > 100
     if kind == "r1":
-        view = {key: calculus._view("r1", side)
-                for key, side in factored.items()}
-        got = _by_word(envelope._convolve, [view], D)
+        views = _viewed(vectors)
+        c = canonical_q(vectors[0].bundle.geometry.params, 1, 4)  # s^4/g12
+        got = _by_word(envelope._convolve, [{
+            (i, j): calculus._view("r1", (views[i] * views[j]).scale(c))
+            for i, j in pairs}], D)
         assert got == _by_word(envelope._walk, [{
-            key: calculus._view("r1", side)
+            key: calculus._view("r1", side.scale(c))
             for key, side in expanded.items()}], D)
         assert len(got) > 100
 
@@ -347,6 +363,26 @@ def _drop_a_product(side):
         t: c for t, c in side.terms.items() if t != factors})
 
 
+def _first_unequal(pairs, D):
+    """{key: (coords, lhs value, rhs value)} on the first word (shortest,
+    then smallest) where the two sides' values differ, each side walked
+    on its own: the two-side comparison, as a reference."""
+    found = {}
+    for coords, (lv, rv) in envelope._walk(
+            [{k: lhs for k, (lhs, _) in pairs.items()},
+             {k: rhs for k, (_, rhs) in pairs.items()}], D):
+        for k in lv.keys() | rv.keys():
+            if lv.get(k) != rv.get(k) and (k not in found or (
+                    len(found[k][0]), found[k][0]) > (len(coords), coords)):
+                found[k] = (coords, lv.get(k), rv.get(k))
+    return found
+
+
+WRONG_ROW_WITNESS = {
+    "rotation brackets close with metric corrections": "T[1,1]: -2 vs -1",
+    "rotations move translations inside the basis": "T[1,•]: 0 vs 1"}
+
+
 @pytest.mark.parametrize("relation, row, mutate", [
     ("rotation brackets close with metric corrections", (1, 2, 2, 1),
      _scale_a_coefficient),
@@ -355,30 +391,54 @@ def _drop_a_product(side):
 def test_a_wrong_qlie_row_fails_with_the_witness_of_its_expanded_form(
         relation, row, mutate, monkeypatch):
     """A q-Lie row with one coefficient changed, or one product term
-    dropped, fails with the same (word, lhs, rhs) witness that the walk
-    of the multiplied-out rows gives, and the other rows still hold."""
-    with monkeypatch.context() as m:    # the rows' sides before the view
-        m.setattr(calculus, "_view", lambda kind, f: f)
+    dropped, fails with the same (word, lhs, rhs) witness that the
+    limits of the multiplied-out sides give, each side walked on its
+    own, and the other rows still hold."""
+    generic = {}                        # each viewed factor: its vector
+    view = calculus._view
+
+    def recording(kind, f):
+        got = view(kind, f)
+        if isinstance(f, envelope.FunctionalElement):
+            generic[got] = f
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_view", recording)
         families = calculus._lie_families("r1", 3)
     pairs = {key: sides for key, sides in families.items()
              if key[0] == relation}
     key = (relation,) + row
     pairs[key] = (mutate(pairs[key][0]), pairs[key][1])
-    found = envelope._witnesses({
-        k: tuple(calculus._view("r1", s) for s in sides)
-        for k, sides in pairs.items()}, 2)
+    found = envelope._witnesses(pairs, 2)
     assert list(found) == [key]
-    assert found == envelope._witnesses({
-        k: tuple(calculus._view("r1", _expanded(s)) for s in sides)
+    assert found == _first_unequal({
+        k: tuple(view("r1", _expanded(s, generic)) for s in sides)
         for k, sides in pairs.items()}, 2)
+    geom = calculus._bundle(3).geometry
+    assert envelope.show_witness(geom, *found[key]) \
+        == WRONG_ROW_WITNESS[relation]
 
 
 def test_a_product_side_with_a_pole_at_r1_still_raises():
+    """At r = 1 a pole raises PoleAtOne where it is: a product
+    coefficient with a pole when its side is viewed."""
     basis = tangent_basis("r1", 3)
     ps = basis.bundle.geometry.params
-    chi = envelope._factored(basis.vectors[-1])
-    side = (chi * chi).scale(scalar_invert(ps.lam))
+    chi, = _viewed(basis.vectors[-1:])
+    with pytest.raises(scalar_module.PoleAtOne):
+        calculus._view("r1", (chi * chi).scale(scalar_invert(ps.lam)))
+
+
+def test_a_factor_with_a_pole_at_r1_raises_in_the_walk():
+    """A factor whose value on the empty word has a pole (eps / lambda)
+    raises PoleAtOne when _convolve walks the factors, though its
+    product's coefficient is regular."""
+    basis = tangent_basis("r1", 3)
+    ps = basis.bundle.geometry.params
+    bad = envelope.eps_functional(basis.bundle).scale(scalar_invert(ps.lam))
+    chi, pole = _viewed([basis.vectors[-1], bad])
     zero = envelope._Factored(basis.bundle, {})
     with pytest.raises(scalar_module.PoleAtOne):
-        envelope._witnesses({(): (calculus._view("r1", side),
-                                  calculus._view("r1", zero))}, 2)
+        envelope._witnesses({(): (calculus._view("r1", chi * pole), zero)},
+                            2)

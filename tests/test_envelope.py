@@ -306,62 +306,73 @@ def test_a_walk_frees_its_difference_sides_once_compiled():
     assert peak < 7.9 * 2 ** 20
 
 
-def test_mapped_sides_keep_their_own_poles():
+def test_witnesses_refuse_a_mapped_side_against_a_nonzero_side():
     """Both sides are (1/lambda) eps on the words of length <= 2 (the
     ordered diagonal product of L+ is the counit), so each has the pole
-    1/lambda on the empty word and the poles cancel in lhs - rhs.  The
-    limit is taken side by side, so the pair still raises PoleAtOne."""
+    1/lambda on the empty word and the poles cancel in lhs - rhs, where
+    no side's map would see them.  The unmapped pair holds; a mapped side
+    set against a nonzero side is refused by the name of its map."""
     lam_inv = scalar_invert(GEOM5.params.lam)
     diagonal = tuple((1, A, A) for A in GEOM5.indices())
     lhs = word_functional(BUNDLE5, diagonal, lam_inv)
     rhs = eps_functional(BUNDLE5).scale(lam_inv)
     assert _witnesses({(): (lhs, rhs)}, 2) == {}
-    with pytest.raises(PoleAtOne):
-        _witnesses({(): (_mapped(lhs, limit_r_to_1),
-                         _mapped(rhs, limit_r_to_1))}, 2)
+    for pair in ((_mapped(lhs, limit_r_to_1), _mapped(rhs, limit_r_to_1)),
+                 (_mapped(lhs, limit_r_to_1), eps_functional(BUNDLE5))):
+        with pytest.raises(ValueError, match="mapped by limit_r_to_1"):
+            _witnesses({(): pair}, 2)
 
 
-def _pair_path_count(monkeypatch):
-    """A list that receives, for every relation _witnesses splits, whether
-    _difference sent it down the two-family path."""
-    paired = []
+def _walk_spy(monkeypatch):
+    """A list that receives the number of families of every _walk and
+    _convolve call made through the envelope module."""
+    walks = []
+    for name in ("_walk", "_convolve"):
+        def spy(families, *args, real=getattr(envelope, name)):
+            walks.append(len(families))
+            return real(families, *args)
+        monkeypatch.setattr(envelope, name, spy)
+    return walks
+
+
+def test_every_relation_is_walked_as_one_difference_side(monkeypatch):
+    """Every relation of the two envelope reports, the collapse included,
+    and all 163 of verify_qlie("r1", 3) (154 q-Lie rows and 9 cone cross
+    terms) is walked as one difference side: _difference gives a side for
+    each, and every walk of the r = 1 suite, where every relation holds,
+    takes one family.  (The envelope reports also check relations that
+    must fail, whose two sides are read again in a walk of two.)"""
+    one_side = []
     orig = envelope._difference
 
     def spy(lhs, rhs):
         d = orig(lhs, rhs)
-        paired.append(d is None)
+        one_side.append(d is not None)
         return d
 
     monkeypatch.setattr(envelope, "_difference", spy)
-    return paired
-
-
-def test_only_mapped_pairs_with_two_nonzero_sides_take_the_pair_path(
-        monkeypatch):
-    """The envelope layer walks every relation as one difference side,
-    the collapse included; at r = 1 only the q-Lie rows with a nonzero
-    rhs are walked side by side (119 of them), and the cone cross terms
-    and the rows against zero (44) are walked as their lhs alone."""
-    paired = _pair_path_count(monkeypatch)
+    walks = _walk_spy(monkeypatch)
     assert verify_envelope_suite(3, 2).ok
     assert verify_parameter_collapse(3, 2).ok
-    assert paired and not any(paired)
-    paired.clear()
+    assert one_side and all(one_side)
+    one_side.clear()
+    walks.clear()
     assert calculus.verify_qlie("r1", 3).ok
-    assert (paired.count(True), paired.count(False)) == (119, 44)
+    assert one_side.count(True) == len(one_side) == 163
+    assert set(walks) == {1}
 
 
 def test_a_limited_side_against_zero_keeps_its_pole(monkeypatch):
     """A side mapped by the r = 1 limit and set against zero is walked
     as that side alone, and its own pole still raises PoleAtOne."""
-    paired = _pair_path_count(monkeypatch)
+    walks = _walk_spy(monkeypatch)
     lam_inv = scalar_invert(GEOM5.params.lam)
     lhs = _mapped(word_functional(BUNDLE5, EPS_WORD, lam_inv), limit_r_to_1)
     zero = envelope.FunctionalElement(BUNDLE5, {})
     for rhs in (zero, _mapped(zero, limit_r_to_1)):
         with pytest.raises(PoleAtOne):
             _witnesses({(): (lhs, rhs)}, 1)
-    assert paired == [False, False]
+    assert walks == [1, 1]
 
 
 def test_the_uniparametric_bundle_takes_the_merged_values():

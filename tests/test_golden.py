@@ -43,6 +43,10 @@ GOLDEN = [
      "d1cb74a69c679fd9a912da9647d392a79ab0bb4e13ed93884210a8448ee8773e"),
     (["verify", "--suite", "calculus-r1", "--n", "4"],
      "ad7df93ebcaff91b8fe902f7962d1135d1796b6660a99a6096518c1930e17ef4"),
+    (["verify", "--suite", "calculus-r1", "--n", "5"],
+     "65e52239c6f178bc0cd2e7ff7998a025476408235cf2d18d24db98f4bf3a89ce"),
+    (["lie", "--n", "4", "--kind", "r1", "--degree", "3"],
+     "2f9808bdf80637f3cba43fa67e912e0493185f5fee424394f3ed24e09af91d7b"),
 ]
 
 

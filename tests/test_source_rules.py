@@ -349,7 +349,8 @@ def test_the_calculus_decides_its_limit_in_one_view():
         "def _letter_values(f, limit):\n"
         "    side = _mapped(f, limit_r_to_1) if limit else f\n"
         "    vals = {k: scalars.limit_r_to_1(v) for k, v in vals.items()}\n"
-        ) == [5, 5, 6]
+        "    side = _Factored(b, {t: limit_r_to_1(c) for t, c in terms})\n"
+        ) == [5, 5, 6, 7]
 
 
 def _named_outside(source: str, names, function=None) -> list:
