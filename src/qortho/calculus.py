@@ -167,8 +167,7 @@ def tangent_basis(kind: str, N: int) -> TangentBasis:
         labels.append("Omega[*,*]")
         vectors.append(build_chi(M, M, N))
         # a pole here would break the limit claim
-        for _ in _walk([{i: _view(kind, v) for i, v in enumerate(vectors)}],
-                       1):
+        for _ in _walk({i: _view(kind, v) for i, v in enumerate(vectors)}, 1):
             pass
         return TangentBasis(kind, N, labels, vectors)
     raise ValueError("unknown calculus kind %r" % (kind,))
@@ -362,7 +361,7 @@ def _letter(big, A: int, B: int) -> AlgebraElement:
 def _letter_values(f) -> Dict[Tuple[int, int], Scalar]:
     """The nonzero letter values {(A, C): f(T^A_C)} of a functional or a
     walk side."""
-    return {coords[0]: vals[()] for coords, (vals,) in _walk([{(): f}], 1)
+    return {coords[0]: vals[()] for coords, vals in _walk({(): f}, 1)
             if coords and () in vals}
 
 

@@ -35,23 +35,28 @@ transfer matrices of the one- and two-letter patterns are derived data,
 built on first use and kept by functools.cache per bundle and sign
 pattern; nothing keyed by a word or a word length is kept.
 
-Every relation of the envelope suite (exchange, metric orthogonality,
-the counit, bullet-row reduction and twist identities) is a family of
-equalities lhs = rhs between functionals, one per index key, checked on
-every free word of length k <= D in one walk; functional_equal states
-the order in which the first disagreement is reported.  Every relation
-is walked as the one side lhs - rhs (_difference), and holds when the
-walk gives it no value, so a passing family wraps no value in a Scalar;
-a failing relation has both sides read again on its first failing word
-alone (_witnesses).  The uniparametric collapse is such a family too,
-over the bundle of R at g_ab = r (RMatrixBundle.uniparametric).  A side
-may also carry the image of every value under the r = 1 limit
-(_mapped), which is how the r = 1 calculus reads its functionals.  A
-mapped side is only ever set against zero, and walked alone, so the
-limit sees its own values; set against a nonzero side it is refused,
-since the limit of the difference would hide a pole of either side.  A
-bracket with a mapped side is the limit of the unmapped bracket, so
-terms cancel across words before the limit is taken.
+The side family {key: side} is the one unit of the engine: _compile,
+_walk and _convolve take one family, and yield per word one dict of its
+nonzero values by key.  Every relation of the envelope suite (exchange,
+metric orthogonality, the counit, bullet-row reduction and twist
+identities) is a family of equalities lhs = rhs between functionals,
+one per index key, checked on every free word of length k <= D in one
+walk; the exchange relations (_exchange_relations) are keyed by their
+indices (A, B; C, D) like the others.  functional_equal states the
+order in which the first disagreement is reported.  Every relation is
+walked as the one side lhs - rhs (_difference), and holds when the walk
+gives it no value, so a passing family wraps no value in a Scalar; a
+failing relation has its two sides read again on its first failing word
+alone, as the keys (key, 0) and (key, 1) of one family (_witnesses).
+The uniparametric collapse is such a family too, over the bundle of R
+at g_ab = r (RMatrixBundle.uniparametric).  A side may also carry the
+image of every value under the r = 1 limit (_mapped), which is how the
+r = 1 calculus reads its functionals.  A mapped side is only ever set
+against zero, and walked alone, so the limit sees its own values; set
+against a nonzero side it is refused, since the limit of the difference
+would hide a pole of either side.  A bracket with a mapped side is the
+limit of the unmapped bracket, so terms cancel across words before the
+limit is taken.
 A side may also be a combination of convolution products of functionals
 kept factored (_Factored), as the q-Lie relations of the calculus are:
 its walk side has one term per product, whose source is the tuple of
@@ -498,71 +503,64 @@ def _factored(f: FunctionalElement) -> _Factored:
         (f if common is ps.one else f.scale(common),): scale})
 
 
-def _compile(families: Sequence[Dict]):
-    """The distinct streams (source, start row) of a list of side
-    families {key: side}, where each stream is read, and the ParamSpace
-    ps of the start rows (None when there is no stream): reads[i][b]
-    lists ((family number, key), column entry) for end state b; fns[n]
-    holds the (map, scale) of family n's mapped sides.  Start rows and
-    column entries are Laurent numerators over ps, a column entry None
-    becoming the numerator of one."""
+def _compile(family: Dict):
+    """The distinct streams (source, start row) of a side family {key:
+    side}, where each stream is read, and the ParamSpace ps of the start
+    rows (None when there is no stream): reads[i][b] lists (key, column
+    entry) for end state b; fns[key] holds the (map, scale) of a mapped
+    side.  Start rows and column entries are Laurent numerators over ps,
+    a column entry None becoming the numerator of one."""
     index: Dict[Tuple, int] = {}
     streams: List[Tuple[object, Row]] = []
     reads: List[Dict[State, List]] = []
-    fns: List[Dict] = []
+    fns: Dict = {}
     ps = one = None
-    for n, family in enumerate(families):
-        fns.append({})
-        for key, side in family.items():
-            s = _as_side(side)
-            if s.fn is not None:
-                fns[n][key] = (s.fn, s.scale)
-            nk = (n, key)
-            for src, row, col in s.terms:
-                if not row:
-                    continue    # a zero start row reads zero everywhere
-                ident = (type(src), src, frozenset(row.items()))
-                i = index.get(ident)
-                if i is None:
-                    if ps is None:
-                        ps = next(iter(row.values())).ps
-                        one = laurent_numerator(ps, ps.one)
-                    i = index[ident] = len(streams)
-                    streams.append((src, {a: laurent_numerator(ps, v)
-                                          for a, v in row.items()}))
-                    reads.append({})
-                for b, c in col.items():
-                    reads[i].setdefault(b, []).append((
-                        nk, one if c is None else laurent_numerator(ps, c)))
+    for key, side in family.items():
+        s = _as_side(side)
+        if s.fn is not None:
+            fns[key] = (s.fn, s.scale)
+        for src, row, col in s.terms:
+            if not row:
+                continue        # a zero start row reads zero everywhere
+            ident = (type(src), src, frozenset(row.items()))
+            i = index.get(ident)
+            if i is None:
+                if ps is None:
+                    ps = next(iter(row.values())).ps
+                    one = laurent_numerator(ps, ps.one)
+                i = index[ident] = len(streams)
+                streams.append((src, {a: laurent_numerator(ps, v)
+                                      for a, v in row.items()}))
+                reads.append({})
+            for b, c in col.items():
+                reads[i].setdefault(b, []).append((
+                    key, one if c is None else laurent_numerator(ps, c)))
     return streams, reads, fns, ps
 
 
-def _finish(vals: List[Dict], fns) -> List[Dict]:
-    """Apply the maps of mapped sides, each as fn(value, scale), dropping
-    the zeros they give."""
-    for got, maps in zip(vals, fns):
-        for key in [key for key in got if key in maps] if maps else ():
-            fn, scale = maps[key]
-            v = fn(got[key], scale)
-            if v:
-                got[key] = v
-            else:
-                del got[key]
+def _finish(vals: Dict, fns: Dict) -> Dict:
+    """Apply the maps of mapped sides to the values {key: value}, each as
+    fn(value, scale), dropping the zeros they give."""
+    for key in [key for key in vals if key in fns] if fns else ():
+        fn, scale = fns[key]
+        v = fn(vals[key], scale)
+        if v:
+            vals[key] = v
+        else:
+            del vals[key]
     return vals
 
 
-def _values(acc: Dict[Tuple, object], fns, ps: ParamSpace) -> List[Dict]:
-    """Values by family and key of the Laurent sums {(family number, key):
-    numerator} of one word, one Scalar per nonzero sum, through _finish."""
-    vals: List[Dict] = [{} for _ in fns]
-    for (n, key), v in acc.items():
-        vals[n][key] = laurent_scalar(ps, v)
-    return _finish(vals, fns)
+def _values(acc: Dict, fns: Dict, ps: ParamSpace) -> Dict:
+    """Values by key of the Laurent sums {key: numerator} of one word, one
+    Scalar per nonzero sum, through _finish."""
+    return _finish({key: laurent_scalar(ps, v) for key, v in acc.items()},
+                   fns)
 
 
-def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
-    """Values by family and key of the live stream rows at one word."""
-    acc: Dict[Tuple, object] = {}
+def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> Dict:
+    """Values by key of the live stream rows at one word."""
+    acc: Dict = {}
     for i, row in live.items():
         at = reads[i]
         for b, v in row.items():
@@ -574,9 +572,9 @@ def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> List[Dict]:
 
 def _through(src, a: State, at: Dict, keep, ps: ParamSpace) -> List:
     """The reads of a stream from state a through one more letter, as
-    [(letter, [((family, key), coefficient)])], the coefficient (a Laurent
-    numerator) summing Theta^letter[a][b] times the column entry over the
-    read states b; keep is the stream's viable filter with no letter
+    [(letter, [(key, coefficient)])], the coefficient (a Laurent
+    numerator) summing Theta^letter[a][b] times the column entry over
+    the read states b; keep is the stream's viable filter with no letter
     left."""
     out: List = []
     for letter, r in src.step({a: laurent_numerator(ps, ps.one)},
@@ -591,14 +589,14 @@ def _through(src, a: State, at: Dict, keep, ps: ParamSpace) -> List:
     return out
 
 
-def _walk(families: Sequence[Dict], D: int, words=None):
+def _walk(family: Dict, D: int, words=None):
     """Depth-first walk of the free T-words of length <= D in the order
-    of their coordinate tuples ((C1, D1), ..., (Ck, Dk)): yields
-    (coords, values), values[n] the nonzero values of the n-th family by
-    key; given a set of words, only those are read and only the prefixes
-    of those words are visited.  A visited word steps every stream
-    through every letter at once, keeping the letters that extend a
-    wanted word (all of them when no words are given).  Only the stream
+    of their coordinate tuples ((C1, D1), ..., (Ck, Dk)) for one side
+    family {key: side}: yields (coords, values), values the nonzero
+    values by key; given a set of words, only those are read and only
+    the prefixes of those words are visited.  A visited word steps every
+    stream through every letter at once, keeping the letters that extend
+    a wanted word (all of them when no words are given).  Only the stream
     rows of the current word and of its parents' unvisited siblings are
     held, without the states from which no read state is reachable in
     the letters left (each stream's viable filter is computed once per
@@ -613,8 +611,8 @@ def _walk(families: Sequence[Dict], D: int, words=None):
     rows' ParamSpace, and all of one stream state's products at a node
     go through one scalars.mul_acc call; a start row or column entry
     with a denominator raises DenominatorClass."""
-    streams, reads, fns, ps = _compile(families)
-    del families                        # the walk reads what _compile kept
+    streams, reads, fns, ps = _compile(family)
+    del family                          # the walk reads what _compile kept
     nexts: Dict[Tuple, set] = {}
     for w in words or ():
         for k in range(len(w)):
@@ -658,8 +656,8 @@ def _walk(families: Sequence[Dict], D: int, words=None):
                       for letter in sorted(kids, reverse=True)]
 
 
-def _convolve(families: Sequence[Dict], D: int):
-    """_walk for families of product sides (_Factored): yields (coords,
+def _convolve(family: Dict, D: int):
+    """_walk for a family of product sides (_Factored): yields (coords,
     values) for the free T-words of length <= D with a nonzero value, by
     length, then by row (C1, ..., Ck), then by column (D1, ..., Dk).  The
     streams, reads and maps come from _compile, one stream per distinct
@@ -672,8 +670,8 @@ def _convolve(families: Sequence[Dict], D: int):
     f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ... T^{Gk}_{Dk}), formed
     for one row (C1, ..., Ck) at a time with the products grouped by
     their first factor, every product through scalars.mul_acc."""
-    streams, reads, fns, ps = _compile(families)
-    del families                        # the walk reads what _compile kept
+    streams, reads, fns, ps = _compile(family)
+    del family                          # the walk reads what _compile kept
     index: Dict[object, int] = {}
     by_first: Dict[int, List[Tuple[Tuple[int, ...], List]]] = {}
     for (src, _), at in zip(streams, reads):
@@ -684,7 +682,7 @@ def _convolve(families: Sequence[Dict], D: int):
     # tables[i][(C1, ..., Ck)][(D1, ..., Dk)]: the numerator of the
     # value of factor i on T^{C1}_{D1} ... T^{Ck}_{Dk}
     tables: List[Dict[Tuple, Row]] = [{} for _ in index]
-    for coords, (vals,) in _walk([{i: f for f, i in index.items()}], D):
+    for coords, vals in _walk({i: f for f, i in index.items()}, D):
         C, G = tuple(zip(*coords)) or ((), ())
         for i, v in vals.items():
             tables[i].setdefault(C, {})[G] = laurent_numerator(ps, v)
@@ -743,9 +741,8 @@ def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
         terms[ekey] = [(tuple(pairs[g] for g in w), c)
                        for w, c in a.terms.items()]
     words = {w for ts in terms.values() for w, _ in ts}
-    vals = {w: v for w, (v,) in _walk(
-        [{fkey: _Side(s.terms) for fkey, s in sides.items()}],
-        max(map(len, words), default=0), words)}
+    vals = dict(_walk({fkey: _Side(s.terms) for fkey, s in sides.items()},
+                      max(map(len, words), default=0), words))
     out: Dict[Tuple, Scalar] = {}
     for ekey, ts in terms.items():
         for w, c in ts:
@@ -753,7 +750,7 @@ def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
                 _acc(out, (fkey, ekey), c * v)
     maps = {key: (sides[key[0]].fn, sides[key[0]].scale)
             for key in out if sides[key[0]].fn}
-    return _finish([out], [maps])[0]
+    return _finish(out, maps)
 
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
@@ -868,17 +865,18 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
     of products, _walk one of words.  A key's first word is its
     shortest, then the smallest by coordinate tuple.  The walk is handed
     the differences alone and frees them once it has compiled them.  A
-    failing relation has both sides read again on its first word alone
-    (a walk restricted to the failing words; _convolve has no
-    restriction and stops at their length)."""
+    failing relation has its two sides read again on its first word
+    alone, as the keys (key, 0) and (key, 1) of one family (a walk
+    restricted to the failing words; _convolve has no restriction and
+    stops at their length)."""
     sides = {key: _difference(lhs, rhs) for key, (lhs, rhs) in pairs.items()}
     src = next((src for s in map(_as_side, sides.values())
                 for src, _, _ in s.terms), None)
     walk = _convolve if type(src) is tuple else _walk
-    values = walk([sides], D)
+    values = walk(sides, D)
     sides = None                # the walk frees them once compiled
     first: Dict[Tuple, Tuple] = {}
-    for coords, (vals,) in values:
+    for coords, vals in values:
         for key in vals:
             if key not in first or (len(first[key]), first[key]) > (
                     len(coords), coords):
@@ -888,13 +886,12 @@ def _witnesses(pairs: Dict[Tuple, Tuple], D: int) -> Dict[Tuple, Tuple]:
         keys: Dict[Tuple, List] = {}
         for key, coords in first.items():
             keys.setdefault(coords, []).append(key)
-        both = [{k: pairs[k][0] for k in first},
-                {k: pairs[k][1] for k in first}]
+        both = {(k, n): pairs[k][n] for n in (0, 1) for k in first}
         depth = max(map(len, keys))
-        for coords, (lv, rv) in (_walk(both, depth, keys) if walk is _walk
-                                 else walk(both, depth)):
+        for coords, vals in (_walk(both, depth, keys) if walk is _walk
+                             else walk(both, depth)):
             for key in keys.get(coords, ()):
-                found[key] = (coords, lv.get(key), rv.get(key))
+                found[key] = (coords, vals.get((key, 0)), vals.get((key, 1)))
     return found
 
 
@@ -955,12 +952,10 @@ def _any_generator(A: int, B: int) -> bool:
     return True
 
 
-def _exchange_residual(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
-                       s1: int, D: int, mask2=_any_generator,
-                       mask1=_any_generator):
-    """First witness ((A, B, C, D, coords), lhs value, rhs value) of
-    Rt_12 L^{s2}_2 L^{s1}_1 = L^{s1}_1 L^{s2}_2 Rt_12 on free words of
-    length <= D, or None.  Entry (A, B; C, D) reads
+def _exchange_relations(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
+                        s1: int, mask2=_any_generator, mask1=_any_generator):
+    """Relations {(A, B, C, D): (lhs, rhs)} of Rt_12 L^{s2}_2 L^{s1}_1 =
+    L^{s1}_1 L^{s2}_2 Rt_12.  Entry (A, B; C, D) reads
     sum Rt^{AB}_{EF} L^{s2 F}_D L^{s1 E}_C = sum L^{s1 A}_E L^{s2 B}_F
     Rt^{EF}_{CD}; the masks mask2(A, B) and mask1(A, B) restrict the
     L^{s2} and the L^{s1} matrix to a generator support."""
@@ -978,19 +973,19 @@ def _exchange_residual(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
                 if mask1(X, A) and mask2(Y, B):
                     _acc(rhs.setdefault((X, Y, E, F), {}),
                          ((s1, X, A), (s2, Y, B)), v)
-    w = _first_difference(
-        {key: (FunctionalElement(bundle, lhs.get(key, {})),
-               FunctionalElement(bundle, rhs.get(key, {})))
-         for key in set(lhs) | set(rhs)}, D)
-    return None if w is None else (w[0] + (w[1],), w[2], w[3])
+    return {key: (FunctionalElement(bundle, lhs.get(key, {})),
+                  FunctionalElement(bundle, rhs.get(key, {})))
+            for key in set(lhs) | set(rhs)}
 
 
-def _render_exchange_witness(geometry: IndexGeometry, w) -> str:
-    (A, B, C, D, x), lv, rv = w
-    lab = geometry.label
-    return ("indices (%s,%s;%s,%s) on %s"
-            % (lab(A), lab(B), lab(C), lab(D),
-               show_witness(geometry, x, lv, rv)))
+def _exchange_detail(geometry: IndexGeometry, w) -> str:
+    """Report detail of an exchange family (_exchange_relations), its
+    key (A, B, C, D) shown by index labels: empty when it holds."""
+    if w is None:
+        return ""
+    key, coords, lv, rv = w
+    return "indices (%s,%s;%s,%s) on %s" % (
+        *map(geometry.label, key), show_witness(geometry, coords, lv, rv))
 
 
 def _metric_orthogonality(bundle: RMatrixBundle, sign: int, variant: str,
@@ -1082,59 +1077,56 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     rep = Report("functional relation suite for iso(%d) at degree %d"
                  % (N, D))
 
+    def check(name, pairs, detail=_detail):
+        # one relation family, reported by its first failure
+        w = _first_difference(pairs, D)
+        rep.add(name, w is None, detail(geom, w))
+        return w
+
     # triangularity: no value below (above) the L+ (L-) diagonal
     zero = FunctionalElement(bundle, {})
-    w = _first_difference(
-        {(sign, A, B): (l_functional(bundle, sign, A, B), zero)
-         for sign in (1, -1) for A in geom.indices()
-         for B in geom.indices() if sign * (A - B) > 0}, D)
-    rep.add("triangularity of the functional matrices", w is None,
-            _detail(geom, w))
+    check("triangularity of the functional matrices",
+          {(sign, A, B): (l_functional(bundle, sign, A, B), zero)
+           for sign in (1, -1) for A in geom.indices()
+           for B in geom.indices() if sign * (A - B) > 0})
 
     # exchange relations
     for name, s2, s1 in [
             ("exchange relations for two plus rows", 1, 1),
             ("exchange relations for two minus rows", -1, -1),
             ("mixed exchange relations between plus and minus rows", 1, -1)]:
-        w = _exchange_residual(bundle, bundle.R, s2, s1, D)
-        rep.add(name, w is None,
-                "" if w is None else _render_exchange_witness(geom, w))
+        check(name, _exchange_relations(bundle, bundle.R, s2, s1),
+              _exchange_detail)
 
     # metric orthogonality
     for sign, sname in [(1, "plus"), (-1, "minus")]:
         for variant in ("upper", "lower"):
-            w = _first_difference(
-                _metric_orthogonality(bundle, sign, variant), D)
-            rep.add("%s metric orthogonality of the %s matrix"
-                    % (variant, sname), w is None, _detail(geom, w))
+            check("%s metric orthogonality of the %s matrix"
+                  % (variant, sname),
+                  _metric_orthogonality(bundle, sign, variant))
 
     # ordered diagonal product equals the counit
     eps = eps_functional(bundle)
     for sign, sname in [(1, "plus"), (-1, "minus")]:
         word = tuple((sign, A, A) for A in geom.indices())
-        w = _first_difference({(): (word_functional(bundle, word), eps)}, D)
-        rep.add("ordered diagonal product of the %s matrix equals the counit"
-                % sname, w is None, _detail(geom, w))
+        check("ordered diagonal product of the %s matrix equals the counit"
+              % sname, {(): (word_functional(bundle, word), eps)})
     if M % 2 == 1:
         mid = (M + 1) // 2
         for sign, sname in [(1, "plus"), (-1, "minus")]:
-            w = _first_difference(
-                {(): (l_functional(bundle, sign, mid, mid), eps)}, D)
-            rep.add("middle diagonal %s functional equals the counit"
-                    % sname, w is None, _detail(geom, w))
+            check("middle diagonal %s functional equals the counit" % sname,
+                  {(): (l_functional(bundle, sign, mid, mid), eps)})
 
     # antisymmetrizer annihilates the translation column: for every (a, b)
     # sum P_A^{ab}_{cd} L-^{d}_o L-^{c}_o = 0 (both the projector form and
     # its inverse-parameter plane reading are this contraction)
     small = build_bundle(IndexGeometry(N))
     lift = inner_lift(geom)
-    w = _first_difference(
-        {key: (FunctionalElement(bundle, {
-            ((-1, d + 1, circ), (-1, c + 1, circ)): lift(v)
-            for (c, d), v in row}), zero)
-         for key, row in _by_upper(small.P_A).items()}, D)
-    rep.add("antisymmetrizer annihilates the translation column",
-            w is None, _detail(geom, w))
+    w = check("antisymmetrizer annihilates the translation column",
+              {key: (FunctionalElement(bundle, {
+                  ((-1, d + 1, circ), (-1, c + 1, circ)): lift(v)
+                  for (c, d), v in row}), zero)
+               for key, row in _by_upper(small.P_A).items()})
     rep.add("translation column satisfies the inverse-parameter plane "
             "relations", w is None,
             "same contraction as the antisymmetrizer check")
@@ -1151,39 +1143,33 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     c_ob = metric.lower(circ, bullet)
     c_bo = metric.lower(bullet, circ)
     coeff1 = -scalar_invert(c_ob)
-    w = _first_difference({(c,): bullet_reduction(c, coeff1) for c in inner},
-                          D)
-    rep.add("bullet-row functionals reduce to metric combinations",
-            w is None, _detail(geom, w))
+    check("bullet-row functionals reduce to metric combinations",
+          {(c,): bullet_reduction(c, coeff1) for c in inner})
     coeff2 = -scalar_invert(ps.s_pow(-4) * c_bo + c_ob)
-    w = _first_difference({(): bullet_reduction(circ, coeff2)}, D)
-    rep.add("bullet-corner functional reduces to a metric combination",
-            w is None, _detail(geom, w))
+    check("bullet-corner functional reduces to a metric combination",
+          {(): bullet_reduction(circ, coeff2)})
 
     def word2(g1, g2, coeff=None):
         return word_functional(bundle, (g1, g2), coeff)
 
     # dilatation versus the translation column
-    w = _first_difference(
-        {(a,): (word2((-1, circ, circ), (-1, a, circ)),
-                word2((-1, a, circ), (-1, circ, circ),
-                      scalar_invert(canonical_q(ps, circ, a))))
-         for a in inner}, D)
-    rep.add("dilatation exchanges with the translation column",
-            w is None, _detail(geom, w))
+    check("dilatation exchanges with the translation column",
+          {(a,): (word2((-1, circ, circ), (-1, a, circ)),
+                  word2((-1, a, circ), (-1, circ, circ),
+                        scalar_invert(canonical_q(ps, circ, a))))
+           for a in inner})
 
     # dilatation versus the rotation block; the printed relation has
     # mismatched free indices, so the form checked here is the one the
     # exchange relations force at indices (circ circ, b d)
-    w = _first_difference(
-        {(sign, b, d): (word2((-1, circ, circ), (sign, b, d)),
-                        word2((sign, b, d), (-1, circ, circ),
-                              canonical_q(ps, b, circ) * scalar_invert(
-                                  canonical_q(ps, d, circ))))
-         for sign in (1, -1) for b in inner for d in inner}, D)
-    rep.add("dilatation exchanges with the rotation block",
-            w is None, "derived exchange form" if w is None
-            else _detail(geom, w))
+    check("dilatation exchanges with the rotation block",
+          {(sign, b, d): (word2((-1, circ, circ), (sign, b, d)),
+                          word2((sign, b, d), (-1, circ, circ),
+                                canonical_q(ps, b, circ) * scalar_invert(
+                                    canonical_q(ps, d, circ))))
+           for sign in (1, -1) for b in inner for d in inner},
+          lambda g, w: "derived exchange form" if w is None
+          else _detail(g, w))
 
     # translation column versus the rotation block through R, for both
     # signs: L-^a_o L+-^b_d = r/q_{d o} R+-^{ba}_{ef} L+-^e_d L-^f_o
@@ -1204,17 +1190,16 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
                     pairs[(sign, a, b, d)] = (
                         word2((-1, a, circ), (sign, b, d)),
                         FunctionalElement(bundle, rhs))
-    w = _first_difference(pairs, D)
-    rep.add("translation column exchanges with the rotation block through R",
-            w is None, _detail(geom, w))
+    check("translation column exchanges with the rotation block through R",
+          pairs)
 
     # block-diagonal plus matrix
     def block_mask(A, B):
         return A == B or (A in inner_set and B in inner_set)
 
-    w = _exchange_residual(bundle, bundle.R, 1, 1, D, block_mask, block_mask)
-    rep.add("block-diagonal plus matrix satisfies the exchange relations",
-            w is None, "" if w is None else _render_exchange_witness(geom, w))
+    check("block-diagonal plus matrix satisfies the exchange relations",
+          _exchange_relations(bundle, bundle.R, 1, 1, block_mask, block_mask),
+          _exchange_detail)
 
     script = script_r_matrix(N)
     ok, tw = tensor_equal(script, _script_r_expected(bundle))
@@ -1226,19 +1211,17 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     rep.add("script R matrix satisfies the Yang-Baxter equation", ok,
             "" if ok else "%r" % (yw,))
 
-    w = _exchange_residual(bundle, script, 1, 1, D, block_mask, block_mask)
-    rep.add("block exchange relations hold with the script R matrix",
-            w is None, "" if w is None else _render_exchange_witness(geom, w))
+    check("block exchange relations hold with the script R matrix",
+          _exchange_relations(bundle, script, 1, 1, block_mask, block_mask),
+          _exchange_detail)
     # script_12 Lc+_2 L-_1 = L-_1 Lc+_2 script_12, block mask on the plus slot
-    w = _exchange_residual(bundle, script, 1, -1, D, mask2=block_mask)
-    rep.add("mixed block exchange relations hold with the script R matrix",
-            w is None, "" if w is None else _render_exchange_witness(geom, w))
+    check("mixed block exchange relations hold with the script R matrix",
+          _exchange_relations(bundle, script, 1, -1, mask2=block_mask),
+          _exchange_detail)
 
     for variant in ("upper", "lower"):
-        w = _first_difference(
-            _metric_orthogonality(bundle, 1, variant, block_mask), D)
-        rep.add("%s metric orthogonality of the block matrix" % variant,
-                w is None, _detail(geom, w))
+        check("%s metric orthogonality of the block matrix" % variant,
+              _metric_orthogonality(bundle, 1, variant, block_mask))
 
     # matching diagonal products give the fourth twist power: on the
     # diagonal word T^{C1}_{C1} ... T^{Ck}_{Ck} the value prod f4(A, Ci),
@@ -1250,11 +1233,9 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
         src = _Diagonal({C: x * x for C, x in roots.items()})
         return _Side(((src, {(): ps.one}, {(): None}),))
 
-    w = _first_difference(
-        {(A,): (word2((1, A, A), (-1, A, A)), twist_power(A))
-         for A in geom.indices()}, D)
-    rep.add("matching diagonal products equal the fourth twist power",
-            w is None, _detail(geom, w))
+    check("matching diagonal products equal the fourth twist power",
+          {(A,): (word2((1, A, A), (-1, A, A)), twist_power(A))
+           for A in geom.indices()})
     return rep
 
 
@@ -1314,7 +1295,7 @@ def _cone_witness(side, geometry: IndexGeometry, D: int):
     (D1, ..., Dk)."""
     hset = set(geometry.cone_ideal())
     best = None
-    for coords, (vals,) in _walk([{(): side}], D):
+    for coords, vals in _walk({(): side}, D):
         v = vals.get(())
         if v is not None and any(p in hset for p in coords):
             order = (len(coords), tuple(zip(*coords)))
@@ -1414,7 +1395,7 @@ def independence_rank(ws: Sequence[FunctionalWord], N: int, D: int) -> int:
     point = _generic_point(bundle.geometry.params)
     rows: List[Dict] = [{} for _ in ws]
     words = {i: word_functional(bundle, w) for i, w in enumerate(ws)}
-    for coords, (vals,) in _walk([words], D):
+    for coords, vals in _walk(words, D):
         for i, v in vals.items():
             rows[i][coords] = specialize(v, point)
     return rational_rank(rows)
@@ -1450,7 +1431,7 @@ def verify_pairing_axioms(N: int) -> Report:
                                for w in pair})
         for i, f in fgens.items():
             # one walk per left factor: one walk over every product
-            # would hold len(fgens)^2 families and their values at once
+            # would hold len(fgens)^2 functionals and their values at once
             fg = brackets({j: f * g for j, g in fgens.items()}, agens)
             for j, g in fgens.items():
                 for x in agens:

@@ -244,7 +244,7 @@ def test_random_ideal_words_are_invisible_to_the_annihilator():
     # the evaluation matrix of every generator at each length, read off
     # one walk of the words of length <= 3
     mats = {m: [{} for _ in gens] for m in (1, 2, 3)}
-    for coords, (vals,) in _walk([dict(enumerate(gens))], 3):
+    for coords, vals in _walk(dict(enumerate(gens)), 3):
         if coords:
             row, col = tuple(zip(*coords))
             for i, v in vals.items():

@@ -226,9 +226,11 @@ def test_r1_limits_never_canonicalize_a_product(monkeypatch, capsys):
     side's common-denominator scale beside it; limit_r_to_1 takes the
     limit of v * scale from Taylor coefficients at s = 1, so the side
     maps that envelope._finish applies at r = 1 reach no _canon.  (An
-    unmapped side with a scale is multiplied out there, as before.)"""
+    unmapped side with a scale is multiplied out there, as before.)  The
+    spy on the limit sees exactly the values that _finish is handed to
+    map through the limit with a scale."""
     depth = {"finish": 0, "limit": 0}
-    calls = {"scaled_in_finish": 0, "canon_in_limit": 0}
+    calls = {"scaled_in_finish": 0, "canon_in_limit": 0, "scaled_maps": 0}
     real_finish, real_canon = envelope._finish, scalar_module._canon
     real_limit = scalar_module.limit_r_to_1
 
@@ -248,13 +250,19 @@ def test_r1_limits_never_canonicalize_a_product(monkeypatch, capsys):
         calls["canon_in_limit"] += bool(depth["limit"])
         return real_canon(*args)
 
-    monkeypatch.setattr(envelope, "_finish",
-                        lambda *args: inside("finish", real_finish, *args))
+    def finish(vals, fns):
+        calls["scaled_maps"] += sum(fns[key][0] is limit
+                                    and fns[key][1] is not None
+                                    for key in vals if key in fns)
+        return inside("finish", real_finish, vals, fns)
+
+    monkeypatch.setattr(envelope, "_finish", finish)
     monkeypatch.setattr(scalar_module, "_canon", canon)
     monkeypatch.setattr(calculus, "limit_r_to_1", limit)
     assert run(["verify", "--suite", "calculus-r1", "--n", "3"]) == 0
     capsys.readouterr()
-    assert calls["scaled_in_finish"] > 1000
+    assert calls["scaled_maps"] > 0
+    assert calls["scaled_in_finish"] == calls["scaled_maps"]
     assert calls["canon_in_limit"] == 0
 
 
@@ -282,8 +290,8 @@ def _viewed(vectors):
         for v in vectors]
 
 
-def _by_word(walk, families, D):
-    return {coords: vals for coords, vals in walk(families, D) if any(vals)}
+def _by_word(walk, family, D):
+    return {coords: vals for coords, vals in walk(family, D) if vals}
 
 
 def _convolution_matches_the_walk(kind, pairs, D):
@@ -298,18 +306,18 @@ def _convolution_matches_the_walk(kind, pairs, D):
     factored = {(i, j): envelope._factored(vectors[i])
                 * envelope._factored(vectors[j]) for i, j in pairs}
     expanded = {key: _expanded(side) for key, side in factored.items()}
-    got = _by_word(envelope._convolve, [factored], D)
-    assert got == _by_word(envelope._walk, [expanded], D)
+    got = _by_word(envelope._convolve, factored, D)
+    assert got == _by_word(envelope._walk, expanded, D)
     assert len(got) > 100
     if kind == "r1":
         views = _viewed(vectors)
         c = canonical_q(vectors[0].bundle.geometry.params, 1, 4)  # s^4/g12
-        got = _by_word(envelope._convolve, [{
+        got = _by_word(envelope._convolve, {
             (i, j): calculus._view("r1", (views[i] * views[j]).scale(c))
-            for i, j in pairs}], D)
-        assert got == _by_word(envelope._walk, [{
+            for i, j in pairs}, D)
+        assert got == _by_word(envelope._walk, {
             key: calculus._view("r1", side.scale(c))
-            for key, side in expanded.items()}], D)
+            for key, side in expanded.items()}, D)
         assert len(got) > 100
 
 
@@ -366,15 +374,17 @@ def _drop_a_product(side):
 def _first_unequal(pairs, D):
     """{key: (coords, lhs value, rhs value)} on the first word (shortest,
     then smallest) where the two sides' values differ, each side walked
-    on its own: the two-side comparison, as a reference."""
+    on its own, as the keys (key, 0) and (key, 1) of one family: the
+    two-side comparison, as a reference that forms no difference."""
     found = {}
-    for coords, (lv, rv) in envelope._walk(
-            [{k: lhs for k, (lhs, _) in pairs.items()},
-             {k: rhs for k, (_, rhs) in pairs.items()}], D):
-        for k in lv.keys() | rv.keys():
-            if lv.get(k) != rv.get(k) and (k not in found or (
+    for coords, vals in envelope._walk(
+            {(k, n): sides[n] for k, sides in pairs.items() for n in (0, 1)},
+            D):
+        for k in {k for k, _ in vals}:
+            lv, rv = vals.get((k, 0)), vals.get((k, 1))
+            if lv != rv and (k not in found or (
                     len(found[k][0]), found[k][0]) > (len(coords), coords)):
-                found[k] = (coords, lv.get(k), rv.get(k))
+                found[k] = (coords, lv, rv)
     return found
 
 

@@ -171,6 +171,41 @@ def test_lie_payload(tmp_path):
     assert all(rel["status"] for rel in doc["relations"])
 
 
+@pytest.mark.parametrize("kind,first,lines,constants", [
+    ("projected", "tangent basis: omega[1] omega[2] omega[3] omega[o] "
+     "omega[*]", 19, 11),
+    ("r1", "tangent basis: Omega[2,3] Omega[3,2] Omega[3,3] Omega[*,1] "
+     "Omega[*,2] Omega[*,3] Omega[*,*]", 156, 24)])
+def test_lie_text(capsys, kind, first, lines, constants):
+    """The text report lists the basis, one line per relation row and
+    the bracket closure."""
+    assert run(["lie", "--n", "3", "--kind", kind, "--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == lines and out[0] == first
+    assert all(line.startswith("[pass] ") for line in out[1:-1])
+    assert out[-1] == ("bracket closure: yes, %d nonzero structure "
+                       "constants" % constants)
+
+
+def test_lie_reports_a_bracket_that_leaves_the_span(monkeypatch, capsys,
+                                                    tmp_path):
+    """A closure failure fails the run: exit 1, closure "no" in the text,
+    and no structure constants in the JSON payload."""
+    def leaves(basis):
+        raise ValueError("bracket leaves the tangent span")
+
+    monkeypatch.setattr(cli, "structure_constants", leaves)
+    dump = tmp_path / "lie.json"
+    assert run(["lie", "--n", "3", "--kind", "projected",
+                "--dump", str(dump)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "bracket closure: no, 0 nonzero structure constants"
+    doc = json.loads(dump.read_text())
+    assert doc["closed"] is False and doc["ok"] is False
+    assert doc["structure_constants"] == []
+    assert all(rel["status"] for rel in doc["relations"])
+
+
 def test_build_r_spec_values(tmp_path):
     out = tmp_path / "r.json"
     assert run(["build-r", "--n", "3", "--spec", "s=2",
@@ -205,6 +240,14 @@ def test_usage_errors_exit_two(capsys):
                     "--word", "u"]) == 2
         assert "unknown functional generator tag" in capsys.readouterr().err
     capsys.readouterr()
+    for argv in (["verify", "--suite", "rmatrix", "--n", "3"],
+                 ["lie", "--n", "3"]):
+        assert run(argv + ["--degree", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --degree must be at least 1\n"
+    assert run(["build-r", "--n", "3", "--spec", "s"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --spec expects k=v pairs, got 's'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from qortho import calculus, envelope
 from qortho.envelope import (EPS_WORD, AnnihilationResult,
-                             _cone_witness, _Diagonal, _exchange_residual,
-                             _Pattern, _Side, _first_difference, _mapped,
+                             _cone_witness, _Diagonal, _exchange_detail,
+                             _exchange_relations, _Pattern, _Side,
+                             _first_difference, _mapped,
                              _metric_orthogonality, _walk, _witnesses,
-                             _render_exchange_witness,
                              antipode_L, eps_functional, eta_monomials,
                              eval_functional,
                              functional_equal, functional_from_json,
@@ -175,7 +175,7 @@ def test_walk_refuses_a_value_with_a_denominator():
                      {(1,): ps.one}, {(1,): None}),))]
     for side in sides:
         with pytest.raises(DenominatorClass, match=re.escape(repr(bad))):
-            list(_walk([{(): side}], 1))
+            list(_walk({(): side}, 1))
     with pytest.raises(DenominatorClass, match=re.escape(repr(bad))):
         _Diagonal({1: ps.one, 2: bad})
 
@@ -205,7 +205,8 @@ def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
     """Every product of an exchange walk goes through scalars.mul_acc on
     Laurent numerators: the walk's frames make no Scalar product."""
     callers, kernel_calls = _count_products(monkeypatch)
-    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
     assert kernel_calls
     assert not callers.keys() & {"_walk", "step", "_through", "_read"}
 
@@ -233,7 +234,8 @@ def test_a_walk_computes_each_viable_filter_once(monkeypatch):
         return viable(self, ends, r)
 
     monkeypatch.setattr(_Pattern, "viable", counted)
-    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
     assert {r for _, r in calls} == {0, 1}
     assert max(calls.values()) == 1
 
@@ -286,7 +288,8 @@ def test_a_passing_relation_family_makes_no_value(monkeypatch):
     wrap = envelope.laurent_scalar
     monkeypatch.setattr(envelope, "laurent_scalar", lambda *args: (
         made.append(1), wrap(*args))[1])
-    assert _exchange_residual(BUNDLE5, BUNDLE5.R, 1, 1, 2) is None
+    assert _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
     assert not made
 
 
@@ -296,10 +299,12 @@ def test_a_walk_frees_its_difference_sides_once_compiled():
     exchange check at N = 4, D = 2 stays under 7.9 MB (8.2 MB while they
     were held), once a D = 1 call has built the transfer matrices."""
     bundle = build_bundle(IndexGeometry(6, embedded=True))
-    assert _exchange_residual(bundle, bundle.R, 1, 1, 1) is None
+    assert _first_difference(
+        _exchange_relations(bundle, bundle.R, 1, 1), 1) is None
     tracemalloc.start()
     try:
-        assert _exchange_residual(bundle, bundle.R, 1, 1, 2) is None
+        assert _first_difference(
+            _exchange_relations(bundle, bundle.R, 1, 1), 2) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,13 +329,17 @@ def test_witnesses_refuse_a_mapped_side_against_a_nonzero_side():
 
 
 def _walk_spy(monkeypatch):
-    """A list that receives the number of families of every _walk and
-    _convolve call made through the envelope module."""
+    """A list that receives, for every _walk and _convolve call made
+    through the envelope module, whether its family holds a key (key, 0)
+    or (key, 1), the two sides of a failing relation read again by
+    _witnesses."""
     walks = []
     for name in ("_walk", "_convolve"):
-        def spy(families, *args, real=getattr(envelope, name)):
-            walks.append(len(families))
-            return real(families, *args)
+        def spy(family, *args, real=getattr(envelope, name)):
+            walks.append(any(type(k) is tuple and len(k) == 2
+                             and type(k[0]) is tuple and k[1] in (0, 1)
+                             for k in family))
+            return real(family, *args)
         monkeypatch.setattr(envelope, name, spy)
     return walks
 
@@ -339,9 +348,10 @@ def test_every_relation_is_walked_as_one_difference_side(monkeypatch):
     """Every relation of the two envelope reports, the collapse included,
     and all 163 of verify_qlie("r1", 3) (154 q-Lie rows and 9 cone cross
     terms) is walked as one difference side: _difference gives a side for
-    each, and every walk of the r = 1 suite, where every relation holds,
-    takes one family.  (The envelope reports also check relations that
-    must fail, whose two sides are read again in a walk of two.)"""
+    each, and the r = 1 suite, where every relation holds, makes no walk
+    that reads two sides again.  (The envelope reports also check
+    relations that must fail, whose two sides are read again as the keys
+    (key, 0) and (key, 1) of one walk.)"""
     one_side = []
     orig = envelope._difference
 
@@ -355,11 +365,12 @@ def test_every_relation_is_walked_as_one_difference_side(monkeypatch):
     assert verify_envelope_suite(3, 2).ok
     assert verify_parameter_collapse(3, 2).ok
     assert one_side and all(one_side)
+    assert any(walks)           # the collapse's mismatch is read again
     one_side.clear()
     walks.clear()
     assert calculus.verify_qlie("r1", 3).ok
     assert one_side.count(True) == len(one_side) == 163
-    assert set(walks) == {1}
+    assert walks and not any(walks)
 
 
 def test_a_limited_side_against_zero_keeps_its_pole(monkeypatch):
@@ -372,7 +383,7 @@ def test_a_limited_side_against_zero_keeps_its_pole(monkeypatch):
     for rhs in (zero, _mapped(zero, limit_r_to_1)):
         with pytest.raises(PoleAtOne):
             _witnesses({(): (lhs, rhs)}, 1)
-    assert walks == [1, 1]
+    assert walks == [False, False]
 
 
 def test_the_uniparametric_bundle_takes_the_merged_values():
@@ -393,7 +404,7 @@ def test_the_uniparametric_bundle_takes_the_merged_values():
     def values(bundle, fn):
         family = {k: word_functional(bundle, w) for k, w in words.items()}
         out = {}
-        for coords, (vals,) in _walk([family], 2):
+        for coords, vals in _walk(family, 2):
             vals = {k: v for k, v in map(fn, vals.items()) if v}
             if vals:
                 out[coords] = vals
@@ -470,11 +481,12 @@ def test_exchange_residual_reports_a_wrong_exchange_matrix():
 
     for s2, s1, masks in [(1, 1, {"mask2": block, "mask1": block}),
                           (1, -1, {"mask2": block})]:
-        w = _exchange_residual(BUNDLE5, BUNDLE5.Rinv, s2, s1, 1, **masks)
+        w = _first_difference(
+            _exchange_relations(BUNDLE5, BUNDLE5.Rinv, s2, s1, **masks), 1)
         assert w is not None
-        (A, B, C, D, x), lv, rv = w
+        (A, B, C, D), x, lv, rv = w
         assert lv != rv and len(x) == 1
-        text = _render_exchange_witness(GEOM5, w)
+        text = _exchange_detail(GEOM5, w)
         assert text.startswith("indices (")
         assert text.endswith("%s vs %s" % (
             "0" if lv is None else render_scalar(lv),
@@ -512,8 +524,72 @@ WRONG_EXCHANGE_WITNESSES = [
                          ids=[case[0] for case in WRONG_EXCHANGE_WITNESSES])
 def test_exchange_residual_pins_the_wrong_matrix_witness(s2, s1, masks,
                                                           text):
-    w = _exchange_residual(BUNDLE5, BUNDLE5.Rinv, s2, s1, 2, **masks)
-    assert _render_exchange_witness(GEOM5, w) == text
+    w = _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.Rinv, s2, s1, **masks), 2)
+    assert _exchange_detail(GEOM5, w) == text
+
+
+ORTHOGONALITY_WITH_TWO_EPS = "indices (1,5) on I: s^3 vs 2*s^3"
+COUNIT_WITH_TWO_EPS = "I: 1 vs 2"
+
+# the failing checks of verify_envelope_suite(3, 2), with their details,
+# under a deliberately wrong counit or exchange matrix
+WRONG_SUITE_DETAILS = {
+    "eps doubled": {
+        "upper metric orthogonality of the plus matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+        "lower metric orthogonality of the plus matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+        "upper metric orthogonality of the minus matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+        "lower metric orthogonality of the minus matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+        "ordered diagonal product of the plus matrix equals the counit":
+            COUNIT_WITH_TWO_EPS,
+        "ordered diagonal product of the minus matrix equals the counit":
+            COUNIT_WITH_TWO_EPS,
+        "middle diagonal plus functional equals the counit":
+            COUNIT_WITH_TWO_EPS,
+        "middle diagonal minus functional equals the counit":
+            COUNIT_WITH_TWO_EPS,
+        "upper metric orthogonality of the block matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+        "lower metric orthogonality of the block matrix":
+            ORTHOGONALITY_WITH_TWO_EPS,
+    },
+    "R inverse in the unmasked exchange families": {
+        "exchange relations for two plus rows": WRONG_EXCHANGE_WITNESSES[0][4],
+        "exchange relations for two minus rows":
+            WRONG_EXCHANGE_WITNESSES[1][4],
+        "mixed exchange relations between plus and minus rows":
+            WRONG_EXCHANGE_WITNESSES[2][4],
+    },
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(WRONG_SUITE_DETAILS))
+def test_the_suite_reports_each_failing_family_by_its_witness(mutation,
+                                                              monkeypatch):
+    """The relation suite reports every failing family, keyed or not, by
+    the detail of its first witness: a doubled counit breaks the metric
+    orthogonality and counit families, and R^-1 in place of R breaks the
+    three unmasked exchange families; every other check still passes."""
+    if mutation == "eps doubled":
+        eps = envelope.eps_functional
+        monkeypatch.setattr(envelope, "eps_functional", lambda bundle: eps(
+            bundle).scale(bundle.geometry.params.from_rational(2)))
+    else:
+        exchange = envelope._exchange_relations
+
+        def wrong(bundle, Rt, s2, s1, *masks, **named):
+            if Rt is bundle.R and not masks and not named:
+                Rt = bundle.Rinv
+            return exchange(bundle, Rt, s2, s1, *masks, **named)
+
+        monkeypatch.setattr(envelope, "_exchange_relations", wrong)
+    rep = verify_envelope_suite(3, 2)
+    assert {c.name: c.detail for c in rep.failures()} \
+        == WRONG_SUITE_DETAILS[mutation]
 
 
 def test_functional_json_round_trip():
@@ -790,7 +866,7 @@ def walk_matrices(f, D):
     """The values of f on every T-word of length <= D, by length, in the
     table layout."""
     out = {k: {} for k in range(D + 1)}
-    for coords, (vals,) in _walk([{(): f}], D):
+    for coords, vals in _walk({(): f}, D):
         if () in vals:
             r, col = tuple(zip(*coords)) if coords else ((), ())
             out[len(coords)].setdefault(r, {})[col] = vals[()]
@@ -880,14 +956,15 @@ def test_first_difference_matches_the_table_engine(bundle, data):
 
 
 def ref_witnesses(pairs, D):
-    """_witnesses as a walk of the two sides of every relation, compared
-    word by word: each key's first disagreeing word, shortest and then
-    smallest by coordinate tuple, with both values."""
+    """_witnesses as a walk of the two sides of every relation, as the
+    keys (key, 0) and (key, 1) of one family, compared word by word: each
+    key's first disagreeing word, shortest and then smallest by
+    coordinate tuple, with both values.  No difference is formed."""
     found = {}
-    for coords, (lv, rv) in _walk([{k: p[0] for k, p in pairs.items()},
-                                   {k: p[1] for k, p in pairs.items()}], D):
-        for key in lv.keys() | rv.keys():
-            a, b = lv.get(key), rv.get(key)
+    for coords, vals in _walk({(k, n): p[n] for k, p in pairs.items()
+                               for n in (0, 1)}, D):
+        for key in {k for k, _ in vals}:
+            a, b = vals.get((key, 0)), vals.get((key, 1))
             if a != b and (key not in found or (len(found[key][0]),
                                                 found[key][0])
                            > (len(coords), coords)):
@@ -897,18 +974,13 @@ def ref_witnesses(pairs, D):
 
 @functools.cache
 def relation_family(name):
-    """A relation family {key: (lhs, rhs)} of the N = 3 suite: the pairs
-    that _exchange_residual compares, or a metric orthogonality family."""
+    """A relation family {key: (lhs, rhs)} of the N = 3 suite: an
+    exchange family or a metric orthogonality family."""
     if name.startswith("metric"):
         _, sign, variant = name.split()
         return _metric_orthogonality(BUNDLE5, int(sign), variant)
     s2, s1 = {"plus-plus": (1, 1), "mixed": (1, -1)}[name]
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(envelope, "_first_difference",
-                   lambda pairs, D: seen.append(pairs))
-        _exchange_residual(BUNDLE5, BUNDLE5.R, s2, s1, 2)
-    return seen[0]
+    return _exchange_relations(BUNDLE5, BUNDLE5.R, s2, s1)
 
 
 @st.composite
