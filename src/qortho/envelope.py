@@ -24,13 +24,19 @@ length are read from their parent's rows through a lookahead.  The
 coefficients are first brought to Laurent polynomials, so the walk
 carries bare Laurent numerators in its rows, transfer matrices and read
 coefficients, never looks inside them, and forms every product with
-scalars.mul_acc: one call per row state at a node, and at the last
-length one per row state and letter; a value becomes a Scalar once,
-when it is read, before any map of its side.  A bracket <f, a> comes
-from the same walk restricted to the prefixes of the T-words of a
-(_brackets), one walk per batch of functionals and elements: it steps
-every letter at each prefix it visits, keeps the letters that extend a
-T-word of a, and reads the last length through the same lookahead.  The
+the in-place kernels of scalars: mul_acc steps one row state at a node,
+and every read goes through tagged_mul_acc.  The reads of a stream
+state are one tagged numerator, each part tagged by the key it feeds
+(by (letter, key) in the lookahead), so a word's values, and at the
+last length every letter's values at once, are one sum per node with
+one kernel call per row state, split by key and letter only when it
+is not zero; a value becomes a Scalar once, when it is read, before
+any map of its side.  A bracket <f, a> comes from the same walk
+restricted to the prefixes of the T-words of a (_brackets), one walk
+per batch of functionals and elements: it steps every letter at each
+prefix it visits, keeps the letters that extend a T-word of a, and
+reads the last length through the same lookahead, dropping the other
+letters when the sum is split.  The
 transfer matrices of the one- and two-letter patterns are derived data,
 built on first use and kept by functools.cache per bundle and sign
 pattern; nothing keyed by a word or a word length is kept.
@@ -65,7 +71,7 @@ be a mapped side, which is how the r = 1 q-Lie rows are built: over the
 limited tangent vectors, with limited coefficients, so that the rows
 are differences with no map.  Both walks read their streams, column
 coefficients and maps through _compile and form every product with
-scalars.mul_acc.  _convolve walks the distinct factors once, keeps
+the kernels of scalars.  _convolve walks the distinct factors once, keeps
 their values as Laurent numerators for that one check, and forms each
 product on a T-word from them by the coproduct
 Delta(T^C_D) = sum_G T^C_G x T^G_D, so no product is multiplied out
@@ -109,7 +115,8 @@ from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
                       common_denominator, laurent_numerator, laurent_scalar,
                       mul_acc, rational_rank,
                       render_scalar, scalar_invert, scalar_to_json,
-                      specialize, word_key)
+                      specialize, tag_fold, tag_split, tagged_mul_acc,
+                      word_key)
 
 Gen = Tuple[int, int, int]            # (sign, A, B); sign +1 for L+, -1 for L-
 FunctionalWord = Tuple[Gen, ...]
@@ -383,8 +390,9 @@ class _Side:
     The start rows {state: Scalar} and the column entries must be Laurent
     polynomials.  The walk carries their numerators (laurent_numerator):
     a source carries sparse rows {state: numerator} one T letter at a
-    time, multiplying only through scalars.mul_acc, and a value becomes a
-    Scalar again only when it is read.  source.step(row, keep=None) gives
+    time, multiplying only through the kernels of scalars (mul_acc and
+    tagged_mul_acc), and a value becomes a Scalar again only when it is
+    read.  source.step(row, keep=None) gives
     the nonzero rows after every next letter, by letter, and is all a
     walk asks of a source to step, in full and bracket walks alike;
     source.viable(ends, r) gives a filter for keep that may drop the
@@ -505,17 +513,19 @@ def _factored(f: FunctionalElement) -> _Factored:
 
 def _compile(family: Dict):
     """The distinct streams (source, start row) of a side family {key:
-    side}, where each stream is read, and the ParamSpace ps of the start
-    rows (None when there is no stream): reads[i][b] lists (key, column
-    entry) for end state b; fns[key] holds the (map, scale) of a mapped
-    side.  Start rows and column entries are Laurent numerators over ps,
-    a column entry None becoming the numerator of one."""
+    side}, where each stream is read, the keys by id, and the ParamSpace
+    ps of the start rows (None when there is no stream): reads[i][b] is
+    the tagged numerator (scalars.tag_fold) of the column entries for end
+    state b, tagged by key id, keys[id] the key; fns[key] holds the (map,
+    scale) of a mapped side.  Start rows and column entries are Laurent
+    numerators over ps, a column entry None standing for one and the
+    entries of one key at one end state summed."""
     index: Dict[Tuple, int] = {}
     streams: List[Tuple[object, Row]] = []
-    reads: List[Dict[State, List]] = []
+    cols: List[Dict[State, Dict[int, Scalar]]] = []
     fns: Dict = {}
-    ps = one = None
-    for key, side in family.items():
+    ps = None
+    for kid, (key, side) in enumerate(family.items()):
         s = _as_side(side)
         if s.fn is not None:
             fns[key] = (s.fn, s.scale)
@@ -527,15 +537,17 @@ def _compile(family: Dict):
             if i is None:
                 if ps is None:
                     ps = next(iter(row.values())).ps
-                    one = laurent_numerator(ps, ps.one)
                 i = index[ident] = len(streams)
                 streams.append((src, {a: laurent_numerator(ps, v)
                                       for a, v in row.items()}))
-                reads.append({})
+                cols.append({})
             for b, c in col.items():
-                reads[i].setdefault(b, []).append((
-                    key, one if c is None else laurent_numerator(ps, c)))
-    return streams, reads, fns, ps
+                _acc(cols[i].setdefault(b, {}), kid,
+                     ps.one if c is None else c)
+    reads = [{b: tag_fold(ps, {kid: laurent_numerator(ps, c)
+                               for kid, c in by_key.items()})
+              for b, by_key in col.items() if by_key} for col in cols]
+    return streams, reads, list(family), fns, ps
 
 
 def _finish(vals: Dict, fns: Dict) -> Dict:
@@ -551,42 +563,43 @@ def _finish(vals: Dict, fns: Dict) -> Dict:
     return vals
 
 
-def _values(acc: Dict, fns: Dict, ps: ParamSpace) -> Dict:
-    """Values by key of the Laurent sums {key: numerator} of one word, one
-    Scalar per nonzero sum, through _finish."""
-    return _finish({key: laurent_scalar(ps, v) for key, v in acc.items()},
-                   fns)
+def _values(acc: Dict, keys: List, fns: Dict, ps: ParamSpace) -> Dict:
+    """Values by key of the Laurent sums of one word, tagged by key id in
+    one numerator acc, one Scalar per nonzero sum, through _finish."""
+    return _finish({keys[kid]: laurent_scalar(ps, v) for kid, v in (
+        tag_split(ps, acc).items() if acc else ())}, fns)
 
 
-def _read(live: Dict[int, Row], reads, fns, ps: ParamSpace) -> Dict:
-    """Values by key of the live stream rows at one word."""
+def _read(live: Dict[int, Row], reads, keys, fns, ps: ParamSpace) -> Dict:
+    """Values by key of the live stream rows at one word, every read
+    state's row value multiplied into one tagged sum."""
     acc: Dict = {}
     for i, row in live.items():
         at = reads[i]
         for b, v in row.items():
-            hits = at.get(b)
-            if hits:
-                mul_acc(ps, acc, v, hits)
-    return _values(acc, fns, ps)
+            y = at.get(b)
+            if y is not None:
+                tagged_mul_acc(ps, acc, v, y)
+    return _values(acc, keys, fns, ps)
 
 
-def _through(src, a: State, at: Dict, keep, ps: ParamSpace) -> List:
-    """The reads of a stream from state a through one more letter, as
-    [(letter, [(key, coefficient)])], the coefficient (a Laurent
-    numerator) summing Theta^letter[a][b] times the column entry over
-    the read states b; keep is the stream's viable filter with no letter
-    left."""
-    out: List = []
+def _through(src, a: State, at: Dict, keep, ps: ParamSpace,
+             letters: Dict[Letter, int], n: int) -> Dict:
+    """The reads of a stream from state a through one more letter, as one
+    tagged numerator: the part tagged letters[letter] * n + key id sums
+    Theta^letter[a][b] times the column entry over the read states b, n
+    the number of keys and a new letter getting the next number; keep is
+    the stream's viable filter with no letter left."""
+    parts: Dict[int, Dict] = {}
     for letter, r in src.step({a: laurent_numerator(ps, ps.one)},
                               keep).items():
-        acc: Dict[Tuple, object] = {}
+        acc: Dict = {}
         for b, t in r.items():
-            hits = at.get(b)
-            if hits:
-                mul_acc(ps, acc, t, hits)
-        if acc:
-            out.append((letter, list(acc.items())))
-    return out
+            y = at.get(b)
+            if y is not None:
+                tagged_mul_acc(ps, acc, t, y)
+        parts[letters.setdefault(letter, len(letters)) * n] = acc
+    return tag_fold(ps, parts)
 
 
 def _walk(family: Dict, D: int, words=None):
@@ -603,27 +616,32 @@ def _walk(family: Dict, D: int, words=None):
     number of letters left); a word on which every stream vanishes is
     skipped with all its extensions, because every side is zero there.
     The words of length D are read straight from their parent's rows
-    through a lookahead: what one letter does to the reads of a stream
-    state is worked out once per walk, by letter, and the last level
-    adds each state's reads through one letter into that letter's sums
-    with one scalars.mul_acc call per (state, letter).  Rows, transfer
+    through a lookahead: what one more letter does to the reads of a
+    stream state is worked out once per walk, as one tagged numerator
+    over the (letter, key) pairs it reaches (_through), and the last
+    level multiplies each live state's value into that numerator with one
+    scalars.tagged_mul_acc call, all into one sum per node.  That sum is
+    split by letter once the node is done, and the letters that extend
+    no wanted word are dropped there, so a node where every relation
+    holds cancels to an empty sum and is never split.  Rows, transfer
     entries and read coefficients are Laurent numerators over the start
     rows' ParamSpace, and all of one stream state's products at a node
-    go through one scalars.mul_acc call; a start row or column entry
-    with a denominator raises DenominatorClass."""
-    streams, reads, fns, ps = _compile(family)
+    go through one kernel call; a start row or column entry with a
+    denominator raises DenominatorClass."""
+    streams, reads, keys, fns, ps = _compile(family)
     del family                          # the walk reads what _compile kept
     nexts: Dict[Tuple, set] = {}
     for w in words or ():
         for k in range(len(w)):
             nexts.setdefault(w[:k], set()).add(w[k])
-    ahead: List[Dict[State, List]] = [{} for _ in streams]
+    ahead: List[Dict[State, Dict]] = [{} for _ in streams]
+    letters: Dict[Letter, int] = {}
     keeps: Dict[Tuple[int, int], object] = {}
     stack = [((), {i: row for i, (_, row) in enumerate(streams)})]
     while stack:
         coords, live = stack.pop()
         if words is None or coords in words:
-            yield coords, _read(live, reads, fns, ps)
+            yield coords, _read(live, reads, keys, fns, ps)
         want = nexts.get(coords)
         if len(coords) == D or (want is None and words is not None):
             continue
@@ -632,19 +650,26 @@ def _walk(family: Dict, D: int, words=None):
             if (i, r) not in keeps:
                 keeps[i, r] = streams[i][0].viable(reads[i], r)
         if r == 0:
-            leaves: Dict[Letter, Dict] = {}
+            acc: Dict = {}
             for i, row in live.items():
                 known = ahead[i]
                 for a, v in row.items():
-                    hits = known.get(a)
-                    if hits is None:
-                        hits = known[a] = _through(streams[i][0], a,
-                                                   reads[i], keeps[i, 0], ps)
-                    for letter, h in hits:
-                        if want is None or letter in want:
-                            mul_acc(ps, leaves.setdefault(letter, {}), v, h)
+                    y = known.get(a)
+                    if y is None:
+                        y = known[a] = _through(streams[i][0], a, reads[i],
+                                                keeps[i, 0], ps, letters,
+                                                len(keys))
+                    tagged_mul_acc(ps, acc, v, y)
+            leaves: Dict[Letter, Dict] = {}
+            if acc:                     # split only a node that has values
+                order = list(letters)
+                for tag, v in tag_split(ps, acc).items():
+                    code, kid = divmod(tag, len(keys))
+                    if want is None or order[code] in want:
+                        leaves.setdefault(order[code], {})[keys[kid]] = \
+                            laurent_scalar(ps, v)
             for letter in sorted(leaves):
-                yield coords + (letter,), _values(leaves[letter], fns, ps)
+                yield coords + (letter,), _finish(leaves[letter], fns)
         else:
             kids: Dict[Letter, Dict[int, Row]] = {}
             for i, row in live.items():
@@ -669,8 +694,9 @@ def _convolve(family: Dict, D: int):
     (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D: sum over G of
     f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ... T^{Gk}_{Dk}), formed
     for one row (C1, ..., Ck) at a time with the products grouped by
-    their first factor, every product through scalars.mul_acc."""
-    streams, reads, fns, ps = _compile(family)
+    their first factor, every product through scalars.mul_acc and its
+    coefficients by key through scalars.tagged_mul_acc."""
+    streams, reads, keys, fns, ps = _compile(family)
     del family                          # the walk reads what _compile kept
     index: Dict[object, int] = {}
     by_first: Dict[int, List[Tuple[Tuple[int, ...], List]]] = {}
@@ -699,9 +725,9 @@ def _convolve(family: Dict, D: int):
                         mul_acc(ps, nxt, v, tables[i].get(G, {}).items())
                     row = nxt
                 for Dd, v in row.items():
-                    mul_acc(ps, at.setdefault(Dd, {}), v, hits)
+                    tagged_mul_acc(ps, at.setdefault(Dd, {}), v, hits)
         for Dd in sorted(at):
-            yield tuple(zip(C, Dd)), _values(at[Dd], fns, ps)
+            yield tuple(zip(C, Dd)), _values(at[Dd], keys, fns, ps)
 
 
 @functools.cache

@@ -72,8 +72,12 @@ times a run, so they skip the Scalar wrapper: laurent_numerator hands out
 the numerator of a Laurent Scalar (DenominatorClass for any other),
 mul_acc adds keyed products of such numerators into a dict, forming each
 product's terms directly in the sum (in-place accumulation, as in POLY),
-and laurent_scalar wraps a sum back.  The caller only passes numerators
-on; their encoding stays in this module.
+and laurent_scalar wraps a sum back.  Many keyed sums can also share one
+dict: tag_fold packs {tag: numerator} into one tagged numerator, the tag
+in the bits above the exponent fields (where a product adds the tags of
+its factors), tagged_mul_acc adds x * y into such a dict in place, and
+tag_split parts it again by tag.  The caller only passes numerators and
+tags on; their encoding stays in this module.
 """
 
 from __future__ import annotations
@@ -413,6 +417,8 @@ class ParamSpace:
                          for i in range(self.nvars))
         self._hi = 2 * self._bias
         self._guard = 6 * self._bias
+        # a tagged monomial carries its tag in the bits above every field
+        self._tag_at = self.nvars * self._width
         self._one_den = _den(self, (1,))
         self.zero = Scalar(self, {}, self._one_den)
         self.one = self.monomial(1, self.unit_mono)
@@ -789,6 +795,63 @@ def mul_acc(ps: ParamSpace, acc: dict, x: Poly,
             acc[k] = got
         elif k in acc:
             del acc[k]
+
+
+def tag_fold(ps: ParamSpace, parts: Mapping[int, Poly]) -> Poly:
+    """The tagged numerator of {tag: numerator}: one dict in which every
+    monomial of parts[tag] carries the tag, a non-negative int, in the
+    bits above its exponent fields, added to the tag it carried already
+    (0 for a plain numerator), so a part may be tagged itself.  No two
+    parts may give one monomial the same tag."""
+    out: Poly = {}
+    for tag, p in parts.items():
+        if tag < 0:
+            raise ValueError("tag %d is negative" % tag)
+        tag <<= ps._tag_at
+        for m, c in p.items():
+            out[m + tag] = c
+    return out
+
+
+def tagged_mul_acc(ps: ParamSpace, acc: Poly, x: Poly, y: Poly) -> None:
+    """acc += x * y in place over tagged numerators (tag_fold), acc one
+    that the caller owns; the tag of a product is the sum of its
+    factors' tags.  A sum that cancels leaves no entry, and x and y are
+    never written to.
+
+    A tag sits above the guard bits, so a product adds the tags under
+    mul_acc's overflow test, which reports the untagged monomials as
+    Scalar.__mul__ does.  x is the outer loop, as the shorter operand of
+    poly_mul is: y is the one that holds many tags."""
+    bias, guard, hi = ps._bias, ps._guard, ps._hi
+    for m1, c1 in x.items():
+        m1k = m1 + bias
+        for m2, c2 in y.items():
+            m = m1k + m2
+            if m & guard != hi:
+                mask = (1 << ps._tag_at) - 1
+                raise _overflow(ps, "product", m1 & mask, m2 & mask)
+            m ^= hi
+            v = acc.get(m, 0) + c1 * c2
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+
+
+def tag_split(ps: ParamSpace, tagged: Poly) -> Dict[int, Poly]:
+    """{tag: numerator} of a tagged numerator, each numerator a new dict
+    in the order of first appearance of its tag."""
+    at = ps._tag_at
+    mask = (1 << at) - 1
+    out: Dict[int, Poly] = {}
+    for m, c in tagged.items():
+        tag = m >> at
+        p = out.get(tag)
+        if p is None:
+            p = out[tag] = {}
+        p[m & mask] = c
+    return out
 
 
 def scalar_invert(a: Scalar) -> Scalar:

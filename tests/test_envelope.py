@@ -180,24 +180,34 @@ def test_walk_refuses_a_value_with_a_denominator():
         _Diagonal({1: ps.one, 2: bad})
 
 
+def _caller(depth: int) -> str:
+    """The name of the function depth frames up, comprehension frames
+    skipped."""
+    frame = sys._getframe(depth + 1)
+    while frame.f_code.co_name.startswith("<"):         # comprehensions
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def _count_products(monkeypatch):
-    """Counters of the Scalar products by calling function (comprehension
-    frames skipped) and of the calls of envelope's mul_acc."""
+    """Counters of the Scalar products by calling function and of the
+    calls of envelope's two kernels, mul_acc and tagged_mul_acc, by kernel
+    and calling function."""
     callers = Counter()
     mul = Scalar.__mul__
 
     def counted(a, b):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):     # comprehensions
-            frame = frame.f_back
-        callers[frame.f_code.co_name] += 1
+        callers[_caller(1)] += 1
         return mul(a, b)
 
-    kernel_calls = []
-    kernel = envelope.mul_acc
+    kernel_calls = Counter()
     monkeypatch.setattr(Scalar, "__mul__", counted)
-    monkeypatch.setattr(envelope, "mul_acc", lambda *args: (
-        kernel_calls.append(1), kernel(*args)))
+    for name in ("mul_acc", "tagged_mul_acc"):
+        def kernel(*args, name=name, real=getattr(envelope, name)):
+            kernel_calls[name, _caller(1)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(envelope, name, kernel)
     return callers, kernel_calls
 
 
@@ -209,6 +219,30 @@ def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
         _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
     assert kernel_calls
     assert not callers.keys() & {"_walk", "step", "_through", "_read"}
+
+
+def test_the_last_level_makes_one_kernel_call_per_live_stream_state(
+        monkeypatch):
+    """At D = 2 the last level's parents are the one-letter words, whose
+    live rows the root steps.  The last level multiplies each live
+    (stream, state) entry into its node's sum with one tagged_mul_acc
+    call, whatever the number of letters it reads through, and makes no
+    mul_acc call of its own."""
+    live = []
+    for source in (_Pattern, _Diagonal):
+        def step(self, row, keep=None, real=source.step):
+            rows = real(self, row, keep)
+            if _caller(1) == "_walk":
+                live.extend(len(r) for r in rows.values())
+            return rows
+
+        monkeypatch.setattr(source, "step", step)
+    _, kernel_calls = _count_products(monkeypatch)
+    assert _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
+    assert sum(live) > 0
+    assert kernel_calls["tagged_mul_acc", "_walk"] == sum(live)
+    assert kernel_calls["mul_acc", "_walk"] == 0
 
 
 def test_the_convolution_multiplies_through_the_kernel_alone(monkeypatch):

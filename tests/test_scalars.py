@@ -28,7 +28,8 @@ from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             merge_deformations, mul_acc, occurring_vars,
                             poly_add, poly_mul, render_scalar,
                             scalar_from_json, scalar_invert, scalar_to_json,
-                            specialize, substitute, sum_products)
+                            specialize, substitute, sum_products, tag_fold,
+                            tag_split, tagged_mul_acc)
 
 PS = ParamSpace(4)
 
@@ -1009,6 +1010,99 @@ def test_mul_acc_overflows_as_the_product_does(case):
             return
     acc, d = kernel_and_reference(ps, start, x, hits)
     assert acc == {k: v.num for k, v in d.items()}
+
+
+# --- tagged numerators -----------------------------------------------------
+
+@st.composite
+def tagged_cases(draw, exps=st.integers(-6, 6)):
+    """mul_acc_cases with a distinct tag id up to 10^6 for each key."""
+    case = draw(mul_acc_cases(exps=exps))
+    tags = draw(st.lists(st.integers(0, 10 ** 6), min_size=3, max_size=3,
+                         unique=True))
+    return case + (tags,)
+
+
+def tagged_rounds(ps, hits, tags):
+    """The hits [(key, y)] as tagged numerators, each folding the next
+    hits up to a repeated key: one tagged operand per round."""
+    rounds, part = [], {}
+    for k, y in hits:
+        if tags[k] in part:
+            rounds.append(tag_fold(ps, part))
+            part = {}
+        part[tags[k]] = packed(ps, y)
+    return rounds + [tag_fold(ps, part)] if part else rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_cases())
+def test_fold_multiply_and_split_match_mul_acc_for_every_tag(case):
+    ps, start, x, hits, tags = case
+    acc = tag_fold(ps, {tags[k]: packed(ps, p) for k, p in start.items()})
+    xn, rounds = packed(ps, x), tagged_rounds(ps, hits, tags)
+    given = [(p, dict(p)) for p in [xn, *rounds]]
+    for y in rounds:
+        tagged_mul_acc(ps, acc, xn, y)
+    assert all(p == seen for p, seen in given)      # no operand written to
+    assert all(acc.values())                        # no cancelled entry
+    want, _ = kernel_and_reference(ps, start, x, hits)
+    assert tag_split(ps, acc) == {tags[k]: v for k, v in want.items()}
+
+
+def test_a_tagged_sum_that_cancels_leaves_no_entry():
+    ps = ParamSpace(5)
+    y = tag_fold(ps, {0: laurent_numerator(ps, ps.lam),
+                      10 ** 6: laurent_numerator(ps, ps.s)})
+    minus = tag_fold(ps, {0: laurent_numerator(ps, -ps.lam),
+                          10 ** 6: laurent_numerator(ps, -ps.s)})
+    x = laurent_numerator(ps, ps.r + ps.one)
+    acc = {}
+    tagged_mul_acc(ps, acc, x, y)
+    assert tag_split(ps, acc) == {
+        0: laurent_numerator(ps, (ps.r + ps.one) * ps.lam),
+        10 ** 6: laurent_numerator(ps, (ps.r + ps.one) * ps.s)}
+    tagged_mul_acc(ps, acc, x, minus)
+    assert acc == {} and tag_split(ps, acc) == {}
+    assert laurent_scalar(ps, x) == ps.r + ps.one
+    # folding a tagged part adds the tags
+    assert tag_fold(ps, {5: tag_fold(ps, {2: x})}) == tag_fold(ps, {7: x})
+    with pytest.raises(ValueError, match="tag -1 is negative"):
+        tag_fold(ps, {-1: x})
+
+
+@settings(max_examples=200, deadline=None)
+@given(tagged_cases(exps=st.sampled_from(
+    [-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 2, EDGE - 1])))
+def test_tagged_mul_acc_overflows_as_the_product_does(case):
+    # the first product of untagged monomials that leaves the field, x
+    # outside and y inside, raises with Scalar.__mul__'s message on them
+    ps, start, x, hits, tags = case
+    xn, rounds = packed(ps, x), tagged_rounds(ps, hits, tags)
+    acc = tag_fold(ps, {tags[k]: packed(ps, p) for k, p in start.items()})
+    for y in rounds:
+        expected = None
+        for m1, c1 in xn.items():
+            for m2, c2 in y.items():
+                (m2u, c2u), = next(iter(tag_split(ps, {m2: c2}).values())
+                                   ).items()
+                try:
+                    laurent_scalar(ps, {m1: c1}) * laurent_scalar(
+                        ps, {m2u: c2u})
+                except ExponentOverflow as exc:
+                    expected = str(exc)
+                    break
+            if expected is not None:
+                break
+        if expected is None:
+            tagged_mul_acc(ps, acc, xn, y)
+            continue
+        with pytest.raises(ExponentOverflow) as got:
+            tagged_mul_acc(ps, acc, xn, y)
+        assert str(got.value) == expected
+        return
+    want, _ = kernel_and_reference(ps, start, x, hits)
+    assert tag_split(ps, acc) == {tags[k]: v for k, v in want.items()}
 
 
 def test_laurent_numerator_refuses_a_denominator_and_another_space():

@@ -160,9 +160,12 @@ def test_cone_ideal_lives_in_itensor():
 
 def test_fraction_representation_stays_in_scalars():
     """Only scalars.py sees how a Scalar is stored: no other engine module
-    reads .num or .den, or reaches the polynomial kernels poly_mul and
-    poly_add or the canonicalization _canon, by import or attribute."""
-    fields = {"num", "den"}
+    reads .num or .den or the packed monomial layout of a ParamSpace (its
+    field width, bias, guard bits, masks and tag position), or reaches
+    the polynomial kernels poly_mul and poly_add or the canonicalization
+    _canon, by import or attribute."""
+    fields = {"num", "den", "_bias", "_guard", "_hi", "_width", "_smask",
+              "_half", "_tag_at"}
     kernels = {"poly_mul", "poly_add", "_canon"}
     found = []
     for path in sorted(SRC.glob("*.py")):
