@@ -38,7 +38,7 @@ combination of the tangent vectors and their products
 of the tangent vectors alone, a product's value on a T-word being the
 convolution of its factors' values over the coproduct of the word.
 Like the walk, that convolution reads its sides through
-envelope._compile and multiplies through the kernels of scalars; the
+envelope._compile and multiplies through the one kernel of scalars; the
 tangent vectors' values are kept, as Laurent numerators, for one check only.
 At r = 1 the rows are stated between the limits of the tangent vectors,
 and the limit is a ring morphism on the functions regular at s = 1, so

@@ -13,11 +13,12 @@ One binary with subcommands:
             constants of a tangent basis as JSON
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on usage or input-schema errors, 3 when exact arithmetic leaves its
-domain (a non-invertible denominator class, or a pole at a point that
-should be regular) or a presentation fails a precondition of its
-construction (rules that are incomplete or not confluent, a top exterior
-degree that is not one-dimensional).
+2 on usage or input-schema errors (an --out or --dump path that cannot
+be written is one), 3 when exact arithmetic leaves its domain (a
+non-invertible denominator class, or a pole at a point that should be
+regular) or a presentation fails a precondition of its construction
+(rules that are incomplete or not confluent, a top exterior degree that
+is not one-dimensional).
 
 All suites are deterministic; the --seed flag (default 0) is recorded
 in JSON reports so identical invocations produce byte-identical output.
@@ -124,18 +125,27 @@ def _dump(payload, fh) -> None:
     fh.write("\n")
 
 
+def _open_out(path: str):
+    """path opened for writing; a path that cannot be opened, such as a
+    directory or a file in a missing directory, is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _emit(args, render: Callable[[], str], payload) -> None:
     """Write the report: render() under --format text, the JSON payload
     otherwise."""
     text = render() + "\n" if args.format == "text" else None
-    with (open(args.out, "w") if args.out
+    with (_open_out(args.out) if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if text is None:
             _dump(payload, fh)
         else:
             fh.write(text)
     if args.dump:
-        with open(args.dump, "w") as fh:
+        with _open_out(args.dump) as fh:
             _dump(payload, fh)
 
 

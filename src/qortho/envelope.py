@@ -24,22 +24,26 @@ length are read from their parent's rows through a lookahead.  The
 coefficients are first brought to Laurent polynomials, so the walk
 carries bare Laurent numerators in its rows, transfer matrices and read
 coefficients, never looks inside them, and forms every product with
-the in-place kernels of scalars: mul_acc steps one row state at a node,
-and every read goes through tagged_mul_acc.  The reads of a stream
-state are one tagged numerator, each part tagged by the key it feeds
-(by (letter, key) in the lookahead), so a word's values, and at the
-last length every letter's values at once, are one sum per node with
-one kernel call per row state, split by key and letter only when it
-is not zero; a value becomes a Scalar once, when it is read, before
-any map of its side.  A bracket <f, a> comes from the same walk
-restricted to the prefixes of the T-words of a (_brackets), one walk
-per batch of functionals and elements: it steps every letter at each
-prefix it visits, keeps the letters that extend a T-word of a, and
-reads the last length through the same lookahead, dropping the other
-letters when the sum is split.  The
-transfer matrices of the one- and two-letter patterns are derived data,
-built on first use and kept by functools.cache per bundle and sign
-pattern; nothing keyed by a word or a word length is kept.
+scalars.tagged_mul_acc, the one in-place kernel: a step adds each
+product of a row value and a transfer entry into the sum of its state, a
+key dropped when that sum cancels.  A step keeps only the states that
+may still reach a read state in the letters left (_Pattern.viable), read
+off the nonzero pattern of the same block transfer matrices it
+multiplies through (_preimages).  The reads of a stream state are one
+tagged numerator, each part tagged by the key it feeds (by (letter, key)
+in the lookahead), so a word's values, and at the last length every
+letter's values at once, are one sum per node with one kernel call per
+row state, split by key and letter only when it is not zero; a value
+becomes a Scalar once, when it is read, before any map of its side.  A
+bracket <f, a> comes from the same walk restricted to the prefixes of
+the T-words of a (_brackets), one walk per batch of functionals and
+elements: it steps every letter at each prefix it visits, keeps the
+letters that extend a T-word of a, and reads the last length through the
+same lookahead, dropping the other letters when the sum is split.  The
+transfer matrices of the one- and two-letter patterns and their
+preimages are derived data, built on first use and kept by
+functools.cache per bundle and sign pattern; nothing keyed by a word or
+a word length is kept.
 
 The side family {key: side} is the one unit of the engine: _compile,
 _walk and _convolve take one family, and yield per word one dict of its
@@ -71,7 +75,7 @@ be a mapped side, which is how the r = 1 q-Lie rows are built: over the
 limited tangent vectors, with limited coefficients, so that the rows
 are differences with no map.  Both walks read their streams, column
 coefficients and maps through _compile and form every product with
-the kernels of scalars.  _convolve walks the distinct factors once, keeps
+the one kernel of scalars.  _convolve walks the distinct factors once, keeps
 their values as Laurent numerators for that one check, and forms each
 product on a T-word from them by the coproduct
 Delta(T^C_D) = sum_G T^C_G x T^G_D, so no product is multiplied out
@@ -113,7 +117,7 @@ from .rmatrix import RMatrixBundle, build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
                       _acc, _schema_items, _terms_from_json, canonical_q,
                       common_denominator, laurent_numerator, laurent_scalar,
-                      mul_acc, rational_rank,
+                      rational_rank,
                       render_scalar, scalar_invert, scalar_to_json,
                       specialize, tag_fold, tag_split, tagged_mul_acc,
                       word_key)
@@ -236,11 +240,13 @@ Letter = Tuple[int, int]         # the T letter T^C_D as (C, D)
 
 @functools.cache
 def _transfer(bundle: RMatrixBundle, signs: Tuple[int, ...]):
-    """The transfer matrices of a sign pattern of one or two letters,
-    indexed by the state they act on: trans[a] lists the (C, D, b, v)
-    with Theta^C_D[a][b] = v nonzero, v its Laurent numerator (see
-    _Pattern); for one letter Theta^C_D[(E,)][(F,)] = L^E_F(T^C_D) =
-    R+-^{EC}_{FD}."""
+    """The transfer matrices of a sign pattern of one or two letters, a
+    block of step, indexed by the state they act on: trans[a] lists the
+    (C, D, b, v) with Theta^C_D[a][b] = v nonzero, v its Laurent
+    numerator (see _Pattern); for one letter Theta^C_D[(E,)][(F,)] =
+    L^E_F(T^C_D) = R+-^{EC}_{FD}, and two letters sum the products of
+    one-letter entries over the inner index, one tagged_mul_acc call per
+    product, leaving out a sum that cancels."""
     ps = bundle.geometry.params
     if len(signs) == 1:
         tensor = bundle.Rplus if signs[0] > 0 else bundle.Rminus
@@ -258,19 +264,23 @@ def _transfer(bundle: RMatrixBundle, signs: Tuple[int, ...]):
     for a1, hits in _transfer(bundle, signs[:1]).items():
         for C, G, b1, v in hits:
             for a2, tail in second.get(G, {}).items():
-                mul_acc(ps, acc.setdefault(a1 + a2, {}), v,
-                        [((C, D, b1 + b2), t) for D, b2, t in tail])
-    return {a: [k + (v,) for k, v in row.items()]
-            for a, row in acc.items() if row}
+                row = acc.setdefault(a1 + a2, {})
+                for D, b2, t in tail:
+                    tagged_mul_acc(ps, row.setdefault((C, D, b1 + b2), {}),
+                                   v, t)
+    return {a: [k + (v,) for k, v in row.items() if v]
+            for a, row in acc.items()}
 
 
 @functools.cache
-def _preimages(bundle: RMatrixBundle, sign: int) -> Dict[int, set]:
-    """pre[F]: the E with L^E_F nonzero on some T letter."""
-    pre: Dict[int, set] = {}
-    for (E,), hits in _transfer(bundle, (sign,)).items():
-        for _, _, (F,), _ in hits:
-            pre.setdefault(F, set()).add(E)
+def _preimages(bundle: RMatrixBundle,
+               signs: Tuple[int, ...]) -> Dict[State, set]:
+    """pre[b]: the states a of a sign pattern of one or two letters with
+    Theta^C_D[a][b] nonzero for some letter (C, D), read off _transfer."""
+    pre: Dict[State, set] = {}
+    for a, hits in _transfer(bundle, signs).items():
+        for _, _, b, _ in hits:
+            pre.setdefault(b, set()).add(a)
     return pre
 
 
@@ -299,31 +309,35 @@ class _Pattern:
         return hash(self.signs)
 
     def viable(self, ends, r: int):
-        """A filter for step: per pair of positions, the index pairs
-        from which some state of ends is reachable position by position
-        within r more letters.  A state it drops cannot reach ends, so
-        no value read there changes."""
+        """A filter for step: per block of one or two letters, the blocks
+        step multiplies through, the block states from which that block
+        of some state of ends is reached within r more letters over the
+        nonzero entries of the block's transfer matrices (_preimages).
+        A state that reaches ends reaches it block by block, so a state
+        this drops reaches no state of ends and no value read there
+        changes; for a pattern of one or two letters, one block, it
+        keeps exactly the states that reach ends."""
         sets = []
-        for i, sign in enumerate(self.signs):
-            ok = {e[i] for e in ends}
-            pre = _preimages(self.bundle, sign)
+        for p in range(0, len(self.signs), 2):
+            ok = {e[p:p + 2] for e in ends}
+            pre = _preimages(self.bundle, self.signs[p:p + 2])
             for _ in range(r):
-                grown = ok.union(*(pre.get(F, ()) for F in ok))
+                grown = ok.union(*(pre.get(b, ()) for b in ok))
                 if len(grown) == len(ok):
                     break           # no longer growing
                 ok = grown
             sets.append(ok)
-        return tuple(set(iproduct(*sets[p:p + 2]))
-                     for p in range(0, len(sets), 2))
+        return tuple(sets)
 
     def step(self, row: Row, keep=None) -> Dict[Letter, Row]:
         """The nonzero products row Theta^C_D for every letter (C, D),
         without the states a filter of viable drops; rows hold Laurent
-        numerators.  The pattern is applied two letters at a time (the
-        transfer matrices of longer patterns are not stored), each
-        partial product keyed by (C, G, state) with G the running index
-        of the sum over the chain, and each state's products go through
-        one scalars.mul_acc call; the first two letters are read off the
+        numerators.  The pattern is applied one block of at most two
+        letters at a time (the transfer matrices of longer patterns are
+        not stored), each partial product keyed by (C, G, state) with G
+        the running index of the sum over the chain, and each product of
+        a value and a transfer entry goes into the sum of its key with
+        one scalars.tagged_mul_acc call; the first block is read off the
         transfer matrices of the state for every C at once."""
         signs, ps = self.signs, self.bundle.geometry.params
         if not signs:                                       # the counit
@@ -336,34 +350,36 @@ class _Pattern:
             nxt: Row = {}
             if p == 0:                  # every letter's C starts a chain
                 for a, v in row.items():
-                    mul_acc(ps, nxt, v, [
-                        ((C, H) + b + a[q:], t)
-                        for C, H, b, t in trans.get(a[:q], ())
-                        if ok is None or b in ok])
+                    for C, H, b, t in trans.get(a[:q], ()):
+                        if ok is None or b in ok:
+                            tagged_mul_acc(ps, nxt.setdefault(
+                                (C, H) + b + a[q:], {}), v, t)
             for key, v in cur.items():
                 C, G, head, tail = key[0], key[1], key[2:2 + p], key[2 + q:]
-                mul_acc(ps, nxt, v, [
-                    ((C, H) + head + b + tail, t)
-                    for E, H, b, t in trans.get(key[2 + p:2 + q], ())
-                    if E == G and (ok is None or b in ok)])
+                for E, H, b, t in trans.get(key[2 + p:2 + q], ()):
+                    if E == G and (ok is None or b in ok):
+                        tagged_mul_acc(ps, nxt.setdefault(
+                            (C, H) + head + b + tail, {}), v, t)
             cur = nxt
         out: Dict[Letter, Row] = {}
         for key, v in cur.items():
-            out.setdefault(key[:2], {})[key[2:]] = v
+            if v:                       # a sum that cancelled is dropped
+                out.setdefault(key[:2], {})[key[2:]] = v
         return out
 
 
 class _Diagonal:
     """A one-state source that lives on the diagonal words
     T^{C1}_{C1} ... T^{Ck}_{Ck} only, scaling by factors[C] per letter
-    (Laurent polynomials, kept as their numerators)."""
+    (Laurent polynomials, kept as their numerators).  A letter whose
+    factor is zero is left out, so no product is zero."""
 
     __slots__ = ("ps", "factors")
 
     def __init__(self, factors: Dict[int, Scalar]):
         self.ps = next(iter(factors.values())).ps
         self.factors = {C: laurent_numerator(self.ps, f)
-                        for C, f in factors.items()}
+                        for C, f in factors.items() if f}
 
     def viable(self, ends, r: int):
         return None
@@ -371,7 +387,9 @@ class _Diagonal:
     def step(self, row: Row, keep=None) -> Dict[Letter, Row]:
         out: Dict[Letter, Row] = {}
         for C, f in self.factors.items():
-            mul_acc(self.ps, out.setdefault((C, C), {}), f, row.items())
+            out[C, C] = got = {a: {} for a in row}
+            for a, v in row.items():
+                tagged_mul_acc(self.ps, got[a], f, v)
         return out
 
 
@@ -390,16 +408,16 @@ class _Side:
     The start rows {state: Scalar} and the column entries must be Laurent
     polynomials.  The walk carries their numerators (laurent_numerator):
     a source carries sparse rows {state: numerator} one T letter at a
-    time, multiplying only through the kernels of scalars (mul_acc and
-    tagged_mul_acc), and a value becomes a Scalar again only when it is
-    read.  source.step(row, keep=None) gives
-    the nonzero rows after every next letter, by letter, and is all a
-    walk asks of a source to step, in full and bracket walks alike;
-    source.viable(ends, r) gives a filter for keep that may drop the
-    states from which no state of ends is reached within r letters, or
-    None.  A source may instead be a tuple of factors, the start row
-    {(): 1}: its value on a word is the convolution product of the
-    factors' values there, which _convolve reads in place of _walk."""
+    time, multiplying only through scalars.tagged_mul_acc, and a value
+    becomes a Scalar again only when it is read.  source.step(row,
+    keep=None) gives the nonzero rows after every next letter, by
+    letter, and is all a walk asks of a source to step, in full and
+    bracket walks alike; source.viable(ends, r) gives a filter for keep,
+    or None, that drops only states from which no state of ends is
+    reached within r letters.  A source may instead be a tuple of
+    factors, the start row {(): 1}: its value on a word is the
+    convolution product of the factors' values there, which _convolve
+    reads in place of _walk."""
 
     __slots__ = ("terms", "fn", "scale")
 
@@ -694,8 +712,9 @@ def _convolve(family: Dict, D: int):
     (f x g) Delta, Delta(T^C_D) = sum_G T^C_G x T^G_D: sum over G of
     f(T^{C1}_{G1} ... T^{Ck}_{Gk}) g(T^{G1}_{D1} ... T^{Gk}_{Dk}), formed
     for one row (C1, ..., Ck) at a time with the products grouped by
-    their first factor, every product through scalars.mul_acc and its
-    coefficients by key through scalars.tagged_mul_acc."""
+    their first factor.  Every product of two factor values, and every
+    coefficient by key, goes through one scalars.tagged_mul_acc call;
+    a row entry whose sum cancels is dropped."""
     streams, reads, keys, fns, ps = _compile(family)
     del family                          # the walk reads what _compile kept
     index: Dict[object, int] = {}
@@ -722,10 +741,12 @@ def _convolve(family: Dict, D: int):
                 for i in rest:
                     nxt: Row = {}
                     for G, v in row.items():
-                        mul_acc(ps, nxt, v, tables[i].get(G, {}).items())
+                        for Dd, t in tables[i].get(G, {}).items():
+                            tagged_mul_acc(ps, nxt.setdefault(Dd, {}), v, t)
                     row = nxt
                 for Dd, v in row.items():
-                    tagged_mul_acc(ps, at.setdefault(Dd, {}), v, hits)
+                    if v:               # a sum that cancelled is dropped
+                        tagged_mul_acc(ps, at.setdefault(Dd, {}), v, hits)
         for Dd in sorted(at):
             yield tuple(zip(C, Dd)), _values(at[Dd], keys, fns, ps)
 

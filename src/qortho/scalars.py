@@ -70,14 +70,15 @@ other module needs to see num, den or the polynomial kernels.
 The functional walks multiply Laurent polynomials only, about a million
 times a run, so they skip the Scalar wrapper: laurent_numerator hands out
 the numerator of a Laurent Scalar (DenominatorClass for any other),
-mul_acc adds keyed products of such numerators into a dict, forming each
+tagged_mul_acc adds x * y into a dict the caller owns, forming each
 product's terms directly in the sum (in-place accumulation, as in POLY),
-and laurent_scalar wraps a sum back.  Many keyed sums can also share one
-dict: tag_fold packs {tag: numerator} into one tagged numerator, the tag
-in the bits above the exponent fields (where a product adds the tags of
-its factors), tagged_mul_acc adds x * y into such a dict in place, and
-tag_split parts it again by tag.  The caller only passes numerators and
-tags on; their encoding stays in this module.
+and laurent_scalar wraps a sum back.  It is the one in-place multiply
+kernel: poly_mul's general loop is one call of it into a fresh dict.
+Many keyed sums can also share one dict: tag_fold packs {tag: numerator}
+into one tagged numerator, the tag in the bits above the exponent fields
+(where a product adds the tags of its factors, a plain numerator being
+tag 0), and tag_split parts it again by tag.  The caller only passes
+numerators and tags on; their encoding stays in this module.
 """
 
 from __future__ import annotations
@@ -170,11 +171,10 @@ def poly_mul(ps: "ParamSpace", p1: Poly, p2: Poly) -> Poly:
     # monomial product is valid iff x & _guard == _hi, and it is x ^ _hi.
     if len(p1) > len(p2):
         p1, p2 = p2, p1
-    guard, hi = ps._guard, ps._hi
     if len(p1) == 1:
         # distinct monomials times one monomial stay distinct and nonzero
         (m1, c1), = p1.items()
-        m1k = m1 + ps._bias
+        m1k, guard, hi = m1 + ps._bias, ps._guard, ps._hi
         out: Poly = {}
         for m2, c2 in p2.items():
             x = m1k + m2
@@ -183,18 +183,7 @@ def poly_mul(ps: "ParamSpace", p1: Poly, p2: Poly) -> Poly:
             out[x ^ hi] = c1 * c2
         return out
     out = {}
-    for m1, c1 in p1.items():
-        m1k = m1 + ps._bias
-        for m2, c2 in p2.items():
-            x = m1k + m2
-            if x & guard != hi:
-                raise _overflow(ps, "product", m1, m2)
-            m = x ^ hi
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
+    tagged_mul_acc(ps, out, p1, p2)
     return out
 
 
@@ -737,9 +726,9 @@ def sum_products(cases: Iterable[Tuple[object, Scalar, Scalar]]
 # --- Laurent numerators -----------------------------------------------------
 
 def laurent_numerator(ps: ParamSpace, a: Scalar) -> Poly:
-    """The numerator of a over ps, for mul_acc; a must be a Laurent
-    polynomial (DenominatorClass names it otherwise).  The numerator is
-    a's own, so it must never be written to."""
+    """The numerator of a over ps, for tagged_mul_acc; a must be a
+    Laurent polynomial (DenominatorClass names it otherwise).  The
+    numerator is a's own, so it must never be written to."""
     _same_space(ps, a)
     if a.den is not ps._one_den:
         raise DenominatorClass("%r is not a Laurent polynomial" % (a,))
@@ -750,51 +739,6 @@ def laurent_scalar(ps: ParamSpace, num: Poly) -> Scalar:
     """The Laurent polynomial over ps with numerator num, which must not
     be written to from then on."""
     return Scalar(ps, num, ps._one_den) if num else ps.zero
-
-
-def mul_acc(ps: ParamSpace, acc: dict, x: Poly,
-            hits: Iterable[Tuple[object, Poly]]) -> None:
-    """acc[k] += x * y for every (k, y) of hits, over Laurent numerators
-    (laurent_numerator), keeping no empty value in acc.
-
-    The terms of each product are added, as they are formed, into one
-    dict that this call made: a new one for a new key, a copy of acc[k]
-    otherwise.  No Scalar and no separate product dict is made, and no
-    dict that the call did not make is written to, so acc may hold
-    operands themselves: for a new key, a product with the unit (ps.one's
-    numerator, known by identity) is the other operand, stored as it is.
-    Overflow is checked and reported as in Scalar.__mul__.  A caller
-    passes every hit of one operand x in one call."""
-    bias, guard, hi, one = ps._bias, ps._guard, ps._hi, ps.one.num
-    for k, y in hits:
-        got = acc.get(k)
-        if got is None:
-            if x is one or y is one:
-                y = x if y is one else y
-                if y:
-                    acc[k] = y
-                continue
-            got = {}
-        else:
-            got = dict(got)
-        # the shorter operand outside, as poly_mul takes them
-        p1, p2 = (y, x) if len(x) > len(y) else (x, y)
-        for m1, c1 in p1.items():
-            m1k = m1 + bias
-            for m2, c2 in p2.items():
-                m = m1k + m2
-                if m & guard != hi:
-                    raise _overflow(ps, "product", m1, m2)
-                m ^= hi
-                v = got.get(m, 0) + c1 * c2
-                if v:
-                    got[m] = v
-                else:
-                    del got[m]
-        if got:
-            acc[k] = got
-        elif k in acc:
-            del acc[k]
 
 
 def tag_fold(ps: ParamSpace, parts: Mapping[int, Poly]) -> Poly:
@@ -814,15 +758,20 @@ def tag_fold(ps: ParamSpace, parts: Mapping[int, Poly]) -> Poly:
 
 
 def tagged_mul_acc(ps: ParamSpace, acc: Poly, x: Poly, y: Poly) -> None:
-    """acc += x * y in place over tagged numerators (tag_fold), acc one
-    that the caller owns; the tag of a product is the sum of its
-    factors' tags.  A sum that cancels leaves no entry, and x and y are
-    never written to.
+    """acc += x * y in place, over Laurent numerators (laurent_numerator)
+    or tagged ones (tag_fold), into a dict acc that the caller owns: the
+    one in-place multiply kernel.  Each term of the product is added into
+    acc as it is formed, so no product dict is made, and the tag of a
+    product is the sum of its factors' tags (a plain numerator is tag 0).
+    A sum that cancels leaves no entry, and x and y are never written
+    to.  A caller that keeps many sums, one kernel call per (key,
+    operand) into acc.setdefault(key, {}), drops a key whose sum is left
+    empty.
 
-    A tag sits above the guard bits, so a product adds the tags under
-    mul_acc's overflow test, which reports the untagged monomials as
-    Scalar.__mul__ does.  x is the outer loop, as the shorter operand of
-    poly_mul is: y is the one that holds many tags."""
+    The overflow test is poly_mul's.  A tag sits above the guard bits, so
+    a product adds the tags under it, and an overflow is reported on the
+    untagged monomials as Scalar.__mul__ reports it.  x is the outer
+    loop, as the shorter operand of poly_mul is."""
     bias, guard, hi = ps._bias, ps._guard, ps._hi
     for m1, c1 in x.items():
         m1k = m1 + bias

@@ -270,6 +270,22 @@ def test_too_large_n_exits_two_before_any_handler(monkeypatch, capsys, argv):
     assert reached == [62]
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", "--n", "3"], ["verify", "--suite", "embedding", "--n", "3"]],
+    ids=["det", "verify"])
+@pytest.mark.parametrize("option", ["--out", "--dump"])
+def test_an_unwritable_output_path_exits_two(tmp_path, capsys, argv,
+                                             option):
+    """An --out or --dump path in a missing directory, or naming a
+    directory, ends the run with exit code 2 and one error line, not a
+    traceback and not exit code 1, which means a failing check."""
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run(argv + [option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s: " % path)
+        assert err.count("\n") == 1
+
+
 def test_envelope_suite_passes_degree_to_every_bounded_report(monkeypatch):
     seen = []
 

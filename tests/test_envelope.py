@@ -37,8 +37,8 @@ from qortho.presentations import (AlgebraElement, build_presentation,
                                   section, word_element)
 from qortho.rmatrix import RMatrixBundle, build_bundle
 from qortho.scalars import (DenominatorClass, PoleAtOne, Scalar, _acc,
-                            limit_r_to_1, merge_deformations, render_scalar,
-                            scalar_invert)
+                            laurent_numerator, limit_r_to_1,
+                            merge_deformations, render_scalar, scalar_invert)
 
 GEOM3 = IndexGeometry(3)
 BUNDLE3 = build_bundle(GEOM3)
@@ -191,8 +191,7 @@ def _caller(depth: int) -> str:
 
 def _count_products(monkeypatch):
     """Counters of the Scalar products by calling function and of the
-    calls of envelope's two kernels, mul_acc and tagged_mul_acc, by kernel
-    and calling function."""
+    calls of envelope's one kernel, tagged_mul_acc, by calling function."""
     callers = Counter()
     mul = Scalar.__mul__
 
@@ -201,19 +200,21 @@ def _count_products(monkeypatch):
         return mul(a, b)
 
     kernel_calls = Counter()
-    monkeypatch.setattr(Scalar, "__mul__", counted)
-    for name in ("mul_acc", "tagged_mul_acc"):
-        def kernel(*args, name=name, real=getattr(envelope, name)):
-            kernel_calls[name, _caller(1)] += 1
-            return real(*args)
+    real = envelope.tagged_mul_acc
 
-        monkeypatch.setattr(envelope, name, kernel)
+    def kernel(*args):
+        kernel_calls[_caller(1)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(envelope, "tagged_mul_acc", kernel)
     return callers, kernel_calls
 
 
 def test_the_walk_multiplies_through_the_kernel_alone(monkeypatch):
-    """Every product of an exchange walk goes through scalars.mul_acc on
-    Laurent numerators: the walk's frames make no Scalar product."""
+    """Every product of an exchange walk goes through
+    scalars.tagged_mul_acc on Laurent numerators: the walk's frames make
+    no Scalar product."""
     callers, kernel_calls = _count_products(monkeypatch)
     assert _first_difference(
         _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
@@ -226,8 +227,8 @@ def test_the_last_level_makes_one_kernel_call_per_live_stream_state(
     """At D = 2 the last level's parents are the one-letter words, whose
     live rows the root steps.  The last level multiplies each live
     (stream, state) entry into its node's sum with one tagged_mul_acc
-    call, whatever the number of letters it reads through, and makes no
-    mul_acc call of its own."""
+    call, whatever the number of letters it reads through; the steps
+    make their kernel calls from their own frames."""
     live = []
     for source in (_Pattern, _Diagonal):
         def step(self, row, keep=None, real=source.step):
@@ -241,18 +242,88 @@ def test_the_last_level_makes_one_kernel_call_per_live_stream_state(
     assert _first_difference(
         _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
     assert sum(live) > 0
-    assert kernel_calls["tagged_mul_acc", "_walk"] == sum(live)
-    assert kernel_calls["mul_acc", "_walk"] == 0
+    assert kernel_calls["_walk"] == sum(live)
+    assert kernel_calls["step"] > 0
 
 
 def test_the_convolution_multiplies_through_the_kernel_alone(monkeypatch):
     """The q-Lie rows' products of factor values go through
-    scalars.mul_acc too: _convolve makes no Scalar product."""
+    scalars.tagged_mul_acc too: _convolve makes no Scalar product."""
     callers, kernel_calls = _count_products(monkeypatch)
     rows = calculus.lie_rows("r1", 3, 2)
     assert rows and all(row["status"] for row in rows)
     assert kernel_calls
     assert not callers.keys() & {"_convolve", "_walk", "_read"}
+
+
+def _successors(src, states):
+    """{a: the states b with Theta^C_D[a][b] nonzero for some letter}, by
+    stepping the unit row of each state a of src with no filter."""
+    one = laurent_numerator(src.bundle.geometry.params,
+                            src.bundle.geometry.params.one)
+    return {a: {b for row in src.step({a: one}).values() for b in row}
+            for a in states}
+
+
+def _reaching(succ, ends, r):
+    """The states of succ from which some state of ends is reached within
+    r letters, by a brute-force backward search."""
+    ok = set(ends)
+    for _ in range(r):
+        ok |= {a for a, bs in succ.items() if bs & ok}
+    return ok
+
+
+@pytest.mark.parametrize("signs", [
+    (1,), (-1,), (1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_viable_keeps_exactly_the_states_that_reach_ends(signs):
+    """For a pattern of one or two letters, one block of step, the viable
+    filter is the set of states from which ends is reached within r
+    letters, for every single end state and r = 0..3."""
+    src = _Pattern(BUNDLE5, signs)
+    states = list(iproduct(GEOM5.indices(), repeat=len(signs)))
+    succ = _successors(src, states)
+    for end in states:
+        for r in range(4):
+            assert src.viable({end: None}, r) == (
+                _reaching(succ, {end}, r),)
+
+
+@pytest.mark.parametrize("signs", [(1, -1, 1), (1, 1, -1, -1, 1)])
+def test_viable_keeps_every_state_that_reaches_ends(signs):
+    """For a longer pattern the viable filter keeps, block by block, every
+    state from which ends is reached within r letters."""
+    src = _Pattern(BUNDLE5, signs)
+    states = list(iproduct(GEOM5.indices(), repeat=len(signs)))
+    succ = _successors(src, states)
+    for ends in [{states[0]}, {states[len(states) // 2]}, set(states[-3:])]:
+        for r in range(3):
+            keep = src.viable(dict.fromkeys(ends), r)
+            for a in _reaching(succ, ends, r):
+                assert all(a[2 * i:2 * i + 2] in ok
+                           for i, ok in enumerate(keep))
+
+
+def test_every_looked_ahead_state_of_a_short_pattern_reaches_a_read_state(
+        monkeypatch):
+    """At D = 2 every state of a pattern of one or two letters that the
+    last level looks ahead from steps to some read state: the root's step
+    into the last level's parents drops every state that reaches none,
+    so no such state is multiplied by an empty lookahead."""
+    seen = []
+    through = envelope._through
+
+    def spy(src, a, at, *rest):
+        if type(src) is _Pattern and len(src.signs) <= 2:
+            seen.append((src, a, at))
+        return through(src, a, at, *rest)
+
+    monkeypatch.setattr(envelope, "_through", spy)
+    assert _first_difference(
+        _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
+    assert seen
+    for src, a, at in seen:
+        assert _successors(src, [a])[a] & at.keys()
 
 
 def test_a_walk_computes_each_viable_filter_once(monkeypatch):

@@ -25,7 +25,7 @@ from qortho.scalars import (DenominatorClass, ExponentOverflow, ParamSpace,
                             SchemaError, ZeroInverse, _acc, _canon,
                             _poly_to_json, canonical_q, common_denominator,
                             laurent_numerator, laurent_scalar, limit_r_to_1,
-                            merge_deformations, mul_acc, occurring_vars,
+                            merge_deformations, occurring_vars,
                             poly_add, poly_mul, render_scalar,
                             scalar_from_json, scalar_invert, scalar_to_json,
                             specialize, substitute, sum_products, tag_fold,
@@ -947,12 +947,17 @@ def mul_acc_cases(draw, exps=st.integers(-6, 6)):
 
 
 def kernel_and_reference(ps, start, x, hits):
-    """mul_acc on packed numerators, and _acc(d, k, x * y) on Scalars;
-    mul_acc writes to none of the dicts it is given."""
+    """Keyed sums on packed numerators, one tagged_mul_acc call per hit
+    into acc.setdefault(k, {}), a key dropped when its sum cancels; and
+    _acc(d, k, x * y) on Scalars.  The kernel writes to no operand."""
     acc = {k: packed(ps, p) for k, p in start.items() if p}
     xn, ys = packed(ps, x), [(k, packed(ps, y)) for k, y in hits]
-    given = [(p, dict(p)) for p in [xn, *acc.values()] + [y for _, y in ys]]
-    mul_acc(ps, acc, xn, ys)
+    given = [(p, dict(p)) for p in [xn] + [y for _, y in ys]]
+    for k, y in ys:
+        got = acc.setdefault(k, {})
+        tagged_mul_acc(ps, got, xn, y)
+        if not got:
+            del acc[k]
     assert all(p == seen for p, seen in given)
     d = {k: laurent(ps, p) for k, p in start.items() if p}
     for k, y in hits:
@@ -966,27 +971,11 @@ def kernel_and_reference(ps, start, x, hits):
           [(0, {(0, 0): 1}), (0, {(0, 0): 1}), (0, {(0, 0): -4})]))
 @example((PS, {}, {(1, 0): 1, (0, 1): -1},
           [(1, {(0, 0): 3, (2, 1): 1}), (1, {(0, 0): -3, (2, 1): -1})]))
-def test_mul_acc_matches_acc_of_the_products(case):
+def test_keyed_kernel_sums_match_acc_of_the_products(case):
     ps, start, x, hits = case
     acc, d = kernel_and_reference(ps, start, x, hits)
     assert acc == {k: v.num for k, v in d.items()}
     assert all(acc.values())
-
-
-def test_mul_acc_stores_a_unit_product_as_the_other_operand():
-    # a product with ps.one's numerator is the other operand itself; a
-    # later sum into its key is a new dict, so the operand never changes
-    ps = ParamSpace(5)
-    one = laurent_numerator(ps, ps.one)
-    y = laurent_numerator(ps, ps.lam)
-    acc = {}
-    mul_acc(ps, acc, one, [(0, y)])
-    mul_acc(ps, acc, y, [(1, one)])
-    assert acc[0] is y and acc[1] is y
-    mul_acc(ps, acc, one, [(0, y)])
-    mul_acc(ps, acc, y, [(1, laurent_numerator(ps, -ps.one))])
-    assert acc == {0: laurent_numerator(ps, ps.lam + ps.lam)}
-    assert laurent_scalar(ps, y) == ps.lam
 
 
 EDGE = ParamSpace(5)._half
@@ -995,19 +984,21 @@ EDGE = ParamSpace(5)._half
 @settings(max_examples=200, deadline=None)
 @given(mul_acc_cases(exps=st.sampled_from(
     [-EDGE, -EDGE + 1, -1, 0, 1, EDGE - 2, EDGE - 1])))
-def test_mul_acc_overflows_as_the_product_does(case):
-    # at the edge of the exponent field: the first product that leaves
-    # the field raises with Scalar.__mul__'s message, naming the same
-    # monomials
+def test_keyed_kernel_sums_overflow_as_the_product_does(case):
+    # at the edge of the exponent field: the first monomial product that
+    # leaves the field, x outside and y inside, raises with
+    # Scalar.__mul__'s message on the same two monomials
     ps, start, x, hits = case
     for j, (_, y) in enumerate(hits):
-        try:
-            laurent(ps, x) * laurent(ps, y)
-        except ExponentOverflow as exc:
-            with pytest.raises(ExponentOverflow) as got:
-                kernel_and_reference(ps, start, x, hits[:j + 1])
-            assert str(got.value) == str(exc)
-            return
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                try:
+                    laurent(ps, {m1: c1}) * laurent(ps, {m2: c2})
+                except ExponentOverflow as exc:
+                    with pytest.raises(ExponentOverflow) as got:
+                        kernel_and_reference(ps, start, x, hits[:j + 1])
+                    assert str(got.value) == str(exc)
+                    return
     acc, d = kernel_and_reference(ps, start, x, hits)
     assert acc == {k: v.num for k, v in d.items()}
 
@@ -1037,7 +1028,7 @@ def tagged_rounds(ps, hits, tags):
 
 @settings(max_examples=200, deadline=None)
 @given(tagged_cases())
-def test_fold_multiply_and_split_match_mul_acc_for_every_tag(case):
+def test_fold_multiply_and_split_match_the_products_for_every_tag(case):
     ps, start, x, hits, tags = case
     acc = tag_fold(ps, {tags[k]: packed(ps, p) for k, p in start.items()})
     xn, rounds = packed(ps, x), tagged_rounds(ps, hits, tags)
@@ -1046,8 +1037,8 @@ def test_fold_multiply_and_split_match_mul_acc_for_every_tag(case):
         tagged_mul_acc(ps, acc, xn, y)
     assert all(p == seen for p, seen in given)      # no operand written to
     assert all(acc.values())                        # no cancelled entry
-    want, _ = kernel_and_reference(ps, start, x, hits)
-    assert tag_split(ps, acc) == {tags[k]: v for k, v in want.items()}
+    _, want = kernel_and_reference(ps, start, x, hits)
+    assert tag_split(ps, acc) == {tags[k]: v.num for k, v in want.items()}
 
 
 def test_a_tagged_sum_that_cancels_leaves_no_entry():
@@ -1101,8 +1092,8 @@ def test_tagged_mul_acc_overflows_as_the_product_does(case):
             tagged_mul_acc(ps, acc, xn, y)
         assert str(got.value) == expected
         return
-    want, _ = kernel_and_reference(ps, start, x, hits)
-    assert tag_split(ps, acc) == {tags[k]: v for k, v in want.items()}
+    _, want = kernel_and_reference(ps, start, x, hits)
+    assert tag_split(ps, acc) == {tags[k]: v.num for k, v in want.items()}
 
 
 def test_laurent_numerator_refuses_a_denominator_and_another_space():

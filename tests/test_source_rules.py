@@ -186,6 +186,33 @@ def test_fraction_representation_stays_in_scalars():
     assert found == []
 
 
+def test_scalars_has_one_packed_product_loop():
+    """The guard-bit test of a packed monomial product, m & guard != hi,
+    stands in scalars.py only in poly_mul's loop over one monomial and in
+    tagged_mul_acc, the one in-place multiply kernel, which poly_mul's
+    general loop calls.  A second accumulate loop with an overflow path
+    of its own cannot come back unnoticed."""
+    found = []
+    tree = ast.parse((SRC / "scalars.py").read_text())
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        branches = [(node, ast.unparse(node.test)) for node in ast.walk(fn)
+                    if isinstance(node, ast.If)]
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.BinOp)
+                    and isinstance(node.left.op, ast.BitAnd)
+                    and ast.unparse(node.left.right) in ("guard", "ps._guard")
+                    and [ast.unparse(c) for c in node.comparators]
+                    in (["hi"], ["ps._hi"])):
+                inside = [test for branch, test in branches
+                          if any(node is sub for stmt in branch.body
+                                 for sub in ast.walk(stmt))]
+                found.append((fn.name, inside))
+    assert found == [("poly_mul", ["len(p1) == 1"]), ("tagged_mul_acc", [])]
+
+
 def test_benchmark_counters_name_engine_functions():
     """perfbench/run.py reads call counts and times by name from a
     Counter, so a renamed engine function would read 0 without a word:
