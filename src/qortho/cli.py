@@ -75,11 +75,13 @@ def _parse_spec(text: str):
         if "=" not in piece:
             raise UsageError("--spec expects k=v pairs, got %r" % (piece,))
         k, v = piece.split("=", 1)
+        k = k.strip()
+        if k in out:
+            raise UsageError("--spec names %r twice" % (k,))
         try:
-            val = Fraction(v.strip())
+            out[k] = Fraction(v.strip())
         except (ValueError, ZeroDivisionError):
             raise UsageError("--spec value %r is not a rational" % (v,))
-        out[k.strip()] = val
     return out
 
 

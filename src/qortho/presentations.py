@@ -16,11 +16,14 @@ dx^a.  Relations are stored as free-algebra elements, each read "= 0":
                  u v - I,   v u - I
                  u x^b - q_{b*} x^b u,   u T^b_d - (q_{b*}/q_{d*}) T^b_d u
     plane(N):    P_A{}^{ab}_{cd} x^c x^d
-    exterior(N): dx^a dx^b + r R^{ba}_{cd} dx^c dx^d
+    exterior(N): (1 + r Rhat)^{ab}_{cd} dx^c dx^d
 
 where q_{b*} is the deformation parameter pairing the inner index b with
-the bullet cone index.  The iso(N) presentation also carries the derived
-expressions
+the bullet cone index.  plane(N) and exterior(N) are one contraction
+each of a four-index tensor with the letter pairs, so one function
+builds both; exterior's tensor 1 + r Rhat gives
+dx^a dx^b + r R^{ba}_{cd} dx^c dx^d, since Rhat^{ab}_{cd} = R^{ba}_{cd}.
+The iso(N) presentation also carries the derived expressions
 
     y_b = -r^{N/2} T^a_b C_{ac} x^c u
     z   = -(r^{-N/2} + r^{N/2-2})^{-1} x^b C_{ba} x^a u
@@ -40,10 +43,13 @@ order u < v < x^1 < ... < x^N < T[1,1] < T[1,2] < ... (row-major, the
 numbering t_letter gives the so(M) alphabet), so
 normal words carry dilatations leftmost, then translations in
 nondecreasing order, then matrix entries.  Rewrite rules come from
-Gaussian elimination of a sector's degree-two relation span; every
-sector has a prescribed set of order-violating leading words and
-derivation raises IncompleteRules if the elimination pivots differ from
-it.  The so(M) presentation has no sector: equality of pure matrix-entry
+Gaussian elimination of a sector's degree-two relation span.  The
+function that builds a sector's rows also states, in Presentation.pivots
+and with its own letter numbering, the order-violating leading words
+they must eliminate to; derivation raises IncompleteRules if the
+elimination pivots differ from them (Bergman's diamond lemma, Adv. Math.
+29 (1978), then certifies confluence through check_confluence).  The
+so(M) presentation has no rewrite sector: equality of pure matrix-entry
 words is settled by bounded-degree ideal membership, never by rewriting.
 """
 
@@ -54,7 +60,7 @@ import itertools
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .itensor import IndexGeometry, _by_upper
+from .itensor import IndexGeometry, SparseTensor4, _by_upper, identity_tensor
 from .report import Report, first_failure
 from .rmatrix import build_bundle, inner_lift
 from .scalars import (LinearCombination, ParamSpace, Scalar, SchemaError,
@@ -216,14 +222,16 @@ class Presentation:
     is the matrix dimension M; for the others it is the number N of
     translation-like generators.  Embedded so presentations carry their
     cone labels; IndexGeometry.cone_ideal names the 2N+1 generators of
-    the ideal H.
+    the ideal H.  sectors names groups of relations; pivots gives, for
+    each sector that derive_rewrite_rules turns into rewrite rules, the
+    leading words its elimination must end with.
     """
 
     __slots__ = ("kind", "name", "N", "geometry", "params", "alphabet",
-                 "relations", "sectors", "derived")
+                 "relations", "sectors", "pivots", "derived")
 
     def __init__(self, kind, name, N, geometry, params, alphabet, relations,
-                 sectors, derived):
+                 sectors, pivots, derived):
         self.kind = kind
         self.name = name
         self.N = N
@@ -232,6 +240,7 @@ class Presentation:
         self.alphabet = alphabet
         self.relations = relations
         self.sectors = sectors
+        self.pivots = pivots
         self.derived = derived
 
     def element(self, terms: Mapping[Word, Scalar]) -> AlgebraElement:
@@ -253,9 +262,12 @@ def _presentation(kind: str, N: int, embedded: bool) -> Presentation:
     if kind == "iso":
         return _build_iso(N)
     if kind == "plane":
-        return _build_plane(N)
+        return _build_quadratic(kind, "x", build_bundle(IndexGeometry(N)).P_A,
+                                squares_lead=False)
     if kind == "exterior":
-        return _build_exterior(N)
+        geom = IndexGeometry(N)
+        X = identity_tensor(geom) + build_bundle(geom).Rhat.scale(geom.params.r)
+        return _build_quadratic(kind, "dx", X, squares_lead=True)
     raise ValueError("unknown presentation kind %r" % (kind,))
 
 
@@ -313,7 +325,7 @@ def _build_so(M: int, embedded: bool) -> Presentation:
     return Presentation(
         kind="so", name="so(%d)" % M, N=M, geometry=geom, params=ps,
         alphabet=alphabet, relations=relations,
-        sectors={}, derived={})
+        sectors={}, pivots={}, derived={})
 
 
 def _build_iso(N: int) -> Presentation:
@@ -386,6 +398,16 @@ def _build_iso(N: int) -> Presentation:
     relations = swap_rows + plane_rows + mixed_rows + dil_rows
     sectors = {"plane": plane_rows, "iso-mixed": mixed_rows,
                "dilatation": dil_rows, "inner": swap_rows}
+    # normal words read u, v, then the x^a ascending, then the T^a_b: the
+    # rules rewrite every adjacent pair out of that order (the inner
+    # sector is left to ideal membership)
+    xs = [x(a) for a in inner]
+    pivots = {
+        "plane": {(x(b), x(a)) for b in inner for a in inner if a < b},
+        "dilatation": {(iu, iv), (iv, iu)}.union(
+            (g, d) for g in xs for d in (iu, iv)),
+        "iso-mixed": {(t(a, b), g) for a in inner for b in inner
+                      for g in [iu, iv] + xs}}
 
     derived: Dict[str, AlgebraElement] = {}
     minus_r_rho = -bps.s_pow(N)
@@ -403,50 +425,27 @@ def _build_iso(N: int) -> Presentation:
     return Presentation(
         kind="iso", name="iso(%d)" % N, N=N, geometry=big, params=bps,
         alphabet=alphabet, relations=relations, sectors=sectors,
-        derived=derived)
+        pivots=pivots, derived=derived)
 
 
-def _build_plane(N: int) -> Presentation:
-    geom = IndexGeometry(N)
-    bundle = build_bundle(geom)
-    ps = geom.params
-    alphabet = Alphabet(["x%d" % a for a in range(1, N + 1)])
-    by_upper = _by_upper(bundle.P_A)
-    rows: List[AlgebraElement] = []
-    for a in geom.indices():
-        for b in geom.indices():
-            terms: Dict[Word, Scalar] = {}
-            for (c, d), val in by_upper.get((a, b), ()):
-                _acc(terms, (c - 1, d - 1), val)
-            row = AlgebraElement(alphabet, ps, terms)
-            if row:
-                rows.append(row)
+def _build_quadratic(kind: str, prefix: str, X: SparseTensor4,
+                     squares_lead: bool) -> Presentation:
+    """The quadratic algebra on letters l^a = prefix + a, numbered a - 1,
+    with one relation sum_cd X^{ab}_{cd} l^c l^d per nonzero row (a, b) of
+    X, rows in row-major order.  Its one sector is named kind; its
+    pivots are the words l^b l^a with b > a, and the squares l^a l^a too
+    when squares_lead is set."""
+    geom = X.geometry
+    ps, N = geom.params, geom.dim
+    alphabet = Alphabet(["%s%d" % (prefix, a) for a in geom.indices()])
+    rows = [AlgebraElement(alphabet, ps, {(c - 1, d - 1): val
+                                          for (c, d), val in entries})
+            for _, entries in sorted(_by_upper(X).items())]
+    pivots = {(b, a) for b in range(N) for a in range(b + squares_lead)}
     return Presentation(
-        kind="plane", name="plane(%d)" % N, N=N, geometry=geom, params=ps,
-        alphabet=alphabet, relations=rows, sectors={"plane": list(rows)},
-        derived={})
-
-
-def _build_exterior(N: int) -> Presentation:
-    geom = IndexGeometry(N)
-    bundle = build_bundle(geom)
-    ps = geom.params
-    alphabet = Alphabet(["dx%d" % a for a in range(1, N + 1)])
-    by_upper = _by_upper(bundle.R)
-    rows: List[AlgebraElement] = []
-    r = ps.r
-    for a in geom.indices():
-        for b in geom.indices():
-            terms: Dict[Word, Scalar] = {(a - 1, b - 1): ps.one}
-            for (c, d), val in by_upper.get((b, a), ()):
-                _acc(terms, (c - 1, d - 1), r * val)
-            row = AlgebraElement(alphabet, ps, terms)
-            if row:
-                rows.append(row)
-    return Presentation(
-        kind="exterior", name="exterior(%d)" % N, N=N, geometry=geom,
-        params=ps, alphabet=alphabet, relations=rows,
-        sectors={"exterior": list(rows)}, derived={})
+        kind=kind, name="%s(%d)" % (kind, N), N=N, geometry=geom, params=ps,
+        alphabet=alphabet, relations=rows, sectors={kind: list(rows)},
+        pivots={kind: pivots}, derived={})
 
 
 # --- rewrite systems --------------------------------------------------------
@@ -474,52 +473,15 @@ class RewriteSystem:
         return "RewriteSystem(%s, %d rules)" % (self.sector, len(self.rules))
 
 
-_SECTOR_KINDS = {
-    "plane": ("iso", "plane"),
-    "dilatation": ("iso",),
-    "iso-mixed": ("iso",),
-    "exterior": ("exterior",),
-}
-
-
-def _expected_leading(p: Presentation, sector: str) -> set:
-    A = p.alphabet
-    if sector == "plane":
-        xs = [A.index["x%d" % a] for a in range(1, p.N + 1)]
-        return {(xs[b], xs[a]) for b in range(p.N) for a in range(b)}
-    if sector == "dilatation":
-        iu, iv = A.index["u"], A.index["v"]
-        xs = [A.index["x%d" % a] for a in range(1, p.N + 1)]
-        out = {(iu, iv), (iv, iu)}
-        out.update((xa, iu) for xa in xs)
-        out.update((xa, iv) for xa in xs)
-        return out
-    if sector == "iso-mixed":
-        iu, iv = A.index["u"], A.index["v"]
-        xs = [A.index["x%d" % a] for a in range(1, p.N + 1)]
-        ts = [A.index["T[%d,%d]" % (a, b)]
-              for a in range(1, p.N + 1) for b in range(1, p.N + 1)]
-        out = set()
-        out.update((tt, xa) for tt in ts for xa in xs)
-        out.update((tt, iu) for tt in ts)
-        out.update((tt, iv) for tt in ts)
-        return out
-    # the exterior sector
-    dxs = [A.index["dx%d" % a] for a in range(1, p.N + 1)]
-    return {(dxs[b], dxs[a]) for b in range(p.N) for a in range(b + 1)}
-
-
 def derive_rewrite_rules(p: Presentation, sector: str) -> RewriteSystem:
-    kinds = _SECTOR_KINDS.get(sector)
-    if kinds is None:
-        raise ValueError("unknown sector %r" % (sector,))
-    if p.kind not in kinds:
-        raise ValueError("sector %s does not apply to %s" % (sector, p.name))
-    rows = p.sectors.get(sector, [])
+    expected = p.pivots.get(sector)
+    if expected is None:
+        raise ValueError("%s has no rewrite rules for sector %r"
+                         % (p.name, sector))
     stair: Dict[Word, Tuple[Dict[Word, Scalar], None]] = {}
-    for row in sorted(rows, key=lambda e: word_key(e.leading())):
+    for row in sorted(p.sectors[sector], key=lambda e: word_key(e.leading())):
         stair_insert(stair, dict(row.terms))
-    expected, got = _expected_leading(p, sector), set(stair)
+    got = set(stair)
     if got != expected:
         show = p.alphabet.show_word
         missing = sorted(expected - got, key=word_key)

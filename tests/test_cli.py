@@ -248,6 +248,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(["build-r", "--n", "3", "--spec", "s"]) == 2
     assert capsys.readouterr().err == \
         "error: --spec expects k=v pairs, got 's'\n"
+    # a repeated name is refused, not resolved by the last value
+    assert run(["build-r", "--n", "3", "--spec", "s=2, s=3"]) == 2
+    assert capsys.readouterr() == ("", "error: --spec names 's' twice\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ then rotation letters; the inner rotation sector is deliberately kept
 out of the combined system.
 """
 
+import copy
 import hashlib
 import itertools
 import json
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from qortho import presentations
 from qortho.cli import run
 from qortho.itensor import IndexGeometry
-from qortho.presentations import (AlgebraElement, Alphabet, NotConfluent,
-                                  RewriteSystem, TensorElement,
+from qortho.presentations import (AlgebraElement, Alphabet, IncompleteRules,
+                                  NotConfluent, RewriteSystem, TensorElement,
                                   TopDegreeNotOneDimensional,
                                   build_presentation, check_confluence,
                                   check_hopf_ideal, costructure,
@@ -117,10 +118,46 @@ def test_confluence_names_the_first_overlap_that_does_not_rejoin():
 
 
 def test_sector_errors():
-    with pytest.raises(ValueError):
-        derive_rewrite_rules(P3, "no-such-sector")
-    with pytest.raises(ValueError):
-        derive_rewrite_rules(P3, "so-swap")
+    """iso(N) rewrites its plane, dilatation and iso-mixed sectors,
+    plane(N) and exterior(N) their one sector each, and so(M) none; every
+    other pair, iso's inner sector included, is a ValueError."""
+    sectors = ("plane", "dilatation", "iso-mixed", "exterior", "inner",
+               "so-swap", "no-such-sector")
+    accepted = {"so": (), "iso": ("plane", "dilatation", "iso-mixed"),
+                "plane": ("plane",), "exterior": ("exterior",)}
+    for kind, good in accepted.items():
+        p = build_presentation(kind, 3)
+        for sector in sectors:
+            if sector in good:
+                assert derive_rewrite_rules(p, sector).rules
+            else:
+                with pytest.raises(ValueError) as info:
+                    derive_rewrite_rules(p, sector)
+                assert not isinstance(info.value, IncompleteRules)
+
+
+@pytest.mark.parametrize("kind, sector, edit, message", [
+    ("exterior", "exterior", lambda p, rows: rows[1:],
+     "exterior sector of exterior(3): missing rules for [dx1 dx1], "
+     "unexpected pivots at []"),
+    ("iso", "dilatation", lambda p, rows: rows[1:],
+     "dilatation sector of iso(3): missing rules for [u v], unexpected "
+     "pivots at []"),
+    ("plane", "plane", lambda p, rows: rows + [
+        p.element({p.alphabet.word("x1", "x1"): p.params.one})],
+     "plane sector of plane(3): missing rules for [], unexpected pivots "
+     "at [x1 x1]"),
+], ids=["exterior-row-dropped", "dilatation-row-dropped", "plane-row-added"])
+def test_rules_whose_pivots_differ_from_the_stated_ones_are_refused(
+        kind, sector, edit, message):
+    """A sector whose elimination ends on other leading words than its
+    presentation states: a dropped row leaves a stated pivot missing, an
+    added row makes one more."""
+    p = copy.copy(build_presentation(kind, 3))
+    p.sectors = {**p.sectors, sector: edit(p, p.sectors[sector])}
+    with pytest.raises(IncompleteRules) as info:
+        derive_rewrite_rules(p, sector)
+    assert str(info.value) == message
 
 
 def test_plane_dimensions_match_commutative_counts():
@@ -481,6 +518,14 @@ def test_element_json_round_trip():
      "4145cfe7d9ef1094d5a0e7e47a743c4fcd7b5444edb08b87c5cf79a8e45255a5"),
     (("so", 5, True), 659,
      "323d377b9ecc2cb896628d198dc7bc603e9f5cc76910693a996c65c5bb4854cb"),
+    (("plane", 3), 7,
+     "b1526a558fd159e638e6e5bc0c834d4f88f5c00df761ea0a96eb913a6a654170"),
+    (("plane", 4), 12,
+     "7148103aafda1edbebc01b1765edac6810e36a47f35aab6ff3d54249e32c52b2"),
+    (("exterior", 3), 9,
+     "1c284795ec28b6147fde6b29e3156c3bb770b8d3dc73d6d82f6e11c27889c6ec"),
+    (("exterior", 4), 16,
+     "7842fc7ca76f332b650e0c2c142c86113c1bd159e87f8ee035b9c2de6bbb68cc"),
 ])
 def test_relation_lists_are_pinned(args, count, digest):
     """Every relation and every sector, iso's inner sector included,
