@@ -57,8 +57,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .envelope import (FunctionalElement, antipode_L, eps_functional,
                        iu_annihilates, l_functional, show_t_word,
                        show_witness, _brackets, _cone_witness, _factored,
-                       _Factored, _first, _first_difference, _mapped, _walk,
-                       _witnesses)
+                       _Factored, _first, _first_difference, _mapped,
+                       _t_words, _walk, _witnesses)
 from .itensor import IndexGeometry
 from .presentations import (AlgebraElement, build_presentation, costructure,
                             iso_normal_system, project, reduce, section,
@@ -369,24 +369,23 @@ def _brackets_on_letters(basis: TangentBasis, f: FunctionalElement
                          ) -> List[Dict[Tuple[int, int], Scalar]]:
     """[f, g](T^A_C) for every basis vector g, through the adjoint
     coaction of the embedded group: g on the sum over B, D of f(T^B_D)
-    k(T^A_B) T^D_C, all read from one walk, each g through _view.  The
-    coaction takes the generic-parameter values of f; at r = 1 the limit
-    is taken of each whole bracket, so that paired poles cancel first."""
+    k(T^A_B) T^D_C, each g through _view: the rows {(A, C): value} of one
+    _brackets call, one per basis vector in basis order.  The coaction
+    takes the generic-parameter values of f; at r = 1 the limit is taken
+    of each whole bracket, so that paired poles cancel first."""
     big = build_presentation("so", basis.N + 2, embedded=True)
     idx = list(big.geometry.indices())
     fvals = _letter_values(f)
     kappa = {(A, B): costructure("antipode", _letter(big, A, B), big)
              for A in idx for B in {B for B, _ in fvals}}
-    vals = _brackets({j: _view(basis.kind, g)
-                      for j, g in enumerate(basis.vectors)}, {
-        (A, C): sum(((kappa[A, B] * _letter(big, D, C)).scale(fv)
-                     for (B, D), fv in fvals.items()),
-                    zero_element(big.alphabet, big.params))
-        for A in idx for C in idx})
-    out: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in basis.vectors]
-    for j, AC in sorted(vals):
-        out[j][AC] = vals[j, AC]
-    return out
+    adjoint = _t_words(basis.bundle, (
+        ((A, C), sum(((kappa[A, B] * _letter(big, D, C)).scale(fv)
+                      for (B, D), fv in fvals.items()),
+                     zero_element(big.alphabet, big.params)))
+        for A in idx for C in idx))
+    return list(_brackets({j: _view(basis.kind, g)
+                           for j, g in enumerate(basis.vectors)},
+                          adjoint).values())
 
 
 def structure_constants(basis: TangentBasis):
@@ -475,16 +474,19 @@ def verify_qlie(kind: str, N: int, D: Optional[int] = None) -> Report:
 
 def _star(fs: Dict, a: AlgebraElement, p) -> Dict[object, AlgebraElement]:
     """f * a = (id x f) Delta(a) for every functional or walk side f of
-    fs, by key, in iso normal form."""
+    fs, by key, in iso normal form: one _brackets call gives each f its
+    row of brackets with the sections of the right coproduct words w2,
+    and f * a sums c <f, w2> w1 over the row's words."""
     ps = p.params
     cop = costructure("coproduct", a, p).terms
-    vals = _brackets(fs, {w2: section(word_element(p.alphabet, ps, w2), p)
-                          for _, w2 in cop})
+    rows = _brackets(fs, _t_words(_bundle(p.N), (
+        (w2, section(word_element(p.alphabet, ps, w2), p))
+        for w2 in dict.fromkeys(w2 for _, w2 in cop))))
     acc: Dict[object, Dict] = {key: {} for key in fs}
     for (w1, w2), c in cop.items():
-        for key in fs:
-            if (key, w2) in vals:
-                _acc(acc[key], w1, c * vals[key, w2])
+        for key, row in rows.items():
+            if w2 in row:
+                _acc(acc[key], w1, c * row[w2])
     rs = iso_normal_system(p)
     return {key: reduce(AlgebraElement(p.alphabet, ps, t), rs)
             for key, t in acc.items()}

@@ -264,7 +264,7 @@ _SUITES = [
 # subcommand handlers
 
 def _cmd_build_r(args) -> int:
-    spec = _parse_spec(args.spec) if args.spec else {}
+    spec = _parse_spec(args.spec) if args.spec is not None else {}
     geom = IndexGeometry(args.n)
     R = build_R(geom)
     if spec:

@@ -34,16 +34,19 @@ tagged numerator, each part tagged by the key it feeds (by (letter, key)
 in the lookahead), so a word's values, and at the last length every
 letter's values at once, are one sum per node with one kernel call per
 row state, split by key and letter only when it is not zero; a value
-becomes a Scalar once, when it is read, before any map of its side.  A
-bracket <f, a> comes from the same walk restricted to the prefixes of
-the T-words of a (_brackets), one walk per batch of functionals and
-elements: it steps every letter at each prefix it visits, keeps the
-letters that extend a T-word of a, and reads the last length through the
-same lookahead, dropping the other letters when the sum is split.  The
-transfer matrices of the one- and two-letter patterns and their
-preimages are derived data, built on first use and kept by
-functools.cache per bundle and sign pattern; nothing keyed by a word or
-a word length is kept.
+becomes a Scalar once, when it is read, before any map of its side.
+Every bracket <f, a> comes from one call, _brackets(fs, words): the
+elements come as T-words from _t_words, the one translation of their
+letters, so that elements read against several batches are translated
+once, and the call returns one row {key of a: value} per key of fs,
+zeros left out.  It is the same walk restricted to the prefixes of
+those T-words, one walk per batch: it steps every letter at each prefix
+it visits, keeps the letters that extend a T-word, and reads the last
+length through the same lookahead, dropping the other letters when the
+sum is split.  The transfer matrices of the one- and two-letter
+patterns and their preimages are derived data, built on first use and
+kept by functools.cache per bundle and sign pattern; nothing keyed by a
+word or a word length is kept.
 
 The side family {key: side} is the one unit of the engine: _compile,
 _walk and _convolve take one family, and yield per word one dict of its
@@ -404,8 +407,9 @@ class _Side:
     returns the image of v * scale (scale None standing for 1) without
     having to form that product: operator.mul, or the r = 1 limit
     limit_r_to_1 (_mapped).  A walk maps the value on each word;
-    _brackets maps each bracket, the sum over the words of an element,
-    so the bracket of a mapped side is the map of the bracket.
+    _brackets maps each entry of the side's row, the sum over the words
+    of an element, so the bracket of a mapped side is the map of the
+    bracket.
 
     The start rows {state: Scalar} and the column entries must be Laurent
     polynomials.  The walk carries their numerators (laurent_numerator):
@@ -437,7 +441,7 @@ def _as_side(side) -> _Side:
     """A FunctionalElement or a _Factored as a walk side.  Coefficients
     with a denominator are first brought to Laurent polynomials by a
     common factor; its inverse is the side's scale, which operator.mul
-    takes back out once per value (once per bracket in _brackets).  A
+    takes back out once per value (once per row entry of _brackets).  A
     _Factored gives one term (factors, {(): 1}, {(): coefficient}) per
     product, its source the tuple of factors, which _convolve reads.  The
     words of one sign pattern are grouped by start state (a unit row per
@@ -770,27 +774,13 @@ def _letter_pairs(bundle: RMatrixBundle, alphabet) -> List[Tuple[int, int]]:
     return [pairs[g] for g in range(len(own))]
 
 
-def _brackets(fs: Dict, elems: Dict) -> Dict[Tuple, Scalar]:
-    """The brackets <f, a> of every functional or walk side of fs with
-    every element of the free matrix-entry algebra in elems, keyed (key
-    of f, key of a), zeros left out, from one walk restricted to the
-    elements' T-words.  Every side is walked without its map: the sum v
-    of c * value over the words of a is formed first, and the side's map
-    is applied to it once, as fn(v, scale).  So the bracket of a mapped
-    side is the map of the bracket, and terms that cancel in the sum
-    (paired poles at r = 1) cancel before the map sees them."""
-    sides = {fkey: _as_side(f) for fkey, f in fs.items()}
-    bundle = next((src.bundle for s in sides.values()
-                   for src, _, _ in s.terms), None)
-    if bundle is None:
-        return {}
-    return _word_brackets(sides, _t_words(bundle, elems.items()))
-
-
 def _t_words(bundle: RMatrixBundle, elems: Iterable) -> Dict[Tuple, List]:
-    """The elements (key, a) of the free matrix-entry algebra by T-word:
-    each word of their terms as its letters (A, B), with the (key of a,
-    coefficient) of every element a that has it."""
+    """The elements (key, a) of the free matrix-entry algebra by T-word,
+    as _brackets takes them: each word of their terms as its letters
+    (A, B), with the (key of a, coefficient) of every element a that has
+    it, so a key given twice brackets the sum of its elements.  This is
+    the one translation of letters to index pairs, and elements read
+    against several batches of functionals are translated once."""
     out: Dict[Tuple, List] = {}
     for ekey, a in elems:
         pairs = _letter_pairs(bundle, a.alphabet)
@@ -800,26 +790,34 @@ def _t_words(bundle: RMatrixBundle, elems: Iterable) -> Dict[Tuple, List]:
     return out
 
 
-def _word_brackets(fs: Dict, words: Dict[Tuple, List]) -> Dict[Tuple, Scalar]:
-    """_brackets on elements given by T-word (_t_words), so that elements
-    bracketed with several families are translated once."""
+def _brackets(fs: Dict, words: Dict[Tuple, List]) -> Dict[object, Dict]:
+    """The brackets <f, a> of every functional or walk side f of fs with
+    every element a given by T-word (_t_words), as one row {key of a:
+    value} for every key of fs, in the order of fs, zeros left out (a
+    row may be empty), from one walk restricted to the elements'
+    T-words.  Every side is walked without its map: the sum v of c *
+    value over the words of a is formed first, and the side's map is
+    applied to it once, as fn(v, scale).  So the bracket of a mapped side
+    is the map of the bracket, and terms that cancel in the sum (paired
+    poles at r = 1) cancel before the map sees them."""
     sides = {fkey: _as_side(f) for fkey, f in fs.items()}
-    out: Dict[Tuple, Scalar] = {}
+    rows: Dict[object, Dict] = {fkey: {} for fkey in fs}
     for w, vals in _walk({fkey: _Side(s.terms) for fkey, s in sides.items()},
                          max(map(len, words), default=0), words):
         for ekey, c in words[w]:
             for fkey, v in vals.items():
-                _acc(out, (fkey, ekey), c * v)
-    maps = {key: (sides[key[0]].fn, sides[key[0]].scale)
-            for key in out if sides[key[0]].fn}
-    return _finish(out, maps)
+                _acc(rows[fkey], ekey, c * v)
+    for fkey, s in sides.items():
+        if s.fn:
+            _finish(rows[fkey], dict.fromkeys(rows[fkey], (s.fn, s.scale)))
+    return rows
 
 
 def eval_functional(f: FunctionalElement, a: AlgebraElement) -> Scalar:
     """Value of a functional on an element of the free matrix-entry
     algebra of the same embedded geometry."""
-    return _brackets({(): f}, {(): a}).get(((), ()),
-                                           f.bundle.geometry.params.zero)
+    return _brackets({(): f}, _t_words(f.bundle, [((), a)]))[()].get(
+        (), f.bundle.geometry.params.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,16 +1088,15 @@ def script_r_matrix(N: int) -> SparseTensor4:
     geom = bundle.geometry
     M = geom.dim
     inner = set(geom.inner())
-    lifted = {(A, C): section(project(word_element(
-                  big.alphabet, geom.params, (t_letter(M, A, C),)), p), p)
-              for A in geom.indices() for C in geom.indices()}
+    lifted = _t_words(bundle, (((A, C), section(project(word_element(
+        big.alphabet, geom.params, (t_letter(M, A, C),)), p), p))
+        for A in geom.indices() for C in geom.indices()))
     plus = {(B, Dd): l_functional(bundle, 1, B, Dd)
             for B in geom.indices() for Dd in geom.indices()
             if B == Dd or (B in inner and Dd in inner)}
-    vals = _brackets(plus, lifted)
-    return SparseTensor4(geom, {(A, B, C, Dd): vals[(B, Dd), (A, C)]
-                                for A, C in lifted for B, Dd in plus
-                                if ((B, Dd), (A, C)) in vals})
+    return SparseTensor4(geom, {(A, B, C, Dd): v for (B, Dd), row in
+                                _brackets(plus, lifted).items()
+                                for (A, C), v in row.items()})
 
 
 def _script_r_expected(bundle: RMatrixBundle) -> SparseTensor4:
@@ -1399,16 +1396,11 @@ def pairing(f: FunctionalElement, pa: AlgebraElement) -> Scalar:
     """The duality bracket: lift the quotient element through the fixed
     section and evaluate.  It is the pairing of U_{q,r}(iso(N)) with the
     quotient only for an f that annihilates the cone ideal, which
-    iu_annihilates checks."""
-    geom = f.bundle.geometry
-    N = geom.dim - 2
-    p = build_presentation("iso", N)
-    if not (pa.alphabet is p.alphabet
-            or pa.alphabet.symbols == p.alphabet.symbols):
-        raise ValueError("pairing argument is not over the iso(%d) alphabet"
-                         % N)
-    return _brackets({(): f}, {(): section(pa, p)}).get(((), ()),
-                                                        geom.params.zero)
+    iu_annihilates checks.  section refuses an element that is not over
+    the iso(N) alphabet."""
+    p = build_presentation("iso", f.bundle.geometry.dim - 2)
+    row = _brackets({(): f}, _t_words(f.bundle, [((), section(pa, p))]))[()]
+    return row.get((), f.bundle.geometry.params.zero)
 
 
 def eta_monomials(N: int, max_degree: int) -> List[FunctionalWord]:
@@ -1479,16 +1471,8 @@ def _pairing_axiom_cases(N: int) -> List[Tuple[str, Iterator[tuple]]]:
     agens = {x: p.element({(x,): ps.one}) for x in range(len(sym))}
 
     def lift(elems: Iterable) -> Dict:
-        # the sections of quotient elements by T-word, for _word_brackets
+        # the sections of quotient elements by T-word, for _brackets
         return _t_words(bundle, ((k, section(a, p)) for k, a in elems))
-
-    def brackets(fs: Dict, lifted: Dict) -> Dict:
-        # the nonzero <f, a> as {f key: {a key: value}}, a missing
-        # key reading an empty row
-        got: Dict = defaultdict(dict)
-        for (fk, ak), v in _word_brackets(fs, lifted).items():
-            got[fk][ak] = v
-        return got
 
     letters = lift(agens.items())
 
@@ -1496,8 +1480,8 @@ def _pairing_axiom_cases(N: int) -> List[Tuple[str, Iterator[tuple]]]:
         cops = {x: costructure("coproduct", a, p).terms.items()
                 for x, a in agens.items()}
         words = {w for cop in cops.values() for pair, _ in cop for w in pair}
-        val = brackets(fgens, lift((w, word_element(p.alphabet, ps, w))
-                                   for w in words))
+        val = _brackets(fgens, lift((w, word_element(p.alphabet, ps, w))
+                                    for w in words))
         by_word: Dict = defaultdict(dict)
         for j, got in val.items():
             for w, v in got.items():
@@ -1505,7 +1489,7 @@ def _pairing_axiom_cases(N: int) -> List[Tuple[str, Iterator[tuple]]]:
         for i, f in fgens.items():
             # one walk per left factor: one walk over every product
             # would hold len(fgens)^2 functionals and their values at once
-            fg = brackets({j: f * g for j, g in fgens.items()}, letters)
+            fg = _brackets({j: f * g for j, g in fgens.items()}, letters)
             left = val[i]
             rhs: Dict = {}
             for x, cop in cops.items():
@@ -1525,15 +1509,15 @@ def _pairing_axiom_cases(N: int) -> List[Tuple[str, Iterator[tuple]]]:
 
     def coproduct_cases():
         cops = {i: coproduct_functional(f) for i, f in fgens.items()}
-        val = brackets({w: word_functional(bundle, w)
-                        for cop in cops.values() for _, wl, wr in cop
-                        for w in (wl, wr)}, letters)
+        val = _brackets({w: word_functional(bundle, w)
+                         for cop in cops.values() for _, wl, wr in cop
+                         for w in (wl, wr)}, letters)
         # a walk over every functional would hold all their values on
         # the len(agens)^2 products at once
         products = lift(((x, y), a * b) for x, a in agens.items()
                         for y, b in agens.items())
         for i, f in fgens.items():
-            fab = brackets({i: f}, products)[i]
+            fab = _brackets({i: f}, products)[i]
             table: Dict = {}
             for c, wl, wr in cops[i]:
                 right = val[wr]
@@ -1548,17 +1532,17 @@ def _pairing_axiom_cases(N: int) -> List[Tuple[str, Iterator[tuple]]]:
                            table.get((x, y), ps.zero))
 
     def antipode_cases():
-        kf = brackets({i: antipode_L(f) for i, f in fgens.items()}, letters)
-        fk = brackets(fgens, lift((x, costructure("antipode", a, p))
-                                  for x, a in agens.items()))
+        kf = _brackets({i: antipode_L(f) for i, f in fgens.items()}, letters)
+        fk = _brackets(fgens, lift((x, costructure("antipode", a, p))
+                                   for x, a in agens.items()))
         for i, f in fgens.items():
             for x in agens:
                 yield (("antipodes disagree at %r on %s", (f, sym[x])),
                        kf[i].get(x, ps.zero), fk[i].get(x, ps.zero))
 
     def unit_cases():
-        eps = brackets({(): eps_functional(bundle)}, letters)
-        unit = brackets(fgens, lift([((), unit_element(p.alphabet, ps))]))
+        eps = _brackets({(): eps_functional(bundle)}, letters)
+        unit = _brackets(fgens, lift([((), unit_element(p.alphabet, ps))]))
         for x, a in agens.items():
             yield (("counit mismatch on %s", (sym[x],)),
                    eps[()].get(x, ps.zero),

@@ -251,6 +251,10 @@ def test_usage_errors_exit_two(capsys):
     # a repeated name is refused, not resolved by the last value
     assert run(["build-r", "--n", "3", "--spec", "s=2, s=3"]) == 2
     assert capsys.readouterr() == ("", "error: --spec names 's' twice\n")
+    # an empty --spec is refused, not read as no --spec
+    assert run(["build-r", "--n", "3", "--spec", ""]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --spec expects k=v pairs, got ''\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qortho import calculus, envelope
-from qortho.envelope import (EPS_WORD, AnnihilationResult,
+from qortho.envelope import (EPS_WORD, AnnihilationResult, FunctionalElement,
                              _cone_witness, _Diagonal, _exchange_detail,
                              _exchange_relations, _Pattern, _Side,
                              _first_difference, _mapped,
@@ -371,9 +371,11 @@ def test_a_bracket_walk_steps_only_the_prefixes_of_its_word(monkeypatch):
     monkeypatch.setattr(envelope, "_through", looking_ahead)
     names = "u T[1,1] v T[2,2] u u T[3,3] v T[1,1] u".split()
     f = word_functional(BUNDLE5, ((1, 1, 1), (-1, 2, 2)))
-    got = envelope._brackets({(): f}, {(): section(iso_word(*names), ISO3)})
-    assert got == {((), ()): ISO3.params.s_pow(4) * scalar_invert(
-        ISO3.params.monomial(1, ISO3.params.mono(0, {(1, 2): 1})))}
+    elems = {(): section(iso_word(*names), ISO3)}
+    got = envelope._brackets({(): f}, envelope._t_words(BUNDLE5,
+                                                        elems.items()))
+    assert got == {(): {(): ISO3.params.s_pow(4) * scalar_invert(
+        ISO3.params.monomial(1, ISO3.params.mono(0, {(1, 2): 1})))}}
     assert len(steps) == len(names) - 1
 
 
@@ -532,15 +534,28 @@ def test_pairing_values():
     assert pairing(eps_functional(BUNDLE5), iso_word("x1")) == ps.zero
 
 
+def test_pairing_rejects_a_foreign_alphabet():
+    """pairing takes elements of the quotient iso(N) alone: neither an
+    element of the embedded group nor one of another quotient is
+    sectioned."""
+    f = l_functional(BUNDLE5, 1, 2, 2)
+    iso4 = build_presentation("iso", 4)
+    for pres in (BIG5, iso4):
+        elem = word_element(pres.alphabet, pres.params, (0,))
+        with pytest.raises(ValueError, match="not over the iso"):
+            pairing(f, elem)
+
+
 def test_functionals_reject_a_foreign_alphabet():
     """An element over any alphabet but the bundle's own matrix entries
-    is refused by name, not by a missing symbol."""
-    f = l_functional(BUNDLE5, 1, 2, 2)
+    is refused by name, not by a missing symbol, also by the zero
+    functional."""
     so5 = build_presentation("so", 5)
-    for elem in (t_word(so5, (1, 1)), iso_word("T[1,1]")):
-        with pytest.raises(ValueError, match=r"alphabet T\[∘,∘\] \.\.\. "
-                                             r"T\[•,•\]; got"):
-            eval_functional(f, elem)
+    for f in (l_functional(BUNDLE5, 1, 2, 2), FunctionalElement(BUNDLE5, {})):
+        for elem in (t_word(so5, (1, 1)), iso_word("T[1,1]")):
+            with pytest.raises(ValueError, match=r"alphabet T\[∘,∘\] "
+                                                 r"\.\.\. T\[•,•\]; got"):
+                eval_functional(f, elem)
 
 
 def test_iu_generator_count():
@@ -772,25 +787,27 @@ def test_pairing_axiom_right_sides_are_the_dense_sums():
 
     def reader(got):
         def val(fkey, akey):
-            zeros[(fkey, akey) not in got] += 1
-            return got.get((fkey, akey), ps.zero)
+            zeros[akey not in got[fkey]] += 1
+            return got[fkey].get(akey, ps.zero)
         return val
 
     cops = {x: costructure("coproduct", a, ISO3).terms.items()
             for x, a in agens.items()}
-    val = reader(envelope._brackets(fgens, {
-        w: section(word_element(ISO3.alphabet, ps, w), ISO3)
-        for cop in cops.values() for pair, _ in cop for w in pair}))
+    elems = {w: section(word_element(ISO3.alphabet, ps, w), ISO3)
+             for cop in cops.values() for pair, _ in cop for w in pair}
+    val = reader(envelope._brackets(fgens, envelope._t_words(
+        BUNDLE5, elems.items())))
     product = [(("products vs coproduct at %r, %r on %s", (f, g, sym[x])),
                 sum((c * val(i, w1) * val(j, w2)
                      for (w1, w2), c in cops[x]), ps.zero))
                for i, f in fgens.items() for j, g in fgens.items()
                for x in agens]
     fcops = {i: coproduct_functional(f) for i, f in fgens.items()}
+    elems = {x: section(a, ISO3) for x, a in agens.items()}
     fval = reader(envelope._brackets(
         {w: word_functional(BUNDLE5, w)
          for cop in fcops.values() for _, wl, wr in cop for w in (wl, wr)},
-        {x: section(a, ISO3) for x, a in agens.items()}))
+        envelope._t_words(BUNDLE5, elems.items())))
     coproduct = [(("functional coproduct vs product at %r on %s, %s",
                    (f, sym[x], sym[y])),
                   sum((c * fval(wl, x) * fval(wr, y)
@@ -900,20 +917,22 @@ def test_bracket_of_a_limit_side_is_the_limit_of_the_bracket(monkeypatch):
     basis = calculus.tangent_basis("r1", 3)
     seen = []
 
-    def spy(fs, elems):
-        seen.append(elems)
-        return envelope._brackets(fs, elems)
+    def spy(fs, words):
+        seen.append(words)
+        return envelope._brackets(fs, words)
 
     monkeypatch.setattr(calculus, "_brackets", spy)
     for f in basis.vectors:
         calculus._brackets_on_letters(basis, f)
-    for elems in seen:
-        plain = envelope._brackets(dict(enumerate(basis.vectors)), elems)
-        want = {key: limit_r_to_1(v) for key, v in plain.items()}
+    for words in seen:
+        plain = envelope._brackets(dict(enumerate(basis.vectors)), words)
+        want = {j: {key: limit_r_to_1(v) for key, v in row.items()}
+                for j, row in plain.items()}
         assert envelope._brackets(
             {j: _mapped(g, limit_r_to_1)
-             for j, g in enumerate(basis.vectors)}, elems) == {
-                 key: v for key, v in want.items() if v}
+             for j, g in enumerate(basis.vectors)}, words) == {
+                 j: {key: v for key, v in row.items() if v}
+                 for j, row in want.items()}
 
 
 def test_pairing_is_linear():
@@ -1078,6 +1097,30 @@ def t_elements(draw, pres):
     return elems
 
 
+def test_brackets_give_one_row_per_functional():
+    """_brackets returns a row {key of a: value} for every key of fs, in
+    the order of fs, with only the nonzero brackets in it; L+ below the
+    diagonal brackets to zero with everything, so its row is empty."""
+    ps = ISO3.params
+    fs = {"below": l_functional(BUNDLE5, 1, 3, 2),
+          "plus": l_functional(BUNDLE5, 1, 2, 2),
+          "minus": word_functional(BUNDLE5, ((-1, 1, 1), (-1, 1, 1))),
+          "eps": eps_functional(BUNDLE5)}
+    elems = {"one": iso_word(), "u": iso_word("u"),
+             "uv": iso_word("u", "v", coeff=ps.s_pow(3)),
+             "mixed": iso_word("x1", "v") + iso_word("u", "u")}
+    lifted = {k: section(a, ISO3) for k, a in elems.items()}
+    got = envelope._brackets(fs, envelope._t_words(BUNDLE5, lifted.items()))
+    assert list(got) == list(fs)
+    assert got["below"] == {}
+    assert all(got[k] for k in ("plus", "minus", "eps"))
+    for fkey, row in got.items():
+        for ekey, a in lifted.items():
+            want = eval_functional(fs[fkey], a)
+            assert row.get(ekey, ps.zero) == want
+            assert (ekey in row) == bool(want)
+
+
 @pytest.mark.parametrize("bundle,pres", [(BUNDLE3, SO3), (BUNDLE5, BIG5)],
                          ids=["so3", "so5"])
 @settings(max_examples=25, deadline=None)
@@ -1088,7 +1131,7 @@ def test_restricted_walk_matches_the_table_evaluator(bundle, pres, data):
     fs = {key: data.draw(functionals(bundle))
           for key in range(data.draw(st.integers(1, 2)))}
     elems = data.draw(t_elements(pres))
-    got = envelope._brackets(fs, elems)
+    got = envelope._brackets(fs, envelope._t_words(bundle, elems.items()))
     tables = {}
     for fkey, f in fs.items():
         for ekey, a in elems.items():
@@ -1103,8 +1146,8 @@ def test_restricted_walk_matches_the_table_evaluator(bundle, pres, data):
                         tuple(C + 1 for C in cols))
                 if v is not None:
                     want = want + c * v
-            assert got.get((fkey, ekey), want.ps.zero) == want
-            assert (fkey, ekey) not in got or got[fkey, ekey]
+            assert got[fkey].get(ekey, want.ps.zero) == want
+            assert ekey not in got[fkey] or got[fkey][ekey]
 
 
 @pytest.mark.parametrize("bundle", [BUNDLE3, BUNDLE5], ids=["so3", "so5"])
