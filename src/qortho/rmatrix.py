@@ -99,12 +99,16 @@ class RMatrixBundle:
     Rinv is built by inverting every deformation variable; Rhat^{ab}_{cd} =
     R^{ba}_{cd}; the functional-representation kernels are R+^{AC}_{BD} =
     R^{CA}_{DB} and R-^{AC}_{BD} = (R^{-1})^{AC}_{BD}.  The constructor
-    certifies upper triangularity and Rinv by multiplication against R,
-    since every consumer reads L- = R^{-1}.  The projectors P_S, P_A, P_0
-    are built on the first read of any of them, and their completeness,
-    orthogonality and idempotence are certified at that moment.  A failed
-    certificate raises ArithmeticError naming it.  The uniparametric
-    bundle is built on first read, from R at g_ab = r.
+    certifies upper triangularity and Rinv, since every consumer reads
+    L- = R^{-1}.  It forms R Rinv alone: a one-sided inverse of a square
+    matrix over the field Q(s, g_ab) is two-sided, so R Rinv = I implies
+    Rinv R = I.  The projectors P_S, P_A, P_0 are built on the first read
+    of any of them, and their completeness, orthogonality and idempotence
+    are certified at that moment; idempotence follows from the other two
+    (see _projected), so the squares are formed only when one of those
+    fails, to name the first bad product.  A failed certificate raises
+    ArithmeticError naming it.  The uniparametric bundle is built on
+    first read, from R at g_ab = r.
     """
 
     def __init__(self, geometry: IndexGeometry, R=None):
@@ -140,13 +144,11 @@ class RMatrixBundle:
 
     def _certify_inverse(self) -> Dict[str, Tuple[bool, str]]:
         low = first_failure(_stray(self.R, lambda k: k[:2] < k[2:]))
-        I = identity_tensor(self.geometry)
-        ok1, w1 = tensor_equal(tensor_compose(self.R, self.Rinv), I)
-        ok2, w2 = tensor_equal(tensor_compose(self.Rinv, self.R), I)
+        ok, w = tensor_equal(tensor_compose(self.R, self.Rinv),
+                             identity_tensor(self.geometry))
         return {
             "upper triangularity": (low is None, _witness(low)),
-            "inverse by inverting all parameters": (ok1 and ok2,
-                                                    _witness(w1 or w2)),
+            "inverse by inverting all parameters": (ok, _witness(w)),
         }
 
     @functools.cached_property
@@ -159,17 +161,31 @@ class RMatrixBundle:
 
     @functools.cached_property
     def _projected(self):
-        """(P_S, P_A, P_0) and their two certificates."""
+        """(P_S, P_A, P_0) and their two certificates.
+
+        Complete projectors whose six products Pi Pj (i != j) vanish are
+        idempotent, Pi = Pi (P_S + P_A + P_0) = Pi Pi, so the three
+        squares are formed only when completeness or an off-diagonal
+        product fails; the scan of all nine products in order then names
+        the first bad one."""
         geom = self.geometry
         projs = P_S, P_A, P_0 = build_projectors(self)
         ok, w = tensor_equal(P_S + P_A + P_0, identity_tensor(geom))
-        named = [("P_S", P_S), ("P_A", P_A), ("P_0", P_0)]
+        names = ("P_S", "P_A", "P_0")
         zero = SparseTensor4(geom, {})
-        # case ((Pi, Pj), first mismatch of Pi Pj against its target, None)
-        pw = first_failure(
-            ((ni, nj), tensor_equal(tensor_compose(Pi, Pj),
-                                    Pi if ni == nj else zero)[1], None)
-            for ni, Pi in named for nj, Pj in named)
+
+        def mismatch(i, j):
+            """The first mismatch of Pi Pj against its target."""
+            return tensor_equal(tensor_compose(projs[i], projs[j]),
+                                projs[i] if i == j else zero)[1]
+
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        pw = None
+        if not (ok and all(mismatch(i, j) is None
+                           for i, j in pairs if i != j)):
+            # case ((Pi, Pj), mismatch of Pi Pj, None)
+            pw = first_failure(((names[i], names[j]), mismatch(i, j), None)
+                               for i, j in pairs)
         return projs, _required({
             "projector completeness: P_S + P_A + P_0 = I": (ok, _witness(w)),
             "projector orthogonality and idempotence": (

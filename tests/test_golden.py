@@ -49,6 +49,10 @@ GOLDEN = [
      "65e52239c6f178bc0cd2e7ff7998a025476408235cf2d18d24db98f4bf3a89ce"),
     (["lie", "--n", "4", "--kind", "r1", "--degree", "3"],
      "2f9808bdf80637f3cba43fa67e912e0493185f5fee424394f3ed24e09af91d7b"),
+    (["verify", "--suite", "rmatrix", "--n", "3"],
+     "552e632e427c47a521cd3da130c994a0ddf568e2ae62f92260aa73280f153cf5"),
+    (["verify", "--suite", "rmatrix", "--n", "7"],
+     "c78279451c8aa2f015e524cd840a7f60c3e1b88a3cd65ff90a66edb99b5775da"),
 ]
 
 

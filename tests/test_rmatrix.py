@@ -286,3 +286,108 @@ def test_embedding_names_the_first_wrong_metric_component(monkeypatch):
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("cone metric components are r^{+-rho}, inner ones restrict",
          "at 1: 2*s^-3 vs s^-3")]
+
+
+CERTIFICATES = ("upper triangularity", "inverse by inverting all parameters",
+                "projector completeness: P_S + P_A + P_0 = I",
+                "projector orthogonality and idempotence")
+
+
+@pytest.mark.parametrize("make", [
+    *(functools.partial(build_bundle, IndexGeometry(n)) for n in range(3, 9)),
+    lambda: RMatrixBundle(IndexGeometry(5, embedded=True)),
+    lambda: build_bundle(IndexGeometry(5, embedded=True)).uniparametric,
+], ids=[*("dim%d" % n for n in range(3, 9)), "embedded-dim5",
+        "uniparametric-embedded-dim5"])
+def test_products_the_certificates_leave_out_hold(make):
+    # the bundle forms R Rinv and the off-diagonal projector products
+    # only; the products the two lemmas imply are formed here
+    bundle = make()
+    I = identity_tensor(bundle.geometry)
+    assert tensor_equal(rmatrix.tensor_compose(bundle.Rinv, bundle.R), I) \
+        == (True, None)
+    for P in (bundle.P_S, bundle.P_A, bundle.P_0):
+        assert tensor_equal(rmatrix.tensor_compose(P, P), P) == (True, None)
+    assert bundle.certificates == {name: (True, "") for name in CERTIFICATES}
+
+
+def _count_compositions(monkeypatch):
+    counted = []
+    orig = rmatrix.tensor_compose
+
+    def counting(X, Y):
+        counted.append(1)
+        return orig(X, Y)
+
+    monkeypatch.setattr(rmatrix, "tensor_compose", counting)
+    return counted
+
+
+def _edit_projectors(monkeypatch, edit):
+    orig = rmatrix.build_projectors
+    monkeypatch.setattr(rmatrix, "build_projectors",
+                        lambda bundle: edit(bundle, *orig(bundle)))
+
+
+def _shifted(bundle, PS, PA, P0):
+    # the mutation of test_projector_certificate_names_the_first_bad_product
+    I = identity_tensor(bundle.geometry)
+    return PS + I, PA - I, P0
+
+
+def _doubled(bundle, PS, PA, P0):
+    # 2 P_S keeps the three projectors orthogonal and breaks completeness
+    return PS + PS, PA, P0
+
+
+@pytest.mark.parametrize("edit,formed", [
+    (None, 6),       # the off-diagonal Pi Pj; the squares follow
+    (_shifted, 2),   # P_S P_A fails, then the ordered scan stops at P_S P_S
+    (_doubled, 1),   # completeness fails; the scan stops at P_S P_S
+], ids=["healthy", "shifted", "doubled"])
+def test_projector_certificates_form_only_the_deciding_products(
+        monkeypatch, edit, formed):
+    if edit is not None:
+        _edit_projectors(monkeypatch, edit)
+    counted = _count_compositions(monkeypatch)
+    bundle = RMatrixBundle(IndexGeometry(3))
+    assert len(counted) == 1  # R Rinv
+    if edit is None:
+        bundle.P_S
+    else:
+        with pytest.raises(ArithmeticError):
+            bundle.P_S
+    assert len(counted) == 1 + formed
+
+
+def test_doubled_symmetric_projector_fails_completeness(monkeypatch):
+    _edit_projectors(monkeypatch, _doubled)
+    bundle = RMatrixBundle(IndexGeometry(3))
+    with pytest.raises(ArithmeticError) as exc:
+        bundle.P_0
+    assert str(exc.value) == (
+        "R matrix bundle failed its certificate 'projector completeness: "
+        "P_S + P_A + P_0 = I': at (1, 1, 1, 1): 2 vs 1")
+
+
+def test_perturbed_inverse_names_the_r_rinv_witness(monkeypatch):
+    # perturbed at (2, 2, 2, 2), R Rinv and Rinv R first differ from I at
+    # different keys, and the certificate names the first of R Rinv
+    key = (2, 2, 2, 2)
+    orig = rmatrix.map_params
+
+    def perturbed(X):
+        Y = orig(X)
+        return Y._like({**Y.entries, key: Y.get(key) + X.geometry.params.one})
+
+    monkeypatch.setattr(rmatrix, "map_params", perturbed)
+    g = IndexGeometry(3)
+    R, I = build_R(g), identity_tensor(g)
+    bad = perturbed(R)
+    assert [tensor_equal(rmatrix.tensor_compose(X, Y), I)[1][0]
+            for X, Y in ((R, bad), (bad, R))] == [key, (2, 2, 1, 3)]
+    with pytest.raises(ArithmeticError) as exc:
+        RMatrixBundle(g)
+    assert str(exc.value) == (
+        "R matrix bundle failed its certificate 'inverse by inverting all "
+        "parameters': at (2, 2, 2, 2): 2 vs 1")
