@@ -54,13 +54,31 @@ nonzero values by key.  Every relation of the envelope suite (exchange,
 metric orthogonality, the counit, bullet-row reduction and twist
 identities) is a family of equalities lhs = rhs between functionals,
 one per index key, checked on every free word of length k <= D in one
-walk; the exchange relations (_exchange_relations) are keyed by their
-indices (A, B; C, D) like the others.  functional_equal states the
+walk (an intertwiner family, below, on those of length k <= min(D, 1),
+which decides every word); the exchange relations (_exchange_relations)
+are keyed by their indices (A, B; C, D) like the others.
+functional_equal states the
 order in which the first disagreement is reported.  Every relation is
 walked as the one side lhs - rhs (_difference), and holds when the walk
 gives it no value, so a passing family wraps no value in a Scalar; a
 failing relation has its two sides read again on its first failing word
 alone, as the keys (key, 0) and (key, 1) of one family (_witnesses).
+The exchange and metric-orthogonality families are intertwiner
+families (_Intertwiner): each reads P Phi(w) = Theta'(w) Q on every
+T-word w, Phi and Theta' tensor products of L matrices, each maybe
+restricted to a generator mask (for orthogonality Theta' is the counit,
+a character, and P, Q the metric vector).  Since Delta(L) = L x L, a
+restricted L matrix whose mask passes the support-closure certificate
+(_multiplicative: m(F, Y) == m(F, G) and m(G, Y) for all (F, G), (G, Y)
+in the reflexive-transitive closure S* of the support of the one-letter
+transfer matrices, _reach) is multiplicative, and then so are Phi and
+Theta'.  The letters then decide the family (Woronowicz, Comm. Math.
+Phys. 122 (1989), for intertwiners of multiplicative matrices): the
+empty word gives P = Q, each letter a gives P Phi(a) = Theta'(a) P, and
+induction on the word gives every word.  So the relation suite walks
+such a family to length min(D, 1), and its verdict covers every free
+word; a failing family fails first on a word of length <= 1, so the
+walk to D would report the same first failure.
 The uniparametric collapse is such a family too, over the bundle of R
 at g_ab = r (RMatrixBundle.uniparametric).  A side may also carry the
 image of every value under the r = 1 limit (_mapped), which is how the
@@ -287,6 +305,35 @@ def _preimages(bundle: RMatrixBundle,
         for _, _, b, _ in hits:
             pre.setdefault(b, set()).add(a)
     return pre
+
+
+@functools.cache
+def _reach(bundle: RMatrixBundle, sign: int) -> Dict[int, set]:
+    """reach[F]: the indices Y with (F, Y) in S*, the reflexive-transitive
+    closure of the support {(E, F): L^E_F(T^C_D) nonzero for some letter}
+    of the one-letter transfer matrices of L^sign (_transfer), the same
+    entries step multiplies through.  L^F_Y vanishes on every T-word
+    unless (F, Y) is in S*."""
+    succ = {E: {F for _, _, (F,), _ in hits}
+            for (E,), hits in _transfer(bundle, (sign,)).items()}
+    reach = {F: {F} for F in bundle.geometry.indices()}
+    for _ in reach:                 # a shortest path repeats no index
+        reach = {F: ys.union(*(succ.get(Y, ()) for Y in ys))
+                 for F, ys in reach.items()}
+    return reach
+
+
+def _multiplicative(bundle: RMatrixBundle, sign: int, mask) -> bool:
+    """The certificate that the L^sign matrix restricted to mask (L^A_B
+    kept where mask(A, B)) is multiplicative, its value on a word the
+    product of its values on the letters: mask(F, Y) == mask(F, G) and
+    mask(G, Y) for all (F, G), (G, Y) in S* (_reach).  A term L^F_G(a)
+    L^G_Y(b) of L^F_Y(ab) is zero unless both pairs are in S*, and every
+    entry outside S* vanishes, so the restriction then keeps a term of
+    the product exactly when it keeps the product's entry."""
+    reach = _reach(bundle, sign)
+    return all(mask(F, Y) == (mask(F, G) and mask(G, Y))
+               for F in reach for G in reach[F] for Y in reach[G])
 
 
 class _Pattern:
@@ -637,7 +684,9 @@ def _walk(family: Dict, D: int, words=None):
     rows of the current word and of its parents' unvisited siblings are
     held, without the states from which no read state is reachable in
     the letters left (each stream's viable filter is computed once per
-    number of letters left); a word on which every stream vanishes is
+    number of letters left, and the start rows are filtered with D
+    letters left, which keeps every state read on the empty word, before
+    the first step or lookahead); a word on which every stream vanishes is
     skipped with all its extensions, because every side is zero there.
     The words of length D are read straight from their parent's rows
     through a lookahead: what one more letter does to the reads of a
@@ -661,7 +710,15 @@ def _walk(family: Dict, D: int, words=None):
     ahead: List[Dict[State, Dict]] = [{} for _ in streams]
     letters: Dict[Letter, int] = {}
     keeps: Dict[Tuple[int, int], object] = {}
-    stack = [((), {i: row for i, (_, row) in enumerate(streams)})]
+    start: Dict[int, Row] = {}
+    for i, (src, row) in enumerate(streams):
+        ok = keeps[i, D] = src.viable(reads[i], D)
+        if ok is not None:
+            row = {a: v for a, v in row.items()
+                   if all(a[2 * p:2 * p + 2] in s for p, s in enumerate(ok))}
+        if row:
+            start[i] = row
+    stack = [((), start)]
     while stack:
         coords, live = stack.pop()
         if words is None or coords in words:
@@ -1012,13 +1069,30 @@ def _any_generator(A: int, B: int) -> bool:
     return True
 
 
+class _Intertwiner(dict):
+    """A relation family {key: (lhs, rhs)} that reads P Phi(w) = Theta'(w)
+    Q on every T-word w, Phi and Theta' tensor products of the (sign,
+    mask) L matrices in matrices (the L^sign matrix restricted to mask),
+    P and Q fixed.  When each of them is multiplicative (_multiplicative),
+    the words of length <= 1 decide the family (see the module
+    docstring)."""
+
+    __slots__ = ("matrices",)
+
+    def __init__(self, pairs: Dict, matrices: Tuple[Tuple[int, object], ...]):
+        super().__init__(pairs)
+        self.matrices = matrices
+
+
 def _exchange_relations(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
                         s1: int, mask2=_any_generator, mask1=_any_generator):
     """Relations {(A, B, C, D): (lhs, rhs)} of Rt_12 L^{s2}_2 L^{s1}_1 =
     L^{s1}_1 L^{s2}_2 Rt_12.  Entry (A, B; C, D) reads
     sum Rt^{AB}_{EF} L^{s2 F}_D L^{s1 E}_C = sum L^{s1 A}_E L^{s2 B}_F
     Rt^{EF}_{CD}; the masks mask2(A, B) and mask1(A, B) restrict the
-    L^{s2} and the L^{s1} matrix to a generator support."""
+    L^{s2} and the L^{s1} matrix to a generator support.  An intertwiner
+    family of the two restricted matrices, Phi = L^{s2} x L^{s1} and
+    Theta' = L^{s1} x L^{s2}."""
     idx = list(bundle.geometry.indices())
     lhs: Dict[Tuple, Dict[FunctionalWord, Scalar]] = {}
     rhs: Dict[Tuple, Dict[FunctionalWord, Scalar]] = {}
@@ -1033,9 +1107,10 @@ def _exchange_relations(bundle: RMatrixBundle, Rt: SparseTensor4, s2: int,
                 if mask1(X, A) and mask2(Y, B):
                     _acc(rhs.setdefault((X, Y, E, F), {}),
                          ((s1, X, A), (s2, Y, B)), v)
-    return {key: (FunctionalElement(bundle, lhs.get(key, {})),
-                  FunctionalElement(bundle, rhs.get(key, {})))
-            for key in set(lhs) | set(rhs)}
+    return _Intertwiner({key: (FunctionalElement(bundle, lhs.get(key, {})),
+                               FunctionalElement(bundle, rhs.get(key, {})))
+                         for key in set(lhs) | set(rhs)},
+                        ((s2, mask2), (s1, mask1)))
 
 
 def _exchange_detail(geometry: IndexGeometry, w) -> str:
@@ -1052,7 +1127,9 @@ def _metric_orthogonality(bundle: RMatrixBundle, sign: int, variant: str,
                           mask=_any_generator):
     """Relations {(C, D): (lhs, rhs)} of C^{AB} L^C_B L^D_A = C^{DC} eps
     (variant "upper") or C_{AB} L^B_C L^A_D = C_{DC} eps ("lower"), each
-    factor of a summand restricted to the mask."""
+    factor of a summand restricted to the mask.  An intertwiner family of
+    the restricted matrix: Phi(w) = L x L read against the metric vector
+    equals Theta'(w) = eps(w), a character, times the same vector."""
     geom = bundle.geometry
     metric = bundle.C
     pr = geom.prime
@@ -1072,7 +1149,7 @@ def _metric_orthogonality(bundle: RMatrixBundle, sign: int, variant: str,
                     _acc(terms, ((sign,) + g1, (sign,) + g2), coeff)
             pairs[(C, Dd)] = (FunctionalElement(bundle, terms),
                               eps.scale(metric.lower(Dd, C)))
-    return pairs
+    return _Intertwiner(pairs, ((sign, mask),))
 
 
 # ---------------------------------------------------------------------------
@@ -1121,7 +1198,17 @@ def _degree(N: int, D: Optional[int]) -> int:
 
 def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
     """Exchange, orthogonality, reduction and twist identities of the
-    functional matrices, checked on all free words of length <= D."""
+    functional matrices, checked on all free words of length <= D.
+
+    Twelve families are intertwiner families of certified multiplicative
+    L matrices (_Intertwiner, _multiplicative) and are walked to length
+    min(D, 1) only, which decides them on every free word: the exchange
+    relations for two plus rows, for two minus rows and between plus
+    and minus rows, of the block-diagonal plus matrix, and of the block
+    and the mixed block with the script R matrix; and the upper and
+    lower metric orthogonality of the plus, the minus and the block
+    matrix.  Their report is the one the walk to D gives, failure
+    detail included.  Every other family is walked to D."""
     D = _degree(N, D)
     big = build_presentation("so", N + 2, embedded=True)
     bundle = build_bundle(big.geometry)
@@ -1137,8 +1224,12 @@ def verify_envelope_suite(N: int, D: Optional[int] = None) -> Report:
                  % (N, D))
 
     def check(name, pairs, detail=_detail):
-        # one relation family, reported by its first failure
-        w = _first_difference(pairs, D)
+        # one relation family, reported by its first failure; an intertwiner
+        # family of multiplicative L matrices is decided by its letters
+        letters = isinstance(pairs, _Intertwiner) and all(
+            _multiplicative(bundle, sign, mask)
+            for sign, mask in pairs.matrices)
+        w = _first_difference(pairs, min(D, 1) if letters else D)
         rep.add(name, w is None, detail(geom, w))
         return w
 

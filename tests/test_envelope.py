@@ -23,7 +23,8 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult, FunctionalElement,
                              _cone_witness, _Diagonal, _exchange_detail,
                              _exchange_relations, _Pattern, _Side,
                              _first_difference, _mapped,
-                             _metric_orthogonality, _pairing_axiom_cases,
+                             _metric_orthogonality, _multiplicative,
+                             _pairing_axiom_cases,
                              _walk, _witnesses,
                              antipode_L, coproduct_functional,
                              eps_functional, eta_monomials,
@@ -34,7 +35,7 @@ from qortho.envelope import (EPS_WORD, AnnihilationResult, FunctionalElement,
                              pairing, show_t_word, tag_gen,
                              verify_envelope_suite, verify_pairing_axioms,
                              verify_parameter_collapse, word_functional)
-from qortho.itensor import IndexGeometry
+from qortho.itensor import IndexGeometry, SparseTensor4
 from qortho.presentations import (AlgebraElement, build_presentation,
                                   costructure, section, word_element)
 from qortho.rmatrix import RMatrixBundle, build_bundle
@@ -328,9 +329,31 @@ def test_every_looked_ahead_state_of_a_short_pattern_reaches_a_read_state(
         assert _successors(src, [a])[a] & at.keys()
 
 
+def test_a_depth_one_walk_looks_ahead_only_from_states_that_reach_a_read_state(
+        monkeypatch):
+    """At D = 1 the root looks ahead from the start rows themselves: they
+    are filtered with D letters left before the lookahead, so every state
+    looked ahead from steps to some read state in one letter."""
+    seen = []
+    through = envelope._through
+
+    def spy(src, a, at, *rest):
+        seen.append((src, a, at))
+        return through(src, a, at, *rest)
+
+    monkeypatch.setattr(envelope, "_through", spy)
+    for s2, s1 in [(1, 1), (-1, -1), (1, -1)]:
+        assert _first_difference(
+            _exchange_relations(BUNDLE5, BUNDLE5.R, s2, s1), 1) is None
+    assert seen
+    for src, a, at in seen:
+        assert _successors(src, [a])[a] & at.keys()
+
+
 def test_a_walk_computes_each_viable_filter_once(monkeypatch):
     """In one walk, each stream's viable filter is computed at most once
-    per number of letters left, the lookahead's filter included."""
+    per number of letters left, the lookahead's filter and the start
+    rows' filter (D letters left) included."""
     calls = Counter()
     held = []                   # keeps every ends alive, so ids stay unique
     viable = _Pattern.viable
@@ -343,7 +366,7 @@ def test_a_walk_computes_each_viable_filter_once(monkeypatch):
     monkeypatch.setattr(_Pattern, "viable", counted)
     assert _first_difference(
         _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1), 2) is None
-    assert {r for _, r in calls} == {0, 1}
+    assert {r for _, r in calls} == {0, 1, 2}
     assert max(calls.values()) == 1
 
 
@@ -712,6 +735,150 @@ def test_the_suite_reports_each_failing_family_by_its_witness(mutation,
     rep = verify_envelope_suite(3, 2)
     assert {c.name: c.detail for c in rep.failures()} \
         == WRONG_SUITE_DETAILS[mutation]
+
+
+def _corner_dropped(A, B):
+    # L+ without its corner L+^o_* (index labels: o is 1, * is M)
+    return (A, B) != (GEOM5.circ, GEOM5.bullet)
+
+
+def test_the_certificate_accepts_the_suite_masks_and_refuses_a_dropped_corner():
+    """L+ is upper and L- lower triangular: each matrix is multiplicative
+    in full and restricted to the block mask, while L+ without its corner
+    L+^o_* is not, since L+^o_a L+^a_* reaches the corner."""
+    for sign in (1, -1):
+        assert _multiplicative(BUNDLE5, sign, envelope._any_generator)
+        assert _multiplicative(BUNDLE5, sign, _block)
+    assert not _multiplicative(BUNDLE5, 1, _corner_dropped)
+
+
+def _depth_spy(monkeypatch):
+    """[(family, D)] of every _first_difference call of the suite."""
+    depths = []
+    first = envelope._first_difference
+
+    def walked(pairs, D):
+        depths.append((pairs, D))
+        return first(pairs, D)
+
+    monkeypatch.setattr(envelope, "_first_difference", walked)
+    return depths
+
+
+def test_the_suite_decides_only_the_intertwiner_families_by_letters(
+        monkeypatch):
+    """verify_envelope_suite(3, 3) walks exactly its six exchange and six
+    metric-orthogonality families, whose L matrices are certified
+    multiplicative, at depth 1, and every other family at D = 3."""
+    built = []
+    for name in ("_exchange_relations", "_metric_orthogonality"):
+        def spy(*args, real=getattr(envelope, name), **named):
+            built.append(real(*args, **named))
+            return built[-1]
+
+        monkeypatch.setattr(envelope, name, spy)
+    depths = _depth_spy(monkeypatch)
+    assert verify_envelope_suite(3, 3).ok
+    assert len(built) == 12
+    ours = [D for pairs, D in depths if any(pairs is f for f in built)]
+    rest = [D for pairs, D in depths if not any(pairs is f for f in built)]
+    assert ours == [1] * 12
+    assert rest and set(rest) == {3}
+
+
+def test_a_family_of_a_refused_matrix_walks_at_the_full_degree(monkeypatch):
+    """With L+ losing its corner instead of taking the block mask, the
+    three block exchange families contract a matrix the certificate
+    refuses, and the suite walks them at D; the unmasked ones keep their
+    letters."""
+    exchange = envelope._exchange_relations
+    refused = []
+
+    def dropped(bundle, Rt, s2, s1, *masks, **named):
+        if not (masks or named):
+            return exchange(bundle, Rt, s2, s1)
+        refused.append(exchange(bundle, Rt, s2, s1, mask2=_corner_dropped))
+        return refused[-1]
+
+    monkeypatch.setattr(envelope, "_exchange_relations", dropped)
+    depths = _depth_spy(monkeypatch)
+    verify_envelope_suite(3, 2)
+    assert len(refused) == 3
+    assert [D for pairs, D in depths
+            if any(pairs is f for f in refused)] == [2] * 3
+    assert [D for pairs, D in depths
+            if isinstance(pairs, envelope._Intertwiner)
+            and not any(pairs is f for f in refused)] == [1] * 9
+
+
+def _block_table(Rt):
+    """The entries of Rt that script_r_matrix keeps of R."""
+    return SparseTensor4(GEOM5, {
+        (A, B, C, D): v for (A, B, C, D), v in Rt.items()
+        if {A, B, C, D} <= INNER5 or (A, B) == (C, D)})
+
+
+# the six exchange families of verify_envelope_suite(3, D) with R^-1 in
+# place of R, the script R matrix becoming the block table of R^-1
+WRONG_SUITE_EXCHANGE = [
+    ("plus-plus", BUNDLE5.Rinv, 1, 1, {}),
+    ("minus-minus", BUNDLE5.Rinv, -1, -1, {}),
+    ("mixed", BUNDLE5.Rinv, 1, -1, {}),
+    ("block", BUNDLE5.Rinv, 1, 1, {"mask2": _block, "mask1": _block}),
+    ("script-block", _block_table(BUNDLE5.Rinv), 1, 1,
+     {"mask2": _block, "mask1": _block}),
+    ("script-mixed-block", _block_table(BUNDLE5.Rinv), 1, -1,
+     {"mask2": _block}),
+]
+
+
+@pytest.mark.parametrize("Rt,s2,s1,masks",
+                         [case[1:] for case in WRONG_SUITE_EXCHANGE],
+                         ids=[case[0] for case in WRONG_SUITE_EXCHANGE])
+def test_a_wrong_exchange_matrix_fails_on_its_letters_as_on_every_word(
+        Rt, s2, s1, masks):
+    """A family decided by its letters reports what the walk to D = 3
+    reports: its first failure lies on a word of length <= 1."""
+    pairs = _exchange_relations(BUNDLE5, Rt, s2, s1, **masks)
+    assert all(_multiplicative(BUNDLE5, sign, mask)
+               for sign, mask in pairs.matrices)
+    w, walked = _first_difference(pairs, 1), _first_difference(pairs, 3)
+    assert w is not None and w == walked
+    assert _exchange_detail(GEOM5, w) == _exchange_detail(GEOM5, walked)
+
+
+def test_a_one_sided_exchange_matrix_fails_on_the_empty_word():
+    """One entry of R changed on the left sides alone breaks P = Q, which
+    the empty word decides, at depth 1 and at depth 3 alike."""
+    key, v = min(BUNDLE5.R.items())
+    bumped = SparseTensor4(GEOM5, {**BUNDLE5.R.entries,
+                                   key: v + GEOM5.params.one})
+    bad = _exchange_relations(BUNDLE5, bumped, 1, 1)
+    good = _exchange_relations(BUNDLE5, BUNDLE5.R, 1, 1)
+    pairs = {k: (bad[k][0], good[k][1]) for k in good}
+    w = _first_difference(pairs, 1)
+    assert w[:2] == (key, ())
+    assert w == _first_difference(pairs, 3)
+    assert " on I: " in _exchange_detail(GEOM5, w)
+
+
+@pytest.mark.parametrize("sign,variant,mask", [
+    (sign, variant, mask) for sign, mask in [
+        (1, envelope._any_generator), (-1, envelope._any_generator),
+        (1, _block)] for variant in ("upper", "lower")],
+    ids=["%s-%s" % (name, variant) for name in ("plus", "minus", "block")
+         for variant in ("upper", "lower")])
+def test_a_doubled_counit_fails_each_orthogonality_family_on_its_letters(
+        monkeypatch, sign, variant, mask):
+    """The six orthogonality families of the suite, decided by their
+    letters, report the doubled counit as the walk to D = 3 does."""
+    eps = envelope.eps_functional
+    monkeypatch.setattr(envelope, "eps_functional", lambda bundle: eps(
+        bundle).scale(bundle.geometry.params.from_rational(2)))
+    pairs = _metric_orthogonality(BUNDLE5, sign, variant, mask)
+    w = _first_difference(pairs, 1)
+    assert w == _first_difference(pairs, 3)
+    assert envelope._detail(GEOM5, w) == ORTHOGONALITY_WITH_TWO_EPS
 
 
 def test_functional_json_round_trip():

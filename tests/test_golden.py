@@ -53,6 +53,10 @@ GOLDEN = [
      "552e632e427c47a521cd3da130c994a0ddf568e2ae62f92260aa73280f153cf5"),
     (["verify", "--suite", "rmatrix", "--n", "7"],
      "c78279451c8aa2f015e524cd840a7f60c3e1b88a3cd65ff90a66edb99b5775da"),
+    (["verify", "--suite", "envelope", "--n", "3", "--degree", "4"],
+     "5d7c94a7acc544141237be5a80ea44ecf8c0f07adb2cd49a876e393b9901d3d7"),
+    (["verify", "--suite", "envelope", "--n", "4", "--degree", "3"],
+     "444aa9f30b1b70443c0a91f8da45e4e8f37ae1a65371b306dc71cdc96629d214"),
 ]
 
 
